@@ -33,12 +33,11 @@ from .action import (
     params_from_json,
     random_params,
 )
-from .gz import GZIndex, gz_eval, gz_fn, gz_indices, poisson_bracket
+from .gz import GZIndex, gz_indices, power_table
 from .matcore import Tolerance, rank_eps
 from .regularity import joint_commutant_kernel, sreg_report
 from .symplectic import (
     anchor,
-    hamiltonian_orbit_tangent,
     lagrangian_check,
     match_residual,
     omega_inf,
@@ -130,27 +129,41 @@ def _norm2(M: np.ndarray) -> float:
     return float(np.linalg.norm(M, 2))
 
 
+def _level_norms(T: Tower) -> np.ndarray:
+    """Spectral norm of every level, indexed by level (entry 0 unused)."""
+    return np.array([0.0] + [_norm2(T.level(n)) for n in range(1, T.depth + 1)])
+
+
+def _pair_bounds(T: Tower, idxs: list[GZIndex]) -> np.ndarray:
+    """``1 + ||X_n||^(i_a + i_b)`` with ``n = max(i_a, i_b)``, for every pair of indices."""
+    levels = np.array([k.i for k in idxs])
+    norms = _level_norms(T)[np.maximum.outer(levels, levels)]
+    return 1.0 + norms ** np.add.outer(levels, levels)
+
+
+def _name(idx: GZIndex) -> str:
+    return f"f[{idx.i},{idx.j}]"
+
+
 def _check_commute(T: Tower, tol: Tolerance, seed: int) -> CheckResult:
     idxs = gz_indices(T.depth)
-    fns = {idx: gz_fn(idx) for idx in idxs}
-    worst = 0.0
+    ratios = np.abs(power_table(T).bracket_matrix()) / _pair_bounds(T, idxs)
+    upper = np.triu_indices(len(idxs), 1)
+    pair_ratios = ratios[upper]
+    # np.max propagates NaN, so a non-finite bracket cannot pass the rtol.
+    worst = float(pair_ratios.max(initial=0.0))
     worst_pair = None
-    for a in range(len(idxs)):
-        for b in range(a + 1, len(idxs)):
-            i1, i2 = idxs[a], idxs[b]
-            n = max(i1.i, i2.i)
-            bound = 1.0 + _norm2(T.level(n)) ** (i1.i + i2.i)
-            ratio = abs(poisson_bracket(fns[i1], fns[i2], T)) / bound
-            if ratio > worst:
-                worst, worst_pair = ratio, (f"f[{i1.i},{i1.j}]", f"f[{i2.i},{i2.j}]")
+    if worst != 0.0:
+        k = int(np.argmax(pair_ratios))
+        worst_pair = [_name(idxs[upper[0][k]]), _name(idxs[upper[1][k]])]
     return CheckResult(
         name="commute",
         property="observable-family-poisson-commutativity",
         passed=_tri(worst <= DRIFT_RTOL),
         details={
             "max_bracket_ratio": worst,
-            "worst_pair": list(worst_pair) if worst_pair else None,
-            "pairs": len(idxs) * (len(idxs) - 1) // 2,
+            "worst_pair": worst_pair,
+            "pairs": len(pair_ratios),
             "rtol": DRIFT_RTOL,
         },
     )
@@ -165,17 +178,18 @@ def _check_conserve(T: Tower, tol: Tolerance, seed: int) -> CheckResult:
             passed="true",
             details={"note": "no flow directions at depth 1"},
         )
-    base = {idx: gz_eval(T, idx) for idx in gz_indices(N)}
-    worst_drift = 0.0
-    worst_corner = 0.0
+    table = power_table(T)
+    base = table.traces()
+    base_scale = 1.0 + np.abs(base)
+    drifts = []
+    corners = []
     # Conjugator condition bound: kappa(exp(tP)) <= exp(2|t| ||P||), so the
     # best drift double precision can certify is about eps * kappa.
     worst_kappa_log = 0.0
     flow_failed = False
-    for idx in gz_indices(N, max_i=N - 1):
+    for idx, P in zip(gz_indices(N, max_i=N - 1), table.generators(max_i=N - 1)):
         corner_scale = 1.0 + float(np.abs(T.level(idx.i)).max())
-        P = idx.j * np.linalg.matrix_power(T.level(idx.i), idx.j - 1)
-        pnorm = float(np.linalg.norm(P, 2))
+        pnorm = _norm2(P)
         for t in DEFAULT_T_GRID:
             worst_kappa_log = max(worst_kappa_log, 2.0 * abs(t) * pnorm)
             try:
@@ -183,13 +197,13 @@ def _check_conserve(T: Tower, tol: Tolerance, seed: int) -> CheckResult:
             except (OverflowError, np.linalg.LinAlgError):
                 flow_failed = True
                 continue
-            for k, v in base.items():
-                drift = abs(gz_eval(flowed, k) - v) / (1.0 + abs(v))
-                worst_drift = max(worst_drift, drift)
-            corner_res = float(
-                np.abs(flowed.level(idx.i) - T.level(idx.i)).max()
-            ) / corner_scale
-            worst_corner = max(worst_corner, corner_res)
+            drifts.append(np.max(np.abs(power_table(flowed).traces() - base) / base_scale))
+            corners.append(
+                float(np.abs(flowed.level(idx.i) - T.level(idx.i)).max()) / corner_scale
+            )
+    # np.max propagates NaN, so a non-finite drift cannot pass the rtol.
+    worst_drift = float(np.max(drifts, initial=0.0))
+    worst_corner = float(np.max(corners, initial=0.0))
     ok = not flow_failed and worst_drift <= DRIFT_RTOL and worst_corner <= CORNER_RTOL
     achievable = np.finfo(float).eps * float(np.exp(min(worst_kappa_log, 700.0)))
     details = {
@@ -274,21 +288,18 @@ def _check_match(T: Tower, tol: Tolerance, seed: int, draws: int = 200) -> Check
 
 
 def _check_consistent(T: Tower, tol: Tolerance, seed: int) -> CheckResult:
+    # The batched GEMM bracket against the per-pair glued orbit form: the
+    # two sides share the generators but none of the pairing arithmetic.
     idxs = gz_indices(T.depth)
-    fns = {idx: gz_fn(idx) for idx in idxs}
-    worst = 0.0
-    for a in range(len(idxs)):
-        for b in range(a, len(idxs)):
-            i1, i2 = idxs[a], idxs[b]
-            n = max(i1.i, i2.i)
-            bound = 1.0 + _norm2(T.level(n)) ** (i1.i + i2.i)
-            bracket = poisson_bracket(fns[i1], fns[i2], T)
-            form = omega_inf(
-                T,
-                hamiltonian_orbit_tangent(T, i1),
-                hamiltonian_orbit_tangent(T, i2),
-            )
-            worst = max(worst, abs(bracket - form) / bound)
+    table = power_table(T)
+    bracket = table.bracket_matrix()
+    tangents = [anchor(T, G) for G in table.generators()]
+    bounds = _pair_bounds(T, idxs)
+    mismatch = [
+        abs(bracket[a, b] - omega_inf(T, tangents[a], tangents[b])) / bounds[a, b]
+        for a, b in zip(*np.triu_indices(len(idxs)))
+    ]
+    worst = float(np.max(mismatch, initial=0.0))
     return CheckResult(
         name="consistent",
         property="bracket-form-consistency",
@@ -484,18 +495,23 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_PASS
 
 
-def _flow_table(T: Tower, idx: GZIndex, grid: list[float]) -> tuple[list, dict]:
-    idxs = gz_indices(T.depth)
-    base = {k: gz_eval(T, k) for k in idxs}
+def _flow_table(
+    T: Tower, idx: GZIndex, grid: list[float]
+) -> tuple[list[tuple[float, np.ndarray]], np.ndarray]:
+    """Every observable along the flow, and each one's worst relative drift.
+
+    Values follow :func:`gz_indices` order; base and flowed values come
+    from the same evaluator, so a flow that returns the input tower shows
+    exactly zero drift.
+    """
+    base = power_table(T).traces()
     rows = []
-    drift = {k: 0.0 for k in idxs}
+    drift = np.zeros(base.shape)
     for t in grid:
-        flowed = flow(T, idx, t)
-        values = {k: gz_eval(flowed, k) for k in idxs}
+        values = power_table(flow(T, idx, t)).traces()
         rows.append((t, values))
-        for k in idxs:
-            rel = abs(values[k] - base[k]) / (1.0 + abs(base[k]))
-            drift[k] = max(drift[k], rel)
+        # np.maximum propagates NaN, so a non-finite value cannot pass.
+        drift = np.maximum(drift, np.abs(values - base) / (1.0 + np.abs(base)))
     return rows, drift
 
 
@@ -515,9 +531,8 @@ def cmd_flow(args: argparse.Namespace) -> int:
     except (OverflowError, np.linalg.LinAlgError) as exc:
         print(f"flow not computable in double precision: {exc}", file=sys.stderr)
         return EXIT_INDETERMINATE
-    idxs = gz_indices(T.depth)
-    names = [f"f[{k.i},{k.j}]" for k in idxs]
-    max_drift = max(drift.values())
+    names = [_name(k) for k in gz_indices(T.depth)]
+    max_drift = float(np.max(drift))
     passed = max_drift <= args.drift_tol
 
     if config.format == "csv":
@@ -525,9 +540,9 @@ def cmd_flow(args: argparse.Namespace) -> int:
         writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
         writer.writerow(["t"] + names)
         for t, values in rows:
-            writer.writerow([f"{t:.17g}"] + [_format_complex(values[k]) for k in idxs])
+            writer.writerow([f"{t:.17g}"] + [_format_complex(z) for z in values.tolist()])
         writer.writerow([])
-        writer.writerow(["max_relative_drift"] + [f"{drift[k]:.17g}" for k in idxs])
+        writer.writerow(["max_relative_drift"] + [f"{d:.17g}" for d in drift.tolist()])
         text = buf.getvalue()
     else:
         report = _report_envelope("flow", seed, tol, args.tower)
@@ -538,13 +553,10 @@ def cmd_flow(args: argparse.Namespace) -> int:
                 "t_grid": grid,
                 "functions": names,
                 "values": [
-                    {
-                        "t": t,
-                        "f": [[values[k].real, values[k].imag] for k in idxs],
-                    }
+                    {"t": t, "f": [[z.real, z.imag] for z in values.tolist()]}
                     for t, values in rows
                 ],
-                "max_relative_drift": {n: drift[k] for n, k in zip(names, idxs)},
+                "max_relative_drift": dict(zip(names, drift.tolist())),
                 "drift_tol": args.drift_tol,
                 "passed": passed,
             }
@@ -560,7 +572,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
         writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
         writer.writerow(["t"] + [f"abs({n})" for n in names])
         for t, values in rows:
-            writer.writerow([f"{t:.17g}"] + [f"{abs(values[k]):.17g}" for k in idxs])
+            writer.writerow([f"{t:.17g}"] + [f"{abs(z):.17g}" for z in values.tolist()])
         _write_atomic(args.emit_plot_data, buf.getvalue())
 
     print(f"max relative drift {max_drift:.3e} over t grid {grid}")
@@ -593,8 +605,10 @@ def cmd_orbit(args: argparse.Namespace) -> int:
             random_params(rng, T.depth, args.param_scale) for _ in range(args.samples)
         ]
 
-    idxs = gz_indices(T.depth)
-    worst_drift = 0.0
+    levels = np.array([k.i for k in gz_indices(T.depth)])
+    bound = 1.0 + _level_norms(T)[levels] ** levels
+    base = power_table(T).traces()
+    drifts = []
     worst_perm = 0.0
     try:
         acted_samples = [(a, a_act(a, T)) for a in samples]
@@ -602,11 +616,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
         print(f"action not computable in double precision: {exc}", file=sys.stderr)
         return EXIT_INDETERMINATE
     for a, acted in acted_samples:
-        for k in idxs:
-            bound = 1.0 + _norm2(T.level(k.i)) ** k.i
-            worst_drift = max(
-                worst_drift, abs(gz_eval(acted, k) - gz_eval(T, k)) / bound
-            )
+        drifts.append(np.max(np.abs(power_table(acted).traces() - base) / bound))
         if args.permute_factors and a.n >= 3:
             rng_perm = np.random.Generator(
                 np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(3,)))
@@ -619,6 +629,8 @@ def cmd_orbit(args: argparse.Namespace) -> int:
                 worst_perm, float(np.abs(permuted.top - acted.top).max()) / scale
             )
 
+    # np.max propagates NaN, so a non-finite drift cannot pass the rtol.
+    worst_drift = float(np.max(drifts, initial=0.0))
     lag = lagrangian_check(T, tol)
     invariance_ok = worst_drift <= DRIFT_RTOL
     permute_ok = (not args.permute_factors) or worst_perm <= DRIFT_RTOL

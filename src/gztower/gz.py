@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .matcore import commutator, corner, embed, mat_pow, trace_pair
+from .matcore import bracket_matrix, commutator, corner, embed, mat_pow, trace_pair
 from .tower import Tower, TowerTangent
 
 __all__ = [
@@ -29,6 +29,8 @@ __all__ = [
     "gz_eval",
     "gz_grad",
     "gz_hamiltonian",
+    "PowerTable",
+    "power_table",
     "fd_gradient",
     "poisson_bracket",
     "eval_on_tower",
@@ -114,6 +116,60 @@ def gz_hamiltonian(T: Tower, idx: GZIndex) -> TowerTangent:
         raise IndexError(f"index level {idx.i} exceeds tower depth {T.depth}")
     generator = idx.j * mat_pow(T.level(idx.i), idx.j - 1)
     return TowerTangent(tower=T, base_level=idx.i, generator=generator)
+
+
+@dataclass(frozen=True, eq=False)
+class PowerTable:
+    """The powers of every level of one tower, each formed once.
+
+    The table is ragged: ``powers[i - 1]`` is an ``(i, i, i)`` stack of
+    ``X_i^0, ..., X_i^(i-1)``.  Every trace ``tr(X_i^j)``, every generator
+    ``j X_i^(j-1)`` and the whole bracket matrix of the family read off it,
+    so batch checks pay for the powers once per tower instead of once per
+    observable or pair.  Build it with :func:`power_table`.
+    """
+
+    top: np.ndarray
+    powers: tuple[np.ndarray, ...]
+
+    def traces(self) -> np.ndarray:
+        """Every ``tr(X_i^j)``, in :func:`gz_indices` order."""
+        # tr(X_i^j) = tr(X_i^(j-1) X_i): the highest power is never formed.
+        # einsum rather than a BLAS matrix-vector product: OpenBLAS wakes its
+        # threads even for these small products, and on two cores that made
+        # the depth-16 conserve check five times slower.
+        return np.concatenate(
+            [np.einsum("kab,ba->k", P, self.top[:i, :i]) for i, P in enumerate(self.powers, 1)]
+        )
+
+    def generators(self, max_i: int | None = None) -> list[np.ndarray]:
+        """Every gradient ``j X_i^(j-1)`` at its own level i, in :func:`gz_indices` order."""
+        levels = self.powers if max_i is None else self.powers[:max_i]
+        return [j * P[j - 1] for P in levels for j in range(1, P.shape[0] + 1)]
+
+    def bracket_matrix(self) -> np.ndarray:
+        """``tr(X_N [grad f_a, grad f_b])`` for every pair of :func:`gz_indices`.
+
+        Embedding both gradients into the top level is exact, so entry
+        (a, b) is the Poisson bracket ``{f_a, f_b}`` that
+        :func:`poisson_bracket` evaluates at the deeper of the two levels.
+        """
+        return bracket_matrix(self.top, self.generators())
+
+
+def power_table(T: Tower) -> PowerTable:
+    """Build the :class:`PowerTable` of a tower, one product per power."""
+    # One memory layout for every tower, so equal towers give bit-equal tables.
+    top = np.ascontiguousarray(T.top)
+    powers = []
+    for i in range(1, T.depth + 1):
+        X = top[:i, :i]
+        P = np.empty((i, i, i), dtype=np.complex128)
+        P[0] = np.eye(i)
+        for k in range(1, i):
+            np.matmul(P[k - 1], X, out=P[k])
+        powers.append(P)
+    return PowerTable(top=top, powers=tuple(powers))
 
 
 def fd_gradient(f: SmoothFn, T: Tower, n: int, h: float | None = None) -> np.ndarray:

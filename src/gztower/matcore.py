@@ -30,6 +30,7 @@ __all__ = [
     "embed_group",
     "commutator",
     "trace_pair",
+    "bracket_matrix",
     "mat_pow",
     "mat_exp",
     "stack_flat",
@@ -133,6 +134,29 @@ def trace_pair(A: np.ndarray, B: np.ndarray) -> complex:
     return complex(np.sum(A * B.T))
 
 
+def bracket_matrix(X: np.ndarray, gens: Sequence[np.ndarray]) -> np.ndarray:
+    """Matrix of ``tr(X [G_a, G_b])`` over a family of generators, in one GEMM.
+
+    Each ``G_a`` is a square matrix no larger than ``X``, zero-padded into
+    its top-left corner.  Because ``tr(X [A, B]) = tr([X, A] B)``, entry
+    (a, b) is the dot product of ``vec([X, G_a])`` with ``vec(G_b^T)``;
+    stacking both sides turns every pair into a single matrix product.
+    """
+    n = X.shape[0]
+    m = len(gens)
+    left = np.zeros((m, n, n), dtype=np.complex128)
+    right = np.zeros((m, n, n), dtype=np.complex128)
+    for a, G in enumerate(gens):
+        k = G.shape[0]
+        if k > n:
+            raise IndexError(f"cannot embed dimension {k} into smaller dimension {n}")
+        # With E = embed(G, n): X E fills columns :k and E X fills rows :k.
+        left[a, :, :k] = X[:, :k] @ G
+        left[a, :k, :] -= G @ X[:k, :]
+        right[a, :k, :k] = G.T
+    return left.reshape(m, n * n) @ right.reshape(m, n * n).T
+
+
 def mat_pow(M: np.ndarray, k: int) -> np.ndarray:
     """``M ** k`` by repeated squaring; ``M ** 0`` is the identity."""
     if k < 0:
@@ -215,7 +239,9 @@ def kernel_basis(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray
     shared convention relative to the largest singular value.
     """
     A = np.asarray(A, dtype=np.complex128)
-    _, s, vh = np.linalg.svd(A)
+    # A thin SVD still yields every right singular vector when rows >= columns;
+    # only wide matrices need the full factorization to reach their kernel.
+    _, s, vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
     thr = tol.threshold(s[0] if s.size else 0.0)
     rank = int(np.sum(s > thr))
     return [vh[k].conj() for k in range(rank, vh.shape[0])]

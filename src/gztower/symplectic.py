@@ -26,6 +26,7 @@ from .matcore import (
     DEFAULT_TOL,
     Tolerance,
     as_cmatrix,
+    bracket_matrix,
     commutator,
     embed,
     mat_pow,
@@ -132,31 +133,31 @@ def orbit_tangent_of(V: TowerTangent) -> OrbitTangent:
     return OrbitTangent(level=V.base_level, rep=-np.asarray(V.generator))
 
 
+def _pairings(T: Tower, tangents: Sequence[OrbitTangent]) -> np.ndarray:
+    """Every ``omega_inf`` pairing of the family, from one GEMM at its deepest level."""
+    k = max((v.level for v in tangents), default=1)
+    if k > T.depth:
+        raise IndexError(f"tangent level {k} exceeds tower depth {T.depth}")
+    return bracket_matrix(T.level(k), [v.rep for v in tangents])
+
+
 def isotropy_check(
     T: Tower, tangents: Sequence[OrbitTangent], tol: Tolerance = DEFAULT_TOL
 ) -> float:
     """Maximum absolute pairing over all pairs of the given tangents.
 
     The family is isotropic when the result is below the caller's
-    threshold; self-pairings vanish identically.
+    threshold; self-pairings vanish identically.  A non-finite pairing
+    makes the result non-finite, so it passes no threshold.
     """
-    worst = 0.0
-    for a in range(len(tangents)):
-        for b in range(a + 1, len(tangents)):
-            worst = max(worst, abs(omega_inf(T, tangents[a], tangents[b])))
-    return worst
+    upper = np.triu_indices(len(tangents), 1)
+    return float(np.abs(_pairings(T, tangents)[upper]).max(initial=0.0))
 
 
 def pairing_matrix(T: Tower, tangents: Sequence[OrbitTangent]) -> np.ndarray:
     """Antisymmetric matrix of pairwise ``omega_inf`` values."""
-    m = len(tangents)
-    P = np.zeros((m, m), dtype=np.complex128)
-    for a in range(m):
-        for b in range(a + 1, m):
-            val = omega_inf(T, tangents[a], tangents[b])
-            P[a, b] = val
-            P[b, a] = -val
-    return P
+    upper = np.triu(_pairings(T, tangents), 1)
+    return upper - upper.T
 
 
 @dataclass(frozen=True)

@@ -313,6 +313,74 @@ class TestOrbit:
         assert code == cli.EXIT_INDETERMINATE
 
 
+class TestNonFiniteResiduals:
+    """A NaN from the power table must turn a passing check into a non-pass."""
+
+    @pytest.fixture
+    def nan_traces(self, monkeypatch):
+        from gztower.gz import PowerTable
+
+        original = PowerTable.traces
+
+        def with_nan(table):
+            out = original(table)
+            out[-1] = np.nan
+            return out
+
+        monkeypatch.setattr(PowerTable, "traces", with_nan)
+
+    @pytest.fixture
+    def nan_brackets(self, monkeypatch):
+        from gztower.gz import PowerTable
+
+        original = PowerTable.bracket_matrix
+
+        def with_nan(table):
+            out = original(table)
+            out[2, 5] = out[5, 2] = np.nan
+            return out
+
+        monkeypatch.setattr(PowerTable, "bracket_matrix", with_nan)
+
+    def _check(self, tmp_path, suite):
+        tower_file = tmp_path / "t.json"
+        write_tower(tower_file, theta_tower(4, 400))
+        out = tmp_path / "r.json"
+        code = cli.main(["check", str(tower_file), "--suite", suite, "-o", str(out)])
+        return code, {c["name"]: c["passed"] for c in json.loads(out.read_text())["checks"]}
+
+    def test_checks_pass_without_injection(self, tmp_path):
+        code, verdicts = self._check(tmp_path, "commute,consistent,conserve")
+        assert code == cli.EXIT_PASS
+        assert set(verdicts.values()) == {"true"}
+
+    def test_nan_bracket_fails_commute_and_consistent(self, tmp_path, nan_brackets):
+        code, verdicts = self._check(tmp_path, "commute,consistent")
+        assert code == cli.EXIT_FAIL
+        assert verdicts == {"commute": "false", "consistent": "false"}
+
+    def test_nan_trace_does_not_pass_conserve(self, tmp_path, nan_traces):
+        code, verdicts = self._check(tmp_path, "conserve")
+        assert code != cli.EXIT_PASS
+        assert verdicts["conserve"] in ("false", "indeterminate")
+
+    def test_nan_trace_fails_flow(self, tmp_path, nan_traces):
+        tower_file = tmp_path / "t.json"
+        write_tower(tower_file, theta_tower(3, 403))
+        out = tmp_path / "flow.json"
+        code = cli.main(["flow", str(tower_file), "--i", "2", "--j", "1", "-o", str(out)])
+        assert code == cli.EXIT_FAIL
+        assert json.loads(out.read_text())["passed"] is False
+
+    def test_nan_trace_fails_orbit_invariance(self, tmp_path, nan_traces):
+        tower_file = tmp_path / "t.json"
+        write_tower(tower_file, theta_tower(4, 409))
+        out = tmp_path / "orbit.json"
+        code = cli.main(["orbit", str(tower_file), "--seed", "3", "-o", str(out)])
+        assert code == cli.EXIT_FAIL
+        assert json.loads(out.read_text())["observable_invariance_ok"] is False
+
+
 class TestEntryPoint:
     def test_console_script_runs(self, tmp_path):
         out = tmp_path / "t.json"

@@ -13,8 +13,10 @@ from gztower.gz import (
     gz_indices,
     linear_fn,
     poisson_bracket,
+    power_table,
 )
 from gztower.matcore import embed
+from gztower.oracles import fd_poisson_bracket
 from gztower.tower import new_tower
 
 from conftest import plain_tower, theta_tower, unit
@@ -248,3 +250,75 @@ class TestBracket:
         T = plain_tower(2, 45)
         with pytest.raises(IndexError):
             poisson_bracket(gz_fn(GZIndex(3, 1)), gz_fn(GZIndex(1, 1)), T)
+
+
+class TestPowerTable:
+    """The batched layer against the per-pair public API it replaces in the checks."""
+
+    TOWERS = ((1, 60, 0.5), (2, 61, 0.5), (5, 62, 0.5), (8, 63, 0.3), (8, 64, 1.0))
+
+    def test_traces_match_gz_eval(self):
+        for depth, seed, scale in self.TOWERS:
+            T = theta_tower(depth, seed, scale)
+            traces = power_table(T).traces()
+            idxs = gz_indices(depth)
+            assert traces.shape == (len(idxs),)
+            for idx, value in zip(idxs, traces):
+                expected = gz_eval(T, idx)
+                bound = 1.0 + np.linalg.norm(T.level(idx.i), 2) ** idx.j
+                assert abs(value - expected) <= 1e-13 * bound
+
+    def test_generators_match_gz_grad(self):
+        for depth, seed, scale in self.TOWERS:
+            T = theta_tower(depth, seed, scale)
+            gens = power_table(T).generators()
+            idxs = gz_indices(depth)
+            assert len(gens) == len(idxs)
+            for idx, G in zip(idxs, gens):
+                expected = gz_grad(T, idx, idx.i)
+                bound = 1.0 + idx.j * np.linalg.norm(T.level(idx.i), 2) ** (idx.j - 1)
+                assert G.shape == (idx.i, idx.i)
+                assert np.abs(G - expected).max() <= 1e-13 * bound
+
+    def test_generators_stop_at_max_level(self):
+        T = theta_tower(5, 62)
+        table = power_table(T)
+        assert len(table.generators(max_i=4)) == len(gz_indices(5, max_i=4))
+        assert all(
+            np.array_equal(a, b) for a, b in zip(table.generators(max_i=4), table.generators())
+        )
+
+    def test_bracket_matrix_matches_poisson_bracket(self):
+        for depth, seed, scale in self.TOWERS:
+            T = theta_tower(depth, seed, scale)
+            B = power_table(T).bracket_matrix()
+            idxs = gz_indices(depth)
+            assert B.shape == (len(idxs), len(idxs))
+            for a, i1 in enumerate(idxs):
+                for b, i2 in enumerate(idxs):
+                    expected = poisson_bracket(gz_fn(i1), gz_fn(i2), T)
+                    n = max(i1.i, i2.i)
+                    bound = 1.0 + np.linalg.norm(T.level(n), 2) ** (i1.i + i2.i)
+                    assert abs(B[a, b] - expected) <= 1e-13 * bound
+
+    def test_bracket_matrix_against_fd_oracle(self):
+        T = plain_tower(4, 65, 0.7)
+        table = power_table(T)
+        idxs = gz_indices(4)
+        B = table.bracket_matrix()
+        for a, b in ((0, 9), (2, 5), (4, 8), (6, 7), (3, 3)):
+            expected = fd_poisson_bracket(gz_fn(idxs[a]), gz_fn(idxs[b]), T)
+            assert abs(B[a, b] - expected) <= 1e-6 * (1.0 + abs(expected))
+
+    def test_gemm_against_fd_oracle_on_noncommuting_family(self):
+        # The GZ brackets all vanish; matrix units pair nontrivially, so this
+        # comparison of the same GEMM is not one of two zeros.
+        from gztower.matcore import bracket_matrix
+
+        T = plain_tower(3, 66)
+        units = [unit(3, k, l) for k in range(3) for l in range(3)]
+        B = bracket_matrix(T.top, units)
+        for a in range(0, 9, 2):
+            for b in range(1, 9, 3):
+                expected = fd_poisson_bracket(linear_fn(units[a]), linear_fn(units[b]), T)
+                assert abs(B[a, b] - expected) <= 1e-8 * (1.0 + abs(expected))

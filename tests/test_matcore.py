@@ -285,6 +285,18 @@ class TestRankNull:
         for v in vecs:
             assert abs(A @ v).max() <= 1e-12
 
+    def test_kernel_basis_tall_rank_deficient(self):
+        from gztower.oracles import dense_kernel
+
+        rng = np.random.default_rng(12)
+        for rows, cols, rank in ((30, 6, 4), (12, 9, 1), (50, 16, 15), (16, 16, 10)):
+            A = rand_c(rng, rows)[:, :rank] @ rand_c(rng, cols)[:rank, :]
+            vecs = kernel_basis(A)
+            assert len(vecs) == len(dense_kernel(A)) == cols - rank
+            V = np.array(vecs).T
+            assert np.abs(A @ V).max() <= 1e-10 * np.abs(A).max()
+            assert np.allclose(V.conj().T @ V, np.eye(cols - rank), atol=1e-12)
+
 
 class TestSpectraDisjoint:
     def test_disjoint_scalar_vs_involution(self):

@@ -181,6 +181,49 @@ class TestIsotropy:
         fam = [OrbitTangent(level=2, rep=unit(2, 0, 1)), OrbitTangent(level=2, rep=unit(2, 1, 0))]
         assert isotropy_check(T, fam) == 2
 
+    def test_batched_matches_per_pair_maximum(self):
+        for depth, seed in ((3, 233), (5, 235), (8, 238)):
+            T = theta_tower(depth, seed, 0.5)
+            # A non-isotropic family too, so the maximum is not rounding noise.
+            units = [
+                OrbitTangent(level=depth, rep=unit(depth, k, l))
+                for k in range(2)
+                for l in range(depth)
+            ]
+            abelian = [
+                hamiltonian_orbit_tangent(T, idx) for idx in gz_indices(depth, max_i=depth - 1)
+            ]
+            for fam in (abelian, units, abelian[:3] + units[:4]):
+                per_pair = max(
+                    abs(omega_inf(T, fam[a], fam[b]))
+                    for a in range(len(fam))
+                    for b in range(a + 1, len(fam))
+                )
+                rep_norm = max(np.linalg.norm(v.rep) for v in fam)
+                scale = 1.0 + 2.0 * np.linalg.norm(T.top) * rep_norm**2
+                assert abs(isotropy_check(T, fam) - per_pair) <= 1e-13 * scale
+                P = pairing_matrix(T, fam)
+                assert np.array_equal(P, -P.T)
+                for a in range(len(fam)):
+                    for b in range(a + 1, len(fam)):
+                        assert abs(P[a, b] - omega_inf(T, fam[a], fam[b])) <= 1e-13 * scale
+
+    def test_non_finite_pairing_is_not_isotropic(self, monkeypatch):
+        from gztower import symplectic
+
+        T = theta_tower(4, 234)
+        fam = [hamiltonian_orbit_tangent(T, idx) for idx in gz_indices(4, max_i=3)]
+        original = symplectic.bracket_matrix
+
+        def with_nan(X, gens):
+            out = original(X, gens)
+            out[1, 4] = np.nan
+            return out
+
+        monkeypatch.setattr(symplectic, "bracket_matrix", with_nan)
+        assert np.isnan(isotropy_check(T, fam))
+        assert lagrangian_check(T).verdict == "false"
+
 
 class TestBracketFormConsistency:
     def test_gz_pairs(self):
