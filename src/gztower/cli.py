@@ -187,7 +187,8 @@ def _check_conserve(T: Tower, tol: Tolerance, seed: int) -> CheckResult:
     # best drift double precision can certify is about eps * kappa.
     worst_kappa_log = 0.0
     flow_failed = False
-    for idx, P in zip(gz_indices(N, max_i=N - 1), table.generators(max_i=N - 1)):
+    # zip stops at the shorter list: the top level's generators are left out.
+    for idx, P in zip(gz_indices(N, max_i=N - 1), table.generators()):
         corner_scale = 1.0 + float(np.abs(T.level(idx.i)).max())
         pnorm = _norm2(P)
         for t in DEFAULT_T_GRID:

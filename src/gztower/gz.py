@@ -142,10 +142,9 @@ class PowerTable:
             [np.einsum("kab,ba->k", P, self.top[:i, :i]) for i, P in enumerate(self.powers, 1)]
         )
 
-    def generators(self, max_i: int | None = None) -> list[np.ndarray]:
+    def generators(self) -> list[np.ndarray]:
         """Every gradient ``j X_i^(j-1)`` at its own level i, in :func:`gz_indices` order."""
-        levels = self.powers if max_i is None else self.powers[:max_i]
-        return [j * P[j - 1] for P in levels for j in range(1, P.shape[0] + 1)]
+        return [j * P[j - 1] for P in self.powers for j in range(1, P.shape[0] + 1)]
 
     def bracket_matrix(self) -> np.ndarray:
         """``tr(X_N [grad f_a, grad f_b])`` for every pair of :func:`gz_indices`.

@@ -280,14 +280,6 @@ class TestPowerTable:
                 assert G.shape == (idx.i, idx.i)
                 assert np.abs(G - expected).max() <= 1e-13 * bound
 
-    def test_generators_stop_at_max_level(self):
-        T = theta_tower(5, 62)
-        table = power_table(T)
-        assert len(table.generators(max_i=4)) == len(gz_indices(5, max_i=4))
-        assert all(
-            np.array_equal(a, b) for a, b in zip(table.generators(max_i=4), table.generators())
-        )
-
     def test_bracket_matrix_matches_poisson_bracket(self):
         for depth, seed, scale in self.TOWERS:
             T = theta_tower(depth, seed, scale)
