@@ -253,7 +253,7 @@ def orbit_tangents_A(T: Tower) -> list[TowerTangent]:
     return [gz_hamiltonian(T, idx) for idx in gz_indices(T.depth, max_i=T.depth - 1)]
 
 
-def orbit_tangents_G(T: Tower, basis_limit: int | None = None) -> list[TowerTangent]:
+def orbit_tangents_G(T: Tower) -> list[TowerTangent]:
     """Adjoint-orbit tangents generated by matrix units at the deepest level.
 
     The spanned space at level N is the image of ``Z -> [Z, X(N)]``,
@@ -266,8 +266,6 @@ def orbit_tangents_G(T: Tower, basis_limit: int | None = None) -> list[TowerTang
             unit = np.zeros((N, N), dtype=np.complex128)
             unit[k, l] = 1.0
             out.append(TowerTangent(tower=T, base_level=N, generator=unit))
-            if basis_limit is not None and len(out) >= basis_limit:
-                return out
     return out
 
 

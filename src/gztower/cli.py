@@ -34,7 +34,7 @@ from .action import (
     random_params,
 )
 from .gz import GZIndex, gz_indices, power_table
-from .matcore import Tolerance, rank_eps
+from .matcore import Tolerance
 from .regularity import joint_commutant_kernel, sreg_report
 from .symplectic import (
     anchor,
@@ -67,6 +67,8 @@ DEFAULT_T_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 DRIFT_RTOL = 1e-8
 MATCH_RTOL = 1e-12
 CORNER_RTOL = 1e-12
+# Random (Z1, Z2, n) draws the gluing check evaluates.
+MATCH_DRAWS = 200
 
 
 class _UsageError(Exception):
@@ -263,7 +265,7 @@ def _check_lagrangian(T: Tower, tol: Tolerance, seed: int) -> CheckResult:
     )
 
 
-def _check_match(T: Tower, tol: Tolerance, seed: int, draws: int = 200) -> CheckResult:
+def _check_match(T: Tower, tol: Tolerance, seed: int) -> CheckResult:
     N = T.depth
     if N < 2:
         return CheckResult(
@@ -273,18 +275,20 @@ def _check_match(T: Tower, tol: Tolerance, seed: int, draws: int = 200) -> Check
             details={"note": "gluing needs two levels"},
         )
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(1,))))
-    worst = 0.0
-    for _ in range(draws):
+    ratios = []
+    for _ in range(MATCH_DRAWS):
         n = int(rng.integers(1, N))
         Z1 = random_entries(rng, (n, n), 1.0)
         Z2 = random_entries(rng, (n, n), 1.0)
         scale = 1.0 + _norm2(T.level(n + 1)) * _norm2(Z1) * _norm2(Z2)
-        worst = max(worst, match_residual(T, Z1, Z2, n) / scale)
+        ratios.append(match_residual(T, Z1, Z2, n) / scale)
+    # np.max propagates NaN, so a non-finite residual cannot pass the rtol.
+    worst = float(np.max(ratios))
     return CheckResult(
         name="match",
         property="level-gluing-consistency",
         passed=_tri(worst <= MATCH_RTOL),
-        details={"draws": draws, "max_residual_ratio": worst, "rtol": MATCH_RTOL},
+        details={"draws": MATCH_DRAWS, "max_residual_ratio": worst, "rtol": MATCH_RTOL},
     )
 
 
@@ -310,58 +314,29 @@ def _check_consistent(T: Tower, tol: Tolerance, seed: int) -> CheckResult:
 
 
 def _check_anchor(T: Tower, tol: Tolerance, seed: int) -> CheckResult:
-    N = T.depth
-    g_values = []
-    anchor_values = []
-    unit_template = np.zeros((N, N), dtype=np.complex128)
-    for k in range(N):
-        for l in range(N):
-            unit = unit_template.copy()
-            unit[k, l] = 1.0
-            g_values.append(-(unit @ T.top - T.top @ unit))
-            anchor_values.append(anchor(T, unit).value(T, N))
-    path_gap = max(
-        float(np.abs(a - b).max()) for a, b in zip(anchor_values, g_values)
-    )
-    rank_g = rank_eps(g_values, tol)
-    rank_anchor = rank_eps(anchor_values, tol)
-    inclusion_ok = True
-    for n in range(1, N):
-        sub = []
-        for k in range(n):
-            for l in range(n):
-                u = np.zeros((n, n), dtype=np.complex128)
-                u[k, l] = 1.0
-                sub.append(anchor(T, u).value(T, N))
-        if rank_eps(sub + g_values, tol) != rank_g:
-            inclusion_ok = False
-            break
-    details = {
-        "rank_anchor_family": rank_anchor,
-        "rank_orbit_family": rank_g,
-        "max_pathwise_gap": path_gap,
-        "shallow_families_included": inclusion_ok,
-    }
+    # The anchor map is injective on level-n covectors exactly when the joint
+    # commutant of levels n..N is trivial.  Strong regularity is what makes
+    # that expected for every n < N; without it there is no claim to test.
     sreg = sreg_report(T, tol)
-    if sreg.verdict == "true" and N >= 2:
-        kernels_trivial = all(
-            len(joint_commutant_kernel(T, n, tol)) == 0 for n in range(1, N)
+    if sreg.verdict != "true":
+        return CheckResult(
+            name="anchor",
+            property="anchor-image-matches-orbit-tangents",
+            passed="indeterminate",
+            details={
+                "joint_kernels_trivial": None,
+                "note": f"tower is not strongly regular (sreg verdict: {sreg.verdict}); "
+                "no anchor kernel was tested",
+            },
         )
-        details["joint_kernels_trivial"] = kernels_trivial
-    else:
-        kernels_trivial = True
-        details["joint_kernels_trivial"] = None
-    ok = (
-        rank_anchor == rank_g
-        and path_gap == 0.0
-        and inclusion_ok
-        and kernels_trivial
+    kernels_trivial = all(
+        len(joint_commutant_kernel(T, n, tol)) == 0 for n in range(1, T.depth)
     )
     return CheckResult(
         name="anchor",
         property="anchor-image-matches-orbit-tangents",
-        passed=_tri(ok),
-        details=details,
+        passed=_tri(kernels_trivial),
+        details={"joint_kernels_trivial": kernels_trivial},
     )
 
 

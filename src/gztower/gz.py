@@ -33,7 +33,6 @@ __all__ = [
     "power_table",
     "fd_gradient",
     "poisson_bracket",
-    "eval_on_tower",
     "fn_product",
     "linear_fn",
 ]
@@ -81,12 +80,6 @@ def gz_fn(idx: GZIndex) -> SmoothFn:
         grad=lambda Xi: j * mat_pow(Xi, j - 1),
         name=f"f[{i},{j}]",
     )
-
-
-def eval_on_tower(f: SmoothFn, T: Tower) -> complex:
-    if f.level > T.depth:
-        raise IndexError(f"function level {f.level} exceeds tower depth {T.depth}")
-    return complex(f.eval(T.level(f.level)))
 
 
 def gz_eval(T: Tower, idx: GZIndex) -> complex:

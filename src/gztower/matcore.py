@@ -15,7 +15,7 @@ and the single tolerance rule used by all of them: a quantity of scale
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -35,10 +35,10 @@ __all__ = [
     "mat_exp",
     "stack_flat",
     "rank_eps",
+    "spectrum_split",
     "rank_split",
     "kernel_basis",
     "ad_operator",
-    "op_matrix",
     "null_space",
     "spectra_disjoint",
     "sylvester_min_singular",
@@ -208,42 +208,48 @@ def rank_eps(mats: Sequence[np.ndarray], tol: Tolerance = DEFAULT_TOL) -> int:
     return rank
 
 
-def rank_split(
-    mats: Sequence[np.ndarray], tol: Tolerance = DEFAULT_TOL
-) -> tuple[int, float, float]:
-    """Numerical rank plus diagnostics of how cleanly the spectrum splits.
+def spectrum_split(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[int, float, float]:
+    """Numerical rank of a descending singular-value array, with its diagnostics.
 
-    Returns ``(rank, decisive_sv, margin)`` where ``decisive_sv`` is the
-    smallest singular value kept (or the largest dropped when the rank is
-    zero) and ``margin >= 1`` is the factor by which the singular values
-    clear the threshold on both sides of the cut.  A margin close to 1
-    means the rank decision is near-threshold and should not be trusted.
+    Returns ``(rank, decisive_sv, margin)``: ``rank`` counts the values
+    above ``max(tol.abs, tol.rel * s[0])``, ``decisive_sv`` is the smallest
+    value kept (or the largest dropped when the rank is zero) and
+    ``margin >= 1`` is the factor by which the values clear the threshold
+    on both sides of the cut.  A margin close to 1 means the rank decision
+    is near-threshold and should not be trusted.  :func:`rank_split`,
+    :func:`kernel_basis` and the strong-regularity criteria all decide rank
+    through this rule.
     """
-    stacked = stack_flat(mats)
-    s = np.linalg.svd(stacked, compute_uv=False)
     thr = tol.threshold(s[0] if s.size else 0.0)
     rank = int(np.sum(s > thr))
     above = s[rank - 1] / thr if rank > 0 and thr > 0 else np.inf
-    if rank < s.size:
-        below = thr / s[rank] if s[rank] > 0 else np.inf
-    else:
-        below = np.inf
+    below = thr / s[rank] if rank < s.size and s[rank] > 0 else np.inf
     decisive = float(s[rank - 1]) if rank > 0 else (float(s[0]) if s.size else 0.0)
     return rank, decisive, float(min(above, below))
+
+
+def rank_split(
+    mats: Sequence[np.ndarray], tol: Tolerance = DEFAULT_TOL
+) -> tuple[int, float, float]:
+    """Numerical rank of a family of matrices viewed as flat vectors.
+
+    Returns the :func:`spectrum_split` of the stacked family.
+    """
+    s = np.linalg.svd(stack_flat(mats), compute_uv=False)
+    return spectrum_split(s, tol)
 
 
 def kernel_basis(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     """Orthonormal basis of the numerical kernel of a (possibly rectangular) matrix.
 
-    Kernel vectors ``x`` satisfy ``A @ x ~ 0``; the threshold follows the
-    shared convention relative to the largest singular value.
+    Kernel vectors ``x`` satisfy ``A @ x ~ 0``; the rank follows
+    :func:`spectrum_split`.
     """
     A = np.asarray(A, dtype=np.complex128)
     # A thin SVD still yields every right singular vector when rows >= columns;
     # only wide matrices need the full factorization to reach their kernel.
     _, s, vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
-    thr = tol.threshold(s[0] if s.size else 0.0)
-    rank = int(np.sum(s > thr))
+    rank, _, _ = spectrum_split(s, tol)
     return [vh[k].conj() for k in range(rank, vh.shape[0])]
 
 
@@ -255,56 +261,20 @@ def ad_operator(M: np.ndarray) -> np.ndarray:
     return np.kron(eye, M.T) - np.kron(M, eye)
 
 
-def op_matrix(op: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:
-    """Dense matrix of a linear map on n x n matrices, built by probing units."""
-    cols = np.empty((n * n, n * n), dtype=np.complex128)
-    unit = np.zeros((n, n), dtype=np.complex128)
-    for k in range(n):
-        for l in range(n):
-            unit[k, l] = 1.0
-            cols[:, k * n + l] = np.asarray(op(unit), dtype=np.complex128).reshape(-1)
-            unit[k, l] = 0.0
-    return cols
+def null_space(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
+    """Orthonormal basis of the kernel of an explicit linear map on gl(n).
 
-
-def _check_linear(op: Callable[[np.ndarray], np.ndarray], n: int) -> None:
-    rng = np.random.default_rng(0)
-    z1 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    z2 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    alpha = 0.7 - 0.3j
-    lhs = np.asarray(op(z1 + alpha * z2))
-    rhs = np.asarray(op(z1)) + alpha * np.asarray(op(z2))
-    scale = max(np.abs(lhs).max(), np.abs(rhs).max(), 1.0)
-    if np.abs(lhs - rhs).max() > 1e-8 * scale:
-        raise ValueError("supplied map is not linear on random probes")
-
-
-def null_space(
-    op: Callable[[np.ndarray], np.ndarray] | np.ndarray,
-    n: int | None = None,
-    tol: Tolerance = DEFAULT_TOL,
-) -> list[np.ndarray]:
-    """Orthonormal basis of the kernel of a linear map on gl(n).
-
-    ``op`` is either a callable acting on n x n matrices (``n`` required;
-    the typical use is ``Z -> [Z, M]``, whose kernel is the centralizer of
-    ``M``) or an explicit ``n^2 x n^2`` matrix acting on row-major
-    flattened matrices.  Returns kernel members reshaped to n x n.
+    ``A`` is an ``n^2 x n^2`` matrix acting on row-major flattened
+    matrices, such as ``ad_operator(M)``, whose kernel is the centralizer
+    of ``M``.  Returns kernel members reshaped to n x n.
     """
-    if callable(op):
-        if n is None:
-            raise ValueError("matrix dimension n is required for a callable map")
-        if __debug__:
-            _check_linear(op, n)
-        A = op_matrix(op, n)
-    else:
-        A = np.asarray(op, dtype=np.complex128)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError("explicit operator must be a square 2D array")
-        n2 = A.shape[0]
-        n = int(round(np.sqrt(n2)))
-        if n * n != n2:
-            raise ValueError("explicit operator size must be a perfect square")
+    A = np.asarray(A, dtype=np.complex128)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError("explicit operator must be a square 2D array")
+    n2 = A.shape[0]
+    n = int(round(np.sqrt(n2)))
+    if n * n != n2:
+        raise ValueError("explicit operator size must be a perfect square")
     return [v.reshape(n, n) for v in kernel_basis(A, tol)]
 
 

@@ -24,16 +24,19 @@ from typing import Optional
 
 import numpy as np
 
-from .gz import gz_grad, gz_hamiltonian, gz_indices
+from .action import orbit_tangents_A
+from .gz import gz_grad, gz_indices
 from .matcore import (
     DEFAULT_TOL,
     Tolerance,
     ad_operator,
+    commutator,
     embed,
     kernel_basis,
     null_space,
     rank_split,
     spectra_disjoint,
+    spectrum_split,
 )
 from .tower import Tower
 
@@ -63,16 +66,11 @@ def _regular_split(M: np.ndarray, tol: Tolerance) -> tuple[bool, float, float]:
     """
     n = M.shape[0]
     s = np.linalg.svd(ad_operator(M), compute_uv=False)
-    thr = tol.threshold(s[0] if s.size else 0.0)
-    rank = int(np.sum(s > thr))
-    kernel_dim = n * n - rank
-    above = s[rank - 1] / thr if rank > 0 and thr > 0 else math.inf
-    below = (thr / s[rank] if s[rank] > 0 else math.inf) if rank < s.size else math.inf
-    margin = float(min(above, below))
+    rank, decisive, margin = spectrum_split(s, tol)
     # Nothing kept (e.g. scalar matrices, where the kernel is everything)
-    # leaves no decisive singular value to report.
-    decisive = float(s[rank - 1]) if rank > 0 else math.inf
-    return kernel_dim == n, decisive, margin
+    # leaves no decisive singular value to report; infinity also keeps every
+    # 1 x 1 level out of the centralizer criterion's minimum.
+    return n * n - rank == n, decisive if rank > 0 else math.inf, margin
 
 
 def is_regular(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -89,40 +87,42 @@ def centralizer_basis(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[np.nd
     return null_space(ad_operator(M), tol=tol)
 
 
-def _intersection_split(
-    X_i: np.ndarray, X_ip1: np.ndarray, tol: Tolerance
-) -> tuple[bool, float, float]:
-    i = X_i.shape[0]
-    if X_ip1.shape[0] != i + 1:
-        raise ValueError("second matrix must be one dimension deeper")
-    if not np.array_equal(X_ip1[:i, :i], X_i):
-        raise ValueError("corner compatibility violated: X_i is not the corner of X_{i+1}")
-    # Stack Z -> ([Z, X_i], [embed(Z), X_{i+1}]) over the unit basis of gl(i).
-    rows = i * i + (i + 1) * (i + 1)
-    A = np.empty((rows, i * i), dtype=np.complex128)
-    unit = np.zeros((i, i), dtype=np.complex128)
-    for k in range(i):
-        for l in range(i):
+def _commutant_stack(T: Tower, n: int, top: int) -> np.ndarray:
+    """Matrix of ``x -> ([embed(x, k), X(k)])_{k = n..top}`` on row-major flattened x in gl(n).
+
+    Its kernel is the set of level-n matrices that commute with every level
+    from n to ``top``.
+    """
+    levels = [T.level(k) for k in range(n, top + 1)]
+    A = np.empty((sum(X.size for X in levels), n * n), dtype=np.complex128)
+    unit = np.zeros((n, n), dtype=np.complex128)
+    for k in range(n):
+        for l in range(n):
             unit[k, l] = 1.0
-            top = unit @ X_i - X_i @ unit
-            emb = embed(unit, i + 1)
-            bottom = emb @ X_ip1 - X_ip1 @ emb
-            A[: i * i, k * i + l] = top.reshape(-1)
-            A[i * i :, k * i + l] = bottom.reshape(-1)
+            A[:, k * n + l] = np.concatenate(
+                [commutator(embed(unit, X.shape[0]), X).reshape(-1) for X in levels]
+            )
             unit[k, l] = 0.0
-    s = np.linalg.svd(A, compute_uv=False)
-    thr = tol.threshold(s[0] if s.size else 0.0)
-    smin = float(s[-1]) if s.size else 0.0
-    trivial = smin > thr
-    margin = smin / thr if trivial else (thr / smin if smin > 0 else math.inf)
-    return trivial, smin, float(margin)
+    return A
+
+
+def _intersection_split(T: Tower, i: int, tol: Tolerance) -> tuple[bool, float, float]:
+    """Whether the centralizers of X_i and X_{i+1} meet trivially in gl(i)."""
+    s = np.linalg.svd(_commutant_stack(T, i, i + 1), compute_uv=False)
+    rank, decisive, margin = spectrum_split(s, tol)
+    return rank == i * i, decisive, margin
 
 
 def centralizer_intersection_trivial(
     X_i: np.ndarray, X_ip1: np.ndarray, tol: Tolerance = DEFAULT_TOL
 ) -> bool:
     """Whether no nonzero Z in gl(i) commutes with both X_i and X_{i+1}."""
-    ok, _, _ = _intersection_split(X_i, X_ip1, tol)
+    i = X_i.shape[0]
+    if X_ip1.shape[0] != i + 1:
+        raise ValueError("second matrix must be one dimension deeper")
+    if not np.array_equal(X_ip1[:i, :i], X_i):
+        raise ValueError("corner compatibility violated: X_i is not the corner of X_{i+1}")
+    ok, _, _ = _intersection_split(Tower(X_ip1), i, tol)
     return ok
 
 
@@ -150,7 +150,7 @@ def _centralizers_split(T: Tower, tol: Tolerance) -> tuple[bool, float, float]:
         min_sv = min(min_sv, sv)
         min_margin = min(min_margin, margin)
     for n in range(1, T.depth):
-        ok, sv, margin = _intersection_split(T.level(n), T.level(n + 1), tol)
+        ok, sv, margin = _intersection_split(T, n, tol)
         ok_all = ok_all and ok
         min_sv = min(min_sv, sv)
         min_margin = min(min_margin, margin)
@@ -165,7 +165,7 @@ def is_sreg_centralizers(T: Tower, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 def _tangents_split(T: Tower, tol: Tolerance) -> tuple[bool, float, float]:
     N = T.depth
-    values = [gz_hamiltonian(T, idx).value(N) for idx in gz_indices(N, max_i=N - 1)]
+    values = [v.value(N) for v in orbit_tangents_A(T)]
     expected = N * (N - 1) // 2
     rank, decisive, margin = rank_split(values, tol)
     return rank == expected, decisive, margin
@@ -281,22 +281,7 @@ def joint_commutant_kernel(
     This is the kernel of the anchor map restricted to level-n covectors;
     at strongly regular towers it is trivial for every n < N.
     """
-    n = base_level
-    if not 1 <= n <= T.depth:
+    if not 1 <= base_level <= T.depth:
         raise IndexError("base level out of range")
-    levels = list(range(n, T.depth + 1))
-    rows = sum(k * k for k in levels)
-    A = np.empty((rows, n * n), dtype=np.complex128)
-    unit = np.zeros((n, n), dtype=np.complex128)
-    for k in range(n):
-        for l in range(n):
-            unit[k, l] = 1.0
-            offset = 0
-            for lev in levels:
-                emb = embed(unit, lev)
-                Xl = T.level(lev)
-                block = emb @ Xl - Xl @ emb
-                A[offset : offset + lev * lev, k * n + l] = block.reshape(-1)
-                offset += lev * lev
-            unit[k, l] = 0.0
-    return [v.reshape(n, n) for v in kernel_basis(A, tol)]
+    A = _commutant_stack(T, base_level, T.depth)
+    return [v.reshape(base_level, base_level) for v in kernel_basis(A, tol)]

@@ -7,21 +7,23 @@ because the trace of a product against an embedded matrix only sees the
 matching corner; the glued form is therefore independent of the
 evaluation level, which :func:`match_residual` measures directly.
 
-The anchor map sends a level-n covector x to the tangent with values
-``-[embed(x, k), X(k)]``; its image spans the orbit directions.  At
-strongly regular towers the abelian orbit tangents are isotropic and of
-exactly half the orbit rank: the Lagrangian verification checks both.
+Tangents are :class:`~gztower.tower.TowerTangent` values
+``-[embed(g, k), X(k)]``, and the forms here pair their generators
+directly: the sign is common to both sides of every pairing, so it
+cancels.  The anchor map sends a level-n covector x to the tangent with
+generator x; its image spans the orbit directions.  At strongly regular
+towers the abelian orbit tangents are isotropic and of exactly half the
+orbit rank: the Lagrangian verification checks both.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .gz import GZIndex, gz_indices
+from .action import orbit_tangents_A, orbit_tangents_G
 from .matcore import (
     DEFAULT_TOL,
     Tolerance,
@@ -29,7 +31,6 @@ from .matcore import (
     bracket_matrix,
     commutator,
     embed,
-    mat_pow,
     rank_split,
     trace_pair,
 )
@@ -37,13 +38,10 @@ from .regularity import sreg_report
 from .tower import Tower, TowerTangent
 
 __all__ = [
-    "OrbitTangent",
     "kk_form",
     "omega_inf",
     "match_residual",
     "anchor",
-    "hamiltonian_orbit_tangent",
-    "orbit_tangent_of",
     "isotropy_check",
     "LagrangianReport",
     "lagrangian_check",
@@ -51,45 +49,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class OrbitTangent:
-    """Orbit tangent represented by a level and a generator ``rep``.
-
-    The tangent value at level ``k >= level`` is ``[embed(rep, k), X(k)]``;
-    corners of deeper values reproduce shallower ones by construction.
-    """
-
-    level: int
-    rep: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = as_cmatrix(self.rep)
-        if m.shape[0] != self.level:
-            raise ValueError("representative dimension must equal the level")
-        m.flags.writeable = False
-        object.__setattr__(self, "rep", m)
-
-    def value(self, T: Tower, k: int) -> np.ndarray:
-        if not self.level <= k <= T.depth:
-            raise IndexError(f"need level {self.level} <= k <= depth {T.depth}")
-        return commutator(embed(self.rep, k), T.level(k))
-
-
 def kk_form(M: np.ndarray, Z1: np.ndarray, Z2: np.ndarray) -> complex:
     """Kostant-Kirillov pairing of the tangents [Z1, M] and [Z2, M]: tr(M [Z1, Z2])."""
     return trace_pair(M, commutator(Z1, Z2))
 
 
-def omega_inf(T: Tower, V1: OrbitTangent, V2: OrbitTangent) -> complex:
-    """The glued orbit form evaluated at the deeper of the two levels.
+def omega_inf(T: Tower, V1: TowerTangent, V2: TowerTangent) -> complex:
+    """The glued orbit form evaluated at the deeper of the two base levels.
 
     Level consistency makes the choice of evaluation level immaterial up
     to rounding; see :func:`match_residual`.
     """
-    k = max(V1.level, V2.level)
+    k = max(V1.base_level, V2.base_level)
     if k > T.depth:
         raise IndexError(f"tangent level {k} exceeds tower depth {T.depth}")
-    return kk_form(T.level(k), embed(V1.rep, k), embed(V2.rep, k))
+    return kk_form(T.level(k), embed(V1.generator, k), embed(V2.generator, k))
 
 
 def match_residual(T: Tower, Z1: np.ndarray, Z2: np.ndarray, n: int) -> float:
@@ -109,40 +83,26 @@ def match_residual(T: Tower, Z1: np.ndarray, Z2: np.ndarray, n: int) -> float:
     return abs(deep - shallow)
 
 
-def anchor(T: Tower, x: np.ndarray) -> OrbitTangent:
+def anchor(T: Tower, x: np.ndarray) -> TowerTangent:
     """Anchor-map image of the level-n covector x: the tangent -[x, X(.)].
 
     The images over all covectors span the characteristic (orbit)
     directions at the tower.
     """
     x = as_cmatrix(x)
-    if x.shape[0] > T.depth:
-        raise IndexError(f"covector level {x.shape[0]} exceeds tower depth {T.depth}")
-    return OrbitTangent(level=x.shape[0], rep=-x)
+    return TowerTangent(tower=T, base_level=x.shape[0], generator=x)
 
 
-def hamiltonian_orbit_tangent(T: Tower, idx: GZIndex) -> OrbitTangent:
-    """The Hamiltonian tangent of f_{ij} as an orbit tangent (rep = -j X_i^(j-1))."""
-    if idx.i > T.depth:
-        raise IndexError(f"index level {idx.i} exceeds tower depth {T.depth}")
-    return anchor(T, idx.j * mat_pow(T.level(idx.i), idx.j - 1))
-
-
-def orbit_tangent_of(V: TowerTangent) -> OrbitTangent:
-    """Convert a tower tangent to its orbit-tangent representative."""
-    return OrbitTangent(level=V.base_level, rep=-np.asarray(V.generator))
-
-
-def _pairings(T: Tower, tangents: Sequence[OrbitTangent]) -> np.ndarray:
+def _pairings(T: Tower, tangents: Sequence[TowerTangent]) -> np.ndarray:
     """Every ``omega_inf`` pairing of the family, from one GEMM at its deepest level."""
-    k = max((v.level for v in tangents), default=1)
+    k = max((v.base_level for v in tangents), default=1)
     if k > T.depth:
         raise IndexError(f"tangent level {k} exceeds tower depth {T.depth}")
-    return bracket_matrix(T.level(k), [v.rep for v in tangents])
+    return bracket_matrix(T.level(k), [v.generator for v in tangents])
 
 
 def isotropy_check(
-    T: Tower, tangents: Sequence[OrbitTangent], tol: Tolerance = DEFAULT_TOL
+    T: Tower, tangents: Sequence[TowerTangent], tol: Tolerance = DEFAULT_TOL
 ) -> float:
     """Maximum absolute pairing over all pairs of the given tangents.
 
@@ -154,7 +114,7 @@ def isotropy_check(
     return float(np.abs(_pairings(T, tangents)[upper]).max(initial=0.0))
 
 
-def pairing_matrix(T: Tower, tangents: Sequence[OrbitTangent]) -> np.ndarray:
+def pairing_matrix(T: Tower, tangents: Sequence[TowerTangent]) -> np.ndarray:
     """Antisymmetric matrix of pairwise ``omega_inf`` values."""
     upper = np.triu(_pairings(T, tangents), 1)
     return upper - upper.T
@@ -228,26 +188,15 @@ def lagrangian_check(
             **base,
         )
 
-    ham_tangents = [
-        hamiltonian_orbit_tangent(T, idx) for idx in gz_indices(N, max_i=N - 1)
-    ]
-    a_values = [v.value(T, N) for v in ham_tangents]
-    rank_A, _, _ = rank_split(a_values, tol)
-
-    g_values = []
-    unit = np.zeros((N, N), dtype=np.complex128)
-    for k in range(N):
-        for l in range(N):
-            unit[k, l] = 1.0
-            g_values.append(commutator(unit.copy(), T.level(N)))
-            unit[k, l] = 0.0
-    rank_G, _, _ = rank_split(g_values, tol)
+    ham_tangents = orbit_tangents_A(T)
+    rank_A, _, _ = rank_split([v.value(N) for v in ham_tangents], tol)
+    rank_G, _, _ = rank_split([v.value(N) for v in orbit_tangents_G(T)], tol)
 
     max_pairing = isotropy_check(T, ham_tangents, tol)
     # |tr(X [Z1, Z2])| <= 2 ||X|| ||Z1|| ||Z2||: the cancellation error of
     # an exactly-zero pairing scales with the same product.
-    rep_norm = max(float(np.linalg.norm(v.rep)) for v in ham_tangents)
-    pairing_scale = 1.0 + 2.0 * float(np.linalg.norm(T.top)) * rep_norm**2
+    gen_norm = max(float(np.linalg.norm(v.generator)) for v in ham_tangents)
+    pairing_scale = 1.0 + 2.0 * float(np.linalg.norm(T.top)) * gen_norm**2
 
     ok = (
         rank_A == N * (N - 1) // 2
@@ -263,7 +212,3 @@ def lagrangian_check(
         verdict="true" if ok else "false",
         **base,
     )
-
-
-def lagrangian_report_to_json(report: LagrangianReport) -> str:
-    return json.dumps(report.to_json_dict(), sort_keys=True)

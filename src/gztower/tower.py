@@ -5,6 +5,11 @@ A tower of depth N is a point of the inverse system
 corners.  Because every shallower level is forced to be a corner of the
 deepest matrix, a tower stores only its deepest level; corner
 compatibility then holds exactly, never approximately.
+
+A tangent to the space of towers is a :class:`TowerTangent`: a generator
+``g`` at a base level n, with value ``-[embed(g, k), X(k)]`` at each level
+``k >= n``.  It is the package's one tangent type: Hamiltonian fields,
+anchor images and adjoint-orbit tangents are all generated this way.
 """
 
 from __future__ import annotations
@@ -60,9 +65,6 @@ class Tower:
             raise IndexError(f"level {n} out of range for depth {self.depth}")
         return corner(self.top, n)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.top))
-
 
 def new_tower(top) -> Tower:
     """Build a tower of depth ``top.dim`` from its deepest matrix."""
@@ -88,7 +90,7 @@ def extend(T: Tower, border_col, border_row, corner_entry) -> Tower:
 class TowerTangent:
     """Tangent vector to the space of towers, generated at a base level.
 
-    The value at level ``k >= base_level`` is
+    Sign convention: the value at level ``k >= base_level`` is
     ``-[embed(generator, k), X(k)]``; values below the base level are
     literal corners of the base-level value, so compatibility there is
     exact by construction.  Above the base level the corner identity

@@ -42,6 +42,17 @@ def unit(n: int, k: int, l: int) -> np.ndarray:
     return out
 
 
+def probe_operator(op, n: int) -> np.ndarray:
+    """Dense matrix of a linear map on n x n matrices, one column per matrix unit.
+
+    Columns follow row-major unit order, matching row-major flattening.
+    References built this way share no code with the production builders.
+    """
+    return np.column_stack(
+        [np.asarray(op(unit(n, k, l))).reshape(-1) for k in range(n) for l in range(n)]
+    )
+
+
 @pytest.fixture
 def tol() -> Tolerance:
     return DEFAULT_TOL

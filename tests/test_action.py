@@ -203,7 +203,6 @@ class TestOrbitTangents:
         T = plain_tower(2, 105)
         assert len(orbit_tangents_A(T)) == 1
         assert len(orbit_tangents_G(T)) == 4
-        assert len(orbit_tangents_G(T, basis_limit=2)) == 2
 
     def test_depth_one_rejected(self):
         with pytest.raises(ValueError):

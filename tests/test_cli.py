@@ -123,6 +123,18 @@ class TestCheck:
         assert report["checks"][0]["passed"] == "indeterminate"
         assert "not applicable" in report["checks"][0]["details"]["verdict"]
 
+    def test_anchor_on_identity_tower_is_indeterminate(self, tmp_path):
+        # Not strongly regular, so the anchor check has nothing to test.
+        tower_file = tmp_path / "id.json"
+        write_tower(tower_file, new_tower(np.eye(3, dtype=complex)))
+        out = tmp_path / "r.json"
+        code = cli.main(["check", str(tower_file), "--suite", "anchor", "-o", str(out)])
+        assert code == cli.EXIT_INDETERMINATE
+        check = json.loads(out.read_text())["checks"][0]
+        assert check["passed"] == "indeterminate"
+        assert check["details"]["joint_kernels_trivial"] is None
+        assert "not strongly regular" in check["details"]["note"]
+
     def test_identity_tower_sreg_check_fails(self, tmp_path):
         tower_file = tmp_path / "id.json"
         write_tower(tower_file, new_tower(np.eye(3, dtype=complex)))
@@ -314,7 +326,7 @@ class TestOrbit:
 
 
 class TestNonFiniteResiduals:
-    """A NaN from the power table must turn a passing check into a non-pass."""
+    """A NaN residual must turn a passing check into a non-pass."""
 
     @pytest.fixture
     def nan_traces(self, monkeypatch):
@@ -358,6 +370,20 @@ class TestNonFiniteResiduals:
         code, verdicts = self._check(tmp_path, "commute,consistent")
         assert code == cli.EXIT_FAIL
         assert verdicts == {"commute": "false", "consistent": "false"}
+
+    def test_nan_residual_fails_match(self, tmp_path, monkeypatch):
+        original = cli.match_residual
+        calls = []
+
+        def nan_once(*args):
+            calls.append(args)
+            return np.nan if len(calls) == 1 else original(*args)
+
+        monkeypatch.setattr(cli, "match_residual", nan_once)
+        code, verdicts = self._check(tmp_path, "match")
+        assert code == cli.EXIT_FAIL
+        assert verdicts == {"match": "false"}
+        assert len(calls) == cli.MATCH_DRAWS
 
     def test_nan_trace_does_not_pass_conserve(self, tmp_path, nan_traces):
         code, verdicts = self._check(tmp_path, "conserve")

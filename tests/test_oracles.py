@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from gztower.gz import GZIndex, SmoothFn, gz_fn, gz_indices, poisson_bracket
-from gztower.matcore import commutator, null_space
+from gztower.matcore import ad_operator, null_space
+from gztower.regularity import centralizer_intersection_trivial, joint_commutant_kernel
 from gztower.oracles import (
     MAX_ORACLE_DIM,
     OracleResult,
@@ -13,7 +14,7 @@ from gztower.oracles import (
     run_oracle,
 )
 
-from conftest import plain_tower, theta_tower
+from conftest import diag_tower, plain_tower, probe_operator, theta_tower
 
 
 def sorted_roots(roots):
@@ -130,15 +131,51 @@ class TestDenseKernel:
             assert len(kernel_basis(A)) == n - r
 
     def test_agrees_with_null_space_on_centralizers(self):
-        from gztower.matcore import ad_operator
-
         rng = np.random.default_rng(6)
         for _ in range(10):
             n = int(rng.integers(2, 5))
             M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            production = null_space(lambda Z, M=M: commutator(Z, M), n=n)
-            oracle = dense_kernel(ad_operator(M))
+            production = null_space(ad_operator(M))
+            oracle = dense_kernel(probe_operator(lambda Z, M=M: Z @ M - M @ Z, n))
             assert len(production) == len(oracle) == n
+
+
+class TestCommutantStack:
+    """Production commutant kernels against the elimination oracle on probed stacks."""
+
+    @staticmethod
+    def probed_stack(T, n, top):
+        # x -> ([x padded to k x k, X(k)])_{k=n..top}, with its own arithmetic.
+        def op(Z):
+            blocks = []
+            for k in range(n, top + 1):
+                E = np.zeros((k, k), dtype=complex)
+                E[:n, :n] = Z
+                X = T.top[:k, :k]
+                blocks.append((E @ X - X @ E).reshape(-1))
+            return np.concatenate(blocks)
+
+        return probe_operator(op, n)
+
+    @pytest.mark.parametrize("kind", ["theta", "diagonal"])
+    def test_kernels_agree_with_dense_kernel(self, kind):
+        if kind == "theta":
+            T = theta_tower(6, 260)
+        else:
+            T = diag_tower([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        N = T.depth
+        # Distinct diagonal entries: the diagonal matrices of gl(n) commute with
+        # every level.  A regular X(N) alone has an N-dimensional centralizer.
+        for n in range(1, N):
+            oracle = dense_kernel(self.probed_stack(T, n, n + 1))
+            assert len(oracle) == (n if kind == "diagonal" else 0)
+            assert centralizer_intersection_trivial(T.level(n), T.level(n + 1)) == (
+                len(oracle) == 0
+            )
+        for n in range(1, N + 1):
+            oracle = dense_kernel(self.probed_stack(T, n, N))
+            assert len(oracle) == (n if kind == "diagonal" or n == N else 0)
+            assert len(joint_commutant_kernel(T, n)) == len(oracle)
 
 
 class TestRegistry:

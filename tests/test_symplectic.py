@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from gztower.gz import gz_fn, gz_indices, linear_fn, poisson_bracket
+from gztower.action import orbit_tangents_A
+from gztower.gz import gz_fn, gz_hamiltonian, gz_indices, linear_fn, poisson_bracket
 from gztower.matcore import commutator, embed, rank_eps
 from gztower.regularity import centralizer_basis
 from gztower.symplectic import (
-    OrbitTangent,
     anchor,
-    hamiltonian_orbit_tangent,
     isotropy_check,
     kk_form,
     lagrangian_check,
@@ -45,13 +44,13 @@ class TestKKForm:
 class TestOmegaInf:
     def test_self_zero(self):
         T = plain_tower(3, 200)
-        V = OrbitTangent(level=2, rep=unit(2, 0, 1))
+        V = anchor(T, unit(2, 0, 1))
         assert omega_inf(T, V, V) == 0
 
     def test_antisymmetry(self):
         T = plain_tower(4, 201)
-        V1 = OrbitTangent(level=2, rep=unit(2, 0, 1))
-        V2 = OrbitTangent(level=3, rep=unit(3, 2, 0))
+        V1 = anchor(T, unit(2, 0, 1))
+        V2 = anchor(T, unit(3, 2, 0))
         a = omega_inf(T, V1, V2)
         b = omega_inf(T, V2, V1)
         assert abs(a + b) <= 1e-14 * (1 + abs(a))
@@ -59,18 +58,18 @@ class TestOmegaInf:
     def test_level_independence(self):
         # Evaluating at the minimal level or any deeper one agrees.
         T = plain_tower(5, 202)
-        V1 = OrbitTangent(level=2, rep=unit(2, 0, 1))
-        V2 = OrbitTangent(level=2, rep=unit(2, 1, 0))
+        V1 = anchor(T, unit(2, 0, 1))
+        V2 = anchor(T, unit(2, 1, 0))
         vals = []
         for k in (2, 3, 4, 5):
-            vals.append(kk_form(T.level(k), embed(V1.rep, k), embed(V2.rep, k)))
+            vals.append(kk_form(T.level(k), embed(V1.generator, k), embed(V2.generator, k)))
         scale = 1.0 + abs(vals[0])
         assert max(abs(v - vals[0]) for v in vals) <= 1e-12 * scale
 
     def test_depth2_direct_trace(self):
         T = theta_tower(2, 210)
-        V1 = OrbitTangent(level=2, rep=unit(2, 0, 1))
-        V2 = OrbitTangent(level=2, rep=unit(2, 1, 0))
+        V1 = anchor(T, unit(2, 0, 1))
+        V2 = anchor(T, unit(2, 1, 0))
         expected = kk_form(T.level(2), unit(2, 0, 1), unit(2, 1, 0))
         assert omega_inf(T, V1, V2) == expected
 
@@ -78,11 +77,11 @@ class TestOmegaInf:
         # Adding a representative that is degenerate at the evaluation level
         # ([embed(Z0, k), X(k)] = 0) moves the pairing by rounding only.
         T = theta_tower(4, 211)
-        V1 = OrbitTangent(level=4, rep=unit(4, 0, 2))
-        V2 = OrbitTangent(level=4, rep=unit(4, 1, 3))
+        V1 = anchor(T, unit(4, 0, 2))
+        V2 = anchor(T, unit(4, 1, 3))
         base = omega_inf(T, V1, V2)
         for Z0 in centralizer_basis(T.level(4)):
-            shifted = OrbitTangent(level=4, rep=np.asarray(V1.rep) + Z0)
+            shifted = anchor(T, V1.generator + Z0)
             scale = 1.0 + abs(base) + np.abs(T.top).max()
             assert abs(omega_inf(T, shifted, V2) - base) <= 1e-10 * scale
 
@@ -90,10 +89,10 @@ class TestOmegaInf:
         # On a diagonal tower the unit E_11 commutes with every level, so it
         # is degenerate at any evaluation depth, including deeper ones.
         T = diag_tower([1.0, 2.0, 3.0, 4.0])
-        V1 = OrbitTangent(level=2, rep=unit(2, 0, 1))
-        V2 = OrbitTangent(level=4, rep=unit(4, 1, 3))
+        V1 = anchor(T, unit(2, 0, 1))
+        V2 = anchor(T, unit(4, 1, 3))
         base = omega_inf(T, V1, V2)
-        shifted = OrbitTangent(level=2, rep=np.asarray(V1.rep) + unit(2, 0, 0))
+        shifted = anchor(T, V1.generator + unit(2, 0, 0))
         assert abs(omega_inf(T, shifted, V2) - base) <= 1e-13 * (1 + abs(base))
 
 
@@ -131,28 +130,28 @@ class TestAnchor:
         T = diag_tower([1.0, 2.0, 3.0])
         V = anchor(T, unit(1, 0, 0))
         for k in (1, 2, 3):
-            assert np.abs(V.value(T, k)).max() == 0
+            assert np.abs(V.value(k)).max() == 0
 
     def test_own_level_vanishes_deeper_does_not(self):
         T = theta_tower(4, 212)
         V = anchor(T, T.level(2))
-        assert np.abs(V.value(T, 2)).max() <= 1e-14 * (1 + np.abs(T.top).max() ** 2)
-        assert np.abs(V.value(T, 4)).max() > 1e-6
+        assert np.abs(V.value(2)).max() <= 1e-14 * (1 + np.abs(T.top).max() ** 2)
+        assert np.abs(V.value(4)).max() > 1e-6
 
-    def test_rep_is_negated_covector(self):
+    def test_generator_is_covector(self):
         T = plain_tower(3, 205)
         x = unit(2, 0, 1)
         V = anchor(T, x)
-        assert np.array_equal(np.asarray(V.rep), -x)
+        assert V.base_level == 2 and np.array_equal(V.generator, x)
         expected = -commutator(embed(x, 3), T.level(3))
-        assert np.array_equal(V.value(T, 3), expected)
+        assert np.array_equal(V.value(3), expected)
 
     def test_anchor_spans_orbit_tangents(self):
         T = theta_tower(3, 213)
         anchors = []
         for k in range(3):
             for l in range(3):
-                anchors.append(anchor(T, unit(3, k, l)).value(T, 3))
+                anchors.append(anchor(T, unit(3, k, l)).value(3))
         g_values = [commutator(unit(3, k, l), T.top) for k in range(3) for l in range(3)]
         assert rank_eps(anchors) == rank_eps(g_values) == 6
 
@@ -160,25 +159,22 @@ class TestAnchor:
 class TestIsotropy:
     def test_single_tangent(self):
         T = plain_tower(3, 206)
-        V = OrbitTangent(level=2, rep=unit(2, 0, 1))
+        V = anchor(T, unit(2, 0, 1))
         assert isotropy_check(T, [V]) == 0
 
     def test_abelian_family_isotropic(self):
         for depth in (3, 4, 5):
             T = theta_tower(depth, 230 + depth)
-            fam = [
-                hamiltonian_orbit_tangent(T, idx)
-                for idx in gz_indices(depth, max_i=depth - 1)
-            ]
-            rep_norm = max(np.linalg.norm(v.rep) for v in fam)
-            scale = 1.0 + 2.0 * np.linalg.norm(T.top) * rep_norm**2
+            fam = orbit_tangents_A(T)
+            gen_norm = max(np.linalg.norm(v.generator) for v in fam)
+            scale = 1.0 + 2.0 * np.linalg.norm(T.top) * gen_norm**2
             assert isotropy_check(T, fam) <= 1e-8 * scale
 
     def test_full_orbit_family_not_isotropic(self):
         # On 2x2: tr(diag(1,-1) [E_12, E_21]) = 2, an explicitly nonzero
         # pairing of two orbit tangents.
         T = new_tower(np.diag([1.0, -1.0]).astype(complex))
-        fam = [OrbitTangent(level=2, rep=unit(2, 0, 1)), OrbitTangent(level=2, rep=unit(2, 1, 0))]
+        fam = [anchor(T, unit(2, 0, 1)), anchor(T, unit(2, 1, 0))]
         assert isotropy_check(T, fam) == 2
 
     def test_batched_matches_per_pair_maximum(self):
@@ -186,21 +182,19 @@ class TestIsotropy:
             T = theta_tower(depth, seed, 0.5)
             # A non-isotropic family too, so the maximum is not rounding noise.
             units = [
-                OrbitTangent(level=depth, rep=unit(depth, k, l))
+                anchor(T, unit(depth, k, l))
                 for k in range(2)
                 for l in range(depth)
             ]
-            abelian = [
-                hamiltonian_orbit_tangent(T, idx) for idx in gz_indices(depth, max_i=depth - 1)
-            ]
+            abelian = orbit_tangents_A(T)
             for fam in (abelian, units, abelian[:3] + units[:4]):
                 per_pair = max(
                     abs(omega_inf(T, fam[a], fam[b]))
                     for a in range(len(fam))
                     for b in range(a + 1, len(fam))
                 )
-                rep_norm = max(np.linalg.norm(v.rep) for v in fam)
-                scale = 1.0 + 2.0 * np.linalg.norm(T.top) * rep_norm**2
+                gen_norm = max(np.linalg.norm(v.generator) for v in fam)
+                scale = 1.0 + 2.0 * np.linalg.norm(T.top) * gen_norm**2
                 assert abs(isotropy_check(T, fam) - per_pair) <= 1e-13 * scale
                 P = pairing_matrix(T, fam)
                 assert np.array_equal(P, -P.T)
@@ -212,7 +206,7 @@ class TestIsotropy:
         from gztower import symplectic
 
         T = theta_tower(4, 234)
-        fam = [hamiltonian_orbit_tangent(T, idx) for idx in gz_indices(4, max_i=3)]
+        fam = orbit_tangents_A(T)
         original = symplectic.bracket_matrix
 
         def with_nan(X, gens):
@@ -235,11 +229,7 @@ class TestBracketFormConsistency:
                 n = max(i1.i, i2.i)
                 bound = 1.0 + np.linalg.norm(T.level(n), 2) ** (i1.i + i2.i)
                 br = poisson_bracket(gz_fn(i1), gz_fn(i2), T)
-                om = omega_inf(
-                    T,
-                    hamiltonian_orbit_tangent(T, i1),
-                    hamiltonian_orbit_tangent(T, i2),
-                )
+                om = omega_inf(T, gz_hamiltonian(T, i1), gz_hamiltonian(T, i2))
                 assert abs(br - om) <= 1e-8 * bound
 
     def test_non_commuting_observables(self):
@@ -292,7 +282,7 @@ class TestNondegeneracy:
                     basis_idx.append(idx)
             expected = depth * depth - depth
             assert len(basis_idx) == expected
-            fam = [OrbitTangent(level=depth, rep=units[i]) for i in basis_idx]
+            fam = [anchor(T, units[i]) for i in basis_idx]
             P = pairing_matrix(T, fam)
             s = np.linalg.svd(P, compute_uv=False)
             assert int((s > 1e-9 * s[0]).sum()) == expected
@@ -306,7 +296,7 @@ class TestNondegeneracy:
             trial = [values[i] for i in basis_idx] + [values[idx]]
             if rank_eps(trial) == len(trial):
                 basis_idx.append(idx)
-        fam = [OrbitTangent(level=3, rep=units[i]) for i in basis_idx]
+        fam = [anchor(T, units[i]) for i in basis_idx]
         P = pairing_matrix(T, fam)
         for row in range(P.shape[0]):
             assert np.abs(P[row]).max() > 1e-9
