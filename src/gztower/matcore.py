@@ -6,19 +6,26 @@ Everything downstream works on square ``numpy.ndarray`` matrices with
 * corner extraction / zero-padded embedding between sizes,
 * commutator and trace pairing,
 * matrix powers and exponentials,
-* numerical rank, null spaces and Sylvester-operator spectrum tests,
+* numerical rank, null spaces and Krylov bases of matrix powers,
+* the Sylvester-operator spectrum test, through complex Schur forms,
 
 and the single tolerance rule used by all of them: a quantity of scale
 ``s`` counts as zero when it is below ``max(tol.abs, tol.rel * s)``.
+The strong-regularity and generation paths never form a Kronecker
+operator; ``ad_operator`` remains for :func:`null_space` callers, and the
+Kronecker forms of the other tests live in :mod:`gztower.oracles`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dznrm2
+from scipy.linalg.lapack import ztrsyl
 
 __all__ = [
     "MAX_DIM",
@@ -38,6 +45,7 @@ __all__ = [
     "spectrum_split",
     "rank_split",
     "kernel_basis",
+    "krylov_basis",
     "ad_operator",
     "null_space",
     "spectra_disjoint",
@@ -46,6 +54,8 @@ __all__ = [
 
 # Supported working range; larger matrices are out of scope for this toolkit.
 MAX_DIM = 256
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -253,6 +263,57 @@ def kernel_basis(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray
     return [vh[k].conj() for k in range(rank, vh.shape[0])]
 
 
+def _fro(Y: np.ndarray) -> float:
+    """Frobenius norm, scaled by BLAS so that it neither overflows nor underflows."""
+    return float(dznrm2(Y.reshape(-1)))
+
+
+def _reorthogonalize(y: np.ndarray, basis: np.ndarray) -> float:
+    """Remove from y, in place, its components along the orthonormal rows of basis.
+
+    Classical Gram-Schmidt, applied twice; returns the norm of what is left.
+    """
+    for _ in range(2):
+        y -= (y.conj() @ basis.T).conj() @ basis
+    return _fro(y)
+
+
+def krylov_basis(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Frobenius-orthonormal Arnoldi basis of ``span{I, M, ..., M^(n-1)}``.
+
+    Runs Arnoldi for ``Z -> (M - mu I) Z`` from ``I / sqrt(n)``, with
+    ``mu = tr(M) / n``: the shift leaves the span unchanged and keeps
+    rounding relative to the spread ``||M - mu I||_F``.  Each new direction
+    is orthogonalized against the basis so far, and the process stops
+    at the first one whose norm is at or below ``tol.threshold(spread)``:
+    the span is then invariant.  O(n^4) in all.
+
+    Returns ``(Q, s)``.  ``Q`` is a ``(k, n, n)`` stack of orthonormal
+    matrices spanning ``span{I, ..., M^(k-1)}``; ``s`` holds the spread and
+    the norms of the new directions in descending order, so that
+    :func:`spectrum_split` of ``s`` counts ``k`` for any M that is not
+    numerically scalar.  M is regular (its centralizer is this span) exactly
+    when ``k = n``.
+    """
+    n = M.shape[0]
+    shifted = M - (np.trace(M) / n) * np.eye(n, dtype=np.complex128)
+    spread = float(np.linalg.norm(shifted))
+    thr = tol.threshold(spread)
+    Q = np.empty((n, n * n), dtype=np.complex128)
+    Q[0] = np.eye(n, dtype=np.complex128).reshape(-1) / math.sqrt(n)
+    norms = [spread]
+    k = 1
+    while k < n:
+        w = (shifted @ Q[k - 1].reshape(n, n)).reshape(-1)
+        h = _reorthogonalize(w, Q[:k])
+        norms.append(h)
+        if not h > thr:
+            break
+        Q[k] = w / h
+        k += 1
+    return Q[:k].reshape(k, n, n), np.sort(norms)[::-1]
+
+
 def ad_operator(M: np.ndarray) -> np.ndarray:
     """Matrix of ``Z -> [Z, M]`` acting on row-major flattened matrices."""
     n = M.shape[0]
@@ -278,26 +339,113 @@ def null_space(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     return [v.reshape(n, n) for v in kernel_basis(A, tol)]
 
 
-def _sylvester_operator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    na, nb = A.shape[0], B.shape[0]
-    # T(Z) = A Z - Z B on na x nb matrices, row-major flattening.
-    return np.kron(A, np.eye(nb, dtype=np.complex128)) - np.kron(
-        np.eye(na, dtype=np.complex128), B.T
-    )
+def _top_singular(
+    apply: Callable[[np.ndarray], tuple[np.ndarray, float]],
+    adjoint: Callable[[np.ndarray], tuple[np.ndarray, float]],
+    start: np.ndarray,
+    rtol: float,
+    max_steps: int,
+) -> float:
+    """Largest singular value of a linear map, by Golub-Kahan-Lanczos bidiagonalization.
+
+    ``apply`` and ``adjoint`` return ``(Y, scale)`` with the true image
+    ``Y / scale``, the convention of LAPACK ``trsyl``.  Both bases are
+    reorthogonalized in full, so the largest singular value of the
+    bidiagonal is a lower bound that never decreases; the run stops once a
+    step moves it by at most ``rtol``, once the Krylov space is exhausted,
+    or after ``max_steps``.  A ``scale < 1`` (the solver shrank the
+    right-hand side to avoid overflow) or a non-finite image gives ``inf``.
+    """
+    shape, dim = start.shape, start.size
+    steps = min(max_steps, dim)
+    U = np.zeros((steps, dim), dtype=np.complex128)
+    V = np.zeros((steps + 1, dim), dtype=np.complex128)
+    V[0] = start.reshape(-1) / _fro(start)
+    B = np.zeros((steps, steps))
+    estimate = 0.0
+    for j in range(steps):
+        Y, scale = apply(V[j].reshape(shape))
+        y = Y.reshape(-1) - (B[j - 1, j] * U[j - 1] if j else 0.0)
+        alpha = _reorthogonalize(y, U[:j])
+        if scale < 1.0 or not math.isfinite(alpha):
+            return math.inf
+        # A new direction at rounding level of its image means the Krylov
+        # space is exhausted: it is dropped, and the run ends.
+        exhausted = not alpha > _EPS * _fro(Y)
+        if not exhausted:
+            B[j, j] = alpha
+            U[j] = y / alpha
+            Z, scale = adjoint(U[j].reshape(shape))
+            z = Z.reshape(-1) - alpha * V[j]
+            beta = _reorthogonalize(z, V[: j + 1])
+            if scale < 1.0 or not math.isfinite(beta):
+                return math.inf
+            exhausted = not beta > _EPS * _fro(Z)
+        top = float(np.linalg.svd(B[: j + 1, : j + 1], compute_uv=False)[0])
+        if exhausted or top - estimate <= rtol * top:
+            return top
+        estimate = top
+        V[j + 1] = z / beta
+        if j + 1 < steps:
+            B[j, j + 1] = beta
+    return estimate
 
 
 def sylvester_min_singular(A: np.ndarray, B: np.ndarray) -> tuple[float, float]:
-    """Smallest and largest singular value of ``Z -> A Z - Z B``."""
-    s = np.linalg.svd(_sylvester_operator(A, B), compute_uv=False)
-    return float(s[-1]), float(s[0])
+    """Smallest and largest singular value of ``Z -> A Z - Z B``.
+
+    With complex Schur forms ``A = U R U^H`` and ``B = V S V^H`` the operator
+    becomes ``W -> R W - W S`` on ``W = U^H Z V``, an isometry, so the
+    singular values are those of the triangular operator.  The smallest is
+    the reciprocal of the largest singular value of its inverse, found by
+    Lanczos bidiagonalization whose every step is two triangular Sylvester
+    solves (LAPACK ``trsyl``, the back substitution of Bartels-Stewart),
+    O(na nb (na + nb)) each.  The largest comes from the same iteration on
+    the forward operator, stopped once a step moves it by less than 1e-4
+    relative: it only scales a threshold.
+
+    A singular operator needs no special case: ``trsyl`` reports it with
+    ``info = 1`` and solves with zero divisors perturbed to rounding level,
+    so the smallest value comes out at rounding level, or exactly 0 when the
+    solve had to rescale to avoid overflow.  Non-finite input gives
+    ``(nan, nan)``.
+    """
+    A = np.asarray(A, dtype=np.complex128)
+    B = np.asarray(B, dtype=np.complex128)
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
+        return math.nan, math.nan
+    R = np.asfortranarray(scipy.linalg.schur(A, output="complex", check_finite=False)[0])
+    S = np.asfortranarray(scipy.linalg.schur(B, output="complex", check_finite=False)[0])
+    Rh, Sh = R.conj().T, S.conj().T
+    # Unit-modulus entries with golden-ratio phases: deterministic, and with
+    # no structure a Schur basis could be orthogonal to.
+    na, nb = R.shape[0], S.shape[0]
+    phases = 2j * np.pi * 0.6180339887498949 * np.arange(na * nb).reshape(na, nb)
+    start = np.exp(phases) / math.sqrt(na * nb)
+
+    smax = _top_singular(
+        lambda W: (R @ W - W @ S, 1.0), lambda W: (Rh @ W - W @ Sh, 1.0), start, 1e-4, 64
+    )
+    inverse_norm = _top_singular(
+        lambda W: ztrsyl(R, S, W, isgn=-1)[:2],
+        lambda W: ztrsyl(R, S, W, trana="C", tranb="C", isgn=-1)[:2],
+        start,
+        1e-13,
+        64,
+    )
+    return (1.0 / inverse_norm if inverse_norm > 0.0 else math.nan), smax
 
 
 def spectra_disjoint(A: np.ndarray, B: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether the spectra of A and B are (numerically) disjoint.
 
-    Tests invertibility of the Sylvester operator ``Z -> A Z - Z B``,
-    which is singular exactly when the two spectra intersect.  Pure
-    linear algebra: no eigenvalue computation is involved.
+    Tests invertibility of the Sylvester operator ``Z -> A Z - Z B``, which
+    is singular exactly when the two spectra intersect: its smallest
+    singular value must clear ``max(tol.abs, tol.rel * s_max)``.  The Schur
+    forms behind :func:`sylvester_min_singular` carry the eigenvalues on
+    their diagonals, but no eigenvalue is compared with another; a shared
+    eigenvalue shows as a near-zero singular value.  Non-finite input is
+    never disjoint.
     """
     smin, smax = sylvester_min_singular(A, B)
     return smin > tol.threshold(smax)

@@ -3,9 +3,11 @@
 These deliberately share no code with the operations they validate: the
 bracket oracle differentiates both observables numerically with its own
 loops, the eigenvalue oracle goes through characteristic-polynomial
-coefficients and simultaneous root iteration, and the kernel oracle is a
-full-pivot Gaussian elimination.  Clarity over speed; dimensions are
-capped at test scale.
+coefficients and simultaneous root iteration, the kernel oracle is a
+full-pivot Gaussian elimination, and the Kronecker oracles answer the
+strong-regularity and spectrum questions by a dense SVD of the full
+operator on gl(n), which production code no longer forms.  Clarity over
+speed; dimensions are capped at test scale.
 """
 
 from __future__ import annotations
@@ -28,6 +30,10 @@ __all__ = [
     "charpoly_coefficients",
     "charpoly_roots",
     "dense_kernel",
+    "kron_is_regular",
+    "kron_intersection_trivial",
+    "kron_sylvester_singular",
+    "kron_spectra_disjoint",
 ]
 
 MAX_ORACLE_DIM = 8
@@ -184,6 +190,60 @@ def dense_kernel(matrix, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
             v[orig] = x[pos]
         basis.append(v)
     return basis
+
+
+def _kron_rank(op: np.ndarray, tol: Tolerance) -> int:
+    s = np.linalg.svd(op, compute_uv=False)
+    return int(np.sum(s > max(tol.abs, tol.rel * s[0])))
+
+
+def _kron_ad(M: np.ndarray) -> np.ndarray:
+    # Z -> Z M - M Z on row-major vec: vec(Z M) = (I (x) M^T) vec Z, vec(M Z) = (M (x) I) vec Z.
+    eye = np.eye(M.shape[0])
+    return np.kron(eye, M.T) - np.kron(M, eye)
+
+
+def _kron_cap(*mats: np.ndarray) -> None:
+    if max(m.shape[0] for m in mats) > MAX_ORACLE_DIM:
+        raise ValueError(f"oracle capped at dimension {MAX_ORACLE_DIM}")
+
+
+def kron_is_regular(M, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """Regularity as the n-dimensional kernel of the n^2 x n^2 ad operator."""
+    M = np.asarray(M, dtype=np.complex128)
+    _kron_cap(M)
+    return M.shape[0] ** 2 - _kron_rank(_kron_ad(M), tol) == M.shape[0]
+
+
+def kron_intersection_trivial(X_i, X_ip1, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """Trivial intersection of consecutive centralizers, from the stacked ad operators.
+
+    ``embed(Z, i+1) = P Z P^T`` with the (i+1) x i inclusion P, so on
+    row-major vectors the level-(i+1) condition is ``ad(X_{i+1}) (P (x) P)``.
+    """
+    X_i = np.asarray(X_i, dtype=np.complex128)
+    X_ip1 = np.asarray(X_ip1, dtype=np.complex128)
+    _kron_cap(X_i, X_ip1)
+    i = X_i.shape[0]
+    P = np.eye(i + 1, i)
+    stack = np.vstack([_kron_ad(X_i), _kron_ad(X_ip1) @ np.kron(P, P)])
+    return _kron_rank(stack, tol) == i * i
+
+
+def kron_sylvester_singular(A, B) -> tuple[float, float]:
+    """Smallest and largest singular value of Z -> A Z - Z B from its Kronecker matrix."""
+    A = np.asarray(A, dtype=np.complex128)
+    B = np.asarray(B, dtype=np.complex128)
+    _kron_cap(A, B)
+    op = np.kron(A, np.eye(B.shape[0])) - np.kron(np.eye(A.shape[0]), B.T)
+    s = np.linalg.svd(op, compute_uv=False)
+    return float(s[-1]), float(s[0])
+
+
+def kron_spectra_disjoint(A, B, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """Invertibility of the Kronecker Sylvester matrix, with the production threshold rule."""
+    smin, smax = kron_sylvester_singular(A, B)
+    return smin > max(tol.abs, tol.rel * smax)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ formulations are implemented and cross-validated:
 
 1. differentials: the gradient family at the deepest level has full rank,
 2. centralizers: every level is a regular matrix and consecutive
-   centralizers intersect trivially,
+   centralizers intersect trivially; both questions are answered in the
+   Krylov coordinates of span{I, X_i, ..., X_i^(i-1)}, which is the
+   centralizer of a regular X_i (Kostant-Wallach 2006),
 3. tangents: the Hamiltonian tangent family (below the top level) has
    full rank.
 
@@ -33,6 +35,7 @@ from .matcore import (
     commutator,
     embed,
     kernel_basis,
+    krylov_basis,
     null_space,
     rank_split,
     spectra_disjoint,
@@ -57,25 +60,27 @@ __all__ = [
 INDETERMINATE_MARGIN = 10.0
 
 
-def _regular_split(M: np.ndarray, tol: Tolerance) -> tuple[bool, float, float]:
-    """Regularity of M via the kernel dimension of Z -> [Z, M].
+def _regular_split(M: np.ndarray, tol: Tolerance) -> tuple[bool, float, float, np.ndarray]:
+    """Regularity of M via Arnoldi breakdown in span{I, M, ..., M^(n-1)}.
 
-    Returns (regular, decisive singular value, split margin).  A matrix of
-    dimension n is regular exactly when the kernel has dimension n, the
-    smallest a centralizer can be.
+    Returns (regular, decisive value, split margin, Krylov basis), the
+    middle two from :func:`spectrum_split` of the Arnoldi norms.  M is
+    regular exactly when the span reaches dimension n, the smallest a
+    centralizer can be.
     """
     n = M.shape[0]
-    s = np.linalg.svd(ad_operator(M), compute_uv=False)
+    if n == 1:
+        # Every 1 x 1 matrix is regular; infinity keeps these levels out of
+        # the centralizer criterion's minimum.
+        return True, math.inf, math.inf, np.ones((1, 1, 1), dtype=np.complex128)
+    Q, s = krylov_basis(M, tol)
     rank, decisive, margin = spectrum_split(s, tol)
-    # Nothing kept (e.g. scalar matrices, where the kernel is everything)
-    # leaves no decisive singular value to report; infinity also keeps every
-    # 1 x 1 level out of the centralizer criterion's minimum.
-    return n * n - rank == n, decisive if rank > 0 else math.inf, margin
+    return rank == n, decisive, margin, Q
 
 
 def is_regular(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True when the centralizer of M has the minimal dimension M.dim."""
-    ok, _, _ = _regular_split(M, tol)
+    ok, _, _, _ = _regular_split(M, tol)
     return ok
 
 
@@ -87,13 +92,13 @@ def centralizer_basis(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[np.nd
     return null_space(ad_operator(M), tol=tol)
 
 
-def _commutant_stack(T: Tower, n: int, top: int) -> np.ndarray:
-    """Matrix of ``x -> ([embed(x, k), X(k)])_{k = n..top}`` on row-major flattened x in gl(n).
+def _commutant_stack(T: Tower, n: int) -> np.ndarray:
+    """Matrix of ``x -> ([embed(x, k), X(k)])_{k = n..N}`` on row-major flattened x in gl(n).
 
     Its kernel is the set of level-n matrices that commute with every level
-    from n to ``top``.
+    from n to the top.
     """
-    levels = [T.level(k) for k in range(n, top + 1)]
+    levels = [T.level(k) for k in range(n, T.depth + 1)]
     A = np.empty((sum(X.size for X in levels), n * n), dtype=np.complex128)
     unit = np.zeros((n, n), dtype=np.complex128)
     for k in range(n):
@@ -106,24 +111,47 @@ def _commutant_stack(T: Tower, n: int, top: int) -> np.ndarray:
     return A
 
 
-def _intersection_split(T: Tower, i: int, tol: Tolerance) -> tuple[bool, float, float]:
-    """Whether the centralizers of X_i and X_{i+1} meet trivially in gl(i)."""
-    s = np.linalg.svd(_commutant_stack(T, i, i + 1), compute_uv=False)
+def _unit(v: np.ndarray) -> np.ndarray:
+    norm = float(np.linalg.norm(v))
+    return v / norm if norm > 0 else v
+
+
+def _border_split(
+    Q: np.ndarray, b: np.ndarray, c: np.ndarray, tol: Tolerance
+) -> tuple[bool, float, float]:
+    """Whether no nonzero Z in span(Q) has ``Z b = 0`` and ``c Z = 0``.
+
+    With ``X_{i+1} = [[X_i, b], [c, d]]``, the commutator of
+    ``embed(Z, i+1)`` with ``X_{i+1}`` is ``[[ [Z, X_i], Z b ], [ -c Z, 0 ]]``,
+    so for Z in the centralizer ``span(Q)`` of a regular X_i the intersection
+    is the kernel of the 2i x i system with columns ``(Q_k b, (c Q_k)^T)``.
+    The intersection is unchanged when b or c is rescaled, so both enter as
+    unit vectors and neither sets the other's threshold.
+    """
+    system = np.concatenate([Q @ _unit(b), _unit(c) @ Q], axis=1).T
+    s = np.linalg.svd(system, compute_uv=False)
     rank, decisive, margin = spectrum_split(s, tol)
-    return rank == i * i, decisive, margin
+    return rank == Q.shape[0], decisive, margin
 
 
 def centralizer_intersection_trivial(
     X_i: np.ndarray, X_ip1: np.ndarray, tol: Tolerance = DEFAULT_TOL
 ) -> bool:
-    """Whether no nonzero Z in gl(i) commutes with both X_i and X_{i+1}."""
+    """Whether no nonzero Z in gl(i) commutes with both X_i and X_{i+1}.
+
+    A non-regular X_i has an eigenvalue with right and left eigenspaces of
+    dimension at least 2, so it has a right eigenvector x with ``c x = 0``
+    and a left eigenvector y with ``y^T b = 0``; then ``Z = x y^T`` commutes
+    with X_i and annihilates both borders, and the intersection is never
+    trivial.
+    """
     i = X_i.shape[0]
     if X_ip1.shape[0] != i + 1:
         raise ValueError("second matrix must be one dimension deeper")
     if not np.array_equal(X_ip1[:i, :i], X_i):
         raise ValueError("corner compatibility violated: X_i is not the corner of X_{i+1}")
-    ok, _, _ = _intersection_split(Tower(X_ip1), i, tol)
-    return ok
+    regular, _, _, Q = _regular_split(X_i, tol)
+    return regular and _border_split(Q, X_ip1[:i, i], X_ip1[i, :i], tol)[0]
 
 
 def _differentials_split(T: Tower, tol: Tolerance) -> tuple[bool, float, float]:
@@ -141,20 +169,19 @@ def is_sreg_differentials(T: Tower, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def _centralizers_split(T: Tower, tol: Tolerance) -> tuple[bool, float, float]:
-    ok_all = True
-    min_sv = math.inf
-    min_margin = math.inf
+    splits = []
     for n in range(1, T.depth + 1):
-        ok, sv, margin = _regular_split(T.level(n), tol)
-        ok_all = ok_all and ok
-        min_sv = min(min_sv, sv)
-        min_margin = min(min_margin, margin)
-    for n in range(1, T.depth):
-        ok, sv, margin = _intersection_split(T, n, tol)
-        ok_all = ok_all and ok
-        min_sv = min(min_sv, sv)
-        min_margin = min(min_margin, margin)
-    return ok_all, float(min_sv), float(min_margin)
+        regular, sv, margin, Q = _regular_split(T.level(n), tol)
+        splits.append((regular, sv, margin))
+        # A non-regular level already fails, and its intersection with the
+        # next level is never trivial (see centralizer_intersection_trivial).
+        if regular and n < T.depth:
+            splits.append(_border_split(Q, T.top[:n, n], T.top[n, :n], tol))
+    return (
+        all(ok for ok, _, _ in splits),
+        float(min(sv for _, sv, _ in splits)),
+        float(min(margin for _, _, margin in splits)),
+    )
 
 
 def is_sreg_centralizers(T: Tower, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -283,5 +310,5 @@ def joint_commutant_kernel(
     """
     if not 1 <= base_level <= T.depth:
         raise IndexError("base level out of range")
-    A = _commutant_stack(T, base_level, T.depth)
+    A = _commutant_stack(T, base_level)
     return [v.reshape(base_level, base_level) for v in kernel_basis(A, tol)]

@@ -18,6 +18,7 @@ orbit rank: the Lagrangian verification checks both.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -120,11 +121,17 @@ def pairing_matrix(T: Tower, tangents: Sequence[TowerTangent]) -> np.ndarray:
     return upper - upper.T
 
 
+def _finite(x: Optional[float]) -> Optional[float]:
+    return None if x is None or math.isinf(x) else x
+
+
 @dataclass(frozen=True)
 class LagrangianReport:
     depth: int
     rank_A: Optional[int]
     rank_G: Optional[int]
+    margin_A: Optional[float]
+    margin_G: Optional[float]
     max_pairing: Optional[float]
     pairing_scale: Optional[float]
     verdict: str  # "true" | "false" | "not applicable"
@@ -138,6 +145,8 @@ class LagrangianReport:
             "depth": self.depth,
             "rank_A": self.rank_A,
             "rank_G": self.rank_G,
+            "margin_A": _finite(self.margin_A),
+            "margin_G": _finite(self.margin_G),
             "max_pairing": self.max_pairing,
             "pairing_scale": self.pairing_scale,
             "verdict": self.verdict,
@@ -170,6 +179,8 @@ def lagrangian_check(
         return LagrangianReport(
             rank_A=None,
             rank_G=None,
+            margin_A=None,
+            margin_G=None,
             max_pairing=None,
             pairing_scale=None,
             verdict="not applicable",
@@ -181,6 +192,8 @@ def lagrangian_check(
         return LagrangianReport(
             rank_A=None,
             rank_G=None,
+            margin_A=None,
+            margin_G=None,
             max_pairing=None,
             pairing_scale=None,
             verdict="not applicable",
@@ -189,8 +202,8 @@ def lagrangian_check(
         )
 
     ham_tangents = orbit_tangents_A(T)
-    rank_A, _, _ = rank_split([v.value(N) for v in ham_tangents], tol)
-    rank_G, _, _ = rank_split([v.value(N) for v in orbit_tangents_G(T)], tol)
+    rank_A, _, margin_A = rank_split([v.value(N) for v in ham_tangents], tol)
+    rank_G, _, margin_G = rank_split([v.value(N) for v in orbit_tangents_G(T)], tol)
 
     max_pairing = isotropy_check(T, ham_tangents, tol)
     # |tr(X [Z1, Z2])| <= 2 ||X|| ||Z1|| ||Z2||: the cancellation error of
@@ -207,6 +220,8 @@ def lagrangian_check(
     return LagrangianReport(
         rank_A=rank_A,
         rank_G=rank_G,
+        margin_A=margin_A,
+        margin_G=margin_G,
         max_pairing=max_pairing,
         pairing_scale=pairing_scale,
         verdict="true" if ok else "false",

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,12 +15,15 @@ from gztower.matcore import (
     embed,
     embed_group,
     kernel_basis,
+    krylov_basis,
     mat_exp,
     mat_pow,
     null_space,
     rank_eps,
     rank_split,
     spectra_disjoint,
+    spectrum_split,
+    sylvester_min_singular,
     trace_pair,
 )
 
@@ -320,3 +325,98 @@ class TestSpectraDisjoint:
             scale = max(max(abs(z) for z in ra + rb), 1.0)
             oracle = min(gaps) > 1e-6 * scale
             assert spectra_disjoint(A, B) == oracle
+
+
+def quiet_disjoint(A, B):
+    """spectra_disjoint with every warning turned into an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return spectra_disjoint(A, B)
+
+
+class TestSingularSylvester:
+    def test_identity_pair(self):
+        # The operator is zero: power iteration maps its start to zero.
+        A, B = np.eye(2, dtype=complex), np.eye(3, dtype=complex)
+        assert not quiet_disjoint(A, B)
+        smin, smax = sylvester_min_singular(A, B)
+        assert smax == 0.0 and smin <= 1e-12
+
+    def test_nilpotent_jordan_pair(self):
+        J2 = np.diag(np.ones(1), 1).astype(complex)
+        J3 = np.diag(np.ones(2), 1).astype(complex)
+        assert not quiet_disjoint(J2, J3)
+
+    def test_nested_diagonals(self):
+        assert not quiet_disjoint(
+            np.diag([1.0, 2.0]).astype(complex), np.diag([1.0, 2.0, 3.0]).astype(complex)
+        )
+
+    def test_zero_pair(self):
+        # trsyl meets only zero divisors and perturbs them to underflow level.
+        Z2, Z3 = np.zeros((2, 2), dtype=complex), np.zeros((3, 3), dtype=complex)
+        assert not quiet_disjoint(Z2, Z3)
+        smin, smax = sylvester_min_singular(Z2, Z3)
+        assert smax == 0.0 and smin <= 1e-280
+
+    def test_overflowing_solve_is_rescaled(self):
+        # trsyl perturbs the zero divisors of a tiny nilpotent A to eps * |A|;
+        # back substitution through its chain then overflows, so trsyl
+        # returns scale < 1.  The inverse norm is inf and the smallest
+        # singular value reads exactly 0.
+        from scipy.linalg.lapack import ztrsyl
+
+        A = 1e-270 * np.diag(np.ones(2), 1).astype(complex)
+        B = np.zeros((1, 1), dtype=complex)
+        assert ztrsyl(A, B, np.ones((3, 1), dtype=complex), isgn=-1)[1] < 1.0
+        assert sylvester_min_singular(A, B)[0] == 0.0
+        assert not quiet_disjoint(A, B)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_never_disjoint(self, bad):
+        A = np.diag([1.0, bad]).astype(complex)
+        B = np.diag([5.0, 6.0, 7.0]).astype(complex)
+        assert not quiet_disjoint(A, B)
+        assert not quiet_disjoint(B, A)
+
+    def test_matches_dense_singular_values(self):
+        from gztower.oracles import kron_sylvester_singular
+
+        rng = np.random.default_rng(12)
+        for na, nb in ((1, 2), (3, 4), (5, 5), (7, 8)):
+            A, B = rand_c(rng, na), rand_c(rng, nb)
+            smin, smax = sylvester_min_singular(A, B)
+            ref_min, ref_max = kron_sylvester_singular(A, B)
+            assert abs(smin - ref_min) <= 1e-8 * ref_min
+            # The largest value only scales a threshold: a lower bound, close.
+            assert 0.9 * ref_max <= smax <= ref_max * (1 + 1e-12)
+
+
+class TestKrylovBasis:
+    def test_regular_spans_powers_orthonormally(self):
+        rng = np.random.default_rng(13)
+        M = rand_c(rng, 5)
+        Q, s = krylov_basis(M)
+        assert Q.shape == (5, 5, 5)
+        flat = Q.reshape(5, -1)
+        assert np.allclose(flat.conj() @ flat.T, np.eye(5), atol=1e-12)
+        assert rank_eps(list(Q) + [mat_pow(M, k) for k in range(5)]) == 5
+        assert spectrum_split(s)[0] == 5
+
+    def test_breakdown_at_minimal_polynomial_degree(self):
+        # diag(1, 1, 2) has minimal polynomial (x - 1)(x - 2): degree 2.
+        Q, s = krylov_basis(np.diag([1.0, 1.0, 2.0]).astype(complex))
+        assert Q.shape[0] == 2
+        assert spectrum_split(s)[0] == 2
+
+    def test_scalar_breaks_down_at_once(self):
+        Q, s = krylov_basis(0.1 * np.eye(3, dtype=complex))
+        assert Q.shape[0] == 1
+        assert spectrum_split(s)[0] == 0
+
+    def test_shift_invariant(self):
+        rng = np.random.default_rng(14)
+        M = rand_c(rng, 4)
+        _, s = krylov_basis(M)
+        _, shifted = krylov_basis(M + 1e3 * np.eye(4))
+        assert np.allclose(s, shifted, rtol=1e-9)

@@ -2,8 +2,18 @@ import numpy as np
 import pytest
 
 from gztower.gz import GZIndex, SmoothFn, gz_fn, gz_indices, poisson_bracket
-from gztower.matcore import ad_operator, null_space
-from gztower.regularity import centralizer_intersection_trivial, joint_commutant_kernel
+from gztower.matcore import (
+    DEFAULT_TOL,
+    ad_operator,
+    null_space,
+    spectra_disjoint,
+    sylvester_min_singular,
+)
+from gztower.regularity import (
+    centralizer_intersection_trivial,
+    is_regular,
+    joint_commutant_kernel,
+)
 from gztower.oracles import (
     MAX_ORACLE_DIM,
     OracleResult,
@@ -11,10 +21,15 @@ from gztower.oracles import (
     charpoly_roots,
     dense_kernel,
     fd_poisson_bracket,
+    kron_intersection_trivial,
+    kron_is_regular,
+    kron_spectra_disjoint,
+    kron_sylvester_singular,
     run_oracle,
 )
+from gztower.tower import new_tower
 
-from conftest import diag_tower, plain_tower, probe_operator, theta_tower
+from conftest import diag_tower, jordan_tower, plain_tower, probe_operator, theta_tower
 
 
 def sorted_roots(roots):
@@ -176,6 +191,58 @@ class TestCommutantStack:
             oracle = dense_kernel(self.probed_stack(T, n, N))
             assert len(oracle) == (n if kind == "diagonal" or n == N else 0)
             assert len(joint_commutant_kernel(T, n)) == len(oracle)
+
+
+def _oracle_towers(kind):
+    depths = range(2, MAX_ORACLE_DIM + 1)
+    if kind == "theta":
+        return [theta_tower(d, 400 + d, 0.5) for d in depths]
+    if kind == "diagonal":
+        return [diag_tower(np.arange(1.0, d + 1.0)) for d in depths]
+    if kind == "jordan":
+        return [jordan_tower(d) for d in depths]
+    return [new_tower(1.5 * np.eye(d, dtype=complex)) for d in depths]
+
+
+class TestKroneckerOracles:
+    """Krylov, border-system and Schur kernels against the dense Kronecker SVDs."""
+
+    @pytest.mark.parametrize("kind", ["theta", "diagonal", "jordan", "scalar"])
+    def test_decisions_match(self, kind):
+        for T in _oracle_towers(kind):
+            for n in range(1, T.depth + 1):
+                X = T.level(n)
+                assert is_regular(X) == kron_is_regular(X)
+                if n == T.depth:
+                    continue
+                Y = T.level(n + 1)
+                assert centralizer_intersection_trivial(X, Y) == kron_intersection_trivial(X, Y)
+                assert spectra_disjoint(X, Y) == kron_spectra_disjoint(X, Y)
+
+    @pytest.mark.parametrize("kind", ["theta", "diagonal", "jordan", "scalar"])
+    def test_sylvester_min_singular_matches(self, kind):
+        for T in _oracle_towers(kind):
+            for n in range(1, T.depth):
+                X, Y = T.level(n), T.level(n + 1)
+                smin, smax = sylvester_min_singular(X, Y)
+                ref_min, ref_max = kron_sylvester_singular(X, Y)
+                if ref_min > DEFAULT_TOL.threshold(ref_max):
+                    assert abs(smin - ref_min) <= 1e-8 * ref_min
+                else:  # a singular operator: both values are rounding noise
+                    assert smin <= DEFAULT_TOL.threshold(smax)
+
+    def test_kinds_cover_both_outcomes(self):
+        # The corpus exercises each decision both ways.
+        theta, diagonal = _oracle_towers("theta")[-1], _oracle_towers("diagonal")[-1]
+        assert kron_intersection_trivial(theta.level(3), theta.level(4))
+        assert not kron_intersection_trivial(diagonal.level(3), diagonal.level(4))
+        assert kron_spectra_disjoint(theta.level(3), theta.level(4))
+        assert not kron_spectra_disjoint(diagonal.level(3), diagonal.level(4))
+        assert not kron_is_regular(1.5 * np.eye(3, dtype=complex))
+
+    def test_dimension_cap(self):
+        with pytest.raises(ValueError):
+            kron_is_regular(np.eye(MAX_ORACLE_DIM + 1, dtype=complex))
 
 
 class TestRegistry:

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from gztower.matcore import mat_pow, rank_eps
+from gztower import matcore, regularity, tower
+from gztower.matcore import mat_pow, rank_eps, spectra_disjoint
+from gztower.oracles import dense_kernel, kron_intersection_trivial
 from gztower.regularity import (
     centralizer_basis,
     centralizer_intersection_trivial,
@@ -16,7 +18,7 @@ from gztower.regularity import (
 )
 from gztower.tower import new_tower
 
-from conftest import diag_tower, jordan_tower, plain_tower, theta_tower
+from conftest import diag_tower, jordan_tower, plain_tower, probe_operator, theta_tower
 
 
 def involution_tower():
@@ -91,6 +93,39 @@ class TestIntersection:
         X1 = np.diag([1.0, 2.0]).astype(complex)
         X2 = np.diag([1.0, 2.0, 3.0]).astype(complex)
         assert not centralizer_intersection_trivial(X1, X2)
+
+    @pytest.mark.parametrize("side", ["row", "column"])
+    def test_one_sided_border_trivial(self, side):
+        # With b = 0, only c Z = 0 constrains Z = p(X_i): for X_i = diag(1, 2, 3)
+        # and c = (1, 1, 1), c p(X_i) = (p(1), p(2), p(3)) vanishes only when
+        # p(X_i) does.  The same holds for a lone border column.
+        X = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
+        if side == "row":
+            X[3, :3] = 1.0
+        else:
+            X[:3, 3] = 1.0
+        assert kron_intersection_trivial(X[:3, :3], X)
+        assert centralizer_intersection_trivial(X[:3, :3], X)
+
+    @pytest.mark.parametrize("i", [2, 3])
+    def test_scalar_level_with_generic_border_not_trivial(self, i):
+        # A scalar X_i is not regular: every Z in gl(i) commutes with it, and
+        # those with Z b = 0 and c Z = 0 form an (i-1)^2-dimensional space.
+        rng = np.random.default_rng(40 + i)
+        X = np.zeros((i + 1, i + 1), dtype=complex)
+        X[:i, :i] = 1.5 * np.eye(i)
+        X[:i, i] = rng.standard_normal(i) + 1j * rng.standard_normal(i)
+        X[i, :] = rng.standard_normal(i + 1) + 1j * rng.standard_normal(i + 1)
+
+        def stack(Z):
+            E = np.zeros((i + 1, i + 1), dtype=complex)
+            E[:i, :i] = Z
+            return np.concatenate([(Z @ X[:i, :i] - X[:i, :i] @ Z).reshape(-1),
+                                   (E @ X - X @ E).reshape(-1)])
+
+        assert len(dense_kernel(probe_operator(stack, i))) == (i - 1) ** 2
+        assert not is_regular(X[:i, :i])
+        assert not centralizer_intersection_trivial(X[:i, :i], X)
 
     def test_corner_compatibility_enforced(self):
         with pytest.raises(ValueError):
@@ -200,6 +235,35 @@ class TestReport:
             else:
                 margins = [m for m in report.margins if m is not None]
                 assert min(margins) < 10
+
+
+class TestMemoryWall:
+    """Sizes whose dense Kronecker operators would need about 4.3 GB."""
+
+    def test_is_regular_at_128(self):
+        rng = np.random.default_rng(128)
+        M = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
+        assert is_regular(M)
+        # Two eigenvalues: Arnoldi breaks down after two steps.
+        assert not is_regular(np.diag(np.repeat([1.0, 2.0], 64)))
+
+    def test_spectra_disjoint_at_128(self):
+        rng = np.random.default_rng(129)
+        top = 0.3 * (rng.standard_normal((129, 129)) + 1j * rng.standard_normal((129, 129)))
+        assert spectra_disjoint(top[:128, :128], top)
+
+
+class TestNoKroneckerOperators:
+    def test_sreg_and_generation_never_form_ad_operators(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense Kronecker operator formed")
+
+        monkeypatch.setattr(matcore, "ad_operator", refuse)
+        monkeypatch.setattr(regularity, "ad_operator", refuse)
+        monkeypatch.setattr(np, "kron", refuse)
+        T = tower.random_theta_tower(6, 3, scale=0.5)
+        assert sreg_report(T).verdict == "true"
+        assert sreg_report(diag_tower([1.0, 2.0, 3.0])).verdict == "false"
 
 
 class TestJointKernel:

@@ -267,6 +267,16 @@ class TestLagrangian:
         assert set(data) >= {"depth", "rank_A", "rank_G", "max_pairing", "verdict", "tolerance"}
         assert data["verdict"] == "true"
 
+    def test_rank_margins_reported(self):
+        data = lagrangian_check(theta_tower(4, 218)).to_json_dict()
+        for key in ("margin_A", "margin_G"):
+            assert isinstance(data[key], float) and np.isfinite(data[key])
+            assert data[key] > 10
+
+    def test_rank_margins_null_when_not_applicable(self):
+        data = lagrangian_check(diag_tower([1.0, 2.0, 3.0])).to_json_dict()
+        assert data["margin_A"] is None and data["margin_G"] is None
+
 
 class TestNondegeneracy:
     def test_pairing_matrix_full_rank_on_orbit_basis(self):
