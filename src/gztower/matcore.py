@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import dznrm2
-from scipy.linalg.lapack import ztrsyl
+from scipy.linalg.lapack import dsterf, zgees, ztrsyl
 
 __all__ = [
     "MAX_DIM",
@@ -56,6 +56,7 @@ __all__ = [
 MAX_DIM = 256
 
 _EPS = float(np.finfo(np.float64).eps)
+_SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -271,11 +272,20 @@ def _fro(Y: np.ndarray) -> float:
 def _reorthogonalize(y: np.ndarray, basis: np.ndarray) -> float:
     """Remove from y, in place, its components along the orthonormal rows of basis.
 
-    Classical Gram-Schmidt, applied twice; returns the norm of what is left.
+    Classical Gram-Schmidt, with a second pass only when the first removes
+    more than ``1 - 1/sqrt(2)`` of the norm (the Daniel-Gragg-Kaufman-Stewart
+    criterion: the one case where a single pass can leave y far from
+    orthogonal).  Returns the norm of what is left.
     """
+    norm = _fro(y)
+    if basis.shape[0] == 0:
+        return norm
     for _ in range(2):
         y -= (y.conj() @ basis.T).conj() @ basis
-    return _fro(y)
+        previous, norm = norm, _fro(y)
+        if not norm < _SQRT_HALF * previous:
+            break
+    return norm
 
 
 def krylov_basis(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -339,6 +349,25 @@ def null_space(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     return [v.reshape(n, n) for v in kernel_basis(A, tol)]
 
 
+def _bidiagonal_top(a: np.ndarray, b: np.ndarray, scale: float) -> float:
+    """Largest singular value of the upper bidiagonal matrix with diagonal a, superdiagonal b.
+
+    The square root of the top eigenvalue of the tridiagonal ``B^T B``
+    (LAPACK ``dsterf``, no vectors), formed from the entries divided by
+    ``scale``, an upper bound on them, so that no square overflows.
+    """
+    if not b.size:
+        return float(a[0])
+    a, b = a / scale, b / scale
+    diagonal = a * a
+    diagonal[1:] += b * b
+    w, info = dsterf(diagonal, a[:-1] * b, overwrite_d=1, overwrite_e=1)
+    if info:
+        bidiagonal = np.diag(a) + np.diag(b, 1)
+        return scale * float(np.linalg.svd(bidiagonal, compute_uv=False)[0])
+    return scale * math.sqrt(max(float(w[-1]), 0.0))
+
+
 def _top_singular(
     apply: Callable[[np.ndarray], tuple[np.ndarray, float]],
     adjoint: Callable[[np.ndarray], tuple[np.ndarray, float]],
@@ -361,11 +390,14 @@ def _top_singular(
     U = np.zeros((steps, dim), dtype=np.complex128)
     V = np.zeros((steps + 1, dim), dtype=np.complex128)
     V[0] = start.reshape(-1) / _fro(start)
-    B = np.zeros((steps, steps))
-    estimate = 0.0
+    # The bidiagonal: alphas on the diagonal, betas above it; peak bounds both.
+    alphas, betas = np.zeros(steps), np.zeros(steps)
+    peak = estimate = 0.0
     for j in range(steps):
         Y, scale = apply(V[j].reshape(shape))
-        y = Y.reshape(-1) - (B[j - 1, j] * U[j - 1] if j else 0.0)
+        y = Y.reshape(-1)
+        if j:
+            y = y - betas[j - 1] * U[j - 1]
         alpha = _reorthogonalize(y, U[:j])
         if scale < 1.0 or not math.isfinite(alpha):
             return math.inf
@@ -373,28 +405,91 @@ def _top_singular(
         # space is exhausted: it is dropped, and the run ends.
         exhausted = not alpha > _EPS * _fro(Y)
         if not exhausted:
-            B[j, j] = alpha
-            U[j] = y / alpha
+            alphas[j] = alpha
+            np.divide(y, alpha, out=U[j])
             Z, scale = adjoint(U[j].reshape(shape))
             z = Z.reshape(-1) - alpha * V[j]
             beta = _reorthogonalize(z, V[: j + 1])
             if scale < 1.0 or not math.isfinite(beta):
                 return math.inf
             exhausted = not beta > _EPS * _fro(Z)
-        top = float(np.linalg.svd(B[: j + 1, : j + 1], compute_uv=False)[0])
+            peak = max(peak, alpha)
+        if not peak > 0.0:
+            return 0.0
+        top = _bidiagonal_top(alphas[: j + 1], betas[:j], peak)
         if exhausted or top - estimate <= rtol * top:
             return top
         estimate = top
-        V[j + 1] = z / beta
-        if j + 1 < steps:
-            B[j, j + 1] = beta
+        np.divide(z, beta, out=V[j + 1])
+        betas[j] = beta
+        peak = max(peak, beta)
     return estimate
+
+
+def _no_reordering(eigenvalue: complex) -> int:
+    return 0
+
+
+def _shifted_schur(A: np.ndarray, B: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Complex Schur forms of ``A - mu I`` and ``B - mu I``, Fortran-ordered for ``trsyl``.
+
+    One common ``mu = (tr A + tr B) / (na + nb)`` leaves ``Z -> A Z - Z B``
+    unchanged, and keeps ``trsyl``'s perturbation of zero divisors relative
+    to the spread of the two spectra, not to their magnitude.  None for
+    non-finite input.
+    """
+    A = np.asarray(A, dtype=np.complex128)
+    B = np.asarray(B, dtype=np.complex128)
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
+        return None
+    mu = (np.trace(A) + np.trace(B)) / (A.shape[0] + B.shape[0])
+    forms = []
+    for M in (A, B):
+        # LAPACK gees without Schur vectors: only the triangle is needed.
+        T, _, _, _, _, info = zgees(_no_reordering, M - mu * np.eye(M.shape[0]), compute_v=0)
+        if info:
+            raise np.linalg.LinAlgError("Schur factorization did not converge")
+        forms.append(T)
+    return forms[0], forms[1]
+
+
+def _sylvester_start(na: int, nb: int) -> np.ndarray:
+    # Unit-modulus entries with golden-ratio phases: deterministic, and with
+    # no structure a Schur basis could be orthogonal to.
+    phases = 2j * np.pi * 0.6180339887498949 * np.arange(na * nb).reshape(na, nb)
+    return np.exp(phases) / math.sqrt(na * nb)
+
+
+def _sylvester_smin(R: np.ndarray, S: np.ndarray) -> float:
+    """Smallest singular value of ``W -> R W - W S``, through its inverse."""
+    inverse_norm = _top_singular(
+        lambda W: ztrsyl(R, S, W, isgn=-1)[:2],
+        lambda W: ztrsyl(R, S, W, trana="C", tranb="C", isgn=-1)[:2],
+        _sylvester_start(R.shape[0], S.shape[0]),
+        1e-13,
+        64,
+    )
+    return 1.0 / inverse_norm if inverse_norm > 0.0 else math.nan
+
+
+def _sylvester_smax(R: np.ndarray, S: np.ndarray) -> float:
+    """Largest singular value of ``W -> R W - W S``, from below; stops at a 1e-4 relative step."""
+    Rh, Sh = R.conj().T, S.conj().T
+    return _top_singular(
+        lambda W: (R @ W - W @ S, 1.0),
+        lambda W: (Rh @ W - W @ Sh, 1.0),
+        _sylvester_start(R.shape[0], S.shape[0]),
+        1e-4,
+        64,
+    )
 
 
 def sylvester_min_singular(A: np.ndarray, B: np.ndarray) -> tuple[float, float]:
     """Smallest and largest singular value of ``Z -> A Z - Z B``.
 
-    With complex Schur forms ``A = U R U^H`` and ``B = V S V^H`` the operator
+    Both matrices are first shifted by one common ``mu = (tr A + tr B) /
+    (na + nb)``, which leaves the operator unchanged.  With complex Schur
+    forms ``A - mu I = U R U^H`` and ``B - mu I = V S V^H`` the operator
     becomes ``W -> R W - W S`` on ``W = U^H Z V``, an isometry, so the
     singular values are those of the triangular operator.  The smallest is
     the reciprocal of the largest singular value of its inverse, found by
@@ -405,35 +500,17 @@ def sylvester_min_singular(A: np.ndarray, B: np.ndarray) -> tuple[float, float]:
     relative: it only scales a threshold.
 
     A singular operator needs no special case: ``trsyl`` reports it with
-    ``info = 1`` and solves with zero divisors perturbed to rounding level,
-    so the smallest value comes out at rounding level, or exactly 0 when the
-    solve had to rescale to avoid overflow.  Non-finite input gives
-    ``(nan, nan)``.
+    ``info = 1`` and solves with zero divisors perturbed to ``eps`` times
+    the largest entry of the shifted Schur forms, so the smallest value
+    comes out at rounding level of the spread of the two spectra rather
+    than of their magnitude (unshifted, ``1e4 I`` against itself would read
+    about 2e-12), or exactly 0 when the solve had to rescale to avoid
+    overflow.  Non-finite input gives ``(nan, nan)``.
     """
-    A = np.asarray(A, dtype=np.complex128)
-    B = np.asarray(B, dtype=np.complex128)
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
+    forms = _shifted_schur(A, B)
+    if forms is None:
         return math.nan, math.nan
-    R = np.asfortranarray(scipy.linalg.schur(A, output="complex", check_finite=False)[0])
-    S = np.asfortranarray(scipy.linalg.schur(B, output="complex", check_finite=False)[0])
-    Rh, Sh = R.conj().T, S.conj().T
-    # Unit-modulus entries with golden-ratio phases: deterministic, and with
-    # no structure a Schur basis could be orthogonal to.
-    na, nb = R.shape[0], S.shape[0]
-    phases = 2j * np.pi * 0.6180339887498949 * np.arange(na * nb).reshape(na, nb)
-    start = np.exp(phases) / math.sqrt(na * nb)
-
-    smax = _top_singular(
-        lambda W: (R @ W - W @ S, 1.0), lambda W: (Rh @ W - W @ Sh, 1.0), start, 1e-4, 64
-    )
-    inverse_norm = _top_singular(
-        lambda W: ztrsyl(R, S, W, isgn=-1)[:2],
-        lambda W: ztrsyl(R, S, W, trana="C", tranb="C", isgn=-1)[:2],
-        start,
-        1e-13,
-        64,
-    )
-    return (1.0 / inverse_norm if inverse_norm > 0.0 else math.nan), smax
+    return _sylvester_smin(*forms), _sylvester_smax(*forms)
 
 
 def spectra_disjoint(A: np.ndarray, B: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -441,11 +518,18 @@ def spectra_disjoint(A: np.ndarray, B: np.ndarray, tol: Tolerance = DEFAULT_TOL)
 
     Tests invertibility of the Sylvester operator ``Z -> A Z - Z B``, which
     is singular exactly when the two spectra intersect: its smallest
-    singular value must clear ``max(tol.abs, tol.rel * s_max)``.  The Schur
-    forms behind :func:`sylvester_min_singular` carry the eigenvalues on
-    their diagonals, but no eigenvalue is compared with another; a shared
-    eigenvalue shows as a near-zero singular value.  Non-finite input is
-    never disjoint.
+    singular value must clear ``max(tol.abs, tol.rel * s_max)``, with both
+    values as in :func:`sylvester_min_singular`.  The Schur forms carry the
+    eigenvalues on their diagonals, but no eigenvalue is compared with
+    another; a shared eigenvalue shows as a near-zero singular value.
+    ``||R||_F + ||S||_F`` bounds ``s_max`` from above, so a smallest value
+    that clears its threshold decides without the forward iteration.
+    Non-finite input is never disjoint.
     """
-    smin, smax = sylvester_min_singular(A, B)
-    return smin > tol.threshold(smax)
+    forms = _shifted_schur(A, B)
+    if forms is None:
+        return False
+    smin = _sylvester_smin(*forms)
+    if smin > tol.threshold(_fro(forms[0]) + _fro(forms[1])):
+        return True
+    return smin > tol.threshold(_sylvester_smax(*forms))

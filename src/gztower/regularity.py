@@ -45,6 +45,7 @@ from .tower import Tower
 
 __all__ = [
     "SregReport",
+    "report_number",
     "is_regular",
     "centralizer_basis",
     "centralizer_intersection_trivial",
@@ -216,6 +217,11 @@ def _theta_holds(T: Tower, tol: Tolerance) -> bool:
     )
 
 
+def report_number(x: Optional[float]) -> Optional[float]:
+    """A diagnostic as a JSON report value: missing or infinite becomes null."""
+    return None if x is None or math.isinf(x) else x
+
+
 @dataclass(frozen=True)
 class SregReport:
     """Joint result of the three strong-regularity criteria plus the
@@ -235,19 +241,14 @@ class SregReport:
         def tri(v: Optional[bool]) -> str:
             return "indeterminate" if v is None else ("true" if v else "false")
 
-        def num(x: Optional[float]):
-            if x is None or math.isinf(x):
-                return None
-            return x
-
         return {
             "depth": self.depth,
             "by_differentials": tri(self.by_differentials),
             "by_centralizers": tri(self.by_centralizers),
             "by_tangents": tri(self.by_tangents),
             "theta": tri(self.theta),
-            "min_singular_values": [num(x) for x in self.min_singular_values],
-            "margins": [num(x) for x in self.margins],
+            "min_singular_values": [report_number(x) for x in self.min_singular_values],
+            "margins": [report_number(x) for x in self.margins],
             "verdict": self.verdict,
             "notes": list(self.notes),
         }

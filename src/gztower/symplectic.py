@@ -18,7 +18,6 @@ orbit rank: the Lagrangian verification checks both.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -35,7 +34,7 @@ from .matcore import (
     rank_split,
     trace_pair,
 )
-from .regularity import sreg_report
+from .regularity import report_number, sreg_report
 from .tower import Tower, TowerTangent
 
 __all__ = [
@@ -121,10 +120,6 @@ def pairing_matrix(T: Tower, tangents: Sequence[TowerTangent]) -> np.ndarray:
     return upper - upper.T
 
 
-def _finite(x: Optional[float]) -> Optional[float]:
-    return None if x is None or math.isinf(x) else x
-
-
 @dataclass(frozen=True)
 class LagrangianReport:
     depth: int
@@ -145,8 +140,8 @@ class LagrangianReport:
             "depth": self.depth,
             "rank_A": self.rank_A,
             "rank_G": self.rank_G,
-            "margin_A": _finite(self.margin_A),
-            "margin_G": _finite(self.margin_G),
+            "margin_A": report_number(self.margin_A),
+            "margin_G": report_number(self.margin_G),
             "max_pairing": self.max_pairing,
             "pairing_scale": self.pairing_scale,
             "verdict": self.verdict,

@@ -352,6 +352,46 @@ class TestSingularSylvester:
             np.diag([1.0, 2.0]).astype(complex), np.diag([1.0, 2.0, 3.0]).astype(complex)
         )
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([1e4, 1e4], [1e4, 1e4, 1e4]),
+            ([1e8 + 1, 1e8 + 2], [1e8 + 1, 1e8 + 2, 1e8 + 3]),
+        ],
+    )
+    def test_shared_spectrum_far_from_the_origin(self, a, b):
+        # The rounding floor of trsyl scales with the spread of the two
+        # spectra, not with their distance from 0.
+        from gztower.oracles import kron_spectra_disjoint
+
+        A, B = np.diag(a).astype(complex), np.diag(b).astype(complex)
+        assert not quiet_disjoint(A, B)
+        assert kron_spectra_disjoint(A, B) is False
+
+    def test_common_shift_leaves_the_values(self):
+        rng = np.random.default_rng(14)
+        A, B = rand_c(rng, 4), rand_c(rng, 5)
+        smin, smax = sylvester_min_singular(A, B)
+        for c in (1e4, -3e6 + 2e6j):
+            shifted_min, shifted_max = sylvester_min_singular(A + c * np.eye(4), B + c * np.eye(5))
+            assert abs(shifted_min - smin) <= 1e-8 * smin
+            assert abs(shifted_max - smax) <= 1e-3 * smax
+
+    def test_decision_is_the_threshold_rule(self):
+        # spectra_disjoint may decide before computing s_max; the answer is
+        # still smin > tol.threshold(smax) on the pair's own values.
+        rng = np.random.default_rng(15)
+        pairs = [(rand_c(rng, na), rand_c(rng, na + 1)) for na in range(1, 7)]
+        pairs += [
+            (np.eye(2, dtype=complex), np.eye(3, dtype=complex)),
+            (np.diag([1.0, 2.0]).astype(complex), np.diag([1.0, 2.0, 3.0]).astype(complex)),
+            (np.diag(np.ones(1), 1).astype(complex), np.diag(np.ones(2), 1).astype(complex)),
+        ]
+        for tol in (Tolerance(), Tolerance(rel=0.5, abs=0.0)):
+            for A, B in pairs:
+                smin, smax = sylvester_min_singular(A, B)
+                assert spectra_disjoint(A, B, tol) == (smin > tol.threshold(smax))
+
     def test_zero_pair(self):
         # trsyl meets only zero divisors and perturbs them to underflow level.
         Z2, Z3 = np.zeros((2, 2), dtype=complex), np.zeros((3, 3), dtype=complex)

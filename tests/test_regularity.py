@@ -206,6 +206,13 @@ class TestReport:
         assert report.verdict == "false"
         assert report.theta is False
 
+    def test_scaled_identity_tower_has_no_theta(self):
+        # The Sylvester operator does not see a common shift: 1e4 I shares
+        # its spectrum across levels exactly as I does.
+        report = sreg_report(new_tower(1e4 * np.eye(4, dtype=complex)))
+        assert report.theta is False
+        assert report.verdict == "false"
+
     def test_depth_one_report_flags_tangents(self):
         report = sreg_report(new_tower([[1.0]]))
         assert report.by_tangents is None
