@@ -522,8 +522,9 @@ def spectra_disjoint(A: np.ndarray, B: np.ndarray, tol: Tolerance = DEFAULT_TOL)
     values as in :func:`sylvester_min_singular`.  The Schur forms carry the
     eigenvalues on their diagonals, but no eigenvalue is compared with
     another; a shared eigenvalue shows as a near-zero singular value.
-    ``||R||_F + ||S||_F`` bounds ``s_max`` from above, so a smallest value
-    that clears its threshold decides without the forward iteration.
+    The sum of the Frobenius norms of the two shifted Schur triangles bounds
+    ``s_max`` from above, so a smallest value that clears the threshold of
+    that bound decides without the forward iteration.
     Non-finite input is never disjoint.
     """
     forms = _shifted_schur(A, B)

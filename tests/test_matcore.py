@@ -379,15 +379,18 @@ class TestSingularSylvester:
 
     def test_decision_is_the_threshold_rule(self):
         # spectra_disjoint may decide before computing s_max; the answer is
-        # still smin > tol.threshold(smax) on the pair's own values.
+        # still smin > tol.threshold(smax) on the pair's own values.  The
+        # default tolerance decides early; the loose ones run the forward
+        # iteration, which reads true on the involution pair at rel = 0.9.
         rng = np.random.default_rng(15)
         pairs = [(rand_c(rng, na), rand_c(rng, na + 1)) for na in range(1, 7)]
         pairs += [
+            (as_cmatrix([[0]]), as_cmatrix([[0, 1], [1, 0]])),
             (np.eye(2, dtype=complex), np.eye(3, dtype=complex)),
             (np.diag([1.0, 2.0]).astype(complex), np.diag([1.0, 2.0, 3.0]).astype(complex)),
             (np.diag(np.ones(1), 1).astype(complex), np.diag(np.ones(2), 1).astype(complex)),
         ]
-        for tol in (Tolerance(), Tolerance(rel=0.5, abs=0.0)):
+        for tol in (Tolerance(), Tolerance(rel=0.5, abs=0.0), Tolerance(rel=0.9, abs=0.0)):
             for A, B in pairs:
                 smin, smax = sylvester_min_singular(A, B)
                 assert spectra_disjoint(A, B, tol) == (smin > tol.threshold(smax))
