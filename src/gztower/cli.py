@@ -127,6 +127,10 @@ def _tri(ok: bool) -> str:
     return "true" if ok else "false"
 
 
+def _passed(verdict: str) -> str:
+    return verdict if verdict in ("true", "false") else "indeterminate"
+
+
 def _norm2(M: np.ndarray) -> float:
     return float(np.linalg.norm(M, 2))
 
@@ -240,27 +244,20 @@ def _check_conserve(T: Tower, tol: Tolerance, seed: int) -> CheckResult:
 
 def _check_sreg(T: Tower, tol: Tolerance, seed: int) -> CheckResult:
     report = sreg_report(T, tol)
-    passed = report.verdict if report.verdict in ("true", "false") else "indeterminate"
     return CheckResult(
         name="sreg",
         property="strong-regularity-criteria",
-        passed=passed,
+        passed=_passed(report.verdict),
         details=report.to_json_dict(),
     )
 
 
 def _check_lagrangian(T: Tower, tol: Tolerance, seed: int) -> CheckResult:
     report = lagrangian_check(T, tol)
-    if report.verdict == "true":
-        passed = "true"
-    elif report.verdict == "false":
-        passed = "false"
-    else:
-        passed = "indeterminate"
     return CheckResult(
         name="lagrangian",
         property="abelian-orbit-lagrangian-structure",
-        passed=passed,
+        passed=_passed(report.verdict),
         details=report.to_json_dict(),
     )
 

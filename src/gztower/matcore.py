@@ -12,8 +12,8 @@ Everything downstream works on square ``numpy.ndarray`` matrices with
 and the single tolerance rule used by all of them: a quantity of scale
 ``s`` counts as zero when it is below ``max(tol.abs, tol.rel * s)``.
 The strong-regularity and generation paths never form a Kronecker
-operator; ``ad_operator`` remains for :func:`null_space` callers, and the
-Kronecker forms of the other tests live in :mod:`gztower.oracles`.
+operator; ``ad_operator`` remains for the centralizer of a non-regular
+matrix, and the other Kronecker forms live in :mod:`gztower.oracles`.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ formulations are implemented and cross-validated:
 2. centralizers: every level is a regular matrix and consecutive
    centralizers intersect trivially; both questions are answered in the
    Krylov coordinates of span{I, X_i, ..., X_i^(i-1)}, which is the
-   centralizer of a regular X_i (Kostant-Wallach 2006),
+   centralizer of a regular X_i (Kostant-Wallach 2006); the intersection
+   is the kernel of a border system in those coordinates,
 3. tangents: the Hamiltonian tangent family (below the top level) has
    full rank.
 
@@ -16,6 +17,9 @@ The criteria are mathematically equivalent but numerically differently
 conditioned, so each verdict carries a margin: how cleanly its decisive
 singular values split at the threshold.  Disagreement within margin is
 reported as "indeterminate" rather than raised as an error.
+
+The joint commutant of levels n..N, which the ``anchor`` check tests, is
+the same border system with the whole border blocks of X_N.
 """
 
 from __future__ import annotations
@@ -32,8 +36,6 @@ from .matcore import (
     DEFAULT_TOL,
     Tolerance,
     ad_operator,
-    commutator,
-    embed,
     kernel_basis,
     krylov_basis,
     null_space,
@@ -86,30 +88,15 @@ def is_regular(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def centralizer_basis(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
-    """Orthonormal basis of ``{Z : [Z, M] = 0}``.
+    """Frobenius-orthonormal basis of ``{Z : [Z, M] = 0}``.
 
-    For regular M the span equals span{Id, M, ..., M^(n-1)}.
+    At a regular M the centralizer is span{Id, M, ..., M^(n-1)}, and the
+    basis is the Arnoldi basis of :func:`~gztower.matcore.krylov_basis`,
+    O(n^4).  Only a non-regular M, whose centralizer is larger than that
+    span, takes the kernel of the dense n^2 x n^2 ``ad_operator(M)``.
     """
-    return null_space(ad_operator(M), tol=tol)
-
-
-def _commutant_stack(T: Tower, n: int) -> np.ndarray:
-    """Matrix of ``x -> ([embed(x, k), X(k)])_{k = n..N}`` on row-major flattened x in gl(n).
-
-    Its kernel is the set of level-n matrices that commute with every level
-    from n to the top.
-    """
-    levels = [T.level(k) for k in range(n, T.depth + 1)]
-    A = np.empty((sum(X.size for X in levels), n * n), dtype=np.complex128)
-    unit = np.zeros((n, n), dtype=np.complex128)
-    for k in range(n):
-        for l in range(n):
-            unit[k, l] = 1.0
-            A[:, k * n + l] = np.concatenate(
-                [commutator(embed(unit, X.shape[0]), X).reshape(-1) for X in levels]
-            )
-            unit[k, l] = 0.0
-    return A
+    regular, _, _, Q = _regular_split(M, tol)
+    return list(Q) if regular else null_space(ad_operator(M), tol=tol)
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -117,20 +104,26 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / norm if norm > 0 else v
 
 
+def _border_system(Q: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Matrix of ``a -> (Z B, C Z)`` on ``Z = sum_j a_j Q_j``, 2nm x k, blocks flattened.
+
+    With ``X = [[X_n, B], [C, D]]`` and Z in the centralizer ``span(Q)`` of
+    X_n, ``[embed(Z), X] = [[0, Z B], [-C Z, 0]]``, so the kernel is the part
+    of that centralizer which commutes with X.  B (n x m) and C (m x n) enter
+    at unit Frobenius norm: the kernel does not see their scale, and neither
+    sets the other's threshold.
+    """
+    k = Q.shape[0]
+    return np.concatenate(
+        [(Q @ _unit(B)).reshape(k, -1), (_unit(C) @ Q).reshape(k, -1)], axis=1
+    ).T
+
+
 def _border_split(
     Q: np.ndarray, b: np.ndarray, c: np.ndarray, tol: Tolerance
 ) -> tuple[bool, float, float]:
-    """Whether no nonzero Z in span(Q) has ``Z b = 0`` and ``c Z = 0``.
-
-    With ``X_{i+1} = [[X_i, b], [c, d]]``, the commutator of
-    ``embed(Z, i+1)`` with ``X_{i+1}`` is ``[[ [Z, X_i], Z b ], [ -c Z, 0 ]]``,
-    so for Z in the centralizer ``span(Q)`` of a regular X_i the intersection
-    is the kernel of the 2i x i system with columns ``(Q_k b, (c Q_k)^T)``.
-    The intersection is unchanged when b or c is rescaled, so both enter as
-    unit vectors and neither sets the other's threshold.
-    """
-    system = np.concatenate([Q @ _unit(b), _unit(c) @ Q], axis=1).T
-    s = np.linalg.svd(system, compute_uv=False)
+    """Whether no nonzero Z in span(Q) has ``Z b = 0`` and ``c Z = 0`` (a 2i x i system)."""
+    s = np.linalg.svd(_border_system(Q, b[:, None], c[None, :]), compute_uv=False)
     rank, decisive, margin = spectrum_split(s, tol)
     return rank == Q.shape[0], decisive, margin
 
@@ -307,9 +300,17 @@ def joint_commutant_kernel(
     """Basis of ``{x in gl(n) : [embed(x, k), X(k)] = 0 for all n <= k <= N}``.
 
     This is the kernel of the anchor map restricted to level-n covectors;
-    at strongly regular towers it is trivial for every n < N.
+    at strongly regular towers it is trivial for every n < N.  The borders
+    of every X(k) are sub-blocks of X(N)'s, so the kernel is
+    ``{x in z(X(n)) : x X(N)[:n, n:] = 0, X(N)[n:, :n] x = 0}``: the
+    :func:`_border_system` kernel over an orthonormal :func:`centralizer_basis`.
     """
     if not 1 <= base_level <= T.depth:
         raise IndexError("base level out of range")
-    A = _commutant_stack(T, base_level)
-    return [v.reshape(base_level, base_level) for v in kernel_basis(A, tol)]
+    n = base_level
+    basis = centralizer_basis(T.level(n), tol)
+    if n == T.depth:
+        return basis
+    Q = np.stack(basis)
+    system = _border_system(Q, T.top[:n, n:], T.top[n:, :n])
+    return [np.tensordot(a, Q, axes=1) for a in kernel_basis(system, tol)]

@@ -172,25 +172,53 @@ class TestCommutantStack:
 
         return probe_operator(op, n)
 
-    @pytest.mark.parametrize("kind", ["theta", "diagonal"])
-    def test_kernels_agree_with_dense_kernel(self, kind):
+    @staticmethod
+    def tower(kind):
         if kind == "theta":
-            T = theta_tower(6, 260)
-        else:
-            T = diag_tower([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+            return theta_tower(6, 260)
+        if kind == "diagonal":
+            return diag_tower([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        if kind == "identity":
+            return new_tower(np.eye(6, dtype=complex))
+        if kind == "jordan":
+            return jordan_tower(6)
+        # Levels 1-4 are scalar under a generic border of rank 2, so levels
+        # 2-6 are not regular and the kernels are proper subspaces of gl(n).
+        top = plain_tower(6, 261).top.copy()
+        top[:4, :4] = 1.5 * np.eye(4)
+        return new_tower(top)
+
+    @pytest.mark.parametrize("kind", ["theta", "diagonal", "identity", "jordan", "scalar-levels"])
+    def test_kernels_agree_with_dense_kernel(self, kind):
+        T = self.tower(kind)
         N = T.depth
+        bound = 1e-12 * (1.0 + np.linalg.norm(T.top))
         # Distinct diagonal entries: the diagonal matrices of gl(n) commute with
         # every level.  A regular X(N) alone has an N-dimensional centralizer.
+        expected = {"theta": lambda n: n if n == N else 0, "diagonal": lambda n: n}
         for n in range(1, N):
             oracle = dense_kernel(self.probed_stack(T, n, n + 1))
-            assert len(oracle) == (n if kind == "diagonal" else 0)
+            if kind in expected:
+                assert len(oracle) == expected[kind](n)
             assert centralizer_intersection_trivial(T.level(n), T.level(n + 1)) == (
                 len(oracle) == 0
             )
         for n in range(1, N + 1):
             oracle = dense_kernel(self.probed_stack(T, n, N))
-            assert len(oracle) == (n if kind == "diagonal" or n == N else 0)
-            assert len(joint_commutant_kernel(T, n)) == len(oracle)
+            kernel = joint_commutant_kernel(T, n)
+            if kind in expected:
+                assert len(oracle) == expected[kind](n)
+            assert len(kernel) == len(oracle)
+            if not kernel:
+                continue
+            gram = np.array([[np.vdot(x, y) for y in kernel] for x in kernel])
+            assert np.abs(gram - np.eye(len(kernel))).max() <= 1e-12
+            for x in kernel:
+                for k in range(n, N + 1):
+                    X = T.level(k)
+                    E = np.zeros((k, k), dtype=complex)
+                    E[:n, :n] = x
+                    assert np.linalg.norm(E @ X - X @ E) <= bound
 
 
 def _oracle_towers(kind):

@@ -259,18 +259,34 @@ class TestMemoryWall:
         top = 0.3 * (rng.standard_normal((129, 129)) + 1j * rng.standard_normal((129, 129)))
         assert spectra_disjoint(top[:128, :128], top)
 
+    def test_joint_commutant_kernel_at_64(self):
+        # The dense stack of levels 48..64 on gl(48) would hold about 2 GB;
+        # the border system of a regular X(48) is 1536 x 48.
+        rng = np.random.default_rng(64)
+        top = 0.3 * (rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
+        assert joint_commutant_kernel(new_tower(top), 48) == []
+
 
 class TestNoKroneckerOperators:
-    def test_sreg_and_generation_never_form_ad_operators(self, monkeypatch):
+    @pytest.fixture(autouse=True)
+    def refuse_kronecker(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("dense Kronecker operator formed")
 
         monkeypatch.setattr(matcore, "ad_operator", refuse)
         monkeypatch.setattr(regularity, "ad_operator", refuse)
         monkeypatch.setattr(np, "kron", refuse)
+
+    def test_sreg_and_generation_never_form_ad_operators(self):
         T = tower.random_theta_tower(6, 3, scale=0.5)
         assert sreg_report(T).verdict == "true"
         assert sreg_report(diag_tower([1.0, 2.0, 3.0])).verdict == "false"
+
+    def test_joint_commutant_kernel_at_regular_levels(self):
+        T = tower.random_theta_tower(6, 4, scale=0.5)
+        for n in range(1, 6):
+            assert joint_commutant_kernel(T, n) == []
+        assert len(joint_commutant_kernel(T, 6)) == 6
 
 
 class TestJointKernel:
