@@ -151,49 +151,73 @@ class GroupElement:
 
 
 def _conjugate(g: np.ndarray, X: np.ndarray) -> np.ndarray:
-    # g X g^{-1} via a solve on the right factor.
-    Y = g @ X
-    try:
-        return np.linalg.solve(g.T, Y.T).T
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            "conjugator is numerically singular; the exponential factors are "
-            "too ill-conditioned at this scale"
-        ) from exc
+    # g X g^{-1} via a solve on the right factor; overflow is checked below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        Y = g @ X
+        try:
+            out = np.linalg.solve(g.T, Y.T).T
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(
+                "conjugator is numerically singular; the exponential factors are "
+                "too ill-conditioned at this scale"
+            ) from exc
+    if not np.all(np.isfinite(out)):
+        raise OverflowError("conjugated matrix overflowed; reduce parameters or scale")
+    return out
 
 
-def _action_product(a: AParams, T: Tower, N: int) -> np.ndarray:
-    """Ordered product of the action's exponential factors at level N.
+def _nonzero_terms(a: AParams) -> list[tuple[int, int, complex]]:
+    """Every (i, j, t_ij) with t_ij != 0, in ascending lexicographic order."""
+    return [
+        (i, j, t)
+        for i, row in enumerate(a.t, start=1)
+        for j, t in enumerate(row, start=1)
+        if t != 0
+    ]
 
-    Factors ascend lexicographically in (i, j); every corner power is
-    taken from the input tower.
+
+def _action_product(terms: list[tuple[int, int, complex]], T: Tower, N: int) -> np.ndarray:
+    """Ordered product of the factors exp(j t X_i^(j-1)) of ``terms`` at level N.
+
+    Factors multiply in the order of ``terms``; every corner power is
+    taken from the input tower, formed as X_i^(j-1) = X_i^(j-2) X_i from
+    the identity and only up to the largest j a level needs.  Callers
+    leave zero parameters out: their factor expm(0) is exactly I.
     """
     g = np.eye(N, dtype=np.complex128)
-    for i in range(1, a.n):
-        Xi = T.level(i)
-        powers = np.eye(i, dtype=np.complex128)
-        for j in range(1, i + 1):
-            factor = mat_exp(embed(j * a.get(i, j) * powers, N))
-            g = g @ factor
-            powers = powers @ Xi
+    powers: dict[int, list[np.ndarray]] = {}
+    for i, j, t in terms:
+        table = powers.setdefault(i, [np.eye(i, dtype=np.complex128)])
+        while len(table) < j:
+            table.append(table[-1] @ T.level(i))
+        g = g @ mat_exp(embed(j * t * table[j - 1], N))
     return g
+
+
+def _require_depth(a: AParams, T: Tower) -> None:
+    if a.n > T.depth + 1:
+        raise IndexError(
+            f"parameter level {a.n} needs corners up to {a.n - 1}, "
+            f"but the tower has depth {T.depth}"
+        )
+
+
+def _act(terms: list[tuple[int, int, complex]], T: Tower) -> Tower:
+    g = _action_product(terms, T, T.depth)
+    if not np.all(np.isfinite(g)):
+        raise OverflowError("action factors overflowed; reduce parameters or scale")
+    return Tower(_conjugate(g, T.top))
 
 
 def a_act(a: AParams, T: Tower) -> Tower:
     """Act on a tower by the abelian group element with parameters ``a``.
 
     Requires a.n <= depth + 1 (the factors read corners up to level
-    a.n - 1).  Zero parameters act as the exact identity.
+    a.n - 1).  Zero parameters act as the exact identity.  Costs one
+    matrix exponential per nonzero parameter.
     """
-    if a.n > T.depth + 1:
-        raise IndexError(
-            f"parameter level {a.n} needs corners up to {a.n - 1}, "
-            f"but the tower has depth {T.depth}"
-        )
-    g = _action_product(a, T, T.depth)
-    if not np.all(np.isfinite(g)):
-        raise OverflowError("action factors overflowed; reduce parameters or scale")
-    return Tower(_conjugate(g, T.top))
+    _require_depth(a, T)
+    return _act(_nonzero_terms(a), T)
 
 
 def a_act_stepwise(a: AParams, T: Tower, order: list[GZIndex] | None = None) -> Tower:
@@ -212,12 +236,11 @@ def a_act_stepwise(a: AParams, T: Tower, order: list[GZIndex] | None = None) -> 
         seen.add(idx)
     if len(seen) != a.n * (a.n - 1) // 2:
         raise ValueError("order must cover all parameter indices")
+    _require_depth(a, T)
     current = T
     for idx in keys:
-        single = zero_params(a.n)
-        rows = [list(row) for row in single.t]
-        rows[idx.i - 1][idx.j - 1] = a.get(idx.i, idx.j)
-        current = a_act(AParams(a.n, tuple(tuple(r) for r in rows)), current)
+        t = a.get(idx.i, idx.j)
+        current = _act([(idx.i, idx.j, t)] if t != 0 else [], current)
     return current
 
 
@@ -279,4 +302,4 @@ def zn_element(T: Tower, a: AParams) -> GroupElement:
     """
     if a.n > T.depth:
         raise IndexError(f"parameter level {a.n} exceeds tower depth {T.depth}")
-    return GroupElement(T.depth, _action_product(a, T, T.depth))
+    return GroupElement(T.depth, _action_product(_nonzero_terms(a), T, T.depth))

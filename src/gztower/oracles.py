@@ -6,8 +6,11 @@ loops, the eigenvalue oracle goes through characteristic-polynomial
 coefficients and simultaneous root iteration, the kernel oracle is a
 full-pivot Gaussian elimination, and the Kronecker oracles answer the
 strong-regularity and spectrum questions by a dense SVD of the full
-operator on gl(n), which production code no longer forms.  Clarity over
-speed; dimensions are capped at test scale.
+operator on gl(n), which production code no longer forms.  The dense
+action product multiplies every exponential factor of the abelian
+action, zero parameters included; it shares only ``mat_exp`` and
+``embed`` with the action, so the two must agree bit for bit.  Clarity
+over speed; the root and Kronecker oracles are capped at test scale.
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ from typing import Callable
 
 import numpy as np
 
+from .action import AParams
 from .gz import SmoothFn
-from .matcore import DEFAULT_TOL, Tolerance
+from .matcore import DEFAULT_TOL, Tolerance, embed, mat_exp
 from .tower import Tower
 
 __all__ = [
@@ -34,6 +38,7 @@ __all__ = [
     "kron_intersection_trivial",
     "kron_sylvester_singular",
     "kron_spectra_disjoint",
+    "dense_action_product",
 ]
 
 MAX_ORACLE_DIM = 8
@@ -244,6 +249,23 @@ def kron_spectra_disjoint(A, B, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Invertibility of the Kronecker Sylvester matrix, with the production threshold rule."""
     smin, smax = kron_sylvester_singular(A, B)
     return smin > max(tol.abs, tol.rel * smax)
+
+
+def dense_action_product(a: AParams, T: Tower, N: int) -> np.ndarray:
+    """Ordered product of all n(n-1)/2 action factors exp(j t_ij X_i^(j-1)) at level N.
+
+    Factors ascend lexicographically in (i, j), zero parameters included;
+    every corner power is taken from the input tower.
+    """
+    g = np.eye(N, dtype=np.complex128)
+    for i in range(1, a.n):
+        Xi = T.level(i)
+        powers = np.eye(i, dtype=np.complex128)
+        for j in range(1, i + 1):
+            factor = mat_exp(embed(j * a.get(i, j) * powers, N))
+            g = g @ factor
+            powers = powers @ Xi
+    return g
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from gztower.action import (
     zn_element,
 )
 from gztower.gz import GZIndex, gz_eval, gz_hamiltonian, gz_indices
-from gztower.matcore import embed, rank_eps
+from gztower.matcore import embed, mat_exp, rank_eps
 from gztower.tower import new_tower
 
 from conftest import diag_tower, plain_tower, theta_tower
@@ -108,6 +108,67 @@ class TestAAct:
             a_act(zero_params(4), T)
         # n = depth + 1 is allowed: factors use corners up to depth.
         a_act(zero_params(3), T)
+
+
+class TestActionCost:
+    """One matrix exponential per nonzero parameter, whatever the depth."""
+
+    @pytest.fixture
+    def expm_calls(self, monkeypatch):
+        calls = []
+
+        def counting(M):
+            calls.append(M.shape)
+            return mat_exp(M)
+
+        monkeypatch.setattr("gztower.action.mat_exp", counting)
+        return calls
+
+    def test_one_call_per_nonzero_parameter(self, expm_calls):
+        rng = np.random.default_rng(7)
+        T = theta_tower(6, 150)
+        a = random_params(rng, 6, 0.4)
+        rows = [[t if rng.random() < 0.5 else 0j for t in row] for row in a.t]
+        a = AParams(6, tuple(tuple(r) for r in rows))
+        nonzero = sum(t != 0 for row in a.t for t in row)
+        assert 0 < nonzero < 15
+        a_act(a, T)
+        assert len(expm_calls) == nonzero
+
+    def test_zero_params_make_no_calls(self, expm_calls):
+        # Powers of this corner overflow by X_3^2; zero parameters never form them.
+        T = new_tower(np.full((4, 4), 1e200, dtype=complex))
+        acted = a_act(zero_params(4), T)
+        assert expm_calls == []
+        assert np.array_equal(acted.top, T.top)
+
+    def test_stepwise_depth_16_makes_one_call_per_step(self, expm_calls):
+        rng = np.random.default_rng(8)
+        T = plain_tower(16, 151, 0.2)
+        a = random_params(rng, 16, 0.1)
+        order = gz_indices(15)
+        perm = [order[int(k)] for k in rng.permutation(len(order))]
+        a_act_stepwise(a, T, perm)
+        assert len(expm_calls) == 120
+
+
+class TestOverflow:
+    """A conjugate that leaves the double range raises OverflowError."""
+
+    TOWER = [[0.0, 1e306], [0.0, 0.0]]
+
+    @pytest.mark.parametrize(
+        "move",
+        [
+            lambda T: a_act(AParams(2, ((20.0,),)), T),
+            lambda T: flow(T, GZIndex(1, 1), -20.0),
+            lambda T: gl_adjoint(GroupElement(2, np.diag([1e4, 1.0]).astype(complex)), T),
+        ],
+        ids=["a_act", "flow", "gl_adjoint"],
+    )
+    def test_non_finite_conjugate(self, move):
+        with pytest.raises(OverflowError):
+            move(new_tower(self.TOWER))
 
 
 class TestGLAdjoint:

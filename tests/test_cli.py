@@ -172,6 +172,15 @@ class TestCheck:
         assert details["conditioning_floor"] > 1e-8
         assert "ill-conditioned" in details["note"]
 
+    def test_conserve_on_overflowing_tower_is_indeterminate(self, tmp_path):
+        # Flows with t < 0 push the 1e308 entry past the double range.
+        tower_file = tmp_path / "huge.json"
+        write_tower(tower_file, new_tower([[0.0, 1e308], [0.0, 0.0]]))
+        out = tmp_path / "r.json"
+        code = cli.main(["check", str(tower_file), "--suite", "conserve", "-o", str(out)])
+        assert code == cli.EXIT_INDETERMINATE
+        assert json.loads(out.read_text())["checks"][0]["passed"] == "indeterminate"
+
     def test_report_deterministic(self, tmp_path):
         tower_file = tmp_path / "t.json"
         write_tower(tower_file, theta_tower(3, 402))
@@ -280,6 +289,13 @@ class TestFlow:
             ]
         )
         assert code == 0 and plot.exists()
+
+    def test_overflowing_flow_is_indeterminate(self, tmp_path, capsys):
+        tower_file = tmp_path / "huge.json"
+        write_tower(tower_file, new_tower([[0.0, 1e300], [0.0, 0.0]]))
+        argv = ["flow", str(tower_file), "--i", "1", "--j", "1", "--t-grid=-20"]
+        assert cli.main(argv + ["-o", str(tmp_path / "f.json")]) == cli.EXIT_INDETERMINATE
+        assert "not computable" in capsys.readouterr().err
 
     def test_bad_index_usage_error(self, tmp_path):
         tower_file = tmp_path / "t.json"

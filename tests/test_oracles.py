@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gztower.action import AParams, a_act_stepwise, random_params, zero_params, zn_element
 from gztower.gz import GZIndex, SmoothFn, gz_fn, gz_indices, poisson_bracket
 from gztower.matcore import (
     DEFAULT_TOL,
@@ -19,6 +20,7 @@ from gztower.oracles import (
     OracleResult,
     charpoly_coefficients,
     charpoly_roots,
+    dense_action_product,
     dense_kernel,
     fd_poisson_bracket,
     kron_intersection_trivial,
@@ -27,7 +29,7 @@ from gztower.oracles import (
     kron_sylvester_singular,
     run_oracle,
 )
-from gztower.tower import new_tower
+from gztower.tower import Tower, new_tower
 
 from conftest import diag_tower, jordan_tower, plain_tower, probe_operator, theta_tower
 
@@ -271,6 +273,48 @@ class TestKroneckerOracles:
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
             kron_is_regular(np.eye(MAX_ORACLE_DIM + 1, dtype=complex))
+
+
+def _action_params(kind, depth, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "zero":
+        return zero_params(depth)
+    a = random_params(rng, depth, 0.4)
+    if kind == "half":
+        rows = [[0j if rng.random() < 0.5 else t for t in row] for row in a.t]
+        a = AParams(depth, tuple(tuple(r) for r in rows))
+    return a
+
+
+ACTION_KINDS = ["zero", "nonzero", "half"]
+
+
+class TestDenseActionProduct:
+    """The sparse action product equals the all-factors oracle bit for bit."""
+
+    @pytest.mark.parametrize("kind", ACTION_KINDS)
+    def test_zn_element_matches(self, kind):
+        for depth in range(2, 9):
+            T = theta_tower(depth, 330 + depth, 0.4)
+            a = _action_params(kind, depth, depth)
+            assert np.array_equal(zn_element(T, a).matrix, dense_action_product(a, T, depth))
+
+    @pytest.mark.parametrize("kind", ACTION_KINDS)
+    def test_stepwise_matches_oracle_fold(self, kind):
+        for depth in (3, 5, 8):
+            T = theta_tower(depth, 330 + depth, 0.4)
+            a = _action_params(kind, depth, 10 + depth)
+            order = gz_indices(depth - 1)
+            perm_rng = np.random.default_rng(depth)
+            perm = [order[int(k)] for k in perm_rng.permutation(len(order))]
+            current = T
+            for idx in perm:
+                rows = [list(row) for row in zero_params(depth).t]
+                rows[idx.i - 1][idx.j - 1] = a.get(idx.i, idx.j)
+                single = AParams(depth, tuple(tuple(r) for r in rows))
+                g = dense_action_product(single, current, depth)
+                current = Tower(np.linalg.solve(g.T, (g @ current.top).T).T)
+            assert np.array_equal(a_act_stepwise(a, T, perm).top, current.top)
 
 
 class TestRegistry:
