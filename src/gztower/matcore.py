@@ -41,7 +41,6 @@ __all__ = [
     "mat_pow",
     "mat_exp",
     "stack_flat",
-    "rank_eps",
     "spectrum_split",
     "rank_split",
     "kernel_basis",
@@ -190,7 +189,9 @@ def mat_exp(M: np.ndarray) -> np.ndarray:
 
     Raises OverflowError when the result leaves the representable range.
     """
-    out = scipy.linalg.expm(np.asarray(M, dtype=np.complex128))
+    # The result is checked below, so scipy's own overflow warnings are noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = scipy.linalg.expm(np.asarray(M, dtype=np.complex128))
     if not np.all(np.isfinite(out)):
         raise OverflowError("matrix exponential overflowed the representable range")
     return np.asarray(out, dtype=np.complex128)
@@ -208,15 +209,6 @@ def stack_flat(mats: Sequence[np.ndarray]) -> np.ndarray:
             raise ValueError("all family members must share one shape")
         rows.append(a.reshape(-1))
     return np.array(rows)
-
-
-def rank_eps(mats: Sequence[np.ndarray], tol: Tolerance = DEFAULT_TOL) -> int:
-    """Numerical rank of a family of matrices viewed as flat vectors.
-
-    Counts singular values above ``max(tol.abs, tol.rel * s_max)``.
-    """
-    rank, _, _ = rank_split(mats, tol)
-    return rank
 
 
 def spectrum_split(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[int, float, float]:

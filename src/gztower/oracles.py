@@ -1,6 +1,7 @@
 """Brute-force oracles for cross-checking the main modules.
 
 These deliberately share no code with the operations they validate: the
+GZ observable takes its powers with numpy's own ``matrix_power``, the
 bracket oracle differentiates both observables numerically with its own
 loops, the eigenvalue oracle goes through characteristic-polynomial
 coefficients and simultaneous root iteration, the kernel oracle is a
@@ -21,15 +22,14 @@ from typing import Callable
 import numpy as np
 
 from .action import AParams
-from .gz import SmoothFn
 from .matcore import DEFAULT_TOL, Tolerance, embed, mat_exp
 from .tower import Tower
 
 __all__ = [
     "ConvergenceError",
-    "OracleResult",
-    "ORACLE_METHODS",
-    "run_oracle",
+    "SmoothFn",
+    "gz_observable",
+    "central_gradient",
     "fd_poisson_bracket",
     "charpoly_coefficients",
     "charpoly_roots",
@@ -48,9 +48,37 @@ class ConvergenceError(RuntimeError):
     """Root iteration failed to converge within the iteration budget."""
 
 
-def _fd_gradient_raw(fn: SmoothFn, X: np.ndarray, n: int, h: float) -> np.ndarray:
-    """Central-difference trace-form gradient, self-contained."""
-    m = fn.level
+@dataclass(frozen=True)
+class SmoothFn:
+    """An observable pulled back from a finite level.
+
+    ``eval`` receives the level-sized corner matrix.  The same formula at a
+    different level is a different function, so the level is explicit.
+    """
+
+    level: int
+    eval: Callable[[np.ndarray], complex]
+
+
+def gz_observable(i: int, j: int) -> SmoothFn:
+    """The GZ observable tr(X_i^j) as a :class:`SmoothFn`."""
+    return SmoothFn(level=i, eval=lambda Xi: complex(np.trace(np.linalg.matrix_power(Xi, j))))
+
+
+def central_gradient(fn: SmoothFn, X: np.ndarray, h: float | None = None) -> np.ndarray:
+    """Central-difference trace-form gradient of ``fn`` at the square matrix X.
+
+    Entry (k, l) is ``(f(X + h E_lk) - f(X - h E_lk)) / (2h)``, so that
+    ``tr(G Z)`` approximates the directional derivative along Z.  Entries
+    outside the function's own level are exactly zero because the
+    observable only reads its corner.  The default step scales with the
+    matrix norm to balance truncation against rounding.  Real steps
+    suffice: the observables are holomorphic, so the real directional
+    derivative along E_lk equals the complex partial.
+    """
+    n, m = X.shape[0], fn.level
+    if h is None:
+        h = 1e-5 * (1.0 + float(np.linalg.norm(X)))
     grad = np.zeros((n, n), dtype=np.complex128)
     pert = X[:m, :m].copy()
     for k in range(m):
@@ -68,19 +96,18 @@ def _fd_gradient_raw(fn: SmoothFn, X: np.ndarray, n: int, h: float) -> np.ndarra
 def fd_poisson_bracket(
     f: SmoothFn, g: SmoothFn, T: Tower, h: float | None = None
 ) -> complex:
-    """Bracket with *both* gradients by central differences.
+    """Lie-Poisson bracket ``tr(X [grad f, grad g])`` with *both* gradients by central differences.
 
-    Independent of any analytic gradient code path; this is the oracle
-    the production bracket is validated against.
+    Evaluated at the deeper of the two levels, independent of any
+    analytic gradient code path; this is the oracle the production
+    bracket matrix is validated against.
     """
     n = max(f.level, g.level)
     if n > T.depth:
         raise IndexError(f"bracket level {n} exceeds tower depth {T.depth}")
     X = T.level(n)
-    if h is None:
-        h = 1e-5 * (1.0 + float(np.linalg.norm(X)))
-    gf = _fd_gradient_raw(f, X, n, h)
-    gg = _fd_gradient_raw(g, X, n, h)
+    gf = central_gradient(f, X, h)
+    gg = central_gradient(g, X, h)
     return complex(np.trace(X @ (gf @ gg - gg @ gf)))
 
 
@@ -266,46 +293,3 @@ def dense_action_product(a: AParams, T: Tower, N: int) -> np.ndarray:
             g = g @ factor
             powers = powers @ Xi
     return g
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    """Value of an oracle run plus which registered procedure produced it."""
-
-    value: object
-    method: str
-    cost: int
-
-    def __post_init__(self) -> None:
-        if self.method not in ORACLE_METHODS:
-            raise ValueError(f"unknown oracle method: {self.method}")
-
-
-def _cost_bracket(f: SmoothFn, g: SmoothFn, T: Tower, h=None) -> int:
-    n = max(f.level, g.level)
-    return 4 * (f.level**2 + g.level**2) * n + 3 * n**3
-
-
-def _cost_roots(M) -> int:
-    n = np.asarray(M).shape[0]
-    return 500 * n * n
-
-
-def _cost_kernel(matrix, tol=None) -> int:
-    a = np.asarray(matrix)
-    return int(a.shape[0] * a.shape[1] * min(a.shape))
-
-
-ORACLE_METHODS: dict[str, tuple[Callable, Callable]] = {
-    "fd-poisson-bracket": (fd_poisson_bracket, _cost_bracket),
-    "charpoly-roots": (charpoly_roots, _cost_roots),
-    "dense-kernel": (dense_kernel, _cost_kernel),
-}
-
-
-def run_oracle(method: str, *args, **kwargs) -> OracleResult:
-    """Dispatch a registered oracle and wrap its value with provenance."""
-    if method not in ORACLE_METHODS:
-        raise ValueError(f"unknown oracle method: {method}")
-    fn, cost_fn = ORACLE_METHODS[method]
-    return OracleResult(value=fn(*args, **kwargs), method=method, cost=cost_fn(*args, **kwargs))

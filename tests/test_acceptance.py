@@ -12,9 +12,9 @@ import numpy as np
 
 from gztower import cli
 from gztower.action import a_act, a_act_stepwise, flow, random_params
-from gztower.gz import gz_eval, gz_fn, gz_grad, gz_hamiltonian, gz_indices, fd_gradient, poisson_bracket
-from gztower.matcore import ad_operator, null_space, spectra_disjoint
-from gztower.oracles import charpoly_roots, dense_kernel
+from gztower.gz import gz_grad, gz_hamiltonian, gz_indices, power_table
+from gztower.matcore import ad_operator, embed, null_space, spectra_disjoint
+from gztower.oracles import central_gradient, charpoly_roots, dense_kernel, gz_observable
 from gztower.regularity import sreg_report
 from gztower.symplectic import lagrangian_check, match_residual, omega_inf
 from gztower.tower import Tower, new_tower, random_entries
@@ -37,13 +37,13 @@ def test_criterion_01_poisson_commutativity():
         depth = 2 + seed % 5
         T = theta_tower(depth, seed, 1.0)
         idxs = gz_indices(depth)
-        fns = {idx: gz_fn(idx) for idx in idxs}
+        B = power_table(T).bracket_matrix()
         norms = {n: np.linalg.norm(T.level(n), 2) for n in range(1, depth + 1)}
         for a in range(len(idxs)):
             for b in range(a + 1, len(idxs)):
                 i1, i2 = idxs[a], idxs[b]
                 bound = 1.0 + norms[max(i1.i, i2.i)] ** (i1.i + i2.i)
-                worst = max(worst, abs(poisson_bracket(fns[i1], fns[i2], T)) / bound)
+                worst = max(worst, abs(B[a, b]) / bound)
     elapsed = time.monotonic() - start
     report(
         "01-poisson-commutativity",
@@ -54,15 +54,17 @@ def test_criterion_01_poisson_commutativity():
 
 def test_criterion_02_gradient_correctness():
     # Analytic vs central-difference gradients, rel 1e-6, all indices with
-    # i <= 6, on 20 random towers.
+    # i <= 6, on 20 random towers: gz_grad at level 6 and the power table's
+    # generators at their own levels.
     worst = 0.0
     for seed in range(100, 120):
         T = plain_tower(6, seed)
-        for idx in gz_indices(6):
-            analytic = gz_grad(T, idx, 6)
-            numeric = fd_gradient(gz_fn(idx), T, 6)
-            rel = np.linalg.norm(analytic - numeric) / (1.0 + np.linalg.norm(analytic))
-            worst = max(worst, rel)
+        X = T.level(6)
+        for idx, G in zip(gz_indices(6), power_table(T).generators()):
+            numeric = central_gradient(gz_observable(idx.i, idx.j), X)
+            for analytic in (gz_grad(T, idx, 6), embed(G, 6)):
+                rel = np.linalg.norm(analytic - numeric) / (1.0 + np.linalg.norm(analytic))
+                worst = max(worst, rel)
     report("02-gradient-correctness", worst <= 1e-6, f"max rel error {worst:.3e}")
 
 
@@ -75,15 +77,13 @@ def test_criterion_03_exact_flow_conservation():
     worst_corner = 0.0
     for depth in range(2, 7):
         T = theta_tower(depth, 200 + depth, 0.4)
-        base = {idx: gz_eval(T, idx) for idx in gz_indices(depth)}
+        base = power_table(T).traces()
         for idx in gz_indices(depth, max_i=depth - 1):
             corner_scale = 1.0 + float(np.abs(T.level(idx.i)).max())
             for t in grid:
                 flowed = flow(T, idx, t)
-                for k, v in base.items():
-                    worst_drift = max(
-                        worst_drift, abs(gz_eval(flowed, k) - v) / (1.0 + abs(v))
-                    )
+                drift = np.abs(power_table(flowed).traces() - base) / (1.0 + np.abs(base))
+                worst_drift = max(worst_drift, float(drift.max()))
                 worst_corner = max(
                     worst_corner,
                     float(np.abs(flowed.level(idx.i) - T.level(idx.i)).max()) / corner_scale,
@@ -193,11 +193,12 @@ def test_criterion_07_poisson_symplectic_consistency():
         T = theta_tower(depth, 600 + depth)
         assert sreg_report(T).verdict == "true"
         idxs = gz_indices(depth)
+        B = power_table(T).bracket_matrix()
         for a in range(len(idxs)):
             for b in range(a, len(idxs)):
                 i1, i2 = idxs[a], idxs[b]
                 bound = 1.0 + np.linalg.norm(T.level(max(i1.i, i2.i)), 2) ** (i1.i + i2.i)
-                br = poisson_bracket(gz_fn(i1), gz_fn(i2), T)
+                br = B[a, b]
                 om = omega_inf(T, gz_hamiltonian(T, i1), gz_hamiltonian(T, i2))
                 worst = max(worst, abs(br - om) / bound)
     report("07-poisson-symplectic-consistency", worst <= 1e-8, f"max ratio {worst:.3e}")

@@ -172,6 +172,7 @@ class TestCheck:
         assert details["conditioning_floor"] > 1e-8
         assert "ill-conditioned" in details["note"]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_conserve_on_overflowing_tower_is_indeterminate(self, tmp_path):
         # Flows with t < 0 push the 1e308 entry past the double range.
         tower_file = tmp_path / "huge.json"

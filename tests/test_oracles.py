@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gztower.action import AParams, a_act_stepwise, random_params, zero_params, zn_element
-from gztower.gz import GZIndex, SmoothFn, gz_fn, gz_indices, poisson_bracket
+from gztower.gz import gz_indices, power_table
 from gztower.matcore import (
     DEFAULT_TOL,
     ad_operator,
@@ -17,17 +17,17 @@ from gztower.regularity import (
 )
 from gztower.oracles import (
     MAX_ORACLE_DIM,
-    OracleResult,
+    SmoothFn,
     charpoly_coefficients,
     charpoly_roots,
     dense_action_product,
     dense_kernel,
     fd_poisson_bracket,
+    gz_observable,
     kron_intersection_trivial,
     kron_is_regular,
     kron_spectra_disjoint,
     kron_sylvester_singular,
-    run_oracle,
 )
 from gztower.tower import Tower, new_tower
 
@@ -42,17 +42,19 @@ class TestFdBracket:
     def test_matches_production_bracket(self):
         for seed in range(3):
             T = theta_tower(4, 300 + seed)
-            for i1 in gz_indices(4):
-                for i2 in gz_indices(4):
-                    ours = poisson_bracket(gz_fn(i1), gz_fn(i2), T)
-                    oracle = fd_poisson_bracket(gz_fn(i1), gz_fn(i2), T)
+            B = power_table(T).bracket_matrix()
+            idxs = gz_indices(4)
+            for a, i1 in enumerate(idxs):
+                for b, i2 in enumerate(idxs):
+                    f, g = gz_observable(i1.i, i1.j), gz_observable(i2.i, i2.j)
+                    oracle = fd_poisson_bracket(f, g, T)
                     n = max(i1.i, i2.i)
                     scale = 1.0 + np.linalg.norm(T.level(n), 2) ** (i1.i + i2.i)
-                    assert abs(ours - oracle) <= 1e-5 * scale
+                    assert abs(B[a, b] - oracle) <= 1e-5 * scale
 
     def test_self_bracket_tiny(self):
         T = plain_tower(3, 301)
-        f = gz_fn(GZIndex(3, 2))
+        f = gz_observable(3, 2)
         assert abs(fd_poisson_bracket(f, f, T)) <= 1e-10
 
     def test_constants_bracket_to_zero(self):
@@ -316,22 +318,3 @@ class TestDenseActionProduct:
                 current = Tower(np.linalg.solve(g.T, (g @ current.top).T).T)
             assert np.array_equal(a_act_stepwise(a, T, perm).top, current.top)
 
-
-class TestRegistry:
-    def test_run_oracle_wraps_value(self):
-        res = run_oracle("charpoly-roots", np.diag([3.0]).astype(complex))
-        assert isinstance(res, OracleResult)
-        assert res.method == "charpoly-roots"
-        assert res.cost > 0
-        assert np.isclose(res.value[0], 3.0)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            run_oracle("does-not-exist")
-        with pytest.raises(ValueError):
-            OracleResult(value=1, method="bogus", cost=0)
-
-    def test_kernel_oracle_through_registry(self):
-        res = run_oracle("dense-kernel", np.zeros((2, 2)))
-        assert res.method == "dense-kernel"
-        assert len(res.value) == 2
