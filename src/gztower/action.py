@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .matcore import (
     embed,
     embed_group,
     mat_exp,
+    mat_exp_stack,
     mat_pow,
 )
 from .tower import Tower, TowerTangent
@@ -50,6 +52,7 @@ __all__ = [
     "a_act_stepwise",
     "gl_adjoint",
     "flow",
+    "flow_stack",
     "orbit_tangents_A",
     "orbit_tangents_G",
     "zn_element",
@@ -151,19 +154,48 @@ class GroupElement:
 
 
 def _conjugate(g: np.ndarray, X: np.ndarray) -> np.ndarray:
-    # g X g^{-1} via a solve on the right factor; overflow is checked below.
+    out, errors = _conjugate_stack(g[None], X)
+    if errors[0] is not None:
+        raise errors[0]
+    return out[0]
+
+
+def _conjugate_stack(
+    g: np.ndarray, X: np.ndarray
+) -> tuple[np.ndarray, list[Optional[Exception]]]:
+    """``g X g^{-1}`` for every conjugator of an (s, N, N) stack.
+
+    Solves on the right factor.  numpy's stacked products and solves run
+    slice by slice, so each slice is bit-identical to its own call.
+    Returns the conjugates and, per slice, None or the error that slice
+    raises alone: LinAlgError for a singular conjugator, OverflowError for
+    a conjugate that is not finite.
+    """
+    swap = (-1, -2)
     with np.errstate(over="ignore", invalid="ignore"):
         Y = g @ X
         try:
-            out = np.linalg.solve(g.T, Y.T).T
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(
-                "conjugator is numerically singular; the exponential factors are "
-                "too ill-conditioned at this scale"
-            ) from exc
-    if not np.all(np.isfinite(out)):
-        raise OverflowError("conjugated matrix overflowed; reduce parameters or scale")
-    return out
+            out = np.linalg.solve(g.swapaxes(*swap), Y.swapaxes(*swap)).swapaxes(*swap)
+            errors: list[Optional[Exception]] = [None] * len(g)
+        except np.linalg.LinAlgError:
+            # A singular slice fails the whole stacked solve; find it slice by slice.
+            out = np.full_like(Y, np.nan)
+            errors = []
+            for s, (gs, Ys) in enumerate(zip(g, Y)):
+                try:
+                    out[s] = np.linalg.solve(gs.T, Ys.T).T
+                    errors.append(None)
+                except np.linalg.LinAlgError:
+                    errors.append(
+                        np.linalg.LinAlgError(
+                            "conjugator is numerically singular; the exponential factors "
+                            "are too ill-conditioned at this scale"
+                        )
+                    )
+    for s in np.flatnonzero(~np.isfinite(out).all(axis=(1, 2))):
+        if errors[s] is None:
+            errors[s] = OverflowError("conjugated matrix overflowed; reduce parameters or scale")
+    return out, errors
 
 
 def _nonzero_terms(a: AParams) -> list[tuple[int, int, complex]]:
@@ -259,12 +291,36 @@ def flow(T: Tower, idx: GZIndex, t: complex) -> Tower:
     constant along its own flow, so no stepping is needed.  The corner
     X_i (and everything below) is fixed; all observables tr(X_k^l) are
     conserved.  Flowing a top-level index is allowed and acts trivially.
+    This is the one-time case of :func:`flow_stack`; it raises the error
+    that the stack reports for its time.
+    """
+    tops, errors = flow_stack(T, idx, [t])
+    if errors[0] is not None:
+        raise errors[0]
+    return Tower(tops[0])
+
+
+def flow_stack(
+    T: Tower, idx: GZIndex, ts: Sequence[complex]
+) -> tuple[np.ndarray, list[Optional[Exception]]]:
+    """The exact flow of f_{ij} at every time of ``ts``, evaluated together.
+
+    One stacked ``expm`` of the generators ``-t j X_i^(j-1)`` and one
+    stacked conjugation of the top; each slice is bit-identical to
+    :func:`flow` at its time.  Returns the ``(len(ts), N, N)`` stack of
+    flowed tops and, per time, None or the error :func:`flow` raises for
+    it: OverflowError when the exponential or the conjugate overflows,
+    LinAlgError when the conjugator is singular.  A failed time fails
+    only its own slice, whose top is not meaningful.
     """
     if idx.i > T.depth:
         raise IndexError(f"index level {idx.i} exceeds tower depth {T.depth}")
     P = embed(idx.j * mat_pow(T.level(idx.i), idx.j - 1), T.depth)
-    g = mat_exp(-complex(t) * P)
-    return Tower(_conjugate(g, T.top))
+    times = np.asarray(ts, dtype=np.complex128)
+    g, exp_errors = mat_exp_stack(-times[:, None, None] * P)
+    tops, errors = _conjugate_stack(g, T.top)
+    # The exponential fails first, as it does in a single flow.
+    return tops, [e if e is not None else c for e, c in zip(exp_errors, errors)]
 
 
 def orbit_tangents_A(T: Tower) -> list[TowerTangent]:

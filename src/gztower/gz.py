@@ -8,6 +8,8 @@ bracket are ``-[j X_i^(j-1), X]``; the family Poisson-commutes.
 The batch checks read the whole family from one :class:`PowerTable`:
 every trace, every gradient, and the bracket of every pair, which is
 evaluated at the top level because embedding a gradient is exact.
+:func:`stack_traces` reads the traces of a whole stack of towers, such
+as the points of one flow at several times, with the same formula.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ __all__ = [
     "gz_hamiltonian",
     "PowerTable",
     "power_table",
+    "stack_traces",
 ]
 
 
@@ -74,10 +77,12 @@ class PowerTable:
     """The powers of every level of one tower, each formed once.
 
     The table is ragged: ``powers[i - 1]`` is an ``(i, i, i)`` stack of
-    ``X_i^0, ..., X_i^(i-1)``.  Every trace ``tr(X_i^j)``, every generator
-    ``j X_i^(j-1)`` and the whole bracket matrix of the family read off it,
-    so batch checks pay for the powers once per tower instead of once per
-    observable or pair.  Build it with :func:`power_table`.
+    ``X_i^0, ..., X_i^(i-1)``.  Every generator ``j X_i^(j-1)``, the whole
+    bracket matrix of the family and its level-by-level pairings read off
+    it, so batch checks pay for the powers once per tower instead of once
+    per observable or pair.  Traces come from :func:`stack_traces`, the one
+    trace formula for a single tower and a stack alike.  Build the table
+    with :func:`power_table`.
     """
 
     top: np.ndarray
@@ -85,13 +90,7 @@ class PowerTable:
 
     def traces(self) -> np.ndarray:
         """Every ``tr(X_i^j)``, in :func:`gz_indices` order."""
-        # tr(X_i^j) = tr(X_i^(j-1) X_i): the highest power is never formed.
-        # einsum rather than a BLAS matrix-vector product: OpenBLAS wakes its
-        # threads even for these small products, and on two cores that made
-        # the depth-16 conserve check five times slower.
-        return np.concatenate(
-            [np.einsum("kab,ba->k", P, self.top[:i, :i]) for i, P in enumerate(self.powers, 1)]
-        )
+        return stack_traces(self.top[None])[0]
 
     def generators(self) -> list[np.ndarray]:
         """Every gradient ``j X_i^(j-1)`` at its own level i, in :func:`gz_indices` order."""
@@ -106,17 +105,81 @@ class PowerTable:
         """
         return bracket_matrix(self.top, self.generators())
 
+    def level_pairings(self) -> list[np.ndarray]:
+        """Every pair of :func:`gz_indices` paired at the deeper of its two levels.
+
+        Block ``k - 1`` holds ``tr(X_k [G_b, G_a])``, with one row for each
+        generator G_b of level k and one column for each generator G_a of
+        level ``<= k``, from one GEMM of ``vec([X_k, G_b])`` against
+        ``vec(G_a^T)``.  These are the rows of level k of
+        :meth:`bracket_matrix` up to its diagonal block, paired at X_k
+        instead of X_N.
+        """
+        gens = self.generators()
+        stacks = [
+            np.stack(gens[i * (i - 1) // 2 : i * (i + 1) // 2])
+            for i in range(1, len(self.powers) + 1)
+        ]
+        blocks = []
+        for k, G in enumerate(stacks, 1):
+            X = self.top[:k, :k]
+            m = k * (k + 1) // 2
+            right = np.zeros((m, k, k), dtype=np.complex128)
+            for i, Gi in enumerate(stacks[:k], 1):
+                first = i * (i - 1) // 2
+                right[first : first + i, :i, :i] = Gi.transpose(0, 2, 1)
+            left = X @ G - G @ X
+            blocks.append(left.reshape(k, k * k) @ right.reshape(m, k * k).T)
+        return blocks
+
 
 def power_table(T: Tower) -> PowerTable:
-    """Build the :class:`PowerTable` of a tower, one product per power."""
+    """Build the :class:`PowerTable` of a tower, one product per power.
+
+    Powers that overflow are left non-finite; every fold downstream lets
+    NaN through, so they fail checks instead of printing warnings.
+    """
     # One memory layout for every tower, so equal towers give bit-equal tables.
     top = np.ascontiguousarray(T.top)
     powers = []
-    for i in range(1, T.depth + 1):
-        X = top[:i, :i]
-        P = np.empty((i, i, i), dtype=np.complex128)
-        P[0] = np.eye(i)
-        for k in range(1, i):
-            np.matmul(P[k - 1], X, out=P[k])
-        powers.append(P)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, T.depth + 1):
+            X = top[:i, :i]
+            P = np.empty((i, i, i), dtype=np.complex128)
+            P[0] = np.eye(i)
+            for k in range(1, i):
+                np.matmul(P[k - 1], X, out=P[k])
+            powers.append(P)
     return PowerTable(top=top, powers=tuple(powers))
+
+
+def stack_traces(tops: np.ndarray) -> np.ndarray:
+    """Every ``tr(X_i^j)`` of each tower of an (s, N, N) stack of tops.
+
+    Row r holds the traces of ``tops[r]`` in :func:`gz_indices` order, bit
+    for bit what a stack of that tower alone gives: numpy's stacked
+    products run slice by slice.  Per level, a running power ``P <- P X_i``
+    of the whole stack is read as ``tr(X_i^j) = tr(X_i^(j-1) X_i)``, so the
+    highest power is never formed.  Values that overflow are left
+    non-finite.
+    """
+    # One memory layout for every stack, so equal towers give bit-equal traces.
+    tops = np.ascontiguousarray(tops)
+    s, N = tops.shape[0], tops.shape[-1]
+    out = np.empty((s, N * (N + 1) // 2), dtype=np.complex128)
+    col = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, N + 1):
+            X = tops[:, :i, :i]
+            # Every power, X_i itself included, is a product from the identity,
+            # as in power_table, so the two give the same powers bit for bit.
+            P = np.broadcast_to(np.eye(i, dtype=np.complex128), X.shape)
+            for j in range(1, i + 1):
+                # einsum rather than a BLAS product: OpenBLAS wakes its
+                # threads even for these small products, and on two cores
+                # that made the depth-16 conserve check five times slower.
+                out[:, col] = np.einsum("sab,sba->s", P, X)
+                col += 1
+                if j < i:
+                    P = P @ X
+    return out

@@ -5,7 +5,7 @@ Everything downstream works on square ``numpy.ndarray`` matrices with
 
 * corner extraction / zero-padded embedding between sizes,
 * commutator and trace pairing,
-* matrix powers and exponentials,
+* matrix powers and exponentials, alone or stacked,
 * numerical rank, null spaces and Krylov bases of matrix powers,
 * the Sylvester-operator spectrum test, through complex Schur forms,
 
@@ -40,6 +40,7 @@ __all__ = [
     "bracket_matrix",
     "mat_pow",
     "mat_exp",
+    "mat_exp_stack",
     "stack_flat",
     "spectrum_split",
     "rank_split",
@@ -189,12 +190,29 @@ def mat_exp(M: np.ndarray) -> np.ndarray:
 
     Raises OverflowError when the result leaves the representable range.
     """
+    out, errors = mat_exp_stack(np.asarray(M, dtype=np.complex128)[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return out[0]
+
+
+def mat_exp_stack(M: np.ndarray) -> tuple[np.ndarray, list[Optional[OverflowError]]]:
+    """Matrix exponential of every matrix of an (s, n, n) stack, in one call.
+
+    scipy exponentiates the slices one at a time, so each slice is
+    bit-identical to :func:`mat_exp` of that slice alone.  Returns the
+    stack and, per slice, None or the OverflowError :func:`mat_exp` raises
+    for it; an overflowed slice is not finite.
+    """
     # The result is checked below, so scipy's own overflow warnings are noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        out = scipy.linalg.expm(np.asarray(M, dtype=np.complex128))
-    if not np.all(np.isfinite(out)):
-        raise OverflowError("matrix exponential overflowed the representable range")
-    return np.asarray(out, dtype=np.complex128)
+        out = np.asarray(scipy.linalg.expm(np.asarray(M, dtype=np.complex128)), dtype=np.complex128)
+    finite = np.isfinite(out).all(axis=(1, 2))
+    errors = [
+        None if ok else OverflowError("matrix exponential overflowed the representable range")
+        for ok in finite
+    ]
+    return out, errors
 
 
 def stack_flat(mats: Sequence[np.ndarray]) -> np.ndarray:

@@ -9,6 +9,7 @@ from gztower.action import (
     a_act,
     a_act_stepwise,
     flow,
+    flow_stack,
     gl_adjoint,
     orbit_tangents_A,
     orbit_tangents_G,
@@ -256,6 +257,60 @@ class TestFlow:
         assert np.abs(via_action.top - via_flow.top).max() <= 1e-12 * (
             1 + np.abs(via_flow.top).max()
         )
+
+
+class TestFlowStack:
+    """A stack of times is the single-time flow, slice by slice."""
+
+    GRID = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 0.3 - 0.7j]
+
+    def test_flow_equals_its_slice(self):
+        T = theta_tower(6, 135, 0.4)
+        for idx in gz_indices(6)[::4]:
+            tops, errors = flow_stack(T, idx, self.GRID)
+            assert tops.shape == (len(self.GRID), 6, 6)
+            assert errors == [None] * len(self.GRID)
+            for t, top in zip(self.GRID, tops):
+                assert np.array_equal(flow(T, idx, t).top, top)
+
+    @pytest.mark.parametrize(
+        "top,idx,grid,bad,error",
+        [
+            # exp(20) * 1e300 leaves the double range in the conjugate.
+            ([[0.0, 1e300], [0.0, 0.0]], GZIndex(1, 1), [0.0, 1.0, -20.0, 2.0], 2, OverflowError),
+            # exp(-800) underflows to 0, so the conjugator is exactly singular.
+            (
+                [[0.5, 0.25], [0.25, 0.5]],
+                GZIndex(1, 1),
+                [0.0, 800.0, 1.0],
+                1,
+                np.linalg.LinAlgError,
+            ),
+            # exp(800) itself overflows.
+            (
+                [[400.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                GZIndex(2, 2),
+                [0.0, 0.5, -1.0],
+                2,
+                OverflowError,
+            ),
+        ],
+        ids=["conjugate-overflow", "singular-conjugator", "expm-overflow"],
+    )
+    def test_one_failing_time_fails_only_its_flow(self, top, idx, grid, bad, error):
+        T = new_tower(top)
+        tops, errors = flow_stack(T, idx, grid)
+        assert [e is None for e in errors] == [s != bad for s in range(len(grid))]
+        assert isinstance(errors[bad], error)
+        with pytest.raises(error, match=str(errors[bad])):
+            flow(T, idx, grid[bad])
+        for s, t in enumerate(grid):
+            if s != bad:
+                assert np.array_equal(flow(T, idx, t).top, tops[s])
+
+    def test_index_out_of_depth(self):
+        with pytest.raises(IndexError):
+            flow_stack(plain_tower(2, 136), GZIndex(3, 1), [0.0])
 
 
 class TestOrbitTangents:

@@ -182,6 +182,30 @@ class TestCheck:
         assert code == cli.EXIT_INDETERMINATE
         assert json.loads(out.read_text())["checks"][0]["passed"] == "indeterminate"
 
+    # X_3^2 holds 1e320: every power pass overflows on this tower.
+    OVERFLOWING_POWERS = [[1, 0, 0], [0, 2, 1e160], [0, 1e160, 3]]
+
+    def test_conserve_on_overflowing_powers_is_indeterminate(self, tmp_path):
+        # The configured filter turns any RuntimeWarning into an error here.
+        tower_file = tmp_path / "pow.json"
+        write_tower(tower_file, new_tower(self.OVERFLOWING_POWERS))
+        out = tmp_path / "r.json"
+        code = cli.main(["check", str(tower_file), "--suite", "conserve", "-o", str(out)])
+        assert code == cli.EXIT_INDETERMINATE
+        check = json.loads(out.read_text())["checks"][0]
+        assert check["passed"] == "indeterminate"
+        assert "traces overflow" in check["details"]["note"]
+
+    def test_consistent_on_overflowing_powers_fails_without_traceback(self, tmp_path, capsys):
+        tower_file = tmp_path / "pow.json"
+        write_tower(tower_file, new_tower(self.OVERFLOWING_POWERS))
+        out = tmp_path / "r.json"
+        code = cli.main(["check", str(tower_file), "--suite", "consistent", "-o", str(out)])
+        assert code == cli.EXIT_FAIL
+        check = json.loads(out.read_text())["checks"][0]
+        assert check["passed"] == "false"
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_report_deterministic(self, tmp_path):
         tower_file = tmp_path / "t.json"
         write_tower(tower_file, theta_tower(3, 402))
@@ -298,6 +322,40 @@ class TestFlow:
         assert cli.main(argv + ["-o", str(tmp_path / "f.json")]) == cli.EXIT_INDETERMINATE
         assert "not computable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "top,index,grid,message",
+        [
+            (
+                [[0.0, 1e300], [0.0, 0.0]],
+                ("1", "1"),
+                "0,1,-20,2",
+                "conjugated matrix overflowed; reduce parameters or scale",
+            ),
+            (
+                [[0.5, 0.25], [0.25, 0.5]],
+                ("1", "1"),
+                "0,800,1,-20",
+                "conjugator is numerically singular; the exponential factors are too "
+                "ill-conditioned at this scale",
+            ),
+            (
+                [[400.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                ("2", "2"),
+                "0,-1,1",
+                "matrix exponential overflowed the representable range",
+            ),
+        ],
+        ids=["conjugate-overflow", "singular-conjugator", "expm-overflow"],
+    )
+    def test_first_failing_time_sets_the_message(self, tmp_path, capsys, top, index, grid, message):
+        tower_file = tmp_path / "t.json"
+        write_tower(tower_file, new_tower(top))
+        argv = ["flow", str(tower_file), "--i", index[0], "--j", index[1], f"--t-grid={grid}"]
+        assert cli.main(argv + ["-o", str(tmp_path / "f.json")]) == cli.EXIT_INDETERMINATE
+        captured = capsys.readouterr()
+        assert captured.err == f"flow not computable in double precision: {message}\n"
+        assert not (tmp_path / "f.json").exists()
+
     def test_bad_index_usage_error(self, tmp_path):
         tower_file = tmp_path / "t.json"
         write_tower(tower_file, theta_tower(2, 408))
@@ -359,6 +417,20 @@ class TestNonFiniteResiduals:
         monkeypatch.setattr(PowerTable, "traces", with_nan)
 
     @pytest.fixture
+    def nan_flowed_trace(self, monkeypatch):
+        # The base traces come from PowerTable.traces; only flowed stacks
+        # reach the name the check module imported.
+        original = cli.stack_traces
+
+        def with_nan(tops):
+            out = original(tops)
+            if len(out):
+                out[0, -1] = np.nan
+            return out
+
+        monkeypatch.setattr(cli, "stack_traces", with_nan)
+
+    @pytest.fixture
     def nan_brackets(self, monkeypatch):
         from gztower.gz import PowerTable
 
@@ -415,6 +487,19 @@ class TestNonFiniteResiduals:
         assert code == cli.EXIT_FAIL
         assert json.loads(out.read_text())["passed"] is False
 
+    def test_nan_flowed_trace_does_not_pass_conserve(self, tmp_path, nan_flowed_trace):
+        code, verdicts = self._check(tmp_path, "conserve")
+        assert code != cli.EXIT_PASS
+        assert verdicts["conserve"] in ("false", "indeterminate")
+
+    def test_nan_flowed_trace_fails_flow(self, tmp_path, nan_flowed_trace):
+        tower_file = tmp_path / "t.json"
+        write_tower(tower_file, theta_tower(3, 403))
+        out = tmp_path / "flow.json"
+        code = cli.main(["flow", str(tower_file), "--i", "2", "--j", "1", "-o", str(out)])
+        assert code == cli.EXIT_FAIL
+        assert json.loads(out.read_text())["passed"] is False
+
     def test_nan_trace_fails_orbit_invariance(self, tmp_path, nan_traces):
         tower_file = tmp_path / "t.json"
         write_tower(tower_file, theta_tower(4, 409))
@@ -422,6 +507,51 @@ class TestNonFiniteResiduals:
         code = cli.main(["orbit", str(tower_file), "--seed", "3", "-o", str(out)])
         assert code == cli.EXIT_FAIL
         assert json.loads(out.read_text())["observable_invariance_ok"] is False
+
+
+class TestCheckCost:
+    """Conserve stacks each generator's times; consistent pairs by level, not by pair."""
+
+    DEPTH = 6
+
+    @pytest.fixture
+    def tower(self):
+        return theta_tower(self.DEPTH, 411, 0.4)
+
+    @pytest.fixture
+    def counts(self, tower, monkeypatch):
+        # Depends on ``tower``, so building the input is not counted.
+        import gztower.action
+        import gztower.symplectic
+        from gztower.tower import Tower
+
+        counts = {"power_table": 0, "Tower": 0, "expm": 0, "omega_inf": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(cli, "power_table", counting("power_table", cli.power_table))
+        monkeypatch.setattr(Tower, "__post_init__", counting("Tower", Tower.__post_init__))
+        monkeypatch.setattr(
+            gztower.action, "mat_exp_stack", counting("expm", gztower.action.mat_exp_stack)
+        )
+        monkeypatch.setattr(
+            gztower.symplectic, "omega_inf", counting("omega_inf", gztower.symplectic.omega_inf)
+        )
+        return counts
+
+    def test_conserve(self, tower, counts):
+        assert cli.CHECKS["conserve"](tower, cli.Tolerance(), 0).passed == "true"
+        generators = self.DEPTH * (self.DEPTH - 1) // 2
+        assert counts == {"power_table": 1, "Tower": 0, "expm": generators, "omega_inf": 0}
+
+    def test_consistent(self, tower, counts):
+        assert cli.CHECKS["consistent"](tower, cli.Tolerance(), 0).passed == "true"
+        assert counts == {"power_table": 1, "Tower": 0, "expm": 0, "omega_inf": 0}
 
 
 class TestEntryPoint:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from gztower.gz import GZIndex, gz_grad, gz_hamiltonian, gz_indices, power_table
+from gztower.action import flow_stack
+from gztower.gz import GZIndex, gz_grad, gz_hamiltonian, gz_indices, power_table, stack_traces
 from gztower.matcore import bracket_matrix, embed
 from gztower.oracles import SmoothFn, central_gradient, fd_poisson_bracket, gz_observable
-from gztower.tower import new_tower
+from gztower.symplectic import anchor, omega_inf
+from gztower.tower import Tower, new_tower
 
 from conftest import plain_tower, theta_tower, unit
 
@@ -258,3 +260,72 @@ class TestPowerTable:
             for b in range(1, 9, 3):
                 expected = fd_poisson_bracket(linear[a], linear[b], T)
                 assert abs(B[a, b] - expected) <= 1e-8 * (1.0 + abs(expected))
+
+
+def table_traces(T):
+    """Traces read off the power table with one einsum per level, the formula
+    the table used before the stacked routine existed."""
+    table = power_table(T)
+    return np.concatenate(
+        [np.einsum("kab,ba->k", P, table.top[:i, :i]) for i, P in enumerate(table.powers, 1)]
+    )
+
+
+class TestStackTraces:
+    """The stacked trace routine is bit-identical to one tower at a time."""
+
+    def test_random_stacks_at_depth_1_to_8(self):
+        rng = np.random.default_rng(70)
+        for depth in range(1, 9):
+            tops = rng.standard_normal((5, depth, depth)) + 1j * rng.standard_normal(
+                (5, depth, depth)
+            )
+            traces = stack_traces(tops)
+            assert traces.shape == (5, len(gz_indices(depth)))
+            for top, row in zip(tops, traces):
+                T = Tower(top)
+                assert np.array_equal(row, table_traces(T))
+                assert np.array_equal(row, power_table(T).traces())
+
+    @pytest.mark.parametrize("depth", [3, 6, 8])
+    def test_flowed_stacks(self, depth):
+        T = theta_tower(depth, 71, 0.3)
+        grid = [-2.0, -0.5, 0.0, 1.0, 2.0]
+        for idx in gz_indices(depth - 1)[:: max(1, depth - 3)]:
+            tops, errors = flow_stack(T, idx, grid)
+            assert errors == [None] * len(grid)
+            traces = stack_traces(tops)
+            for top, row in zip(tops, traces):
+                assert np.array_equal(row, table_traces(Tower(top)))
+
+    def test_overflow_is_left_non_finite_without_warnings(self):
+        # The configured filter turns a RuntimeWarning into an error here.
+        top = np.array([[1, 0, 0], [0, 2, 1e160], [0, 1e160, 3]], dtype=complex)
+        traces = stack_traces(np.stack([top, top]))
+        assert np.all(np.isfinite(traces[:, :3]))
+        assert not np.all(np.isfinite(traces[:, 3:]))
+
+
+class TestLevelPairings:
+    """One GEMM per level against the per-pair glued form at that level."""
+
+    @pytest.mark.parametrize(
+        "depth,seed,scale", [(1, 72, 0.5), (3, 73, 0.5), (6, 74, 0.4), (8, 75, 0.3)]
+    )
+    def test_blocks_match_omega_inf(self, depth, seed, scale):
+        T = theta_tower(depth, seed, scale)
+        table = power_table(T)
+        idxs = gz_indices(depth)
+        tangents = [anchor(T, G) for G in table.generators()]
+        norms = [0.0] + [np.linalg.norm(T.level(n), 2) for n in range(1, depth + 1)]
+        blocks = table.level_pairings()
+        assert len(blocks) == depth
+        for k, block in enumerate(blocks, 1):
+            first = k * (k - 1) // 2
+            assert block.shape == (k, first + k)
+            for r in range(k):
+                b = first + r
+                for a in range(first + k):
+                    expected = omega_inf(T, tangents[b], tangents[a])
+                    bound = 1.0 + norms[k] ** (idxs[a].i + idxs[b].i)
+                    assert abs(block[r, a] - expected) <= 1e-13 * bound
