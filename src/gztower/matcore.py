@@ -169,19 +169,24 @@ def bracket_matrix(X: np.ndarray, gens: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def mat_pow(M: np.ndarray, k: int) -> np.ndarray:
-    """``M ** k`` by repeated squaring; ``M ** 0`` is the identity."""
+    """``M ** k`` by repeated squaring; ``M ** 0`` is the identity.
+
+    Entries that overflow are left non-finite, without a warning, as in
+    :func:`~gztower.gz.power_table`.
+    """
     if k < 0:
         raise ValueError("exponent must be nonnegative")
     n = M.shape[0]
     result = np.eye(n, dtype=np.complex128)
     base = M.astype(np.complex128, copy=True)
     e = k
-    while e:
-        if e & 1:
-            result = result @ base
-        e >>= 1
-        if e:
-            base = base @ base
+    with np.errstate(over="ignore", invalid="ignore"):
+        while e:
+            if e & 1:
+                result = result @ base
+            e >>= 1
+            if e:
+                base = base @ base
     return result
 
 
@@ -254,9 +259,15 @@ def rank_split(
 ) -> tuple[int, float, float]:
     """Numerical rank of a family of matrices viewed as flat vectors.
 
-    Returns the :func:`spectrum_split` of the stacked family.
+    Returns the :func:`spectrum_split` of the stacked family.  A family
+    with a non-finite entry has no numerical rank: it gives ``(0, nan,
+    nan)``, so no full-rank test passes on it and no margin vouches for
+    the result.
     """
-    s = np.linalg.svd(stack_flat(mats), compute_uv=False)
+    family = stack_flat(mats)
+    if not np.all(np.isfinite(family)):
+        return 0, math.nan, math.nan
+    s = np.linalg.svd(family, compute_uv=False)
     return spectrum_split(s, tol)
 
 
@@ -317,7 +328,11 @@ def krylov_basis(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarra
     """
     n = M.shape[0]
     shifted = M - (np.trace(M) / n) * np.eye(n, dtype=np.complex128)
-    spread = float(np.linalg.norm(shifted))
+    with np.errstate(over="ignore"):
+        spread = float(np.linalg.norm(shifted))
+    if math.isinf(spread):
+        # numpy's squares overflowed; the BLAS norm scales its terms.
+        spread = _fro(shifted)
     thr = tol.threshold(spread)
     Q = np.empty((n, n * n), dtype=np.complex128)
     Q[0] = np.eye(n, dtype=np.complex128).reshape(-1) / math.sqrt(n)

@@ -30,12 +30,12 @@ from typing import Optional
 
 import numpy as np
 
-from .action import orbit_tangents_A
 from .gz import gz_grad, gz_indices
 from .matcore import (
     DEFAULT_TOL,
     Tolerance,
     ad_operator,
+    commutator,
     kernel_basis,
     krylov_basis,
     null_space,
@@ -100,7 +100,12 @@ def centralizer_basis(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[np.nd
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    if math.isinf(norm):
+        # The squares overflowed; entries scaled by the largest one cannot.
+        v = v / np.abs(v).max()
+        norm = float(np.linalg.norm(v))
     return v / norm if norm > 0 else v
 
 
@@ -185,8 +190,13 @@ def is_sreg_centralizers(T: Tower, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def _tangents_split(T: Tower, tol: Tolerance) -> tuple[bool, float, float]:
+    # The values at level N of orbit_tangents_A(T), -[grad f_ij, X_N] for
+    # i < N, formed from the gradients: an overflowed generator then makes
+    # a non-finite family, which has no rank, rather than an invalid tangent.
     N = T.depth
-    values = [v.value(N) for v in orbit_tangents_A(T)]
+    X = T.level(N)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = [-commutator(gz_grad(T, idx, N), X) for idx in gz_indices(N, max_i=N - 1)]
     expected = N * (N - 1) // 2
     rank, decisive, margin = rank_split(values, tol)
     return rank == expected, decisive, margin
@@ -273,7 +283,12 @@ def sreg_report(T: Tower, tol: Tolerance = DEFAULT_TOL) -> SregReport:
     else:
         verdict = "indeterminate"
         margins = [m for m in (d_margin, c_margin, t_margin) if m is not None]
-        if min(margins) >= INDETERMINATE_MARGIN:
+        if any(math.isnan(m) for m in margins):
+            notes.append(
+                "a criterion's family overflows double precision and cannot read "
+                "true; regenerate the tower at a smaller scale"
+            )
+        elif min(margins) >= INDETERMINATE_MARGIN:
             notes.append(
                 "criteria disagree with comfortable margins; this should not "
                 "happen for exact towers - inspect the diagnostics"

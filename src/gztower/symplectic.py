@@ -34,7 +34,7 @@ from .matcore import (
     rank_split,
     trace_pair,
 )
-from .regularity import report_number, sreg_report
+from .regularity import SregReport, report_number, sreg_report
 from .tower import Tower, TowerTangent
 
 __all__ = [
@@ -142,7 +142,11 @@ class LagrangianReport:
 
 
 def lagrangian_check(
-    T: Tower, tol: Tolerance = DEFAULT_TOL, isotropy_rtol: float = 1e-8
+    T: Tower,
+    tol: Tolerance = DEFAULT_TOL,
+    isotropy_rtol: float = 1e-8,
+    *,
+    sreg: Optional[SregReport] = None,
 ) -> LagrangianReport:
     """Verify the Lagrangian structure of the abelian orbit at a tower.
 
@@ -151,7 +155,8 @@ def lagrangian_check(
     orbit tangent family has rank exactly N^2 - N (half/double), and the
     abelian family is isotropic for the glued form.  Towers that are not
     strongly regular (or have depth 1) yield a "not applicable" verdict
-    rather than an error.
+    rather than an error.  ``sreg`` is the tower's :func:`sreg_report` at
+    ``tol`` when the caller already has it; without it the check runs one.
     """
     N = T.depth
     base = dict(
@@ -172,7 +177,8 @@ def lagrangian_check(
             notes=("depth-1 towers have no abelian orbit directions",),
             **base,
         )
-    sreg = sreg_report(T, tol)
+    if sreg is None:
+        sreg = sreg_report(T, tol)
     if sreg.verdict != "true":
         return LagrangianReport(
             rank_A=None,

@@ -206,6 +206,64 @@ class TestCheck:
         assert check["passed"] == "false"
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "suite,code",
+        [
+            ("sreg", cli.EXIT_FAIL),
+            ("lagrangian", cli.EXIT_INDETERMINATE),
+            ("anchor", cli.EXIT_INDETERMINATE),
+        ],
+    )
+    def test_regularity_members_on_overflowing_powers(self, tmp_path, capsys, suite, code):
+        # The gradient family holds the overflowed X_3^2 and has no numerical
+        # rank, so criterion 1 reads false; the tower is not strongly regular
+        # by the other two criteria (X_2 = diag(1, 2) commutes with E_11).
+        tower_file = tmp_path / "pow.json"
+        write_tower(tower_file, new_tower(self.OVERFLOWING_POWERS))
+        out = tmp_path / "r.json"
+        assert cli.main(["check", str(tower_file), "--suite", suite, "-o", str(out)]) == code
+        assert capsys.readouterr().err == ""
+        check = json.loads(out.read_text())["checks"][0]
+        if suite == "sreg":
+            assert check["details"]["by_differentials"] == "false"
+            assert check["details"]["verdict"] == "false"
+            assert np.isnan(check["details"]["margins"][0])
+        else:
+            assert check["passed"] == "indeterminate"
+
+    def test_commute_on_overflowing_powers_fails_without_warnings(self, tmp_path, capsys):
+        # The configured filter turns any RuntimeWarning into an error here.
+        tower_file = tmp_path / "pow.json"
+        write_tower(tower_file, new_tower(self.OVERFLOWING_POWERS))
+        out = tmp_path / "r.json"
+        code = cli.main(["check", str(tower_file), "--suite", "commute", "-o", str(out)])
+        assert code == cli.EXIT_FAIL
+        assert capsys.readouterr().err == ""
+        assert json.loads(out.read_text())["checks"][0]["passed"] == "false"
+
+    def test_members_run_serially_on_this_thread(self, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("gz check built a thread pool")
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+        tower_file = tmp_path / "t.json"
+        write_tower(tower_file, theta_tower(4, 400))
+        assert cli.main(["check", str(tower_file), "-o", str(tmp_path / "r.json")]) == 0
+
+    def test_full_suite_report_is_the_members_in_suite_order(self, tmp_path):
+        T = theta_tower(4, 400)
+        tower_file = tmp_path / "t.json"
+        write_tower(tower_file, T)
+        out = tmp_path / "r.json"
+        assert cli.main(["check", str(tower_file), "--seed", "3", "-o", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["suite"] == list(cli.CHECKS)
+        serial = [check(T, cli.Tolerance(), 3).to_json_dict() for check in cli.CHECKS.values()]
+        assert report["checks"] == json.loads(json.dumps(serial))
+
     def test_report_deterministic(self, tmp_path):
         tower_file = tmp_path / "t.json"
         write_tower(tower_file, theta_tower(3, 402))
@@ -365,6 +423,18 @@ class TestFlow:
 
 
 class TestOrbit:
+    def test_overflowing_powers_exit_without_traceback(self, tmp_path, capsys):
+        # The tower's own traces overflow, so the drift is NaN and fails; the
+        # tower is not strongly regular, so lagrangian does not apply.
+        tower_file = tmp_path / "pow.json"
+        write_tower(tower_file, new_tower(TestCheck.OVERFLOWING_POWERS))
+        out = tmp_path / "orbit.json"
+        assert cli.main(["orbit", str(tower_file), "--seed", "0", "-o", str(out)]) == cli.EXIT_FAIL
+        assert capsys.readouterr().err == ""
+        report = json.loads(out.read_text())
+        assert report["observable_invariance_ok"] is False
+        assert report["lagrangian"]["verdict"] == "not applicable"
+
     def test_random_params_on_sreg_tower(self, tmp_path):
         tower_file = tmp_path / "t.json"
         write_tower(tower_file, theta_tower(4, 409))
@@ -510,7 +580,8 @@ class TestNonFiniteResiduals:
 
 
 class TestCheckCost:
-    """Conserve stacks each generator's times; consistent pairs by level, not by pair."""
+    """Conserve stacks each generator's times and each level's traces; consistent
+    pairs by level, not by pair; the suite computes one strong-regularity report."""
 
     DEPTH = 6
 
@@ -525,7 +596,7 @@ class TestCheckCost:
         import gztower.symplectic
         from gztower.tower import Tower
 
-        counts = {"power_table": 0, "Tower": 0, "expm": 0, "omega_inf": 0}
+        counts = {"power_table": 0, "Tower": 0, "expm": 0, "omega_inf": 0, "stack_traces": 0}
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -535,6 +606,7 @@ class TestCheckCost:
             return wrapped
 
         monkeypatch.setattr(cli, "power_table", counting("power_table", cli.power_table))
+        monkeypatch.setattr(cli, "stack_traces", counting("stack_traces", cli.stack_traces))
         monkeypatch.setattr(Tower, "__post_init__", counting("Tower", Tower.__post_init__))
         monkeypatch.setattr(
             gztower.action, "mat_exp_stack", counting("expm", gztower.action.mat_exp_stack)
@@ -547,11 +619,46 @@ class TestCheckCost:
     def test_conserve(self, tower, counts):
         assert cli.CHECKS["conserve"](tower, cli.Tolerance(), 0).passed == "true"
         generators = self.DEPTH * (self.DEPTH - 1) // 2
-        assert counts == {"power_table": 1, "Tower": 0, "expm": generators, "omega_inf": 0}
+        # One stacked expm per generator, one trace pass per flowed level.
+        assert counts == {
+            "power_table": 1,
+            "Tower": 0,
+            "expm": generators,
+            "omega_inf": 0,
+            "stack_traces": self.DEPTH - 1,
+        }
 
     def test_consistent(self, tower, counts):
         assert cli.CHECKS["consistent"](tower, cli.Tolerance(), 0).passed == "true"
-        assert counts == {"power_table": 1, "Tower": 0, "expm": 0, "omega_inf": 0}
+        assert counts == {
+            "power_table": 1,
+            "Tower": 0,
+            "expm": 0,
+            "omega_inf": 0,
+            "stack_traces": 0,
+        }
+
+    def test_full_suite_computes_one_sreg_report(self, tower, tmp_path, monkeypatch):
+        # sreg, lagrangian and anchor share one report; count every binding
+        # a member could reach it through.
+        import gztower.symplectic
+
+        calls = []
+
+        def counting(original):
+            def wrapped(*args, **kwargs):
+                calls.append(args[0])
+                return original(*args, **kwargs)
+
+            return wrapped
+
+        for module in (cli, gztower.symplectic):
+            monkeypatch.setattr(module, "sreg_report", counting(module.sreg_report))
+        tower_file = tmp_path / "t.json"
+        write_tower(tower_file, tower)
+        code = cli.main(["check", str(tower_file), "-o", str(tmp_path / "r.json")])
+        assert code == cli.EXIT_PASS
+        assert len(calls) == 1
 
 
 class TestEntryPoint:

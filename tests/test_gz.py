@@ -298,6 +298,16 @@ class TestStackTraces:
             for top, row in zip(tops, traces):
                 assert np.array_equal(row, table_traces(Tower(top)))
 
+    def test_concatenated_stack_is_its_parts(self):
+        # Conserve reads every flow of a level in one pass: no row may depend
+        # on which other towers share its stack.
+        T = theta_tower(8, 72, 0.3)
+        grid = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
+        parts = [flow_stack(T, GZIndex(7, j), grid)[0] for j in range(1, 8)]
+        parts.append(parts[0][:1])
+        whole = stack_traces(np.concatenate(parts))
+        assert np.array_equal(whole, np.concatenate([stack_traces(p) for p in parts]))
+
     def test_overflow_is_left_non_finite_without_warnings(self):
         # The configured filter turns a RuntimeWarning into an error here.
         top = np.array([[1, 0, 0], [0, 2, 1e160], [0, 1e160, 3]], dtype=complex)

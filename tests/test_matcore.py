@@ -244,6 +244,11 @@ class TestRankNull:
         scaled = [scalar * m for m in fam]
         assert rank_split(fam)[0] == rank_split(scaled)[0]
 
+    def test_non_finite_family_has_no_rank(self):
+        fam = [np.eye(2, dtype=complex), np.array([[np.inf, 0], [0, np.nan]], dtype=complex)]
+        rank, decisive, margin = rank_split(fam)
+        assert rank == 0 and np.isnan(decisive) and np.isnan(margin)
+
     def test_rank_split_margin(self):
         fam = [np.eye(2, dtype=complex), unit(2, 0, 1)]
         rank, decisive, margin = rank_split(fam)
@@ -455,6 +460,12 @@ class TestKrylovBasis:
         Q, s = krylov_basis(0.1 * np.eye(3, dtype=complex))
         assert Q.shape[0] == 1
         assert spectrum_split(s)[0] == 0
+
+    def test_spread_whose_square_overflows(self):
+        # The configured filter turns a RuntimeWarning into an error here.
+        Q, s = krylov_basis(np.array([[2.0, 1e160], [1e160, 3.0]], dtype=complex))
+        assert Q.shape[0] == 2
+        assert np.all(np.isfinite(s)) and spectrum_split(s)[0] == 2
 
     def test_shift_invariant(self):
         rng = np.random.default_rng(14)

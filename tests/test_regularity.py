@@ -219,6 +219,21 @@ class TestReport:
         assert report.verdict == "true"
         assert any("vacuous" in note for note in report.notes)
 
+    def test_overflowing_scale_is_indeterminate(self):
+        # Strong regularity does not see a scale, but at 1e160 the powers and
+        # the tangent values overflow: those two criteria cannot read true,
+        # while the centralizer criterion still can.  The configured filter
+        # turns a RuntimeWarning into an error here.
+        report = sreg_report(new_tower(1e160 * theta_tower(4, 72).top))
+        assert (report.by_differentials, report.by_centralizers, report.by_tangents) == (
+            False,
+            True,
+            False,
+        )
+        assert report.verdict == "indeterminate"
+        assert np.isnan(report.margins[0]) and np.isnan(report.margins[2])
+        assert any("overflows double precision" in note for note in report.notes)
+
     def test_json_serialization(self):
         report = sreg_report(theta_tower(3, 71))
         data = json.loads(json.dumps(report.to_json_dict()))
