@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .gz import GZIndex, gz_hamiltonian, gz_indices
+from .gz import GZIndex, PowerTable, gz_indices, power_table
 from .matcore import (
     DEFAULT_TOL,
     as_cmatrix,
@@ -35,9 +35,8 @@ from .matcore import (
     embed_group,
     mat_exp,
     mat_exp_stack,
-    mat_pow,
 )
-from .tower import Tower, TowerTangent
+from .tower import Tower
 
 __all__ = [
     "AParams",
@@ -53,8 +52,6 @@ __all__ = [
     "gl_adjoint",
     "flow",
     "flow_stack",
-    "orbit_tangents_A",
-    "orbit_tangents_G",
     "zn_element",
 ]
 
@@ -291,20 +288,23 @@ def flow(T: Tower, idx: GZIndex, t: complex) -> Tower:
     constant along its own flow, so no stepping is needed.  The corner
     X_i (and everything below) is fixed; all observables tr(X_k^l) are
     conserved.  Flowing a top-level index is allowed and acts trivially.
-    This is the one-time case of :func:`flow_stack`; it raises the error
-    that the stack reports for its time.
+    This is the one-time case of :func:`flow_stack` on the tower's
+    :func:`~gztower.gz.power_table`; it raises the error that the stack
+    reports for its time.
     """
-    tops, errors = flow_stack(T, idx, [t])
+    tops, errors = flow_stack(power_table(T), idx, [t])
     if errors[0] is not None:
         raise errors[0]
     return Tower(tops[0])
 
 
 def flow_stack(
-    T: Tower, idx: GZIndex, ts: Sequence[complex]
+    table: PowerTable, idx: GZIndex, ts: Sequence[complex]
 ) -> tuple[np.ndarray, list[Optional[Exception]]]:
     """The exact flow of f_{ij} at every time of ``ts``, evaluated together.
 
+    The generator ``j X_i^(j-1)`` is read off the caller's power table of
+    the tower, so a caller flowing many indices forms each power once.
     One stacked ``expm`` of the generators ``-t j X_i^(j-1)`` and one
     stacked conjugation of the top; each slice is bit-identical to
     :func:`flow` at its time.  Returns the ``(len(ts), N, N)`` stack of
@@ -313,37 +313,15 @@ def flow_stack(
     LinAlgError when the conjugator is singular.  A failed time fails
     only its own slice, whose top is not meaningful.
     """
-    if idx.i > T.depth:
-        raise IndexError(f"index level {idx.i} exceeds tower depth {T.depth}")
-    P = embed(idx.j * mat_pow(T.level(idx.i), idx.j - 1), T.depth)
+    N = table.top.shape[0]
+    if idx.i > N:
+        raise IndexError(f"index level {idx.i} exceeds tower depth {N}")
+    P = embed(idx.j * table.powers[idx.i - 1][idx.j - 1], N)
     times = np.asarray(ts, dtype=np.complex128)
     g, exp_errors = mat_exp_stack(-times[:, None, None] * P)
-    tops, errors = _conjugate_stack(g, T.top)
+    tops, errors = _conjugate_stack(g, table.top)
     # The exponential fails first, as it does in a single flow.
     return tops, [e if e is not None else c for e, c in zip(exp_errors, errors)]
-
-
-def orbit_tangents_A(T: Tower) -> list[TowerTangent]:
-    """The N(N-1)/2 Hamiltonian tangents spanning the abelian orbit direction."""
-    if T.depth < 2:
-        raise ValueError("abelian orbit tangents need depth at least 2")
-    return [gz_hamiltonian(T, idx) for idx in gz_indices(T.depth, max_i=T.depth - 1)]
-
-
-def orbit_tangents_G(T: Tower) -> list[TowerTangent]:
-    """Adjoint-orbit tangents generated by matrix units at the deepest level.
-
-    The spanned space at level N is the image of ``Z -> [Z, X(N)]``,
-    of dimension N^2 - N at regular matrices.
-    """
-    N = T.depth
-    out: list[TowerTangent] = []
-    for k in range(N):
-        for l in range(N):
-            unit = np.zeros((N, N), dtype=np.complex128)
-            unit[k, l] = 1.0
-            out.append(TowerTangent(tower=T, base_level=N, generator=unit))
-    return out
 
 
 def zn_element(T: Tower, a: AParams) -> GroupElement:

@@ -39,7 +39,7 @@ from .action import (
 )
 from .gz import GZIndex, gz_indices, power_table, stack_traces
 from .matcore import Tolerance
-from .regularity import SregReport, joint_commutant_kernel, sreg_report
+from .regularity import SregReport, joint_commutant_kernel, report_number, sreg_report
 from .symplectic import lagrangian_check, match_residual
 from .tower import (
     RNG_ALGORITHM,
@@ -168,7 +168,7 @@ def _check_commute(T: Tower, tol: Tolerance, seed: int) -> CheckResult:
         property="observable-family-poisson-commutativity",
         passed=_tri(worst <= DRIFT_RTOL),
         details={
-            "max_bracket_ratio": worst,
+            "max_bracket_ratio": report_number(worst),
             "worst_pair": worst_pair,
             "pairs": len(pair_ratios),
             "rtol": DRIFT_RTOL,
@@ -220,7 +220,7 @@ def _check_conserve(T: Tower, tol: Tolerance, seed: int) -> CheckResult:
             worst_kappa_log = max(
                 worst_kappa_log, *(2.0 * abs(t) * pnorm for t in DEFAULT_T_GRID)
             )
-            tops, errors = flow_stack(T, GZIndex(i, j), DEFAULT_T_GRID)
+            tops, errors = flow_stack(table, GZIndex(i, j), DEFAULT_T_GRID)
             ok = np.array([e is None for e in errors])
             flow_failed = flow_failed or not ok.all()
             level_tops.append(tops[ok])
@@ -233,8 +233,8 @@ def _check_conserve(T: Tower, tol: Tolerance, seed: int) -> CheckResult:
     ok = not flow_failed and worst_drift <= DRIFT_RTOL and worst_corner <= CORNER_RTOL
     achievable = np.finfo(float).eps * float(np.exp(min(worst_kappa_log, 700.0)))
     details = {
-        "max_relative_drift": worst_drift,
-        "max_corner_residual": worst_corner,
+        "max_relative_drift": report_number(worst_drift),
+        "max_corner_residual": report_number(worst_corner),
         "t_grid": list(DEFAULT_T_GRID),
         "drift_rtol": DRIFT_RTOL,
         "corner_rtol": CORNER_RTOL,
@@ -316,7 +316,11 @@ def _check_match(T: Tower, tol: Tolerance, seed: int) -> CheckResult:
         name="match",
         property="level-gluing-consistency",
         passed=_tri(worst <= MATCH_RTOL),
-        details={"draws": MATCH_DRAWS, "max_residual_ratio": worst, "rtol": MATCH_RTOL},
+        details={
+            "draws": MATCH_DRAWS,
+            "max_residual_ratio": report_number(worst),
+            "rtol": MATCH_RTOL,
+        },
     )
 
 
@@ -343,7 +347,7 @@ def _check_consistent(T: Tower, tol: Tolerance, seed: int) -> CheckResult:
         name="consistent",
         property="bracket-form-consistency",
         passed=_tri(worst <= DRIFT_RTOL),
-        details={"max_mismatch_ratio": worst, "rtol": DRIFT_RTOL},
+        details={"max_mismatch_ratio": report_number(worst), "rtol": DRIFT_RTOL},
     )
 
 
@@ -510,8 +514,9 @@ def _flow_table(
     from the same evaluator, so a flow that returns the input tower shows
     exactly zero drift.
     """
-    base = power_table(T).traces()
-    tops, errors = flow_stack(T, idx, grid)
+    table = power_table(T)
+    base = table.traces()
+    tops, errors = flow_stack(table, idx, grid)
     # The first failure in grid order is the one a flow-by-flow loop meets.
     for exc in errors:
         if exc is not None:
@@ -650,7 +655,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     report.update(
         {
             "samples": len(samples),
-            "max_observable_drift": worst_drift,
+            "max_observable_drift": report_number(worst_drift),
             "observable_invariance_ok": invariance_ok,
             "permuted_application_gap": worst_perm if args.permute_factors else None,
             "lagrangian": lag.to_json_dict(),

@@ -19,13 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import bracket_matrix, embed, mat_pow
-from .tower import Tower, TowerTangent
+from .tower import Tower
 
 __all__ = [
     "GZIndex",
     "gz_indices",
     "gz_grad",
-    "gz_hamiltonian",
     "PowerTable",
     "power_table",
     "stack_traces",
@@ -57,19 +56,6 @@ def gz_grad(T: Tower, idx: GZIndex, n: int) -> np.ndarray:
             f"need index level {idx.i} <= n <= depth {T.depth}, got n={n}"
         )
     return embed(idx.j * mat_pow(T.level(idx.i), idx.j - 1), n)
-
-
-def gz_hamiltonian(T: Tower, idx: GZIndex) -> TowerTangent:
-    """Hamiltonian tangent of f_{ij}: value ``-[j X_i^(j-1), X(k)]`` at level k.
-
-    The value at the base level itself vanishes to rounding (a polynomial
-    in X_i commutes with X_i), matching the Casimir property of top-level
-    observables.
-    """
-    if idx.i > T.depth:
-        raise IndexError(f"index level {idx.i} exceeds tower depth {T.depth}")
-    generator = idx.j * mat_pow(T.level(idx.i), idx.j - 1)
-    return TowerTangent(tower=T, base_level=idx.i, generator=generator)
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,7 +7,11 @@ loops, the eigenvalue oracle goes through characteristic-polynomial
 coefficients and simultaneous root iteration, the kernel oracle is a
 full-pivot Gaussian elimination, and the Kronecker oracles answer the
 strong-regularity and spectrum questions by a dense SVD of the full
-operator on gl(n), which production code no longer forms.  The dense
+operator on gl(n), which production code no longer forms.  The
+Hamiltonian tangents take their generators ``j X_i^(j-1)`` with
+``matrix_power`` too, and the orbit family is the N^2 matrix units at
+the top level: the dense families whose ranks the Lagrangian check reads
+off the strong-regularity criteria rather than forming them.  The dense
 action product multiplies every exponential factor of the abelian
 action, zero parameters included; it shares only ``mat_exp`` and
 ``embed`` with the action, so the two must agree bit for bit.  Clarity
@@ -22,8 +26,9 @@ from typing import Callable
 import numpy as np
 
 from .action import AParams
+from .gz import GZIndex, gz_indices
 from .matcore import DEFAULT_TOL, Tolerance, embed, mat_exp
-from .tower import Tower
+from .tower import Tower, TowerTangent
 
 __all__ = [
     "ConvergenceError",
@@ -39,6 +44,9 @@ __all__ = [
     "kron_sylvester_singular",
     "kron_spectra_disjoint",
     "dense_action_product",
+    "gz_hamiltonian",
+    "orbit_tangents_A",
+    "orbit_tangents_G",
 ]
 
 MAX_ORACLE_DIM = 8
@@ -293,3 +301,39 @@ def dense_action_product(a: AParams, T: Tower, N: int) -> np.ndarray:
             g = g @ factor
             powers = powers @ Xi
     return g
+
+
+def gz_hamiltonian(T: Tower, idx: GZIndex) -> TowerTangent:
+    """Hamiltonian tangent of f_{ij}: value ``-[j X_i^(j-1), X(k)]`` at level k.
+
+    The value at the base level itself vanishes to rounding (a polynomial
+    in X_i commutes with X_i), matching the Casimir property of top-level
+    observables.
+    """
+    if idx.i > T.depth:
+        raise IndexError(f"index level {idx.i} exceeds tower depth {T.depth}")
+    generator = idx.j * np.linalg.matrix_power(T.level(idx.i), idx.j - 1)
+    return TowerTangent(tower=T, base_level=idx.i, generator=generator)
+
+
+def orbit_tangents_A(T: Tower) -> list[TowerTangent]:
+    """The N(N-1)/2 Hamiltonian tangents spanning the abelian orbit direction."""
+    if T.depth < 2:
+        raise ValueError("abelian orbit tangents need depth at least 2")
+    return [gz_hamiltonian(T, idx) for idx in gz_indices(T.depth, max_i=T.depth - 1)]
+
+
+def orbit_tangents_G(T: Tower) -> list[TowerTangent]:
+    """Adjoint-orbit tangents generated by matrix units at the deepest level.
+
+    The spanned space at level N is the image of ``Z -> [Z, X(N)]``,
+    of dimension N^2 - N at regular matrices.
+    """
+    N = T.depth
+    out: list[TowerTangent] = []
+    for k in range(N):
+        for l in range(N):
+            unit = np.zeros((N, N), dtype=np.complex128)
+            unit[k, l] = 1.0
+            out.append(TowerTangent(tower=T, base_level=N, generator=unit))
+    return out

@@ -190,7 +190,7 @@ def is_sreg_centralizers(T: Tower, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def _tangents_split(T: Tower, tol: Tolerance) -> tuple[bool, float, float]:
-    # The values at level N of orbit_tangents_A(T), -[grad f_ij, X_N] for
+    # The Hamiltonian tangent values at level N, -[grad f_ij, X_N] for
     # i < N, formed from the gradients: an overflowed generator then makes
     # a non-finite family, which has no rank, rather than an invalid tangent.
     N = T.depth
@@ -221,8 +221,11 @@ def _theta_holds(T: Tower, tol: Tolerance) -> bool:
 
 
 def report_number(x: Optional[float]) -> Optional[float]:
-    """A diagnostic as a JSON report value: missing or infinite becomes null."""
-    return None if x is None or math.isinf(x) else x
+    """A diagnostic as a JSON report value: missing or non-finite becomes null.
+
+    JSON has no token for NaN or the infinities (RFC 8259).
+    """
+    return None if x is None or not math.isfinite(x) else x
 
 
 @dataclass(frozen=True)

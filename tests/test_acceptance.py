@@ -12,9 +12,15 @@ import numpy as np
 
 from gztower import cli
 from gztower.action import a_act, a_act_stepwise, flow, random_params
-from gztower.gz import gz_grad, gz_hamiltonian, gz_indices, power_table
+from gztower.gz import gz_grad, gz_indices, power_table
 from gztower.matcore import ad_operator, embed, null_space, spectra_disjoint
-from gztower.oracles import central_gradient, charpoly_roots, dense_kernel, gz_observable
+from gztower.oracles import (
+    central_gradient,
+    charpoly_roots,
+    dense_kernel,
+    gz_hamiltonian,
+    gz_observable,
+)
 from gztower.regularity import sreg_report
 from gztower.symplectic import lagrangian_check, match_residual, omega_inf
 from gztower.tower import Tower, new_tower, random_entries

@@ -11,16 +11,15 @@ from gztower.action import (
     flow,
     flow_stack,
     gl_adjoint,
-    orbit_tangents_A,
-    orbit_tangents_G,
     params_from_json,
     params_to_json,
     random_params,
     zero_params,
     zn_element,
 )
-from gztower.gz import GZIndex, gz_hamiltonian, gz_indices, power_table
+from gztower.gz import GZIndex, gz_indices, power_table
 from gztower.matcore import embed, mat_exp, rank_split
+from gztower.oracles import gz_hamiltonian, orbit_tangents_A, orbit_tangents_G
 from gztower.tower import new_tower
 
 from conftest import diag_tower, plain_tower, theta_tower
@@ -267,7 +266,7 @@ class TestFlowStack:
     def test_flow_equals_its_slice(self):
         T = theta_tower(6, 135, 0.4)
         for idx in gz_indices(6)[::4]:
-            tops, errors = flow_stack(T, idx, self.GRID)
+            tops, errors = flow_stack(power_table(T), idx, self.GRID)
             assert tops.shape == (len(self.GRID), 6, 6)
             assert errors == [None] * len(self.GRID)
             for t, top in zip(self.GRID, tops):
@@ -299,7 +298,7 @@ class TestFlowStack:
     )
     def test_one_failing_time_fails_only_its_flow(self, top, idx, grid, bad, error):
         T = new_tower(top)
-        tops, errors = flow_stack(T, idx, grid)
+        tops, errors = flow_stack(power_table(T), idx, grid)
         assert [e is None for e in errors] == [s != bad for s in range(len(grid))]
         assert isinstance(errors[bad], error)
         with pytest.raises(error, match=str(errors[bad])):
@@ -310,7 +309,7 @@ class TestFlowStack:
 
     def test_index_out_of_depth(self):
         with pytest.raises(IndexError):
-            flow_stack(plain_tower(2, 136), GZIndex(3, 1), [0.0])
+            flow_stack(power_table(plain_tower(2, 136)), GZIndex(3, 1), [0.0])
 
 
 class TestOrbitTangents:

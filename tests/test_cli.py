@@ -227,9 +227,30 @@ class TestCheck:
         if suite == "sreg":
             assert check["details"]["by_differentials"] == "false"
             assert check["details"]["verdict"] == "false"
-            assert np.isnan(check["details"]["margins"][0])
+            assert check["details"]["margins"][0] is None
         else:
             assert check["passed"] == "indeterminate"
+
+    def test_reports_on_overflowing_powers_are_strict_json(self, tmp_path):
+        # JSON has no NaN or infinity token (RFC 8259): a non-finite
+        # diagnostic is written as null, and the verdicts stay as they were.
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        tower_file = tmp_path / "pow.json"
+        write_tower(tower_file, new_tower(self.OVERFLOWING_POWERS))
+        check_out, orbit_out = tmp_path / "check.json", tmp_path / "orbit.json"
+        assert cli.main(["check", str(tower_file), "-o", str(check_out)]) == cli.EXIT_FAIL
+        code = cli.main(["orbit", str(tower_file), "--seed", "0", "-o", str(orbit_out)])
+        assert code == cli.EXIT_FAIL
+        report = json.loads(check_out.read_text(), parse_constant=refuse)
+        checks = {c["name"]: c for c in report["checks"]}
+        assert checks["commute"]["passed"] == checks["consistent"]["passed"] == "false"
+        assert checks["commute"]["details"]["max_bracket_ratio"] is None
+        assert checks["consistent"]["details"]["max_mismatch_ratio"] is None
+        orbit = json.loads(orbit_out.read_text(), parse_constant=refuse)
+        assert orbit["observable_invariance_ok"] is False
+        assert orbit["max_observable_drift"] is None
 
     def test_commute_on_overflowing_powers_fails_without_warnings(self, tmp_path, capsys):
         # The configured filter turns any RuntimeWarning into an error here.
@@ -581,7 +602,8 @@ class TestNonFiniteResiduals:
 
 class TestCheckCost:
     """Conserve stacks each generator's times and each level's traces; consistent
-    pairs by level, not by pair; the suite computes one strong-regularity report."""
+    pairs by level, not by pair; lagrangian builds one power table; the suite
+    computes one strong-regularity report."""
 
     DEPTH = 6
 
@@ -606,6 +628,11 @@ class TestCheckCost:
             return wrapped
 
         monkeypatch.setattr(cli, "power_table", counting("power_table", cli.power_table))
+        monkeypatch.setattr(
+            gztower.symplectic,
+            "power_table",
+            counting("power_table", gztower.symplectic.power_table),
+        )
         monkeypatch.setattr(cli, "stack_traces", counting("stack_traces", cli.stack_traces))
         monkeypatch.setattr(Tower, "__post_init__", counting("Tower", Tower.__post_init__))
         monkeypatch.setattr(
@@ -630,6 +657,18 @@ class TestCheckCost:
 
     def test_consistent(self, tower, counts):
         assert cli.CHECKS["consistent"](tower, cli.Tolerance(), 0).passed == "true"
+        assert counts == {
+            "power_table": 1,
+            "Tower": 0,
+            "expm": 0,
+            "omega_inf": 0,
+            "stack_traces": 0,
+        }
+
+    def test_lagrangian(self, tower, counts):
+        # The ranks come from the strong-regularity report; the pairings read
+        # the generators off one power table.
+        assert cli.CHECKS["lagrangian"](tower, cli.Tolerance(), 0).passed == "true"
         assert counts == {
             "power_table": 1,
             "Tower": 0,

@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 
 from gztower.action import flow_stack
-from gztower.gz import GZIndex, gz_grad, gz_hamiltonian, gz_indices, power_table, stack_traces
+from gztower.gz import GZIndex, gz_grad, gz_indices, power_table, stack_traces
 from gztower.matcore import bracket_matrix, embed
-from gztower.oracles import SmoothFn, central_gradient, fd_poisson_bracket, gz_observable
+from gztower.oracles import (
+    SmoothFn,
+    central_gradient,
+    fd_poisson_bracket,
+    gz_hamiltonian,
+    gz_observable,
+)
 from gztower.symplectic import anchor, omega_inf
 from gztower.tower import Tower, new_tower
 
@@ -292,7 +298,7 @@ class TestStackTraces:
         T = theta_tower(depth, 71, 0.3)
         grid = [-2.0, -0.5, 0.0, 1.0, 2.0]
         for idx in gz_indices(depth - 1)[:: max(1, depth - 3)]:
-            tops, errors = flow_stack(T, idx, grid)
+            tops, errors = flow_stack(power_table(T), idx, grid)
             assert errors == [None] * len(grid)
             traces = stack_traces(tops)
             for top, row in zip(tops, traces):
@@ -303,7 +309,8 @@ class TestStackTraces:
         # on which other towers share its stack.
         T = theta_tower(8, 72, 0.3)
         grid = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
-        parts = [flow_stack(T, GZIndex(7, j), grid)[0] for j in range(1, 8)]
+        table = power_table(T)
+        parts = [flow_stack(table, GZIndex(7, j), grid)[0] for j in range(1, 8)]
         parts.append(parts[0][:1])
         whole = stack_traces(np.concatenate(parts))
         assert np.array_equal(whole, np.concatenate([stack_traces(p) for p in parts]))

@@ -7,6 +7,7 @@ from gztower.matcore import (
     DEFAULT_TOL,
     ad_operator,
     null_space,
+    rank_split,
     spectra_disjoint,
     sylvester_min_singular,
 )
@@ -14,7 +15,9 @@ from gztower.regularity import (
     centralizer_intersection_trivial,
     is_regular,
     joint_commutant_kernel,
+    sreg_report,
 )
+from gztower.symplectic import ISOTROPY_RTOL, isotropy_check, lagrangian_check
 from gztower.oracles import (
     MAX_ORACLE_DIM,
     SmoothFn,
@@ -28,6 +31,8 @@ from gztower.oracles import (
     kron_is_regular,
     kron_spectra_disjoint,
     kron_sylvester_singular,
+    orbit_tangents_A,
+    orbit_tangents_G,
 )
 from gztower.tower import Tower, new_tower
 
@@ -318,3 +323,36 @@ class TestDenseActionProduct:
                 current = Tower(np.linalg.solve(g.T, (g @ current.top).T).T)
             assert np.array_equal(a_act_stepwise(a, T, perm).top, current.top)
 
+
+
+class TestLagrangianAgainstDenseFamilies:
+    """The ranks the check reads off strong regularity against the dense tangent families."""
+
+    @pytest.mark.parametrize("depth", range(2, 9))
+    def test_theta_towers(self, depth):
+        T = theta_tower(depth, 340 + depth, 0.5)
+        report = lagrangian_check(T)
+        abelian = orbit_tangents_A(T)
+        rank_A = rank_split([v.value(depth) for v in abelian])[0]
+        rank_G = rank_split([v.value(depth) for v in orbit_tangents_G(T)])[0]
+        assert report.rank_A == rank_A
+        assert report.rank_G == rank_G
+        assert report.margin_A == sreg_report(T).margins[2]
+        gen_norm = max(np.linalg.norm(v.generator) for v in abelian)
+        scale = 1.0 + 2.0 * np.linalg.norm(T.top) * gen_norm**2
+        dense_ok = (
+            rank_A == depth * (depth - 1) // 2
+            and rank_G == depth * depth - depth
+            and isotropy_check(T, abelian) <= ISOTROPY_RTOL * scale
+        )
+        assert dense_ok and report.verdict == "true"
+
+    @pytest.mark.parametrize(
+        "T", [diag_tower([1.0, 2.0, 3.0]), new_tower(np.eye(3, dtype=complex))],
+        ids=["diagonal", "identity"],
+    )
+    def test_not_strongly_regular_is_not_applicable(self, T):
+        assert lagrangian_check(T).verdict == "not applicable"
+        # The dense abelian family collapses: there is no Lagrangian claim to test.
+        values = [v.value(3) for v in orbit_tangents_A(T)]
+        assert rank_split(values)[0] == 0

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from gztower.action import orbit_tangents_A
-from gztower.gz import gz_hamiltonian, gz_indices, power_table
+from gztower import matcore, regularity, symplectic
+from gztower.gz import gz_indices, power_table
 from gztower.matcore import bracket_matrix, commutator, embed, rank_split
+from gztower.oracles import gz_hamiltonian, orbit_tangents_A
 from gztower.regularity import centralizer_basis
 from gztower.symplectic import (
+    ISOTROPY_RTOL,
     anchor,
     isotropy_check,
     kk_form,
@@ -258,6 +260,13 @@ class TestLagrangian:
         report = lagrangian_check(diag_tower([1.0, 2.0, 3.0]))
         assert report.verdict == "not applicable"
 
+    def test_report_of_another_tower_does_not_vouch_for_a_scalar_top(self):
+        # The orbit rank is known only at a regular X_N; a scalar top has none.
+        sreg = regularity.sreg_report(theta_tower(3, 216))
+        report = lagrangian_check(new_tower(np.eye(3, dtype=complex)), sreg=sreg)
+        assert report.rank_G is None
+        assert report.verdict == "false"
+
     def test_depth1_not_applicable(self):
         report = lagrangian_check(new_tower([[1.0]]))
         assert report.verdict == "not applicable"
@@ -273,9 +282,44 @@ class TestLagrangian:
             assert isinstance(data[key], float) and np.isfinite(data[key])
             assert data[key] > 10
 
+    def test_isotropy_rtol_is_the_module_constant(self):
+        data = lagrangian_check(theta_tower(3, 216)).to_json_dict()
+        assert data["isotropy_rtol"] == ISOTROPY_RTOL == 1e-8
+
     def test_rank_margins_null_when_not_applicable(self):
         data = lagrangian_check(diag_tower([1.0, 2.0, 3.0])).to_json_dict()
         assert data["margin_A"] is None and data["margin_G"] is None
+
+
+class TestNoDenseOrbitFamily:
+    """The check reads its ranks off strong regularity: no rank SVD, no n^2 x n^2 family."""
+
+    DEPTH = 8
+
+    def test_regular_tower_reads_true(self, monkeypatch):
+        T = theta_tower(self.DEPTH, 219)
+        # Criteria 1 and 3 rank their families; the check reuses that report.
+        sreg = regularity.sreg_report(T)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense orbit family ranked or Kronecker operator formed")
+
+        svd = np.linalg.svd
+
+        def svd_below_n_squared(a, *args, **kwargs):
+            if max(np.shape(a)) >= self.DEPTH**2:
+                raise AssertionError(f"SVD of a {np.shape(a)} family")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(symplectic, "rank_split", refuse, raising=False)
+        for module in (matcore, regularity):
+            monkeypatch.setattr(module, "rank_split", refuse)
+            monkeypatch.setattr(module, "ad_operator", refuse)
+        monkeypatch.setattr(np, "kron", refuse)
+        monkeypatch.setattr(np.linalg, "svd", svd_below_n_squared)
+        report = lagrangian_check(T, sreg=sreg)
+        assert report.verdict == "true"
+        assert report.rank_A == 28 and report.rank_G == 56
 
 
 class TestNondegeneracy:
