@@ -15,7 +15,6 @@ from .matcore import (
     corner,
     embed,
     mat_exp,
-    mat_pow,
     null_space,
     spectra_disjoint,
     trace_pair,
@@ -32,7 +31,6 @@ from .tower import (
 )
 from .gz import (
     GZIndex,
-    gz_grad,
     gz_indices,
     PowerTable,
     power_table,
@@ -82,7 +80,6 @@ __all__ = [
     "commutator",
     "trace_pair",
     "bracket_matrix",
-    "mat_pow",
     "mat_exp",
     "null_space",
     "spectra_disjoint",
@@ -96,7 +93,6 @@ __all__ = [
     "tower_from_json",
     "GZIndex",
     "gz_indices",
-    "gz_grad",
     "PowerTable",
     "power_table",
     "stack_traces",

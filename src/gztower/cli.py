@@ -146,33 +146,51 @@ def _pair_bounds(T: Tower, idxs: list[GZIndex]) -> np.ndarray:
     return 1.0 + norms ** np.add.outer(levels, levels)
 
 
+def _pair_verdict(worst: float, bounds: np.ndarray, details: dict) -> str:
+    """Verdict from the worst ratio over the pairs whose bound is finite.
+
+    Pairs whose bound overflows are left out, so the check cannot pass.
+    """
+    left_out = int(np.isinf(bounds).sum())
+    if worst <= DRIFT_RTOL and left_out:
+        details["note"] = (
+            f"{left_out} of {bounds.size} pairs have a bound that overflows double "
+            "precision and were not compared; regenerate the tower at a smaller scale"
+        )
+        return "indeterminate"
+    return _tri(worst <= DRIFT_RTOL)
+
+
 def _name(idx: GZIndex) -> str:
     return f"f[{idx.i},{idx.j}]"
 
 
 def _check_commute(T: Tower, tol: Tolerance, seed: int) -> CheckResult:
     idxs = gz_indices(T.depth)
-    # Overflowing entries stay non-finite, and np.max propagates NaN, so a
-    # non-finite bracket cannot pass the rtol.
-    with np.errstate(over="ignore", invalid="ignore"):
-        ratios = np.abs(power_table(T).bracket_matrix()) / _pair_bounds(T, idxs)
     upper = np.triu_indices(len(idxs), 1)
-    pair_ratios = ratios[upper]
+    # Overflowing entries stay non-finite; pairs whose bound overflows are
+    # not compared, and np.max propagates NaN, so a non-finite bracket of a
+    # compared pair cannot pass the rtol.
+    with np.errstate(over="ignore", invalid="ignore"):
+        bounds = _pair_bounds(T, idxs)[upper]
+        ratios = np.abs(power_table(T).bracket_matrix()[upper]) / bounds
+    pair_ratios = np.where(np.isinf(bounds), 0.0, ratios)
     worst = float(pair_ratios.max(initial=0.0))
     worst_pair = None
     if worst != 0.0:
         k = int(np.argmax(pair_ratios))
         worst_pair = [_name(idxs[upper[0][k]]), _name(idxs[upper[1][k]])]
+    details = {
+        "max_bracket_ratio": report_number(worst),
+        "worst_pair": worst_pair,
+        "pairs": len(pair_ratios),
+        "rtol": DRIFT_RTOL,
+    }
     return CheckResult(
         name="commute",
         property="observable-family-poisson-commutativity",
-        passed=_tri(worst <= DRIFT_RTOL),
-        details={
-            "max_bracket_ratio": report_number(worst),
-            "worst_pair": worst_pair,
-            "pairs": len(pair_ratios),
-            "rtol": DRIFT_RTOL,
-        },
+        passed=_pair_verdict(worst, bounds, details),
+        details=details,
     )
 
 
@@ -332,8 +350,9 @@ def _check_consistent(T: Tower, tol: Tolerance, seed: int) -> CheckResult:
     # what the check tests.
     idxs = gz_indices(T.depth)
     table = power_table(T)
-    # Overflowing entries stay non-finite, and np.max propagates NaN, so a
-    # non-finite mismatch cannot pass the rtol.
+    # Overflowing entries stay non-finite; pairs whose bound overflows are
+    # not compared, and np.max propagates NaN, so a non-finite mismatch of a
+    # compared pair cannot pass the rtol.
     with np.errstate(over="ignore", invalid="ignore"):
         bracket = table.bracket_matrix()
         bounds = _pair_bounds(T, idxs)
@@ -341,13 +360,16 @@ def _check_consistent(T: Tower, tol: Tolerance, seed: int) -> CheckResult:
         for k, block in enumerate(table.level_pairings(), 1):
             rows = slice(k * (k - 1) // 2, k * (k + 1) // 2)
             cols = slice(0, rows.stop)
-            mismatch.append(np.max(np.abs(bracket[rows, cols] - block) / bounds[rows, cols]))
+            ratios = np.abs(bracket[rows, cols] - block) / bounds[rows, cols]
+            mismatch.append(np.max(np.where(np.isinf(bounds[rows, cols]), 0.0, ratios)))
     worst = float(np.max(mismatch))
+    # Some block compares every unordered pair, an index with itself included.
+    details = {"max_mismatch_ratio": report_number(worst), "rtol": DRIFT_RTOL}
     return CheckResult(
         name="consistent",
         property="bracket-form-consistency",
-        passed=_tri(worst <= DRIFT_RTOL),
-        details={"max_mismatch_ratio": report_number(worst), "rtol": DRIFT_RTOL},
+        passed=_pair_verdict(worst, bounds[np.tril_indices(len(idxs))], details),
+        details=details,
     )
 
 
@@ -505,6 +527,18 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_PASS
 
 
+def _traces_overflow(tops: np.ndarray, traces: np.ndarray) -> bool:
+    """Whether a tower of an (s, N, N) stack has a non-finite trace and an infinite bound.
+
+    ``N max(1, ||X_N||_F)^N`` bounds every trace and every power entry; a
+    non-finite trace under a finite bound is a fault, not an overflow.
+    """
+    N = tops.shape[-1]
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(tops[~np.isfinite(traces).all(axis=1)], axis=(1, 2))
+        return bool(np.isinf(N * np.maximum(1.0, norms) ** N).any())
+
+
 def _flow_table(
     T: Tower, idx: GZIndex, grid: list[float]
 ) -> tuple[list[tuple[float, np.ndarray]], np.ndarray]:
@@ -512,7 +546,8 @@ def _flow_table(
 
     Values follow :func:`gz_indices` order; base and flowed values come
     from the same evaluator, so a flow that returns the input tower shows
-    exactly zero drift.
+    exactly zero drift.  Raises OverflowError when a base or flowed trace
+    leaves the double range.
     """
     table = power_table(T)
     base = table.traces()
@@ -522,6 +557,8 @@ def _flow_table(
         if exc is not None:
             raise exc
     values = stack_traces(tops)
+    if _traces_overflow(table.top[None], base[None]) or _traces_overflow(tops, values):
+        raise OverflowError("the observables overflow the representable range")
     # np.max propagates NaN, so a non-finite value cannot pass.
     with np.errstate(over="ignore", invalid="ignore"):
         drift = np.max(np.abs(values - base) / (1.0 + np.abs(base)), axis=0, initial=0.0)

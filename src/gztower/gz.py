@@ -18,13 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import bracket_matrix, embed, mat_pow
+from .matcore import bracket_matrix, embed_stack, tangent_values
 from .tower import Tower
 
 __all__ = [
     "GZIndex",
     "gz_indices",
-    "gz_grad",
     "PowerTable",
     "power_table",
     "stack_traces",
@@ -49,15 +48,6 @@ def gz_indices(depth: int, max_i: int | None = None) -> list[GZIndex]:
     return [GZIndex(i, j) for i in range(1, top + 1) for j in range(1, i + 1)]
 
 
-def gz_grad(T: Tower, idx: GZIndex, n: int) -> np.ndarray:
-    """Trace-form gradient ``embed(j * X_i^(j-1), n)`` of f_{ij} at level n."""
-    if not idx.i <= n <= T.depth:
-        raise IndexError(
-            f"need index level {idx.i} <= n <= depth {T.depth}, got n={n}"
-        )
-    return embed(idx.j * mat_pow(T.level(idx.i), idx.j - 1), n)
-
-
 @dataclass(frozen=True, eq=False)
 class PowerTable:
     """The powers of every level of one tower, each formed once.
@@ -79,8 +69,12 @@ class PowerTable:
         return stack_traces(self.top[None])[0]
 
     def generators(self) -> list[np.ndarray]:
-        """Every gradient ``j X_i^(j-1)`` at its own level i, in :func:`gz_indices` order."""
-        return [j * P[j - 1] for P in self.powers for j in range(1, P.shape[0] + 1)]
+        """Every gradient ``j X_i^(j-1)`` at its own level i, in :func:`gz_indices` order.
+
+        Entries that overflow are left non-finite, without a warning.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            return [j * P[j - 1] for P in self.powers for j in range(1, P.shape[0] + 1)]
 
     def bracket_matrix(self) -> np.ndarray:
         """``tr(X_N [grad f_a, grad f_b])`` for every pair of :func:`gz_indices`.
@@ -96,26 +90,18 @@ class PowerTable:
 
         Block ``k - 1`` holds ``tr(X_k [G_b, G_a])``, with one row for each
         generator G_b of level k and one column for each generator G_a of
-        level ``<= k``, from one GEMM of ``vec([X_k, G_b])`` against
-        ``vec(G_a^T)``.  These are the rows of level k of
-        :meth:`bracket_matrix` up to its diagonal block, paired at X_k
-        instead of X_N.
+        level ``<= k``, from one GEMM of the :func:`tangent_values` of the
+        G_b at X_k against the :func:`embed_stack` of the ``G_a^T``.  These
+        are the rows of level k of :meth:`bracket_matrix` up to its diagonal
+        block, paired at X_k instead of X_N.
         """
         gens = self.generators()
-        stacks = [
-            np.stack(gens[i * (i - 1) // 2 : i * (i + 1) // 2])
-            for i in range(1, len(self.powers) + 1)
-        ]
         blocks = []
-        for k, G in enumerate(stacks, 1):
-            X = self.top[:k, :k]
-            m = k * (k + 1) // 2
-            right = np.zeros((m, k, k), dtype=np.complex128)
-            for i, Gi in enumerate(stacks[:k], 1):
-                first = i * (i - 1) // 2
-                right[first : first + i, :i, :i] = Gi.transpose(0, 2, 1)
-            left = X @ G - G @ X
-            blocks.append(left.reshape(k, k * k) @ right.reshape(m, k * k).T)
+        for k in range(1, len(self.powers) + 1):
+            first, m = k * (k - 1) // 2, k * (k + 1) // 2
+            left = tangent_values(self.top[:k, :k], gens[first:m]).reshape(k, k * k)
+            right = embed_stack([G.T for G in gens[:m]], k).reshape(m, k * k)
+            blocks.append(left @ right.T)
         return blocks
 
 

@@ -4,8 +4,8 @@ Everything downstream works on square ``numpy.ndarray`` matrices with
 ``complex128`` entries.  This module owns the shared conventions:
 
 * corner extraction / zero-padded embedding between sizes,
-* commutator and trace pairing,
-* matrix powers and exponentials, alone or stacked,
+* commutator and trace pairing, and their stacked tangent families,
+* matrix exponentials, alone or stacked,
 * numerical rank, null spaces and Krylov bases of matrix powers,
 * the Sylvester-operator spectrum test, through complex Schur forms,
 
@@ -37,11 +37,11 @@ __all__ = [
     "embed_group",
     "commutator",
     "trace_pair",
+    "tangent_values",
+    "embed_stack",
     "bracket_matrix",
-    "mat_pow",
     "mat_exp",
     "mat_exp_stack",
-    "stack_flat",
     "spectrum_split",
     "rank_split",
     "kernel_basis",
@@ -145,49 +145,47 @@ def trace_pair(A: np.ndarray, B: np.ndarray) -> complex:
     return complex(np.sum(A * B.T))
 
 
+def tangent_values(X: np.ndarray, gens: Sequence[np.ndarray]) -> np.ndarray:
+    """The (m, n, n) stack of ``[X, embed(G_a, n)]`` over a family of generators.
+
+    Each ``G_a`` is a square matrix no larger than ``X``.  Slice a is the
+    value at X of the :class:`~gztower.tower.TowerTangent` generated by
+    ``G_a`` at its own level: the batched form of that one tangent type.
+    Entries that overflow are left non-finite, without a warning.
+    """
+    n = X.shape[0]
+    out = np.zeros((len(gens), n, n), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, G in enumerate(gens):
+            k = G.shape[0]
+            if k > n:
+                raise IndexError(f"cannot embed dimension {k} into smaller dimension {n}")
+            # With E = embed(G, n): X E fills columns :k and E X fills rows :k.
+            out[a, :, :k] = X[:, :k] @ G
+            out[a, :k, :] -= G @ X[:k, :]
+    return out
+
+
+def embed_stack(gens: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """The (m, n, n) stack of ``embed(G_a, n)`` over a family of generators."""
+    out = np.empty((len(gens), n, n), dtype=np.complex128)
+    for a, G in enumerate(gens):
+        out[a] = embed(G, n)
+    return out
+
+
 def bracket_matrix(X: np.ndarray, gens: Sequence[np.ndarray]) -> np.ndarray:
     """Matrix of ``tr(X [G_a, G_b])`` over a family of generators, in one GEMM.
 
-    Each ``G_a`` is a square matrix no larger than ``X``, zero-padded into
-    its top-left corner.  Because ``tr(X [A, B]) = tr([X, A] B)``, entry
-    (a, b) is the dot product of ``vec([X, G_a])`` with ``vec(G_b^T)``;
-    stacking both sides turns every pair into a single matrix product.
+    Because ``tr(X [A, B]) = tr([X, A] B)``, entry (a, b) is the dot product
+    of ``vec([X, G_a])`` with ``vec(G_b^T)``: the :func:`tangent_values`
+    stack against the :func:`embed_stack` of the transposes, whose views
+    are copied once, into the padded stack.
     """
-    n = X.shape[0]
-    m = len(gens)
-    left = np.zeros((m, n, n), dtype=np.complex128)
-    right = np.zeros((m, n, n), dtype=np.complex128)
-    for a, G in enumerate(gens):
-        k = G.shape[0]
-        if k > n:
-            raise IndexError(f"cannot embed dimension {k} into smaller dimension {n}")
-        # With E = embed(G, n): X E fills columns :k and E X fills rows :k.
-        left[a, :, :k] = X[:, :k] @ G
-        left[a, :k, :] -= G @ X[:k, :]
-        right[a, :k, :k] = G.T
-    return left.reshape(m, n * n) @ right.reshape(m, n * n).T
-
-
-def mat_pow(M: np.ndarray, k: int) -> np.ndarray:
-    """``M ** k`` by repeated squaring; ``M ** 0`` is the identity.
-
-    Entries that overflow are left non-finite, without a warning, as in
-    :func:`~gztower.gz.power_table`.
-    """
-    if k < 0:
-        raise ValueError("exponent must be nonnegative")
-    n = M.shape[0]
-    result = np.eye(n, dtype=np.complex128)
-    base = M.astype(np.complex128, copy=True)
-    e = k
-    with np.errstate(over="ignore", invalid="ignore"):
-        while e:
-            if e & 1:
-                result = result @ base
-            e >>= 1
-            if e:
-                base = base @ base
-    return result
+    n, m = X.shape[0], len(gens)
+    left = tangent_values(X, gens).reshape(m, n * n)
+    right = embed_stack([G.T for G in gens], n).reshape(m, n * n)
+    return left @ right.T
 
 
 def mat_exp(M: np.ndarray) -> np.ndarray:
@@ -220,20 +218,6 @@ def mat_exp_stack(M: np.ndarray) -> tuple[np.ndarray, list[Optional[OverflowErro
     return out, errors
 
 
-def stack_flat(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Stack matrices as rows of flattened vectors."""
-    if len(mats) == 0:
-        raise ValueError("empty family")
-    first = np.asarray(mats[0])
-    rows = []
-    for m in mats:
-        a = np.asarray(m, dtype=np.complex128)
-        if a.shape != first.shape:
-            raise ValueError("all family members must share one shape")
-        rows.append(a.reshape(-1))
-    return np.array(rows)
-
-
 def spectrum_split(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[int, float, float]:
     """Numerical rank of a descending singular-value array, with its diagnostics.
 
@@ -254,17 +238,19 @@ def spectrum_split(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[int, fl
     return rank, decisive, float(min(above, below))
 
 
-def rank_split(
-    mats: Sequence[np.ndarray], tol: Tolerance = DEFAULT_TOL
-) -> tuple[int, float, float]:
+def rank_split(family, tol: Tolerance = DEFAULT_TOL) -> tuple[int, float, float]:
     """Numerical rank of a family of matrices viewed as flat vectors.
 
-    Returns the :func:`spectrum_split` of the stacked family.  A family
-    with a non-finite entry has no numerical rank: it gives ``(0, nan,
-    nan)``, so no full-rank test passes on it and no margin vouches for
-    the result.
+    ``family`` is an (m, n, n) stack, or anything ``np.asarray`` makes one
+    of, such as a list of equal-shape matrices.  Returns the
+    :func:`spectrum_split` of its m flattened members.  A family with a
+    non-finite entry has no numerical rank: it gives ``(0, nan, nan)``, so
+    no full-rank test passes on it and no margin vouches for the result.
     """
-    family = stack_flat(mats)
+    family = np.asarray(family, dtype=np.complex128)
+    if family.shape[0] == 0:
+        raise ValueError("empty family")
+    family = family.reshape(family.shape[0], -1)
     if not np.all(np.isfinite(family)):
         return 0, math.nan, math.nan
     s = np.linalg.svd(family, compute_uv=False)

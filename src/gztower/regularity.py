@@ -30,18 +30,19 @@ from typing import Optional
 
 import numpy as np
 
-from .gz import gz_grad, gz_indices
+from .gz import power_table
 from .matcore import (
     DEFAULT_TOL,
     Tolerance,
     ad_operator,
-    commutator,
+    embed_stack,
     kernel_basis,
     krylov_basis,
     null_space,
     rank_split,
     spectra_disjoint,
     spectrum_split,
+    tangent_values,
 )
 from .tower import Tower
 
@@ -153,17 +154,15 @@ def centralizer_intersection_trivial(
     return regular and _border_split(Q, X_ip1[:i, i], X_ip1[i, :i], tol)[0]
 
 
-def _differentials_split(T: Tower, tol: Tolerance) -> tuple[bool, float, float]:
-    N = T.depth
-    grads = [gz_grad(T, idx, N) for idx in gz_indices(N)]
-    expected = N * (N + 1) // 2
-    rank, decisive, margin = rank_split(grads, tol)
-    return rank == expected, decisive, margin
+def _full_rank_split(family: np.ndarray, tol: Tolerance) -> tuple[bool, float, float]:
+    # A family with an overflowed generator is not finite and has no rank.
+    rank, decisive, margin = rank_split(family, tol)
+    return rank == len(family), decisive, margin
 
 
 def is_sreg_differentials(T: Tower, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Full rank of the N(N+1)/2 gradient family at the deepest level."""
-    ok, _, _ = _differentials_split(T, tol)
+    ok, _, _ = _full_rank_split(embed_stack(power_table(T).generators(), T.depth), tol)
     return ok
 
 
@@ -189,19 +188,6 @@ def is_sreg_centralizers(T: Tower, tol: Tolerance = DEFAULT_TOL) -> bool:
     return ok
 
 
-def _tangents_split(T: Tower, tol: Tolerance) -> tuple[bool, float, float]:
-    # The Hamiltonian tangent values at level N, -[grad f_ij, X_N] for
-    # i < N, formed from the gradients: an overflowed generator then makes
-    # a non-finite family, which has no rank, rather than an invalid tangent.
-    N = T.depth
-    X = T.level(N)
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = [-commutator(gz_grad(T, idx, N), X) for idx in gz_indices(N, max_i=N - 1)]
-    expected = N * (N - 1) // 2
-    rank, decisive, margin = rank_split(values, tol)
-    return rank == expected, decisive, margin
-
-
 def is_sreg_tangents(T: Tower, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Full rank of the N(N-1)/2 Hamiltonian tangent values at the deepest level.
 
@@ -210,7 +196,8 @@ def is_sreg_tangents(T: Tower, tol: Tolerance = DEFAULT_TOL) -> bool:
     """
     if T.depth < 2:
         raise ValueError("tangent criterion is vacuous for depth-1 towers")
-    ok, _, _ = _tangents_split(T, tol)
+    below = power_table(T).generators()[: T.depth * (T.depth - 1) // 2]
+    ok, _, _ = _full_rank_split(tangent_values(T.top, below), tol)
     return ok
 
 
@@ -266,13 +253,20 @@ def sreg_report(T: Tower, tol: Tolerance = DEFAULT_TOL) -> SregReport:
     The overall verdict is "true"/"false" when the criteria agree and
     "indeterminate" when they disagree; disagreement can only occur
     numerically, near the rank threshold, and the recorded margins say
-    how near.
+    how near.  Criterion 1 ranks every generator of one
+    :func:`~gztower.gz.power_table`, embedded at level N; criterion 3 the
+    Hamiltonian tangent values ``[X_N, grad f_ij]`` of those with i < N.
     """
-    d_ok, d_sv, d_margin = _differentials_split(T, tol)
+    N = T.depth
+    # Only the generators are kept, so the table's powers are freed before
+    # the rank families are formed.
+    gens = power_table(T).generators()
+    d_ok, d_sv, d_margin = _full_rank_split(embed_stack(gens, N), tol)
     c_ok, c_sv, c_margin = _centralizers_split(T, tol)
     notes: list[str] = []
-    if T.depth >= 2:
-        t_ok, t_sv, t_margin = _tangents_split(T, tol)
+    if N >= 2:
+        below = gens[: N * (N - 1) // 2]
+        t_ok, t_sv, t_margin = _full_rank_split(tangent_values(T.top, below), tol)
         tangents: Optional[bool] = t_ok
     else:
         tangents, t_sv, t_margin = None, None, None

@@ -197,13 +197,16 @@ class TestCheck:
         assert "traces overflow" in check["details"]["note"]
 
     def test_consistent_on_overflowing_powers_fails_without_traceback(self, tmp_path, capsys):
+        # The pairs of level 3 have bounds past the double range: they are not
+        # compared, so the check does not pass and does not fail either.
         tower_file = tmp_path / "pow.json"
         write_tower(tower_file, new_tower(self.OVERFLOWING_POWERS))
         out = tmp_path / "r.json"
         code = cli.main(["check", str(tower_file), "--suite", "consistent", "-o", str(out)])
-        assert code == cli.EXIT_FAIL
+        assert code == cli.EXIT_INDETERMINATE
         check = json.loads(out.read_text())["checks"][0]
-        assert check["passed"] == "false"
+        assert check["passed"] == "indeterminate"
+        assert "15 of 21 pairs" in check["details"]["note"]
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -245,9 +248,10 @@ class TestCheck:
         assert code == cli.EXIT_FAIL
         report = json.loads(check_out.read_text(), parse_constant=refuse)
         checks = {c["name"]: c for c in report["checks"]}
-        assert checks["commute"]["passed"] == checks["consistent"]["passed"] == "false"
-        assert checks["commute"]["details"]["max_bracket_ratio"] is None
-        assert checks["consistent"]["details"]["max_mismatch_ratio"] is None
+        assert checks["commute"]["passed"] == checks["consistent"]["passed"] == "indeterminate"
+        # The ratios are over the pairs compared, those of levels 1 and 2.
+        assert checks["commute"]["details"]["max_bracket_ratio"] == 0.0
+        assert checks["consistent"]["details"]["max_mismatch_ratio"] == 0.0
         orbit = json.loads(orbit_out.read_text(), parse_constant=refuse)
         assert orbit["observable_invariance_ok"] is False
         assert orbit["max_observable_drift"] is None
@@ -258,9 +262,24 @@ class TestCheck:
         write_tower(tower_file, new_tower(self.OVERFLOWING_POWERS))
         out = tmp_path / "r.json"
         code = cli.main(["check", str(tower_file), "--suite", "commute", "-o", str(out)])
-        assert code == cli.EXIT_FAIL
+        assert code == cli.EXIT_INDETERMINATE
         assert capsys.readouterr().err == ""
-        assert json.loads(out.read_text())["checks"][0]["passed"] == "false"
+        check = json.loads(out.read_text())["checks"][0]
+        assert check["passed"] == "indeterminate"
+        assert "12 of 15 pairs" in check["details"]["note"]
+
+    def test_scaled_sreg_tower_reads_indeterminate(self, tmp_path, capsys):
+        # Strongly regular, so every identity holds, but every pair bound
+        # overflows at 1e160: commute and consistent compare no pair.
+        tower_file = tmp_path / "scaled.json"
+        write_tower(tower_file, new_tower(1e160 * theta_tower(4, 72).top))
+        out = tmp_path / "r.json"
+        assert cli.main(["check", str(tower_file), "-o", str(out)]) == cli.EXIT_INDETERMINATE
+        assert capsys.readouterr().err == ""
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        assert checks["commute"]["passed"] == checks["consistent"]["passed"] == "indeterminate"
+        assert "45 of 45 pairs" in checks["commute"]["details"]["note"]
+        assert "55 of 55 pairs" in checks["consistent"]["details"]["note"]
 
     def test_members_run_serially_on_this_thread(self, tmp_path, monkeypatch):
         import concurrent.futures
@@ -434,6 +453,28 @@ class TestFlow:
         captured = capsys.readouterr()
         assert captured.err == f"flow not computable in double precision: {message}\n"
         assert not (tmp_path / "f.json").exists()
+
+    @pytest.mark.parametrize(
+        "options",
+        [["--format", "json"], ["--format", "csv"], ["--emit-plot-data", "plot.csv"]],
+        ids=["json", "csv", "plot-data"],
+    )
+    def test_overflowing_traces_are_indeterminate(self, tmp_path, capsys, options):
+        # X_3^2 holds 1e320, so the base and flowed traces leave the double
+        # range; no report with NaN or infinity tokens is written.  The
+        # configured filter turns any RuntimeWarning into an error here.
+        tower_file = tmp_path / "pow.json"
+        write_tower(tower_file, new_tower(TestCheck.OVERFLOWING_POWERS))
+        argv = ["flow", str(tower_file), "--i", "2", "--j", "1", "-o", str(tmp_path / "f.out")]
+        options = [str(tmp_path / o) if o.endswith(".csv") else o for o in options]
+        assert cli.main(argv + options) == cli.EXIT_INDETERMINATE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "flow not computable in double precision: "
+            "the observables overflow the representable range\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pow.json"]
 
     def test_bad_index_usage_error(self, tmp_path):
         tower_file = tmp_path / "t.json"
@@ -676,6 +717,21 @@ class TestCheckCost:
             "omega_inf": 0,
             "stack_traces": 0,
         }
+
+    def test_sreg_report_builds_one_power_table(self, tower, monkeypatch):
+        # Criteria 1 and 3 read their generators off the same table.
+        import gztower.regularity
+
+        tables = []
+        original = gztower.regularity.power_table
+
+        def counting(T):
+            tables.append(T)
+            return original(T)
+
+        monkeypatch.setattr(gztower.regularity, "power_table", counting)
+        assert gztower.regularity.sreg_report(tower, cli.Tolerance()).verdict == "true"
+        assert tables == [tower]
 
     def test_full_suite_computes_one_sreg_report(self, tower, tmp_path, monkeypatch):
         # sreg, lagrangian and anchor share one report; count every binding

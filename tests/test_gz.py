@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gztower.action import flow_stack
-from gztower.gz import GZIndex, gz_grad, gz_indices, power_table, stack_traces
+from gztower.gz import GZIndex, gz_indices, power_table, stack_traces
 from gztower.matcore import bracket_matrix, embed
 from gztower.oracles import (
     SmoothFn,
@@ -58,22 +58,25 @@ class TestEval:
             gz_hamiltonian(new_tower([[1.0]]), GZIndex(2, 1))
 
 
+def grad_of(T, idx):
+    """The power-table gradient of one observable, at its own level."""
+    return power_table(T).generators()[gz_indices(T.depth).index(idx)]
+
+
 class TestGrad:
     def test_linear_index_gives_embedded_identity(self):
         T = plain_tower(5, 32)
         for i in range(1, 5):
-            assert np.array_equal(gz_grad(T, GZIndex(i, 1), 5), embed(np.eye(i), 5))
+            assert np.array_equal(grad_of(T, GZIndex(i, 1)), np.eye(i))
 
     def test_quadratic_by_hand(self):
-        assert np.array_equal(
-            gz_grad(involution_tower(), GZIndex(2, 2), 2), [[0, 2], [2, 0]]
-        )
+        assert np.array_equal(grad_of(involution_tower(), GZIndex(2, 2)), [[0, 2], [2, 0]])
 
     def test_matches_finite_differences(self):
         for seed in (0, 1):
             T = plain_tower(5, 40 + seed)
             for idx in gz_indices(5):
-                analytic = gz_grad(T, idx, 5)
+                analytic = embed(grad_of(T, idx), 5)
                 numeric = central_gradient(gz_observable(idx.i, idx.j), T.level(5))
                 scale = 1.0 + np.linalg.norm(analytic)
                 assert np.linalg.norm(analytic - numeric) <= 1e-6 * scale
@@ -88,13 +91,6 @@ class TestGrad:
         T = new_tower(np.diag([1.0, 2.0]).astype(complex))
         g = central_gradient(gz_observable(2, 2), T.level(2))
         assert np.abs(g - np.diag([2.0, 4.0])).max() <= 1e-8
-
-    def test_level_bounds(self):
-        T = plain_tower(3, 34)
-        with pytest.raises(IndexError):
-            gz_grad(T, GZIndex(2, 1), 1)
-        with pytest.raises(IndexError):
-            gz_grad(T, GZIndex(2, 1), 4)
 
 
 class TestHamiltonian:
@@ -123,7 +119,7 @@ class TestHamiltonian:
         idx = GZIndex(3, 2)
         V = gz_hamiltonian(T, idx)
         assert V.base_level == 3
-        assert np.array_equal(embed(V.generator, 4), gz_grad(T, idx, 4))
+        assert np.array_equal(V.generator, grad_of(T, idx))
 
 
 class TestBracket:

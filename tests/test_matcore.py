@@ -14,17 +14,19 @@ from gztower.matcore import (
     corner,
     embed,
     embed_group,
+    embed_stack,
     kernel_basis,
     krylov_basis,
     mat_exp,
-    mat_pow,
     null_space,
     rank_split,
     spectra_disjoint,
     spectrum_split,
     sylvester_min_singular,
+    tangent_values,
     trace_pair,
 )
+from gztower.tower import TowerTangent, new_tower
 
 from conftest import unit
 
@@ -162,23 +164,47 @@ class TestAlgebra:
             assert abs(lhs - rhs) <= 1e-12 * scale
 
 
+class TestTangentStacks:
+    """The batched tangent and embedding families, against the one-at-a-time forms."""
+
+    N = 6
+
+    def family(self, seed):
+        rng = np.random.default_rng(seed)
+        T = new_tower(rand_c(rng, self.N))
+        levels = rng.integers(1, self.N + 1, size=9)
+        return T, [rand_c(rng, int(k)) for k in levels]
+
+    def test_tangent_values_are_tower_tangents(self):
+        for seed in (60, 61, 62):
+            T, gens = self.family(seed)
+            stack = tangent_values(T.top, gens)
+            assert stack.shape == (len(gens), self.N, self.N)
+            for value, G in zip(stack, gens):
+                expected = TowerTangent(T, G.shape[0], G).value(self.N)
+                assert np.abs(value - expected).max() <= 1e-14 * (1.0 + np.abs(expected).max())
+
+    def test_embed_stack_is_embed(self):
+        _, gens = self.family(63)
+        stack = embed_stack(gens, self.N)
+        assert stack.shape == (len(gens), self.N, self.N)
+        for slice_, G in zip(stack, gens):
+            assert np.array_equal(slice_, embed(G, self.N))
+
+    def test_generator_larger_than_x_rejected(self):
+        rng = np.random.default_rng(64)
+        gens = [rand_c(rng, 2), rand_c(rng, 4)]
+        with pytest.raises(IndexError):
+            tangent_values(rand_c(rng, 3), gens)
+        with pytest.raises(IndexError):
+            embed_stack(gens, 3)
+
+    def test_empty_family_is_an_empty_stack(self):
+        assert tangent_values(np.eye(3, dtype=complex), []).shape == (0, 3, 3)
+        assert embed_stack([], 3).shape == (0, 3, 3)
+
+
 class TestPowExp:
-    def test_power_zero_is_identity(self):
-        rng = np.random.default_rng(6)
-        assert np.array_equal(mat_pow(rand_c(rng, 3), 0), np.eye(3))
-
-    def test_power_diagonal(self):
-        assert np.array_equal(
-            mat_pow(np.diag([2, 3]).astype(complex), 3), np.diag([8, 27]).astype(complex)
-        )
-
-    def test_power_nilpotent(self):
-        assert np.array_equal(mat_pow(unit(2, 0, 1), 2), np.zeros((2, 2)))
-
-    def test_power_negative_rejected(self):
-        with pytest.raises(ValueError):
-            mat_pow(np.eye(2, dtype=complex), -1)
-
     def test_exp_zero(self):
         assert np.array_equal(mat_exp(np.zeros((3, 3), dtype=complex)), np.eye(3))
 
@@ -248,6 +274,13 @@ class TestRankNull:
         fam = [np.eye(2, dtype=complex), np.array([[np.inf, 0], [0, np.nan]], dtype=complex)]
         rank, decisive, margin = rank_split(fam)
         assert rank == 0 and np.isnan(decisive) and np.isnan(margin)
+
+    def test_stack_and_list_agree(self):
+        rng = np.random.default_rng(65)
+        stack = np.stack([rand_c(rng, 3) for _ in range(4)])
+        stack[3] = stack[0] - 2 * stack[1]
+        assert rank_split(stack) == rank_split(list(stack))
+        assert rank_split(stack)[0] == 3
 
     def test_rank_split_margin(self):
         fam = [np.eye(2, dtype=complex), unit(2, 0, 1)]
@@ -447,7 +480,7 @@ class TestKrylovBasis:
         assert Q.shape == (5, 5, 5)
         flat = Q.reshape(5, -1)
         assert np.allclose(flat.conj() @ flat.T, np.eye(5), atol=1e-12)
-        assert rank_split(list(Q) + [mat_pow(M, k) for k in range(5)])[0] == 5
+        assert rank_split(list(Q) + [np.linalg.matrix_power(M, k) for k in range(5)])[0] == 5
         assert spectrum_split(s)[0] == 5
 
     def test_breakdown_at_minimal_polynomial_degree(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gztower import matcore, regularity, tower
-from gztower.matcore import mat_pow, rank_split, spectra_disjoint
+from gztower.matcore import rank_split, spectra_disjoint
 from gztower.oracles import dense_kernel, kron_intersection_trivial
 from gztower.regularity import (
     centralizer_basis,
@@ -68,7 +68,7 @@ class TestCentralizerBasis:
         rng = np.random.default_rng(0)
         M = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         basis = centralizer_basis(M)
-        powers = [mat_pow(M, k) for k in range(4)]
+        powers = [np.linalg.matrix_power(M, k) for k in range(4)]
         assert len(basis) == 4
         assert rank_split(basis + powers)[0] == 4
         assert rank_split(powers)[0] == 4
