@@ -303,8 +303,8 @@ def flow_stack(
 ) -> tuple[np.ndarray, list[Optional[Exception]]]:
     """The exact flow of f_{ij} at every time of ``ts``, evaluated together.
 
-    The generator ``j X_i^(j-1)`` is read off the caller's power table of
-    the tower, so a caller flowing many indices forms each power once.
+    The generator ``j X_i^(j-1)`` is the gradient stored in the tower's
+    power table, so a caller flowing many indices forms each power once.
     One stacked ``expm`` of the generators ``-t j X_i^(j-1)`` and one
     stacked conjugation of the top; each slice is bit-identical to
     :func:`flow` at its time.  Returns the ``(len(ts), N, N)`` stack of
@@ -316,7 +316,7 @@ def flow_stack(
     N = table.top.shape[0]
     if idx.i > N:
         raise IndexError(f"index level {idx.i} exceeds tower depth {N}")
-    P = embed(idx.j * table.powers[idx.i - 1][idx.j - 1], N)
+    P = embed(table.gradients[idx.i - 1][idx.j - 1], N)
     times = np.asarray(ts, dtype=np.complex128)
     g, exp_errors = mat_exp_stack(-times[:, None, None] * P)
     tops, errors = _conjugate_stack(g, table.top)

@@ -14,6 +14,7 @@ as the points of one flow at several times, with the same formula.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,19 +51,19 @@ def gz_indices(depth: int, max_i: int | None = None) -> list[GZIndex]:
 
 @dataclass(frozen=True, eq=False)
 class PowerTable:
-    """The powers of every level of one tower, each formed once.
+    """The gradients of every level of one tower, each formed once.
 
-    The table is ragged: ``powers[i - 1]`` is an ``(i, i, i)`` stack of
-    ``X_i^0, ..., X_i^(i-1)``.  Every generator ``j X_i^(j-1)``, the whole
-    bracket matrix of the family and its level-by-level pairings read off
-    it, so batch checks pay for the powers once per tower instead of once
-    per observable or pair.  Traces come from :func:`stack_traces`, the one
-    trace formula for a single tower and a stack alike.  Build the table
-    with :func:`power_table`.
+    The table is ragged and read-only: slice ``j - 1`` of the ``(i, i, i)``
+    stack ``gradients[i - 1]`` is the gradient ``j X_i^(j-1)``.  Every
+    generator, the whole bracket matrix of the family and its level-by-level
+    pairings read off it, so batch checks pay for the powers once per tower
+    instead of once per observable or pair.  Traces come from
+    :func:`stack_traces`, the one trace formula for a single tower and a
+    stack alike.  :func:`power_table` gives each tower its one table.
     """
 
     top: np.ndarray
-    powers: tuple[np.ndarray, ...]
+    gradients: tuple[np.ndarray, ...]
 
     def traces(self) -> np.ndarray:
         """Every ``tr(X_i^j)``, in :func:`gz_indices` order."""
@@ -71,19 +72,24 @@ class PowerTable:
     def generators(self) -> list[np.ndarray]:
         """Every gradient ``j X_i^(j-1)`` at its own level i, in :func:`gz_indices` order.
 
-        Entries that overflow are left non-finite, without a warning.
+        They are read-only views of the stored stacks; overflows are non-finite.
         """
-        with np.errstate(over="ignore", invalid="ignore"):
-            return [j * P[j - 1] for P in self.powers for j in range(1, P.shape[0] + 1)]
+        return [G for stack in self.gradients for G in stack]
 
     def bracket_matrix(self) -> np.ndarray:
         """``tr(X_N [grad f_a, grad f_b])`` for every pair of :func:`gz_indices`.
 
         Embedding both gradients into the top level is exact, so entry
         (a, b) is the Poisson bracket ``{f_a, f_b}`` evaluated at the
-        deeper of the two levels.
+        deeper of the two levels.  It is formed once per table, read-only.
         """
-        return bracket_matrix(self.top, self.generators())
+        return self._bracket
+
+    @functools.cached_property
+    def _bracket(self) -> np.ndarray:
+        B = bracket_matrix(self.top, self.generators())
+        B.flags.writeable = False
+        return B
 
     def level_pairings(self) -> list[np.ndarray]:
         """Every pair of :func:`gz_indices` paired at the deeper of its two levels.
@@ -97,7 +103,7 @@ class PowerTable:
         """
         gens = self.generators()
         blocks = []
-        for k in range(1, len(self.powers) + 1):
+        for k in range(1, len(self.gradients) + 1):
             first, m = k * (k - 1) // 2, k * (k + 1) // 2
             left = tangent_values(self.top[:k, :k], gens[first:m]).reshape(k, k * k)
             right = embed_stack([G.T for G in gens[:m]], k).reshape(m, k * k)
@@ -105,24 +111,30 @@ class PowerTable:
         return blocks
 
 
+@functools.lru_cache(maxsize=1)
 def power_table(T: Tower) -> PowerTable:
-    """Build the :class:`PowerTable` of a tower, one product per power.
+    """The one :class:`PowerTable` of a tower, one product per power.
 
-    Powers that overflow are left non-finite; every fold downstream lets
-    NaN through, so they fail checks instead of printing warnings.
+    ``Tower`` compares by identity and its top is read-only, so the table
+    of the last tower asked for is kept and returned again.  Gradients that
+    overflow are left non-finite; every fold downstream lets NaN through,
+    so they fail checks instead of printing warnings.
     """
     # One memory layout for every tower, so equal towers give bit-equal tables.
     top = np.ascontiguousarray(T.top)
-    powers = []
+    gradients = []
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, T.depth + 1):
             X = top[:i, :i]
-            P = np.empty((i, i, i), dtype=np.complex128)
-            P[0] = np.eye(i)
+            G = np.empty((i, i, i), dtype=np.complex128)
+            G[0] = np.eye(i)
             for k in range(1, i):
-                np.matmul(P[k - 1], X, out=P[k])
-            powers.append(P)
-    return PowerTable(top=top, powers=tuple(powers))
+                np.matmul(G[k - 1], X, out=G[k])
+            # Slice k holds X^k; scaled in place, it becomes (k + 1) X^k.
+            G *= np.arange(1, i + 1)[:, None, None]
+            G.flags.writeable = False
+            gradients.append(G)
+    return PowerTable(top=top, gradients=tuple(gradients))
 
 
 def stack_traces(tops: np.ndarray) -> np.ndarray:
@@ -144,7 +156,7 @@ def stack_traces(tops: np.ndarray) -> np.ndarray:
         for i in range(1, N + 1):
             X = tops[:, :i, :i]
             # Every power, X_i itself included, is a product from the identity,
-            # as in power_table, so the two give the same powers bit for bit.
+            # as in power_table, so both form the same powers bit for bit.
             P = np.broadcast_to(np.eye(i, dtype=np.complex128), X.shape)
             for j in range(1, i + 1):
                 # einsum rather than a BLAS product: OpenBLAS wakes its

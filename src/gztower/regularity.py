@@ -258,8 +258,6 @@ def sreg_report(T: Tower, tol: Tolerance = DEFAULT_TOL) -> SregReport:
     Hamiltonian tangent values ``[X_N, grad f_ij]`` of those with i < N.
     """
     N = T.depth
-    # Only the generators are kept, so the table's powers are freed before
-    # the rank families are formed.
     gens = power_table(T).generators()
     d_ok, d_sv, d_margin = _full_rank_split(embed_stack(gens, N), tol)
     c_ok, c_sv, c_margin = _centralizers_split(T, tol)

@@ -569,7 +569,8 @@ class TestNonFiniteResiduals:
         original = PowerTable.bracket_matrix
 
         def with_nan(table):
-            out = original(table)
+            # The table's own bracket matrix is read-only.
+            out = original(table).copy()
             out[2, 5] = out[5, 2] = np.nan
             return out
 
@@ -644,7 +645,8 @@ class TestNonFiniteResiduals:
 class TestCheckCost:
     """Conserve stacks each generator's times and each level's traces; consistent
     pairs by level, not by pair; lagrangian builds one power table; the suite
-    computes one strong-regularity report."""
+    computes one strong-regularity report, one power table and one bracket
+    matrix; orbit builds one power table."""
 
     DEPTH = 6
 
@@ -732,6 +734,44 @@ class TestCheckCost:
         monkeypatch.setattr(gztower.regularity, "power_table", counting)
         assert gztower.regularity.sreg_report(tower, cli.Tolerance()).verdict == "true"
         assert tables == [tower]
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        # Every table is built through PowerTable.__init__ and every bracket
+        # GEMM of a table through the name gz imported.
+        import gztower.gz
+
+        builds = {"tables": 0, "brackets": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                builds[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(
+            gztower.gz.PowerTable, "__init__", counting("tables", gztower.gz.PowerTable.__init__)
+        )
+        monkeypatch.setattr(
+            gztower.gz, "bracket_matrix", counting("brackets", gztower.gz.bracket_matrix)
+        )
+        return builds
+
+    def test_full_suite_builds_one_table_and_one_bracket(self, tower, tmp_path, builds):
+        tower_file = tmp_path / "t.json"
+        write_tower(tower_file, tower)
+        code = cli.main(["check", str(tower_file), "-o", str(tmp_path / "r.json")])
+        assert code == cli.EXIT_PASS
+        assert builds == {"tables": 1, "brackets": 1}
+
+    def test_orbit_builds_one_table(self, tower, tmp_path, builds):
+        # The acted towers' traces come from one stacked pass, not a table each.
+        tower_file = tmp_path / "t.json"
+        write_tower(tower_file, tower)
+        code = cli.main(["orbit", str(tower_file), "--samples", "6", "--seed", "0"])
+        assert code == cli.EXIT_PASS
+        assert builds == {"tables": 1, "brackets": 0}
 
     def test_full_suite_computes_one_sreg_report(self, tower, tmp_path, monkeypatch):
         # sreg, lagrangian and anchor share one report; count every binding

@@ -250,6 +250,42 @@ class TestPowerTable:
             expected = fd_poisson_bracket(f, g, T)
             assert abs(B[a, b] - expected) <= 1e-6 * (1.0 + abs(expected))
 
+    def test_one_table_per_tower(self):
+        T = theta_tower(5, 67, 0.5)
+        table = power_table(T)
+        assert power_table(T) is table
+        assert table.bracket_matrix() is table.bracket_matrix()
+        # Towers compare by identity: an equal tower is another tower.
+        twin = Tower(T.top.copy())
+        assert power_table(twin) is not table
+        # The cache keeps one table, so asking for T again builds it anew.
+        assert power_table(T) is not table
+
+    def test_table_is_read_only(self):
+        table = power_table(theta_tower(4, 68, 0.5))
+        views = (table.gradients[2], table.generators()[4], table.bracket_matrix())
+        for view in views:
+            with pytest.raises(ValueError):
+                view[0, 0] = 1.0
+
+    def test_generators_are_scaled_identity_products_bit_for_bit(self):
+        rng = np.random.default_rng(69)
+        for depth in range(1, 9):
+            shape = (depth, depth)
+            T = Tower(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            expected = [j * P[j - 1] for P in identity_powers(T) for j in range(1, len(P) + 1)]
+            gens = power_table(T).generators()
+            assert len(gens) == len(expected)
+            for G, E in zip(gens, expected):
+                assert np.array_equal(G, E)
+
+    def test_overflow_is_left_non_finite_without_warnings(self):
+        # The configured filter turns a RuntimeWarning into an error here.
+        T = new_tower([[1, 0, 0], [0, 2, 1e160], [0, 1e160, 3]])
+        gens = power_table(T).generators()
+        assert all(np.all(np.isfinite(G)) for G in gens[:3])
+        assert not np.all(np.isfinite(gens[5]))
+
     def test_gemm_against_fd_oracle_on_noncommuting_family(self):
         # The GZ brackets all vanish; matrix units pair nontrivially, so this
         # comparison of the same GEMM is not one of two zeros.
@@ -264,12 +300,26 @@ class TestPowerTable:
                 assert abs(B[a, b] - expected) <= 1e-8 * (1.0 + abs(expected))
 
 
+def identity_powers(T):
+    """Every level's stack ``X_i^0 .. X_i^(i-1)``, by the power table's products
+    from the identity."""
+    top = np.ascontiguousarray(T.top)
+    stacks = []
+    for i in range(1, T.depth + 1):
+        P = np.empty((i, i, i), dtype=np.complex128)
+        P[0] = np.eye(i)
+        for k in range(1, i):
+            np.matmul(P[k - 1], top[:i, :i], out=P[k])
+        stacks.append(P)
+    return stacks
+
+
 def table_traces(T):
-    """Traces read off the power table with one einsum per level, the formula
-    the table used before the stacked routine existed."""
-    table = power_table(T)
+    """Traces read off the powers with one einsum per level, the formula the
+    power table used before the stacked routine existed."""
+    top = np.ascontiguousarray(T.top)
     return np.concatenate(
-        [np.einsum("kab,ba->k", P, table.top[:i, :i]) for i, P in enumerate(table.powers, 1)]
+        [np.einsum("kab,ba->k", P, top[:i, :i]) for i, P in enumerate(identity_powers(T), 1)]
     )
 
 
