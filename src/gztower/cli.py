@@ -669,8 +669,16 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     # --samples 0 leaves the stack empty; np.max propagates NaN, so a
     # non-finite drift cannot pass the rtol.
     acted_tops = np.array([acted.top for _, acted in acted_samples]).reshape(-1, T.depth, T.depth)
+    acted_traces = stack_traces(acted_tops)
+    if _traces_overflow(T.top[None], base[None]) or _traces_overflow(acted_tops, acted_traces):
+        print(
+            "orbit not computable in double precision: "
+            "the observables overflow the representable range",
+            file=sys.stderr,
+        )
+        return EXIT_INDETERMINATE
     with np.errstate(over="ignore", invalid="ignore"):
-        worst_drift = float(np.max(np.abs(stack_traces(acted_tops) - base) / bound, initial=0.0))
+        worst_drift = float(np.max(np.abs(acted_traces - base) / bound, initial=0.0))
     for a, acted in acted_samples:
         if args.permute_factors and a.n >= 3:
             rng_perm = np.random.Generator(

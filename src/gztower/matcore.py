@@ -5,15 +5,19 @@ Everything downstream works on square ``numpy.ndarray`` matrices with
 
 * corner extraction / zero-padded embedding between sizes,
 * commutator and trace pairing, and their stacked tangent families,
-* matrix exponentials, alone or stacked,
+* matrix exponentials, alone or stacked, by Pade scaling and squaring,
 * numerical rank, null spaces and Krylov bases of matrix powers,
-* the Sylvester-operator spectrum test, through complex Schur forms,
+* the Sylvester-operator spectrum test: an eigenvalue separation bound,
+  and complex Schur forms with triangular Sylvester solves where the
+  bound does not decide,
 
 and the single tolerance rule used by all of them: a quantity of scale
 ``s`` counts as zero when it is below ``max(tol.abs, tol.rel * s)``.
 The strong-regularity and generation paths never form a Kronecker
 operator; ``ad_operator`` remains for the centralizer of a non-regular
 matrix, and the other Kronecker forms live in :mod:`gztower.oracles`.
+Everything runs on numpy alone except the Schur/``trsyl`` path of the
+Sylvester test, which imports its LAPACK routines from scipy when it runs.
 """
 
 from __future__ import annotations
@@ -23,9 +27,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.blas import dznrm2
-from scipy.linalg.lapack import dsterf, zgees, ztrsyl
 
 __all__ = [
     "MAX_DIM",
@@ -57,6 +58,9 @@ MAX_DIM = 256
 
 _EPS = float(np.finfo(np.float64).eps)
 _SQRT_HALF = math.sqrt(0.5)
+# A norm above this has a sum of squares far enough above the subnormal
+# range that the squares lost to underflow cannot move it.
+_TINY_NORM = 2.0**-480
 
 
 @dataclass(frozen=True)
@@ -185,11 +189,139 @@ def bracket_matrix(X: np.ndarray, gens: Sequence[np.ndarray]) -> np.ndarray:
     n, m = X.shape[0], len(gens)
     left = tangent_values(X, gens).reshape(m, n * n)
     right = embed_stack([G.T for G in gens], n).reshape(m, n * n)
-    return left @ right.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        return left @ right.T
+
+
+# The [m/m] Pade approximants of exp that scaling and squaring uses, keyed
+# by degree m: the bound theta_m on ``||A^k||_1^(1/k)`` up to which the
+# approximant meets unit roundoff (Higham, SIAM J. Matrix Anal. Appl. 26,
+# 2005, Table 2.3, for m <= 9; for m = 13 the 4.25 that scipy's ``expm``
+# pairs with these power norms), the numerator coefficients
+# ``b_k = (2m - k)! / (k! (m - k)!)`` and ``1 / |c_(2m+1)| = C(2m, m)
+# (2m + 1)!``, the reciprocal of the leading coefficient of the backward
+# error series.
+_PADE = {
+    m: (
+        theta,
+        np.array(
+            [math.factorial(2 * m - k) // (math.factorial(k) * math.factorial(m - k))
+             for k in range(m + 1)],
+            dtype=np.float64,
+        ),
+        float(math.comb(2 * m, m) * math.factorial(2 * m + 1)),
+    )
+    for m, theta in (
+        (3, 1.495585217958292e-2),
+        (5, 2.539398330063230e-1),
+        (7, 9.504178996162932e-1),
+        (9, 2.097847961257068e0),
+        (13, 4.25),
+    )
+}
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _norm1(A: np.ndarray) -> float:
+    return float(np.abs(A).sum(axis=0).max())
+
+
+def _root_norm1(P: np.ndarray, k: int) -> float:
+    """``||P||_1^(1/k)`` for ``P = A^k``, read as inf when the power overflowed."""
+    value = _norm1(P) ** (1.0 / k)
+    return value if value <= math.inf else math.inf
+
+
+def _ell(A: np.ndarray, m: int) -> int:
+    """Squarings to add so that the Pade error of degree m at A stays below unit roundoff.
+
+    Al-Mohy and Higham's (2009) correction against overscaling, from
+    ``alpha = |c_(2m+1)| ||abs(A)^(2m+1)||_1 / ||A||_1``; 0 when that power
+    is zero, or overflows, which leaves the decision to the norms.
+    """
+    power_norm = _norm1(np.linalg.matrix_power(np.abs(A), 2 * m + 1))
+    if not 0.0 < power_norm < math.inf:
+        return 0
+    alpha = power_norm / (_norm1(A) * _PADE[m][2])
+    return max(0, math.ceil(math.log2(alpha / _UNIT_ROUNDOFF) / (2 * m)))
+
+
+def _even_powers(A: np.ndarray, count: int) -> np.ndarray:
+    """The (count, n, n) stack ``I, A^2, A^4, ...``."""
+    n = A.shape[0]
+    powers = np.empty((count, n, n), dtype=np.complex128)
+    powers[0] = np.eye(n, dtype=np.complex128)
+    np.matmul(A, A, out=powers[1])
+    for k in range(2, count):
+        np.matmul(powers[k - 1], powers[1], out=powers[k])
+    return powers
+
+
+def _combine(coefficients: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """``sum_k coefficients[k] powers[k]``, as one product."""
+    k, n, _ = powers.shape
+    return (coefficients[:k] @ powers.reshape(k, n * n)).reshape(n, n)
+
+
+def _pade_exp(A: np.ndarray, powers: np.ndarray, m: int) -> np.ndarray:
+    """The [m/m] Pade approximant ``(V - U)^-1 (V + U)`` of exp at A.
+
+    ``powers`` holds the even powers ``I, A^2, ...`` of A, up to A^6 for
+    m = 13 and to A^(m-1) below it.  ``U + V = sum_k b_k A^k`` with U the
+    odd powers and V the even ones; degree 13 forms the powers above A^6
+    by Horner's rule in A^6, so it takes six products in all.
+    """
+    b = _PADE[m][1]
+    low = powers[: 4 if m == 13 else (m + 1) // 2]
+    odd = _combine(b[1::2], low)
+    V = _combine(b[0::2], low)
+    if m == 13:
+        odd += low[3] @ _combine(b[9::2], low[1:])
+        V += low[3] @ _combine(b[8::2], low[1:])
+    U = A @ odd
+    return np.linalg.solve(V - U, V + U)
+
+
+def _expm(A: np.ndarray) -> np.ndarray:
+    """Matrix exponential of one matrix by Pade scaling and squaring.
+
+    Al-Mohy and Higham's (SIAM J. Matrix Anal. Appl. 31, 2009) algorithm
+    with exact 1-norms, as scipy's ``expm`` runs it on a matrix that is not
+    triangular: the degree and the scaling 2^-s follow from
+    ``||A^k||_1^(1/k)``, which can be far below ``||A||_1`` for a non-normal
+    A, corrected by :func:`_ell`; then s squarings.  A non-finite 1-norm
+    gives a NaN matrix; so can the squarings, when the result overflows.
+    Callers silence the floating-point warnings.
+    """
+    norm = _norm1(A)
+    if not math.isfinite(norm):
+        return np.full(A.shape, np.nan, dtype=np.complex128)
+    powers = _even_powers(A, 5)
+    d6 = _root_norm1(powers[3], 6)
+    eta = max(_root_norm1(powers[2], 4), d6)
+    for m in (3, 5):
+        if eta <= _PADE[m][0] and _ell(A, m) == 0:
+            return _pade_exp(A, powers, m)
+    d8 = _root_norm1(powers[4], 8)
+    eta = max(d6, d8)
+    for m in (7, 9):
+        if eta <= _PADE[m][0] and _ell(A, m) == 0:
+            return _pade_exp(A, powers, m)
+    # ||A^k||^(1/k) <= ||A||: the norm stands in where a power overflowed.
+    eta = min(eta, max(d8, _root_norm1(powers[2] @ powers[3], 10)), norm)
+    s = max(0, math.ceil(math.log2(eta / _PADE[13][0]))) if eta > 0.0 else 0
+    s += _ell(A * 2.0**-s, 13)
+    if s:
+        A = A * 2.0**-s
+        powers = _even_powers(A, 4)
+    E = _pade_exp(A, powers, 13)
+    for _ in range(s):
+        E = E @ E
+    return E
 
 
 def mat_exp(M: np.ndarray) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring Pade via scipy).
+    """Matrix exponential (Pade scaling and squaring, in numpy).
 
     Raises OverflowError when the result leaves the representable range.
     """
@@ -202,14 +334,18 @@ def mat_exp(M: np.ndarray) -> np.ndarray:
 def mat_exp_stack(M: np.ndarray) -> tuple[np.ndarray, list[Optional[OverflowError]]]:
     """Matrix exponential of every matrix of an (s, n, n) stack, in one call.
 
-    scipy exponentiates the slices one at a time, so each slice is
-    bit-identical to :func:`mat_exp` of that slice alone.  Returns the
-    stack and, per slice, None or the OverflowError :func:`mat_exp` raises
-    for it; an overflowed slice is not finite.
+    The slices are exponentiated one at a time, so each slice is
+    bit-identical to :func:`mat_exp` of that slice alone and no temporary
+    is larger than one slice.  Returns the stack and, per slice, None or
+    the OverflowError :func:`mat_exp` raises for it; an overflowed slice
+    is not finite.
     """
-    # The result is checked below, so scipy's own overflow warnings are noise.
+    M = np.asarray(M, dtype=np.complex128)
+    out = np.empty_like(M)
+    # The result is checked below, so the warnings of an overflow are noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.asarray(scipy.linalg.expm(np.asarray(M, dtype=np.complex128)), dtype=np.complex128)
+        for k, A in enumerate(M):
+            out[k] = _expm(A)
     finite = np.isfinite(out).all(axis=(1, 2))
     errors = [
         None if ok else OverflowError("matrix exponential overflowed the representable range")
@@ -272,8 +408,32 @@ def kernel_basis(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray
 
 
 def _fro(Y: np.ndarray) -> float:
-    """Frobenius norm, scaled by BLAS so that it neither overflows nor underflows."""
-    return float(dznrm2(Y.reshape(-1)))
+    """Frobenius norm that neither overflows nor underflows.
+
+    The entries are scaled by the exact power of two that brings the
+    largest modulus into [1/2, 1), and the norm is scaled back.  The factor
+    is applied in two halves, because for a subnormal peak the whole factor
+    is not representable.  Exact scaling leaves the norm unchanged where
+    the plain sum of squares neither overflows nor underflows, so it is
+    taken unscaled when its value shows that neither happened.
+    """
+    y = Y.reshape(-1)
+    # vdot is one BLAS call, and an overflow in it leaves inf with no warning.
+    norm = math.sqrt(np.vdot(y, y).real)
+    if _TINY_NORM < norm < math.inf:
+        return norm
+    with np.errstate(over="ignore"):
+        peak = float(np.max(np.abs(y), initial=0.0))
+    if not 0.0 < peak < math.inf:
+        return peak
+    exponent = math.frexp(peak)[1]
+    half = exponent // 2
+    scaled = y * 2.0**-half
+    scaled *= 2.0 ** (half - exponent)
+    try:
+        return math.ldexp(math.sqrt(np.vdot(scaled, scaled).real), exponent)
+    except OverflowError:
+        return math.inf
 
 
 def _reorthogonalize(y: np.ndarray, basis: np.ndarray) -> float:
@@ -314,11 +474,7 @@ def krylov_basis(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarra
     """
     n = M.shape[0]
     shifted = M - (np.trace(M) / n) * np.eye(n, dtype=np.complex128)
-    with np.errstate(over="ignore"):
-        spread = float(np.linalg.norm(shifted))
-    if math.isinf(spread):
-        # numpy's squares overflowed; the BLAS norm scales its terms.
-        spread = _fro(shifted)
+    spread = _fro(shifted)
     thr = tol.threshold(spread)
     Q = np.empty((n, n * n), dtype=np.complex128)
     Q[0] = np.eye(n, dtype=np.complex128).reshape(-1) / math.sqrt(n)
@@ -367,6 +523,8 @@ def _bidiagonal_top(a: np.ndarray, b: np.ndarray, scale: float) -> float:
     (LAPACK ``dsterf``, no vectors), formed from the entries divided by
     ``scale``, an upper bound on them, so that no square overflows.
     """
+    from scipy.linalg.lapack import dsterf
+
     if not b.size:
         return float(a[0])
     a, b = a / scale, b / scale
@@ -441,27 +599,62 @@ def _no_reordering(eigenvalue: complex) -> int:
     return 0
 
 
-def _shifted_schur(A: np.ndarray, B: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """Complex Schur forms of ``A - mu I`` and ``B - mu I``, Fortran-ordered for ``trsyl``.
+def _shifted(A: np.ndarray, B: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """``A - mu I`` and ``B - mu I`` for one common ``mu = (tr A + tr B) / (na + nb)``.
 
-    One common ``mu = (tr A + tr B) / (na + nb)`` leaves ``Z -> A Z - Z B``
-    unchanged, and keeps ``trsyl``'s perturbation of zero divisors relative
-    to the spread of the two spectra, not to their magnitude.  None for
-    non-finite input.
+    The shift leaves ``Z -> A Z - Z B`` unchanged and keeps every test of
+    it relative to the spread of the two spectra, not to their magnitude.
+    None for non-finite input.
     """
     A = np.asarray(A, dtype=np.complex128)
     B = np.asarray(B, dtype=np.complex128)
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
         return None
     mu = (np.trace(A) + np.trace(B)) / (A.shape[0] + B.shape[0])
+    return A - mu * np.eye(A.shape[0]), B - mu * np.eye(B.shape[0])
+
+
+def _schur_triangles(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Schur triangles of A and B, Fortran-ordered for ``trsyl``.
+
+    Shifted input keeps ``trsyl``'s perturbation of zero divisors relative
+    to the spread of the two spectra.
+    """
+    # scipy is imported on the fallback path only: here, in _sylvester_smin
+    # and in _bidiagonal_top.
+    from scipy.linalg.lapack import zgees
+
     forms = []
     for M in (A, B):
         # LAPACK gees without Schur vectors: only the triangle is needed.
-        T, _, _, _, _, info = zgees(_no_reordering, M - mu * np.eye(M.shape[0]), compute_v=0)
+        T, _, _, _, _, info = zgees(_no_reordering, M, compute_v=0)
         if info:
             raise np.linalg.LinAlgError("Schur factorization did not converge")
         forms.append(T)
     return forms[0], forms[1]
+
+
+def _eigen_separation(A: np.ndarray, B: np.ndarray) -> float:
+    """A lower bound on the smallest singular value of ``Z -> A Z - Z B``, from eigenpairs.
+
+    For computed eigenpairs ``M V = V diag(lam) + R`` (unit columns), M is
+    within ``||R||_F / s_min(V)`` in norm 2 of ``V diag(lam) V^-1``, whose
+    Sylvester operator is bounded below by ``min |lam_A - lam_B|`` over
+    ``kappa(V_A) kappa(V_B)`` (Stewart and Sun, *Matrix Perturbation
+    Theory*, 1990, V.3).  Each perturbation moves the smallest singular
+    value by at most its norm, so the bound holds for the computed
+    eigenpairs themselves.  NaN or a value at most 0 bounds nothing.
+    """
+    spectra, kappa, slack = [], 1.0, 0.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for M in (A, B):
+            lam, V = np.linalg.eig(M)
+            s = np.linalg.svd(V, compute_uv=False)
+            spectra.append(lam)
+            kappa *= s[0] / s[-1]
+            slack += _fro(M @ V - V * lam) / s[-1]
+        gap = np.min(np.abs(spectra[0][:, None] - spectra[1][None, :]))
+        return float(gap / kappa - slack)
 
 
 def _sylvester_start(na: int, nb: int) -> np.ndarray:
@@ -473,6 +666,8 @@ def _sylvester_start(na: int, nb: int) -> np.ndarray:
 
 def _sylvester_smin(R: np.ndarray, S: np.ndarray) -> float:
     """Smallest singular value of ``W -> R W - W S``, through its inverse."""
+    from scipy.linalg.lapack import ztrsyl
+
     inverse_norm = _top_singular(
         lambda W: ztrsyl(R, S, W, isgn=-1)[:2],
         lambda W: ztrsyl(R, S, W, trana="C", tranb="C", isgn=-1)[:2],
@@ -518,9 +713,10 @@ def sylvester_min_singular(A: np.ndarray, B: np.ndarray) -> tuple[float, float]:
     about 2e-12), or exactly 0 when the solve had to rescale to avoid
     overflow.  Non-finite input gives ``(nan, nan)``.
     """
-    forms = _shifted_schur(A, B)
-    if forms is None:
+    pair = _shifted(A, B)
+    if pair is None:
         return math.nan, math.nan
+    forms = _schur_triangles(*pair)
     return _sylvester_smin(*forms), _sylvester_smax(*forms)
 
 
@@ -530,17 +726,24 @@ def spectra_disjoint(A: np.ndarray, B: np.ndarray, tol: Tolerance = DEFAULT_TOL)
     Tests invertibility of the Sylvester operator ``Z -> A Z - Z B``, which
     is singular exactly when the two spectra intersect: its smallest
     singular value must clear ``max(tol.abs, tol.rel * s_max)``, with both
-    values as in :func:`sylvester_min_singular`.  The Schur forms carry the
-    eigenvalues on their diagonals, but no eigenvalue is compared with
-    another; a shared eigenvalue shows as a near-zero singular value.
-    The sum of the Frobenius norms of the two shifted Schur triangles bounds
-    ``s_max`` from above, so a smallest value that clears the threshold of
-    that bound decides without the forward iteration.
-    Non-finite input is never disjoint.
+    values as in :func:`sylvester_min_singular`.  Both matrices are shifted
+    by one common mu first, and the sum of their shifted Frobenius norms
+    bounds ``s_max`` from above.
+
+    The eigenvalue bound of :func:`_eigen_separation` is tried first: when
+    it clears the threshold of that sum, the smallest singular value does
+    too, and the answer is true with no Sylvester solve.  Otherwise, as for
+    a shared or defective eigenvalue, the Schur/``trsyl`` Lanczos of
+    :func:`sylvester_min_singular` decides; a smallest value that clears
+    the threshold of the Frobenius sum decides without the forward
+    iteration.  Non-finite input is never disjoint.
     """
-    forms = _shifted_schur(A, B)
-    if forms is None:
+    pair = _shifted(A, B)
+    if pair is None:
         return False
+    if _eigen_separation(*pair) > tol.threshold(_fro(pair[0]) + _fro(pair[1])):
+        return True
+    forms = _schur_triangles(*pair)
     smin = _sylvester_smin(*forms)
     if smin > tol.threshold(_fro(forms[0]) + _fro(forms[1])):
         return True

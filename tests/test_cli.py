@@ -242,19 +242,15 @@ class TestCheck:
 
         tower_file = tmp_path / "pow.json"
         write_tower(tower_file, new_tower(self.OVERFLOWING_POWERS))
-        check_out, orbit_out = tmp_path / "check.json", tmp_path / "orbit.json"
+        # `gz orbit` writes no report on this tower: it exits 3 (TestOrbit).
+        check_out = tmp_path / "check.json"
         assert cli.main(["check", str(tower_file), "-o", str(check_out)]) == cli.EXIT_FAIL
-        code = cli.main(["orbit", str(tower_file), "--seed", "0", "-o", str(orbit_out)])
-        assert code == cli.EXIT_FAIL
         report = json.loads(check_out.read_text(), parse_constant=refuse)
         checks = {c["name"]: c for c in report["checks"]}
         assert checks["commute"]["passed"] == checks["consistent"]["passed"] == "indeterminate"
         # The ratios are over the pairs compared, those of levels 1 and 2.
         assert checks["commute"]["details"]["max_bracket_ratio"] == 0.0
         assert checks["consistent"]["details"]["max_mismatch_ratio"] == 0.0
-        orbit = json.loads(orbit_out.read_text(), parse_constant=refuse)
-        assert orbit["observable_invariance_ok"] is False
-        assert orbit["max_observable_drift"] is None
 
     def test_commute_on_overflowing_powers_fails_without_warnings(self, tmp_path, capsys):
         # The configured filter turns any RuntimeWarning into an error here.
@@ -486,16 +482,16 @@ class TestFlow:
 
 class TestOrbit:
     def test_overflowing_powers_exit_without_traceback(self, tmp_path, capsys):
-        # The tower's own traces overflow, so the drift is NaN and fails; the
-        # tower is not strongly regular, so lagrangian does not apply.
+        # The tower's own traces overflow under an infinite power bound: the
+        # drift is not computable, as in `gz flow`, so no report is written.
         tower_file = tmp_path / "pow.json"
         write_tower(tower_file, new_tower(TestCheck.OVERFLOWING_POWERS))
         out = tmp_path / "orbit.json"
-        assert cli.main(["orbit", str(tower_file), "--seed", "0", "-o", str(out)]) == cli.EXIT_FAIL
-        assert capsys.readouterr().err == ""
-        report = json.loads(out.read_text())
-        assert report["observable_invariance_ok"] is False
-        assert report["lagrangian"]["verdict"] == "not applicable"
+        code = cli.main(["orbit", str(tower_file), "--seed", "0", "-o", str(out)])
+        assert code == cli.EXIT_INDETERMINATE
+        err = capsys.readouterr().err
+        assert "overflow" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_random_params_on_sreg_tower(self, tmp_path):
         tower_file = tmp_path / "t.json"
@@ -824,3 +820,36 @@ class TestEntryPoint:
             [sys.executable, "-m", "gztower.cli", "gen"], capture_output=True, text=True
         )
         assert proc.returncode == cli.EXIT_USAGE
+
+    def test_commands_run_without_scipy(self, tmp_path):
+        # scipy is imported only by the Schur/trsyl fallback of the Sylvester
+        # test, which the eigenvalue bound makes unnecessary on a generated
+        # tower; every other kernel runs on numpy alone.
+        tower_file = tmp_path / "t.json"
+        write_tower(tower_file, theta_tower(6, 409))
+        script = (
+            "import json, sys\n"
+            "from gztower import cli\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "tower, work = sys.argv[1], sys.argv[2]\n"
+            "runs = {'import': [None, scipy_modules()]}\n"
+            "for argv in (\n"
+            "    ['check', tower, '-o', work + '/check.json'],\n"
+            "    ['gen', '--depth', '8', '--seed', '1', '-o', work + '/gen.json'],\n"
+            "    ['orbit', tower, '--seed', '3', '-o', work + '/orbit.json'],\n"
+            "    ['flow', tower, '--i', '4', '--j', '3', '-o', work + '/flow.json'],\n"
+            "):\n"
+            "    runs[argv[0]] = [cli.main(argv), scipy_modules()]\n"
+            "print(json.dumps(runs))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tower_file), str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs = json.loads(proc.stdout.splitlines()[-1])
+        assert list(runs) == ["import", "check", "gen", "orbit", "flow"]
+        assert [code for code, _ in list(runs.values())[1:]] == [cli.EXIT_PASS] * 4
+        assert all(modules == [] for _, modules in runs.values())

@@ -282,9 +282,13 @@ class TestPowerTable:
     def test_overflow_is_left_non_finite_without_warnings(self):
         # The configured filter turns a RuntimeWarning into an error here.
         T = new_tower([[1, 0, 0], [0, 2, 1e160], [0, 1e160, 3]])
-        gens = power_table(T).generators()
+        table = power_table(T)
+        gens = table.generators()
         assert all(np.all(np.isfinite(G)) for G in gens[:3])
         assert not np.all(np.isfinite(gens[5]))
+        brackets = table.bracket_matrix()
+        assert np.all(np.isfinite(brackets[:3, :3]))
+        assert not np.all(np.isfinite(brackets))
 
     def test_gemm_against_fd_oracle_on_noncommuting_family(self):
         # The GZ brackets all vanish; matrix units pair nontrivially, so this

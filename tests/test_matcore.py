@@ -18,6 +18,7 @@ from gztower.matcore import (
     kernel_basis,
     krylov_basis,
     mat_exp,
+    mat_exp_stack,
     null_space,
     rank_split,
     spectra_disjoint,
@@ -239,6 +240,43 @@ class TestPowExp:
     def test_exp_overflow(self):
         with pytest.raises(OverflowError):
             mat_exp(np.diag([1e4, 0]).astype(complex))
+
+    @pytest.mark.parametrize("kind", ["normal", "non-normal"])
+    def test_matches_scipy_oracle(self, kind):
+        # scipy's expm, a separate implementation of the same algorithm.
+        from scipy.linalg import expm
+
+        rng = np.random.default_rng(16)
+        for n in range(1, 33):
+            for norm1 in (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2):
+                if kind == "normal":
+                    Q = np.linalg.qr(rand_c(rng, n))[0]
+                    A = (Q * (rng.standard_normal(n) + 1j * rng.standard_normal(n))) @ Q.conj().T
+                else:
+                    A = rand_c(rng, n) + 5.0 * np.triu(rand_c(rng, n), 1)
+                A *= norm1 / np.abs(A).sum(axis=0).max()
+                reference = expm(A)
+                bound = 1e-13 * (1.0 + np.linalg.norm(reference, 2))
+                assert np.abs(mat_exp(A) - reference).max() <= bound, (n, norm1)
+
+    def test_stack_slices_match_single_calls(self):
+        rng = np.random.default_rng(17)
+        P = rand_c(rng, 6)
+        stack = -np.linspace(-3.0, 3.0, 201)[:, None, None] * P
+        out, errors = mat_exp_stack(stack)
+        assert errors == [None] * 201
+        for k in range(201):
+            assert np.array_equal(out[k], mat_exp(stack[k]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300])
+    def test_non_finite_input_overflows_quietly(self, bad):
+        M = np.diag([1.0, bad]).astype(complex)
+        with pytest.raises(OverflowError):
+            mat_exp(M)
+        out, errors = mat_exp_stack(np.stack([M, np.eye(2, dtype=complex)]))
+        assert isinstance(errors[0], OverflowError) and errors[1] is None
+        assert np.array_equal(out[1], mat_exp(np.eye(2, dtype=complex)))
 
 
 class TestRankNull:
@@ -470,6 +508,28 @@ class TestSingularSylvester:
             assert abs(smin - ref_min) <= 1e-8 * ref_min
             # The largest value only scales a threshold: a lower bound, close.
             assert 0.9 * ref_max <= smax <= ref_max * (1 + 1e-12)
+
+
+class TestEigenSeparation:
+    def test_bound_never_exceeds_the_smallest_singular_value(self):
+        # Also on non-normal and nearly defective pairs, and on pairs whose
+        # spectra nearly meet, where the bound is far below the Lanczos value.
+        from gztower import matcore
+        from gztower.oracles import kron_sylvester_singular
+
+        rng = np.random.default_rng(18)
+        jordan = np.diag(np.ones(3), 1).astype(complex)
+        pairs = []
+        for na in range(1, 8):
+            A, B = rand_c(rng, na), rand_c(rng, na + 1)
+            pairs.append((A, B))
+            pairs.append((A + 5.0 * np.triu(rand_c(rng, na), 1), B))
+            pairs.append((A, embed(A, na + 1) + 1e-7 * rand_c(rng, na + 1)))
+        pairs.append((jordan + 1e-6 * rand_c(rng, 4), rand_c(rng, 5)))
+        for A, B in pairs:
+            bound = matcore._eigen_separation(*matcore._shifted(A, B))
+            ref_min, ref_max = kron_sylvester_singular(A, B)
+            assert not bound > ref_min + 1e-12 * ref_max
 
 
 class TestKrylovBasis:

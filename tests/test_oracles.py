@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gztower import matcore
 from gztower.action import AParams, a_act_stepwise, random_params, zero_params, zn_element
 from gztower.gz import gz_indices, power_table
 from gztower.matcore import (
@@ -197,6 +198,20 @@ class TestCommutantStack:
         top[:4, :4] = 1.5 * np.eye(4)
         return new_tower(top)
 
+    @pytest.mark.parametrize("kind", ["identity", "jordan", "scalar-levels"])
+    def test_shared_spectra_reach_the_lanczos_fallback(self, kind, monkeypatch):
+        # Every consecutive pair shares an eigenvalue, so the eigenvalue bound
+        # cannot clear the threshold and the Lanczos test answers "not disjoint".
+        fallbacks = count_sylvester_fallbacks(monkeypatch)
+        T = self.tower(kind)
+        for n in range(1, T.depth):
+            X, Y = T.level(n), T.level(n + 1)
+            assert not spectra_disjoint(X, Y)
+            assert not kron_spectra_disjoint(X, Y)
+            assert len(fallbacks) == n
+        assert not spectra_disjoint(1e4 * np.eye(2, dtype=complex), 1e4 * np.eye(3, dtype=complex))
+        assert len(fallbacks) == T.depth
+
     @pytest.mark.parametrize("kind", ["theta", "diagonal", "identity", "jordan", "scalar-levels"])
     def test_kernels_agree_with_dense_kernel(self, kind):
         T = self.tower(kind)
@@ -230,6 +245,19 @@ class TestCommutantStack:
                     assert np.linalg.norm(E @ X - X @ E) <= bound
 
 
+def count_sylvester_fallbacks(monkeypatch):
+    """Record each call of the Lanczos Sylvester test that spectra_disjoint falls back to."""
+    calls = []
+    original = matcore._sylvester_smin
+
+    def counting(R, S):
+        calls.append((R.shape[0], S.shape[0]))
+        return original(R, S)
+
+    monkeypatch.setattr(matcore, "_sylvester_smin", counting)
+    return calls
+
+
 def _oracle_towers(kind):
     depths = range(2, MAX_ORACLE_DIM + 1)
     if kind == "theta":
@@ -255,6 +283,18 @@ class TestKroneckerOracles:
                 Y = T.level(n + 1)
                 assert centralizer_intersection_trivial(X, Y) == kron_intersection_trivial(X, Y)
                 assert spectra_disjoint(X, Y) == kron_spectra_disjoint(X, Y)
+
+    @pytest.mark.parametrize("kind", ["theta", "diagonal", "jordan", "scalar"])
+    def test_eigen_bound_decides_only_disjoint_pairs(self, kind, monkeypatch):
+        # The eigenvalue bound settles every generated pair; a shared
+        # eigenvalue leaves it to the Schur/trsyl Lanczos, once per pair.
+        fallbacks = count_sylvester_fallbacks(monkeypatch)
+        for T in _oracle_towers(kind):
+            for n in range(1, T.depth):
+                X, Y = T.level(n), T.level(n + 1)
+                before = len(fallbacks)
+                assert spectra_disjoint(X, Y) == kron_spectra_disjoint(X, Y)
+                assert len(fallbacks) - before == (0 if kind == "theta" else 1)
 
     @pytest.mark.parametrize("kind", ["theta", "diagonal", "jordan", "scalar"])
     def test_sylvester_min_singular_matches(self, kind):
