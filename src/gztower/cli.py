@@ -436,8 +436,8 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _dump_json(data: dict) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+def _dump_json(data: dict, indent: Optional[int] = 2) -> str:
+    return json.dumps(data, sort_keys=True, indent=indent) + "\n"
 
 
 def _format_complex(z: complex) -> str:
@@ -611,7 +611,9 @@ def cmd_flow(args: argparse.Namespace) -> int:
                 "passed": passed,
             }
         )
-        text = _dump_json(report)
+        # A flow report is a t-grid by observables table of numbers: indented,
+        # half of its bytes would be whitespace.
+        text = _dump_json(report, indent=None)
     if config.out:
         _write_atomic(config.out, text)
     else:

@@ -345,6 +345,17 @@ class TestFlow:
         report = json.loads(out.read_text())
         assert max(report["max_relative_drift"].values()) == 0.0
 
+    def test_report_is_one_line(self, tmp_path):
+        # Indentation would be about half of a long grid's report bytes.
+        tower_file = tmp_path / "t.json"
+        write_tower(tower_file, theta_tower(3, 403))
+        out = tmp_path / "flow.json"
+        argv = ["flow", str(tower_file), "--i", "2", "--j", "1", "--t-grid=-1,0,1", "-o", str(out)]
+        assert cli.main(argv) == 0
+        text = out.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        assert len(json.loads(text)["values"]) == 3
+
     def test_default_grid_conserves(self, tmp_path):
         tower_file = tmp_path / "t.json"
         write_tower(tower_file, theta_tower(4, 404, 0.4))
