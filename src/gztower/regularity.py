@@ -18,12 +18,15 @@ conditioned, so each verdict carries a margin: how cleanly its decisive
 singular values split at the threshold.  Disagreement within margin is
 reported as "indeterminate" rather than raised as an error.
 
-The joint commutant of levels n..N, which the ``anchor`` check tests, is
-the same border system with the whole border blocks of X_N.
+Criterion 2 also decides the ``anchor`` and ``lagrangian`` checks: every
+joint commutant of levels n..N (n < N) embeds into that of levels N-1..N,
+whose border system is its last, and the orbit through X_N has dimension
+N^2 - N exactly when it finds X_N regular.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -36,7 +39,6 @@ from .matcore import (
     Tolerance,
     ad_operator,
     embed_stack,
-    kernel_basis,
     krylov_basis,
     null_space,
     rank_split,
@@ -62,6 +64,9 @@ __all__ = [
 # Verdicts whose margins fall below this factor are considered too close
 # to the threshold to adjudicate disagreements between criteria.
 INDETERMINATE_MARGIN = 10.0
+
+# (verdict, decisive singular value, margin) of one rank decision.
+_Split = tuple[bool, float, float]
 
 
 def _regular_split(M: np.ndarray, tol: Tolerance) -> tuple[bool, float, float, np.ndarray]:
@@ -110,27 +115,18 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / norm if norm > 0 else v
 
 
-def _border_system(Q: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Matrix of ``a -> (Z B, C Z)`` on ``Z = sum_j a_j Q_j``, 2nm x k, blocks flattened.
+def _border_split(Q: np.ndarray, b: np.ndarray, c: np.ndarray, tol: Tolerance) -> _Split:
+    """Whether no nonzero Z in span(Q) has ``Z b = 0`` and ``c Z = 0``.
 
-    With ``X = [[X_n, B], [C, D]]`` and Z in the centralizer ``span(Q)`` of
-    X_n, ``[embed(Z), X] = [[0, Z B], [-C Z, 0]]``, so the kernel is the part
-    of that centralizer which commutes with X.  B (n x m) and C (m x n) enter
-    at unit Frobenius norm: the kernel does not see their scale, and neither
-    sets the other's threshold.
+    With ``X = [[X_n, b], [c, d]]`` and Z in the centralizer ``span(Q)`` of
+    X_n, ``[embed(Z), X] = [[0, Z b], [-c Z, 0]]``, so the kernel of the
+    2n x k system ``a -> (Z b, c Z)`` on ``Z = sum_j a_j Q_j`` is the part of
+    that centralizer which commutes with X.  b and c enter at unit norm:
+    the kernel does not see their scale, and neither sets the other's
+    threshold.
     """
-    k = Q.shape[0]
-    return np.concatenate(
-        [(Q @ _unit(B)).reshape(k, -1), (_unit(C) @ Q).reshape(k, -1)], axis=1
-    ).T
-
-
-def _border_split(
-    Q: np.ndarray, b: np.ndarray, c: np.ndarray, tol: Tolerance
-) -> tuple[bool, float, float]:
-    """Whether no nonzero Z in span(Q) has ``Z b = 0`` and ``c Z = 0`` (a 2i x i system)."""
-    s = np.linalg.svd(_border_system(Q, b[:, None], c[None, :]), compute_uv=False)
-    rank, decisive, margin = spectrum_split(s, tol)
+    system = np.concatenate([Q @ _unit(b), _unit(c) @ Q], axis=1).T
+    rank, decisive, margin = spectrum_split(np.linalg.svd(system, compute_uv=False), tol)
     return rank == Q.shape[0], decisive, margin
 
 
@@ -154,19 +150,30 @@ def centralizer_intersection_trivial(
     return regular and _border_split(Q, X_ip1[:i, i], X_ip1[i, :i], tol)[0]
 
 
-def _full_rank_split(family: np.ndarray, tol: Tolerance) -> tuple[bool, float, float]:
+def _full_rank_split(family: np.ndarray, tol: Tolerance) -> _Split:
     # A family with an overflowed generator is not finite and has no rank.
     rank, decisive, margin = rank_split(family, tol)
     return rank == len(family), decisive, margin
 
 
+def _differentials_split(T: Tower, gens: list[np.ndarray], tol: Tolerance) -> _Split:
+    # Criterion 1: every generator of the power table, embedded at level N.
+    return _full_rank_split(embed_stack(gens, T.depth), tol)
+
+
+def _tangents_split(T: Tower, gens: list[np.ndarray], tol: Tolerance) -> _Split:
+    # Criterion 3: the tangent values [X_N, grad f_ij] of the generators with i < N.
+    return _full_rank_split(tangent_values(T.top, gens[: T.depth * (T.depth - 1) // 2]), tol)
+
+
 def is_sreg_differentials(T: Tower, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Full rank of the N(N+1)/2 gradient family at the deepest level."""
-    ok, _, _ = _full_rank_split(embed_stack(power_table(T).generators(), T.depth), tol)
+    ok, _, _ = _differentials_split(T, power_table(T).generators(), tol)
     return ok
 
 
-def _centralizers_split(T: Tower, tol: Tolerance) -> tuple[bool, float, float]:
+def _centralizers_split(T: Tower, tol: Tolerance) -> tuple[bool, float, float, float]:
+    """Criterion 2: (verdict, decisive value, margin, margin of X_N's Arnoldi split)."""
     splits = []
     for n in range(1, T.depth + 1):
         regular, sv, margin, Q = _regular_split(T.level(n), tol)
@@ -175,16 +182,18 @@ def _centralizers_split(T: Tower, tol: Tolerance) -> tuple[bool, float, float]:
         # next level is never trivial (see centralizer_intersection_trivial).
         if regular and n < T.depth:
             splits.append(_border_split(Q, T.top[:n, n], T.top[n, :n], tol))
+    # The last split is X_N's Arnoldi split: level N has no border below it.
     return (
         all(ok for ok, _, _ in splits),
         float(min(sv for _, sv, _ in splits)),
         float(min(margin for _, _, margin in splits)),
+        splits[-1][2],
     )
 
 
 def is_sreg_centralizers(T: Tower, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Every level regular and every consecutive centralizer intersection trivial."""
-    ok, _, _ = _centralizers_split(T, tol)
+    ok, _, _, _ = _centralizers_split(T, tol)
     return ok
 
 
@@ -196,8 +205,7 @@ def is_sreg_tangents(T: Tower, tol: Tolerance = DEFAULT_TOL) -> bool:
     """
     if T.depth < 2:
         raise ValueError("tangent criterion is vacuous for depth-1 towers")
-    below = power_table(T).generators()[: T.depth * (T.depth - 1) // 2]
-    ok, _, _ = _full_rank_split(tangent_values(T.top, below), tol)
+    ok, _, _ = _tangents_split(T, power_table(T).generators(), tol)
     return ok
 
 
@@ -227,6 +235,9 @@ class SregReport:
     theta: bool
     min_singular_values: tuple[Optional[float], Optional[float], Optional[float]]
     margins: tuple[Optional[float], Optional[float], Optional[float]]
+    # Margin of criterion 2's Arnoldi split of X_N, the orbit-rank margin of
+    # the Lagrangian check; it is not part of the JSON report.
+    top_arnoldi_margin: float
     verdict: str  # "true" | "false" | "indeterminate"
     notes: tuple[str, ...] = ()
 
@@ -256,15 +267,23 @@ def sreg_report(T: Tower, tol: Tolerance = DEFAULT_TOL) -> SregReport:
     how near.  Criterion 1 ranks every generator of one
     :func:`~gztower.gz.power_table`, embedded at level N; criterion 3 the
     Hamiltonian tangent values ``[X_N, grad f_ij]`` of those with i < N.
+
+    Each tower has one report, as it has one power table: ``Tower``
+    compares by identity, so the report of the last tower and tolerance
+    asked for is kept and returned again.
     """
+    return _tower_report(T, tol)
+
+
+@functools.lru_cache(maxsize=1)
+def _tower_report(T: Tower, tol: Tolerance) -> SregReport:
     N = T.depth
     gens = power_table(T).generators()
-    d_ok, d_sv, d_margin = _full_rank_split(embed_stack(gens, N), tol)
-    c_ok, c_sv, c_margin = _centralizers_split(T, tol)
+    d_ok, d_sv, d_margin = _differentials_split(T, gens, tol)
+    c_ok, c_sv, c_margin, top_margin = _centralizers_split(T, tol)
     notes: list[str] = []
     if N >= 2:
-        below = gens[: N * (N - 1) // 2]
-        t_ok, t_sv, t_margin = _full_rank_split(tangent_values(T.top, below), tol)
+        t_ok, t_sv, t_margin = _tangents_split(T, gens, tol)
         tangents: Optional[bool] = t_ok
     else:
         tangents, t_sv, t_margin = None, None, None
@@ -299,28 +318,8 @@ def sreg_report(T: Tower, tol: Tolerance = DEFAULT_TOL) -> SregReport:
         theta=_theta_holds(T, tol),
         min_singular_values=(d_sv, c_sv, t_sv),
         margins=(d_margin, c_margin, t_margin),
+        top_arnoldi_margin=top_margin,
         verdict=verdict,
         notes=tuple(notes),
     )
 
-
-def joint_commutant_kernel(
-    T: Tower, base_level: int, tol: Tolerance = DEFAULT_TOL
-) -> list[np.ndarray]:
-    """Basis of ``{x in gl(n) : [embed(x, k), X(k)] = 0 for all n <= k <= N}``.
-
-    This is the kernel of the anchor map restricted to level-n covectors;
-    at strongly regular towers it is trivial for every n < N.  The borders
-    of every X(k) are sub-blocks of X(N)'s, so the kernel is
-    ``{x in z(X(n)) : x X(N)[:n, n:] = 0, X(N)[n:, :n] x = 0}``: the
-    :func:`_border_system` kernel over an orthonormal :func:`centralizer_basis`.
-    """
-    if not 1 <= base_level <= T.depth:
-        raise IndexError("base level out of range")
-    n = base_level
-    basis = centralizer_basis(T.level(n), tol)
-    if n == T.depth:
-        return basis
-    Q = np.stack(basis)
-    system = _border_system(Q, T.top[:n, n:], T.top[n:, :n])
-    return [np.tensordot(a, Q, axes=1) for a in kernel_basis(system, tol)]

@@ -32,11 +32,9 @@ from .matcore import (
     bracket_matrix,
     commutator,
     embed,
-    krylov_basis,
-    spectrum_split,
     trace_pair,
 )
-from .regularity import SregReport, report_number, sreg_report
+from .regularity import report_number, sreg_report
 from .tower import Tower, TowerTangent
 
 __all__ = [
@@ -148,26 +146,19 @@ class LagrangianReport:
         }
 
 
-def lagrangian_check(
-    T: Tower,
-    tol: Tolerance = DEFAULT_TOL,
-    *,
-    sreg: Optional[SregReport] = None,
-) -> LagrangianReport:
+def lagrangian_check(T: Tower, tol: Tolerance = DEFAULT_TOL) -> LagrangianReport:
     """Verify the Lagrangian structure of the abelian orbit at a tower.
 
     At a strongly regular tower of depth N the abelian tangent family has
     rank exactly N(N-1)/2 and the orbit through X_N has dimension N^2 - N
-    (half/double); the check reads both ranks off the strong-regularity
-    criteria and verifies that the abelian family is isotropic for the
-    glued form.  Criterion 3 ranks the abelian family itself, so its
-    margin is ``margin_A``.  The orbit dimension is N^2 minus that of the
-    centralizer of X_N, which is N exactly when X_N is regular: the
-    Arnoldi split that criterion 2 decides this by gives ``margin_G``.
+    (half/double); the check reads both ranks off the tower's
+    :func:`sreg_report` and verifies that the abelian family is isotropic
+    for the glued form.  Criterion 3 ranks the abelian family itself, so
+    its margin is ``margin_A``.  The orbit dimension is N^2 minus that of
+    the centralizer of X_N, which is N exactly when X_N is regular, as
+    criterion 2 found it: the margin of that Arnoldi split is ``margin_G``.
     Towers that are not strongly regular (or have depth 1) yield a "not
-    applicable" verdict rather than an error.  ``sreg`` is the tower's
-    :func:`sreg_report` at ``tol`` when the caller already has it;
-    without it the check runs one.
+    applicable" verdict rather than an error.
     """
     N = T.depth
     base = dict(
@@ -188,8 +179,7 @@ def lagrangian_check(
             notes=("depth-1 towers have no abelian orbit directions",),
             **base,
         )
-    if sreg is None:
-        sreg = sreg_report(T, tol)
+    sreg = sreg_report(T, tol)
     if sreg.verdict != "true":
         return LagrangianReport(
             rank_A=None,
@@ -203,11 +193,9 @@ def lagrangian_check(
             **base,
         )
 
-    # A "true" verdict means criterion 3 found the abelian family at full rank.
+    # A "true" verdict means criterion 3 found the abelian family at full
+    # rank and criterion 2 found X_N regular.
     rank_A = N * (N - 1) // 2
-    _, arnoldi = krylov_basis(T.top, tol)
-    krylov_dim, _, margin_G = spectrum_split(arnoldi, tol)
-    rank_G = N * N - N if krylov_dim == N else None
 
     # The Hamiltonian tangent of f_ij is the anchor image of its gradient.
     generators = power_table(T).generators()[:rank_A]
@@ -217,12 +205,12 @@ def lagrangian_check(
     gen_norm = max(float(np.linalg.norm(G)) for G in generators)
     pairing_scale = 1.0 + 2.0 * float(np.linalg.norm(T.top)) * gen_norm**2
 
-    ok = rank_G is not None and max_pairing <= ISOTROPY_RTOL * pairing_scale
+    ok = max_pairing <= ISOTROPY_RTOL * pairing_scale
     return LagrangianReport(
         rank_A=rank_A,
-        rank_G=rank_G,
+        rank_G=N * N - N,
         margin_A=sreg.margins[2],
-        margin_G=margin_G,
+        margin_G=sreg.top_arnoldi_margin,
         max_pairing=max_pairing,
         pairing_scale=pairing_scale,
         verdict="true" if ok else "false",

@@ -7,6 +7,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from gztower import regularity
 from gztower.matcore import DEFAULT_TOL, Tolerance
 from gztower.tower import Tower, random_entries, random_theta_tower
 
@@ -56,3 +57,14 @@ def probe_operator(op, n: int) -> np.ndarray:
 @pytest.fixture
 def tol() -> Tolerance:
     return DEFAULT_TOL
+
+
+@pytest.fixture(autouse=True)
+def fresh_sreg_report():
+    """Each test computes its own strong-regularity reports.
+
+    The cached towers above are shared across tests, and ``sreg_report``
+    keeps the report of the last tower it was asked about; a test that
+    patches a criterion must not read a report computed before the patch.
+    """
+    regularity._tower_report.cache_clear()

@@ -333,6 +333,40 @@ class TestSeedPrecedence:
         assert cli.main(["gen", "--depth", "2", "-o", str(tmp_path / "x.json")]) == cli.EXIT_USAGE
 
 
+class TestOutOfRangeFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--depth", "0"],
+            # Above matcore.MAX_DIM: rejected before generation, not after it.
+            ["gen", "--depth", "300"],
+            ["gen", "--depth", "2", "--scale", "-1"],
+            ["gen", "--depth", "2", "--tol-rel", "-1"],
+            ["check", "t.json", "--tol-rel", "-1"],
+            ["flow", "t.json", "--i", "2", "--j", "1", "--tol-abs", "-1"],
+            ["flow", "t.json", "--i", "2", "--j", "1", "--drift-tol", "-1"],
+            ["orbit", "t.json", "--tol-rel", "nan"],
+            ["orbit", "t.json", "--samples", "-2"],
+        ],
+        ids=[
+            "depth-0", "depth-300", "scale", "gen-tol", "check-tol", "flow-tol", "drift-tol",
+            "orbit-tol", "samples",
+        ],
+    )
+    def test_rejected_before_any_work(self, argv, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started on an out-of-range flag")
+
+        monkeypatch.setattr(cli, "random_theta_tower", refuse)
+        monkeypatch.setattr(cli, "_load_tower", refuse)
+        argv = [str(tmp_path / a) if a == "t.json" else a for a in argv]
+        out = ["-o", str(tmp_path / "out.json")]
+        assert cli.main(argv + out) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: argument --")
+        assert "Traceback" not in err
+
+
 class TestFlow:
     def test_zero_grid_has_zero_drift(self, tmp_path):
         tower_file = tmp_path / "t.json"
@@ -653,7 +687,8 @@ class TestCheckCost:
     """Conserve stacks each generator's times and each level's traces; consistent
     pairs by level, not by pair; lagrangian builds one power table; the suite
     computes one strong-regularity report, one power table and one bracket
-    matrix; orbit builds one power table."""
+    matrix; orbit builds one power table; the suite and orbit each build one
+    Arnoldi basis per level above the first."""
 
     DEPTH = 6
 
@@ -780,27 +815,46 @@ class TestCheckCost:
         assert code == cli.EXIT_PASS
         assert builds == {"tables": 1, "brackets": 0}
 
-    def test_full_suite_computes_one_sreg_report(self, tower, tmp_path, monkeypatch):
-        # sreg, lagrangian and anchor share one report; count every binding
-        # a member could reach it through.
-        import gztower.symplectic
+    @pytest.fixture
+    def reports(self, monkeypatch):
+        # Criterion 2 runs once per computed report and builds one Arnoldi
+        # basis per level above the first; count every binding a member
+        # could reach krylov_basis through.
+        from gztower import matcore, regularity, symplectic
 
-        calls = []
+        reports = {"computed": 0, "krylov_basis": 0}
 
-        def counting(original):
+        def counting(name, fn):
             def wrapped(*args, **kwargs):
-                calls.append(args[0])
-                return original(*args, **kwargs)
+                reports[name] += 1
+                return fn(*args, **kwargs)
 
             return wrapped
 
-        for module in (cli, gztower.symplectic):
-            monkeypatch.setattr(module, "sreg_report", counting(module.sreg_report))
+        monkeypatch.setattr(
+            regularity, "_centralizers_split", counting("computed", regularity._centralizers_split)
+        )
+        krylov = counting("krylov_basis", matcore.krylov_basis)
+        for module in (matcore, regularity, symplectic):
+            monkeypatch.setattr(module, "krylov_basis", krylov, raising=False)
+        return reports
+
+    def test_full_suite_computes_one_sreg_report(self, tower, tmp_path, reports):
+        # sreg, lagrangian and anchor all read the tower's one report.
         tower_file = tmp_path / "t.json"
         write_tower(tower_file, tower)
         code = cli.main(["check", str(tower_file), "-o", str(tmp_path / "r.json")])
         assert code == cli.EXIT_PASS
-        assert len(calls) == 1
+        assert reports == {"computed": 1, "krylov_basis": self.DEPTH - 1}
+
+    @pytest.mark.parametrize("command", ["check", "orbit"])
+    def test_depth_16_builds_one_arnoldi_basis_per_level(self, command, tmp_path, reports):
+        tower_file = tmp_path / "t.json"
+        write_tower(tower_file, theta_tower(16, 201, 0.2))
+        argv = [command, str(tower_file), "-o", str(tmp_path / "r.json")]
+        code = cli.main(argv + (["--samples", "1"] if command == "orbit" else []))
+        assert code in (cli.EXIT_PASS, cli.EXIT_INDETERMINATE)
+        assert reports == {"computed": 1, "krylov_basis": 15}
 
 
 class TestEntryPoint:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gztower import matcore, regularity, tower
-from gztower.matcore import rank_split, spectra_disjoint
+from gztower.cli import CHECKS
+from gztower.matcore import DEFAULT_TOL, rank_split, spectra_disjoint
 from gztower.oracles import dense_kernel, kron_intersection_trivial
 from gztower.regularity import (
     centralizer_basis,
@@ -13,7 +14,6 @@ from gztower.regularity import (
     is_sreg_centralizers,
     is_sreg_differentials,
     is_sreg_tangents,
-    joint_commutant_kernel,
     sreg_report,
 )
 from gztower.tower import new_tower
@@ -274,13 +274,6 @@ class TestMemoryWall:
         top = 0.3 * (rng.standard_normal((129, 129)) + 1j * rng.standard_normal((129, 129)))
         assert spectra_disjoint(top[:128, :128], top)
 
-    def test_joint_commutant_kernel_at_64(self):
-        # The dense stack of levels 48..64 on gl(48) would hold about 2 GB;
-        # the border system of a regular X(48) is 1536 x 48.
-        rng = np.random.default_rng(64)
-        top = 0.3 * (rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
-        assert joint_commutant_kernel(new_tower(top), 48) == []
-
 
 class TestNoKroneckerOperators:
     @pytest.fixture(autouse=True)
@@ -297,19 +290,10 @@ class TestNoKroneckerOperators:
         assert sreg_report(T).verdict == "true"
         assert sreg_report(diag_tower([1.0, 2.0, 3.0])).verdict == "false"
 
-    def test_joint_commutant_kernel_at_regular_levels(self):
+    def test_anchor_never_forms_ad_operators(self):
+        # The anchor member reads criterion 2 off the tower's one report.
         T = tower.random_theta_tower(6, 4, scale=0.5)
-        for n in range(1, 6):
-            assert joint_commutant_kernel(T, n) == []
-        assert len(joint_commutant_kernel(T, 6)) == 6
-
-
-class TestJointKernel:
-    def test_trivial_at_sreg(self):
-        T = theta_tower(4, 72)
-        for n in (1, 2, 3):
-            assert joint_commutant_kernel(T, n) == []
-
-    def test_nontrivial_at_diagonal(self):
-        T = diag_tower([1.0, 2.0, 3.0])
-        assert len(joint_commutant_kernel(T, 1)) == 1
+        assert CHECKS["anchor"](T, DEFAULT_TOL, 0).passed == "true"
+        assert CHECKS["anchor"](diag_tower([1.0, 2.0, 3.0]), DEFAULT_TOL, 0).passed == (
+            "indeterminate"
+        )

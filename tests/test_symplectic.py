@@ -3,7 +3,7 @@ import pytest
 
 from gztower import matcore, regularity, symplectic
 from gztower.gz import gz_indices, power_table
-from gztower.matcore import bracket_matrix, commutator, embed, rank_split
+from gztower.matcore import bracket_matrix, commutator, embed, krylov_basis, rank_split, spectrum_split
 from gztower.oracles import gz_hamiltonian, orbit_tangents_A
 from gztower.regularity import centralizer_basis
 from gztower.symplectic import (
@@ -260,12 +260,12 @@ class TestLagrangian:
         report = lagrangian_check(diag_tower([1.0, 2.0, 3.0]))
         assert report.verdict == "not applicable"
 
-    def test_report_of_another_tower_does_not_vouch_for_a_scalar_top(self):
-        # The orbit rank is known only at a regular X_N; a scalar top has none.
-        sreg = regularity.sreg_report(theta_tower(3, 216))
-        report = lagrangian_check(new_tower(np.eye(3, dtype=complex)), sreg=sreg)
-        assert report.rank_G is None
-        assert report.verdict == "false"
+    def test_margin_G_is_the_arnoldi_margin_of_the_top(self):
+        # Criterion 2's split of X_N, bit for bit; the sreg JSON leaves it out.
+        T = theta_tower(4, 218)
+        _, arnoldi = krylov_basis(T.top)
+        assert lagrangian_check(T).margin_G == spectrum_split(arnoldi)[2]
+        assert "top_arnoldi_margin" not in regularity.sreg_report(T).to_json_dict()
 
     def test_depth1_not_applicable(self):
         report = lagrangian_check(new_tower([[1.0]]))
@@ -298,8 +298,9 @@ class TestNoDenseOrbitFamily:
 
     def test_regular_tower_reads_true(self, monkeypatch):
         T = theta_tower(self.DEPTH, 219)
-        # Criteria 1 and 3 rank their families; the check reuses that report.
-        sreg = regularity.sreg_report(T)
+        # Criteria 1 and 3 rank their families; the check reads the tower's
+        # one report, computed here before the refusals.
+        regularity.sreg_report(T)
 
         def refuse(*args, **kwargs):
             raise AssertionError("dense orbit family ranked or Kronecker operator formed")
@@ -317,7 +318,7 @@ class TestNoDenseOrbitFamily:
             monkeypatch.setattr(module, "ad_operator", refuse)
         monkeypatch.setattr(np, "kron", refuse)
         monkeypatch.setattr(np.linalg, "svd", svd_below_n_squared)
-        report = lagrangian_check(T, sreg=sreg)
+        report = lagrangian_check(T)
         assert report.verdict == "true"
         assert report.rank_A == 28 and report.rank_G == 56
 
