@@ -33,6 +33,7 @@ from .matcore import (
     as_cmatrix,
     embed,
     embed_group,
+    embed_stack,
     mat_exp,
     mat_exp_stack,
 )
@@ -288,37 +289,40 @@ def flow(T: Tower, idx: GZIndex, t: complex) -> Tower:
     constant along its own flow, so no stepping is needed.  The corner
     X_i (and everything below) is fixed; all observables tr(X_k^l) are
     conserved.  Flowing a top-level index is allowed and acts trivially.
-    This is the one-time case of :func:`flow_stack` on the tower's
+    This is the one-flow case of :func:`flow_stack` on the tower's
     :func:`~gztower.gz.power_table`; it raises the error that the stack
-    reports for its time.
+    reports for it.
     """
-    tops, errors = flow_stack(power_table(T), idx, [t])
+    tops, errors = flow_stack(power_table(T), [idx], [t])
     if errors[0] is not None:
         raise errors[0]
     return Tower(tops[0])
 
 
 def flow_stack(
-    table: PowerTable, idx: GZIndex, ts: Sequence[complex]
+    table: PowerTable, idxs: Sequence[GZIndex], ts: Sequence[complex]
 ) -> tuple[np.ndarray, list[Optional[Exception]]]:
-    """The exact flow of f_{ij} at every time of ``ts``, evaluated together.
+    """The exact flow of every f_{ij} of ``idxs`` at every time of ``ts``, evaluated together.
 
-    The generator ``j X_i^(j-1)`` is the gradient stored in the tower's
+    Each generator ``j X_i^(j-1)`` is the gradient stored in the tower's
     power table, so a caller flowing many indices forms each power once.
-    One stacked ``expm`` of the generators ``-t j X_i^(j-1)`` and one
+    One stacked ``expm`` of all the generators ``-t j X_i^(j-1)`` and one
     stacked conjugation of the top; each slice is bit-identical to
-    :func:`flow` at its time.  Returns the ``(len(ts), N, N)`` stack of
-    flowed tops and, per time, None or the error :func:`flow` raises for
-    it: OverflowError when the exponential or the conjugate overflows,
-    LinAlgError when the conjugator is singular.  A failed time fails
-    only its own slice, whose top is not meaningful.
+    :func:`flow` of its index at its time.  Returns the
+    ``(len(idxs) * len(ts), N, N)`` stack of flowed tops, index-major
+    (slice ``a * len(ts) + k`` is index a at time k), and, per slice,
+    None or the error :func:`flow` raises for it: OverflowError when the
+    exponential or the conjugate overflows, LinAlgError when the
+    conjugator is singular.  A failed slice fails only itself, and its
+    top is not meaningful.
     """
     N = table.top.shape[0]
-    if idx.i > N:
-        raise IndexError(f"index level {idx.i} exceeds tower depth {N}")
-    P = embed(table.gradients[idx.i - 1][idx.j - 1], N)
+    for idx in idxs:
+        if idx.i > N:
+            raise IndexError(f"index level {idx.i} exceeds tower depth {N}")
+    P = embed_stack([table.gradients[idx.i - 1][idx.j - 1] for idx in idxs], N)
     times = np.asarray(ts, dtype=np.complex128)
-    g, exp_errors = mat_exp_stack(-times[:, None, None] * P)
+    g, exp_errors = mat_exp_stack((-times[:, None, None] * P[:, None]).reshape(-1, N, N))
     tops, errors = _conjugate_stack(g, table.top)
     # The exponential fails first, as it does in a single flow.
     return tops, [e if e is not None else c for e, c in zip(exp_errors, errors)]

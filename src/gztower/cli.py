@@ -61,6 +61,7 @@ EXIT_USAGE = 64
 EXIT_DATA = 65
 
 DEFAULT_T_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
+_FLOWED_TIMES = tuple(t for t in DEFAULT_T_GRID if t != 0.0)
 # Residual tolerances for identity-style checks (drift, commutativity,
 # bracket/form consistency) and for the exact gluing identity.
 DRIFT_RTOL = 1e-8
@@ -226,23 +227,21 @@ def _check_conserve(T: Tower, tol: Tolerance, seed: int) -> CheckResult:
     worst_kappa_log = 0.0
     flow_failed = False
     # Top-level flows act trivially, so their generators are never formed.
-    # Each generator flows all times of the grid as one stack; the flowed
-    # tops of a whole level then share one trace pass, which reads every
-    # slice as it would alone.
+    # Each level flows all its generators at every nonzero time of the grid
+    # as one stack, and its flowed tops share one trace pass, which reads
+    # every slice as it would alone.  exp(0) = I exactly, so t = 0 returns
+    # the tower itself (drift and corner residual 0) and is not flowed.
     for i, Gi in enumerate(table.gradients[:-1], 1):
         Xi = T.level(i)
         corner_scale = 1.0 + float(np.abs(Xi).max())
-        level_tops = []
-        for j in range(1, i + 1):
-            pnorm = _norm2(Gi[j - 1])
+        for pnorm in np.linalg.norm(Gi, 2, axis=(1, 2)).tolist():
             worst_kappa_log = max(
                 worst_kappa_log, *(2.0 * abs(t) * pnorm for t in DEFAULT_T_GRID)
             )
-            tops, errors = flow_stack(table, GZIndex(i, j), DEFAULT_T_GRID)
-            ok = np.array([e is None for e in errors])
-            flow_failed = flow_failed or not ok.all()
-            level_tops.append(tops[ok])
-        tops = np.concatenate(level_tops)
+        tops, errors = flow_stack(table, [GZIndex(i, j) for j in range(1, i + 1)], _FLOWED_TIMES)
+        ok = np.array([e is None for e in errors])
+        flow_failed = flow_failed or not ok.all()
+        tops = tops[ok]
         drifts.append(np.max(np.abs(stack_traces(tops) - base) / base_scale, initial=0.0))
         corners.append(float(np.abs(tops[:, :i, :i] - Xi).max(initial=0.0)) / corner_scale)
     # np.max propagates NaN, so a non-finite drift cannot pass the rtol.
@@ -538,7 +537,7 @@ def _flow_table(
     """
     table = power_table(T)
     base = table.traces()
-    tops, errors = flow_stack(table, idx, grid)
+    tops, errors = flow_stack(table, [idx], grid)
     # The first failure in grid order is the one a flow-by-flow loop meets.
     for exc in errors:
         if exc is not None:
@@ -728,6 +727,12 @@ _DEPTH = _checked(int, lambda d: 1 <= d <= MAX_DIM, f"an integer in 1..{MAX_DIM}
 _SAMPLES = _checked(int, lambda n: n >= 0, "a nonnegative integer")
 _SCALE = _checked(float, lambda x: 0 < x < math.inf, "a positive finite number")
 _TOL = _checked(float, lambda x: 0 <= x < math.inf, "a nonnegative finite number")
+_FINITE = _checked(float, math.isfinite, "a finite number")
+_T_GRID = _checked(
+    lambda text: [float(x) for x in text.split(",")],
+    lambda ts: all(map(math.isfinite, ts)),
+    "a comma-separated list of finite numbers",
+)
 
 
 def _build_parser() -> _Parser:
@@ -768,11 +773,7 @@ def _build_parser() -> _Parser:
     f.add_argument("tower")
     f.add_argument("--i", type=int, required=True)
     f.add_argument("--j", type=int, required=True)
-    f.add_argument(
-        "--t-grid",
-        type=lambda s: [float(x) for x in s.split(",")],
-        default=list(DEFAULT_T_GRID),
-    )
+    f.add_argument("--t-grid", type=_T_GRID, default=list(DEFAULT_T_GRID))
     f.add_argument("--drift-tol", type=_TOL, default=DRIFT_RTOL)
     f.add_argument("--format", choices=("json", "csv"), default="json")
     f.add_argument("--out", "-o", default=None)
@@ -784,7 +785,7 @@ def _build_parser() -> _Parser:
     o.add_argument("tower")
     o.add_argument("--params", default=None, help="JSON parameter file (default: random)")
     o.add_argument("--samples", type=_SAMPLES, default=3)
-    o.add_argument("--param-scale", type=float, default=0.3)
+    o.add_argument("--param-scale", type=_FINITE, default=0.3)
     o.add_argument(
         "--permute-factors",
         action="store_true",

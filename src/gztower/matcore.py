@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -193,24 +193,44 @@ def bracket_matrix(X: np.ndarray, gens: Sequence[np.ndarray]) -> np.ndarray:
         return left @ right.T
 
 
-# The [m/m] Pade approximants of exp that scaling and squaring uses, keyed
-# by degree m: the bound theta_m on ``||A^k||_1^(1/k)`` up to which the
-# approximant meets unit roundoff (Higham, SIAM J. Matrix Anal. Appl. 26,
-# 2005, Table 2.3, for m <= 9; for m = 13 the 4.25 that scipy's ``expm``
-# pairs with these power norms), the numerator coefficients
-# ``b_k = (2m - k)! / (k! (m - k)!)`` and ``1 / |c_(2m+1)| = C(2m, m)
-# (2m + 1)!``, the reciprocal of the leading coefficient of the backward
-# error series.
-_PADE = {
-    m: (
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+class _Pade(NamedTuple):
+    """The [m/m] Pade approximant of exp that scaling and squaring uses at degree m."""
+
+    # The bound on ``||A^k||_1^(1/k)`` up to which the approximant meets
+    # unit roundoff (Higham, SIAM J. Matrix Anal. Appl. 26, 2005, Table 2.3,
+    # for m <= 9; for m = 13 the 4.25 that scipy's ``expm`` pairs with these
+    # power norms).
+    theta: float
+    # The numerator coefficients ``b_k = (2m - k)! / (k! (m - k)!)`` of the
+    # odd and of the even powers, complex so that the products take them
+    # without a cast.
+    odd: np.ndarray
+    even: np.ndarray
+    # ``1 / |c_(2m+1)| = C(2m, m) (2m + 1)!``, the reciprocal of the leading
+    # coefficient of the backward error series.
+    c_inv: float
+    # A 1-norm at or below this needs no overscaling correction: see _ells.
+    ell_free: float
+
+
+def _pade(m: int, theta: float) -> _Pade:
+    b = [math.factorial(2 * m - k) // (math.factorial(k) * math.factorial(m - k))
+         for k in range(m + 1)]
+    c_inv = float(math.comb(2 * m, m) * math.factorial(2 * m + 1))
+    return _Pade(
         theta,
-        np.array(
-            [math.factorial(2 * m - k) // (math.factorial(k) * math.factorial(m - k))
-             for k in range(m + 1)],
-            dtype=np.float64,
-        ),
-        float(math.comb(2 * m, m) * math.factorial(2 * m + 1)),
+        np.array(b[1::2], dtype=np.complex128),
+        np.array(b[0::2], dtype=np.complex128),
+        c_inv,
+        (c_inv * _UNIT_ROUNDOFF / 4.0) ** (1.0 / (2 * m)),
     )
+
+
+_PADE = {
+    m: _pade(m, theta)
     for m, theta in (
         (3, 1.495585217958292e-2),
         (5, 2.539398330063230e-1),
@@ -219,105 +239,179 @@ _PADE = {
         (13, 4.25),
     )
 }
-_UNIT_ROUNDOFF = 2.0**-53
+# Bytes of input that :func:`mat_exp_stack` exponentiates at once.  Every
+# temporary of a chunk is a fixed multiple of this, whatever the stack size.
+_EXP_CHUNK_BYTES = 1 << 15
 
 
-def _norm1(A: np.ndarray) -> float:
-    return float(np.abs(A).sum(axis=0).max())
+def _norms1(R: np.ndarray) -> list:
+    """The 1-norm of every matrix of a stack of moduli, as nested lists of floats."""
+    return np.maximum.reduce(np.add.reduce(R, axis=-2), axis=-1).tolist()
 
 
-def _root_norm1(P: np.ndarray, k: int) -> float:
-    """``||P||_1^(1/k)`` for ``P = A^k``, read as inf when the power overflowed."""
-    value = _norm1(P) ** (1.0 / k)
+def _root(norm: float, k: int) -> float:
+    """``||P||_1^(1/k)`` from ``norm = ||P||_1``, ``P = A^k``; inf where the power overflowed."""
+    # Python's pow: numpy's vectorized pow may differ from it in the last bit.
+    value = norm ** (1.0 / k)
     return value if value <= math.inf else math.inf
 
 
-def _ell(A: np.ndarray, m: int) -> int:
-    """Squarings to add so that the Pade error of degree m at A stays below unit roundoff.
+def _take(A: np.ndarray, rows: list[int]) -> np.ndarray:
+    """The slices ``rows`` (ascending) of a stack: the stack itself when they are all of it."""
+    return A if len(rows) == len(A) else A[rows]
+
+
+def _power(R: np.ndarray, p: int) -> np.ndarray:
+    """``R^p`` of every slice, by the binary powering of ``np.linalg.matrix_power``.
+
+    The same products in the same order, without that function's checks,
+    which cost about as much as a product at these sizes.
+    """
+    z = result = None
+    while p > 0:
+        z = R if z is None else z @ z
+        p, bit = divmod(p, 2)
+        if bit:
+            result = z if result is None else result @ z
+    return result
+
+
+def _ells(absA: np.ndarray, norms: list[float], m: int) -> list[int]:
+    """Squarings to add so that the Pade error of degree m stays below unit roundoff, per slice.
 
     Al-Mohy and Higham's (2009) correction against overscaling, from
-    ``alpha = |c_(2m+1)| ||abs(A)^(2m+1)||_1 / ||A||_1``; 0 when that power
-    is zero, or overflows, which leaves the decision to the norms.
+    ``alpha = |c_(2m+1)| ||abs(A)^(2m+1)||_1 / ||A||_1``, given ``abs(A)``
+    and the 1-norms of the slices; 0 when that power is zero, or overflows,
+    which leaves the decision to the norms.  The power is not formed where
+    the norm is at most ``ell_free``: there ``||abs(A)^(2m+1)||_1 <=
+    ||A||_1^(2m+1)`` keeps alpha below a quarter of the unit roundoff, a
+    margin far wider than the rounding of either side, so the correction
+    is 0 either way.
     """
-    power_norm = _norm1(np.linalg.matrix_power(np.abs(A), 2 * m + 1))
-    if not 0.0 < power_norm < math.inf:
-        return 0
-    alpha = power_norm / (_norm1(A) * _PADE[m][2])
-    return max(0, math.ceil(math.log2(alpha / _UNIT_ROUNDOFF) / (2 * m)))
+    pade = _PADE[m]
+    ells = [0] * len(norms)
+    rows = [k for k, norm in enumerate(norms) if norm > pade.ell_free]
+    if not rows:
+        return ells
+    power_norms = _norms1(_power(_take(absA, rows), 2 * m + 1))
+    for k, power_norm in zip(rows, power_norms):
+        if 0.0 < power_norm < math.inf:
+            alpha = power_norm / (norms[k] * pade.c_inv)
+            ells[k] = max(0, math.ceil(math.log2(alpha / _UNIT_ROUNDOFF) / (2 * m)))
+    return ells
 
 
 def _even_powers(A: np.ndarray, count: int) -> np.ndarray:
-    """The (count, n, n) stack ``I, A^2, A^4, ...``."""
-    n = A.shape[0]
-    powers = np.empty((count, n, n), dtype=np.complex128)
-    powers[0] = np.eye(n, dtype=np.complex128)
-    np.matmul(A, A, out=powers[1])
+    """The (s, count, n, n) stack ``I, A^2, A^4, ...`` of every slice of A."""
+    s, n, _ = A.shape
+    powers = np.zeros((s, count, n, n), dtype=np.complex128)
+    powers[:, 0].reshape(s, n * n)[:, :: n + 1] = 1.0
+    np.matmul(A, A, out=powers[:, 1])
     for k in range(2, count):
-        np.matmul(powers[k - 1], powers[1], out=powers[k])
+        np.matmul(powers[:, k - 1], powers[:, 1], out=powers[:, k])
     return powers
 
 
 def _combine(coefficients: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """``sum_k coefficients[k] powers[k]``, as one product."""
-    k, n, _ = powers.shape
-    return (coefficients[:k] @ powers.reshape(k, n * n)).reshape(n, n)
+    """``sum_k coefficients[k] powers[:, k]``, as one product per slice."""
+    s, k, n, _ = powers.shape
+    return (coefficients @ powers.reshape(s, k, n * n)).reshape(s, n, n)
 
 
 def _pade_exp(A: np.ndarray, powers: np.ndarray, m: int) -> np.ndarray:
-    """The [m/m] Pade approximant ``(V - U)^-1 (V + U)`` of exp at A.
+    """The [m/m] Pade approximant ``(V - U)^-1 (V + U)`` of exp at every slice of A.
 
-    ``powers`` holds the even powers ``I, A^2, ...`` of A, up to A^6 for
-    m = 13 and to A^(m-1) below it.  ``U + V = sum_k b_k A^k`` with U the
-    odd powers and V the even ones; degree 13 forms the powers above A^6
-    by Horner's rule in A^6, so it takes six products in all.
+    ``powers`` holds the even powers ``I, A^2, ...`` of each slice, up to
+    A^6 for m = 13 and to A^(m-1) below it.  ``U + V = sum_k b_k A^k`` with
+    U the odd powers and V the even ones; degree 13 forms the powers above
+    A^6 by Horner's rule in A^6, so it takes six products in all.
     """
-    b = _PADE[m][1]
-    low = powers[: 4 if m == 13 else (m + 1) // 2]
-    odd = _combine(b[1::2], low)
-    V = _combine(b[0::2], low)
+    pade = _PADE[m]
+    k = 4 if m == 13 else (m + 1) // 2
+    low = powers[:, :k]
+    odd = _combine(pade.odd[:k], low)
+    V = _combine(pade.even[:k], low)
     if m == 13:
-        odd += low[3] @ _combine(b[9::2], low[1:])
-        V += low[3] @ _combine(b[8::2], low[1:])
+        odd += low[:, 3] @ _combine(pade.odd[k:], low[:, 1:])
+        V += low[:, 3] @ _combine(pade.even[k:], low[:, 1:])
     U = A @ odd
     return np.linalg.solve(V - U, V + U)
 
 
-def _expm(A: np.ndarray) -> np.ndarray:
-    """Matrix exponential of one matrix by Pade scaling and squaring.
+def _expm(A: np.ndarray, out: np.ndarray) -> None:
+    """Matrix exponential of every slice of a C-contiguous (s, n, n) stack, into ``out``.
 
-    Al-Mohy and Higham's (SIAM J. Matrix Anal. Appl. 31, 2009) algorithm
-    with exact 1-norms, as scipy's ``expm`` runs it on a matrix that is not
-    triangular: the degree and the scaling 2^-s follow from
-    ``||A^k||_1^(1/k)``, which can be far below ``||A||_1`` for a non-normal
-    A, corrected by :func:`_ell`; then s squarings.  A non-finite 1-norm
-    gives a NaN matrix; so can the squarings, when the result overflows.
-    Callers silence the floating-point warnings.
+    Al-Mohy and Higham's (SIAM J. Matrix Anal. Appl. 31, 2009) Pade
+    scaling and squaring with exact 1-norms, as scipy's ``expm`` runs it on
+    a matrix that is not triangular: the degree and the scaling 2^-s follow
+    from ``||A^k||_1^(1/k)``, which can be far below ``||A||_1`` for a
+    non-normal A, corrected by :func:`_ells`; then s squarings.  Every slice
+    takes its degree and squarings from its own norms, and the slices of
+    each (degree, squarings) group run their products, solve and squarings
+    as stacked numpy calls, which run slice by slice: no slice's result
+    depends on the others.  A non-finite 1-norm gives a NaN slice; so can
+    the squarings, when the result overflows.  Callers silence the
+    floating-point warnings.
     """
-    norm = _norm1(A)
-    if not math.isfinite(norm):
-        return np.full(A.shape, np.nan, dtype=np.complex128)
+    absA = np.abs(A)
+    norms = _norms1(absA)
+    live: Sequence[int] = range(len(A))
+    if not all(map(math.isfinite, norms)):
+        live = [k for k, norm in enumerate(norms) if math.isfinite(norm)]
+        out[[k for k, norm in enumerate(norms) if not math.isfinite(norm)]] = np.nan
+        if not live:
+            return
+        A, absA, norms = A[live], absA[live], [norms[k] for k in live]
     powers = _even_powers(A, 5)
-    d6 = _root_norm1(powers[3], 6)
-    eta = max(_root_norm1(powers[2], 4), d6)
-    for m in (3, 5):
-        if eta <= _PADE[m][0] and _ell(A, m) == 0:
-            return _pade_exp(A, powers, m)
-    d8 = _root_norm1(powers[4], 8)
-    eta = max(d6, d8)
-    for m in (7, 9):
-        if eta <= _PADE[m][0] and _ell(A, m) == 0:
-            return _pade_exp(A, powers, m)
-    # ||A^k||^(1/k) <= ||A||: the norm stands in where a power overflowed.
-    eta = min(eta, max(d8, _root_norm1(powers[2] @ powers[3], 10)), norm)
-    s = max(0, math.ceil(math.log2(eta / _PADE[13][0]))) if eta > 0.0 else 0
-    s += _ell(A * 2.0**-s, 13)
-    if s:
-        A = A * 2.0**-s
-        powers = _even_powers(A, 4)
-    E = _pade_exp(A, powers, 13)
-    for _ in range(s):
-        E = E @ E
-    return E
+    roots = [
+        (_root(n4, 4), _root(n6, 6), _root(n8, 8))
+        for n4, n6, n8 in _norms1(np.abs(powers[:, 2:]))
+    ]
+    low = [max(d4, d6) for d4, d6, _ in roots]
+    high = [max(d6, d8) for _, d6, d8 in roots]
+    # (degree, squarings) of every slice: the first degree whose bound holds
+    # with no squaring added, else 13 with the squarings its norms ask for.
+    plans: list[Optional[tuple[int, int]]] = [None] * len(A)
+    for m, etas in ((3, low), (5, low), (7, high), (9, high)):
+        theta = _PADE[m].theta
+        if min(etas) > theta:
+            continue
+        rows = [k for k, plan in enumerate(plans) if plan is None and etas[k] <= theta]
+        if rows:
+            for k, ell in zip(rows, _ells(_take(absA, rows), [norms[k] for k in rows], m)):
+                if ell == 0:
+                    plans[k] = (m, 0)
+    rows = [k for k, plan in enumerate(plans) if plan is None]
+    if rows:
+        P = _take(powers, rows)
+        # Degree 13 from its scaling 2^-s, then the correction at A 2^-s, per s.
+        scalings: dict[int, list[int]] = {}
+        for k, d10 in zip(rows, _norms1(np.abs(P[:, 2] @ P[:, 3]))):
+            # ||A^k||^(1/k) <= ||A||: the norm stands in where a power overflowed.
+            eta = min(high[k], max(roots[k][2], _root(d10, 10)), norms[k])
+            s = math.ceil(math.log2(eta / _PADE[13].theta)) if eta > 0.0 else 0
+            scalings.setdefault(max(0, s), []).append(k)
+        for s, group in scalings.items():
+            scaled = np.abs(_take(A, group) * 2.0**-s)
+            for k, ell in zip(group, _ells(scaled, _norms1(scaled), 13)):
+                plans[k] = (13, s + ell)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for k, plan in enumerate(plans):
+        groups.setdefault(plan, []).append(k)
+    for (m, s), rows in groups.items():
+        Ag = _take(A, rows)
+        if s:
+            Ag = Ag * 2.0**-s
+            E = _pade_exp(Ag, _even_powers(Ag, 4), m)
+        else:
+            E = _pade_exp(Ag, _take(powers, rows), m)
+        for _ in range(s):
+            E = E @ E
+        targets = [live[k] for k in rows]
+        if len(targets) == len(out):
+            out[...] = E
+        else:
+            out[targets] = E
 
 
 def mat_exp(M: np.ndarray) -> np.ndarray:
@@ -334,23 +428,28 @@ def mat_exp(M: np.ndarray) -> np.ndarray:
 def mat_exp_stack(M: np.ndarray) -> tuple[np.ndarray, list[Optional[OverflowError]]]:
     """Matrix exponential of every matrix of an (s, n, n) stack, in one call.
 
-    The slices are exponentiated one at a time, so each slice is
-    bit-identical to :func:`mat_exp` of that slice alone and no temporary
-    is larger than one slice.  Returns the stack and, per slice, None or
-    the OverflowError :func:`mat_exp` raises for it; an overflowed slice
-    is not finite.
+    One scaling and squaring pass over the stack, ``_EXP_CHUNK_BYTES`` of
+    input at a time, so that no temporary grows with the stack.  Within a
+    chunk the slices are grouped by Pade degree and squarings, and each
+    group runs as stacked numpy calls.  Those run slice by slice, so every
+    slice is bit-identical to :func:`mat_exp` of that slice alone.  Returns
+    the stack and, per slice, None or the OverflowError :func:`mat_exp`
+    raises for it; an overflowed slice is not finite.
     """
     M = np.asarray(M, dtype=np.complex128)
     out = np.empty_like(M)
-    # The result is checked below, so the warnings of an overflow are noise.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, A in enumerate(M):
-            out[k] = _expm(A)
-    finite = np.isfinite(out).all(axis=(1, 2))
-    errors = [
-        None if ok else OverflowError("matrix exponential overflowed the representable range")
-        for ok in finite
-    ]
+    errors: list[Optional[OverflowError]] = []
+    step = max(1, _EXP_CHUNK_BYTES // (M.itemsize * M.shape[-1] ** 2 or 1))
+    for start in range(0, len(M), step):
+        chunk = out[start : start + step]
+        # The result is checked below, so the warnings of an overflow are noise.
+        with np.errstate(over="ignore", invalid="ignore"):
+            # One memory layout, so that a slice's products are the same in any stack.
+            _expm(np.ascontiguousarray(M[start : start + step]), chunk)
+        errors += [
+            None if ok else OverflowError("matrix exponential overflowed the representable range")
+            for ok in np.isfinite(chunk).all(axis=(1, 2))
+        ]
     return out, errors
 
 

@@ -266,7 +266,7 @@ class TestFlowStack:
     def test_flow_equals_its_slice(self):
         T = theta_tower(6, 135, 0.4)
         for idx in gz_indices(6)[::4]:
-            tops, errors = flow_stack(power_table(T), idx, self.GRID)
+            tops, errors = flow_stack(power_table(T), [idx], self.GRID)
             assert tops.shape == (len(self.GRID), 6, 6)
             assert errors == [None] * len(self.GRID)
             for t, top in zip(self.GRID, tops):
@@ -298,7 +298,7 @@ class TestFlowStack:
     )
     def test_one_failing_time_fails_only_its_flow(self, top, idx, grid, bad, error):
         T = new_tower(top)
-        tops, errors = flow_stack(power_table(T), idx, grid)
+        tops, errors = flow_stack(power_table(T), [idx], grid)
         assert [e is None for e in errors] == [s != bad for s in range(len(grid))]
         assert isinstance(errors[bad], error)
         with pytest.raises(error, match=str(errors[bad])):
@@ -309,7 +309,7 @@ class TestFlowStack:
 
     def test_index_out_of_depth(self):
         with pytest.raises(IndexError):
-            flow_stack(power_table(plain_tower(2, 136)), GZIndex(3, 1), [0.0])
+            flow_stack(power_table(plain_tower(2, 136)), [GZIndex(3, 1)], [0.0])
 
 
 class TestOrbitTangents:

@@ -11,7 +11,7 @@ import pytest
 from gztower import cli
 from gztower.tower import new_tower, tower_from_json, tower_to_json
 
-from conftest import theta_tower
+from conftest import jordan_tower, plain_tower, theta_tower
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -347,10 +347,17 @@ class TestOutOfRangeFlags:
             ["flow", "t.json", "--i", "2", "--j", "1", "--drift-tol", "-1"],
             ["orbit", "t.json", "--tol-rel", "nan"],
             ["orbit", "t.json", "--samples", "-2"],
+            ["orbit", "t.json", "--param-scale", "nan"],
+            ["orbit", "t.json", "--param-scale", "inf"],
+            ["orbit", "t.json", "--param-scale=-inf"],
+            ["flow", "t.json", "--i", "2", "--j", "1", "--t-grid=0,nan"],
+            ["flow", "t.json", "--i", "2", "--j", "1", "--t-grid=inf"],
+            ["flow", "t.json", "--i", "2", "--j", "1", "--t-grid=-1,-inf,1"],
         ],
         ids=[
             "depth-0", "depth-300", "scale", "gen-tol", "check-tol", "flow-tol", "drift-tol",
-            "orbit-tol", "samples",
+            "orbit-tol", "samples", "param-scale-nan", "param-scale-inf", "param-scale-neg-inf",
+            "t-grid-nan", "t-grid-inf", "t-grid-neg-inf",
         ],
     )
     def test_rejected_before_any_work(self, argv, tmp_path, capsys, monkeypatch):
@@ -453,6 +460,16 @@ class TestFlow:
             ]
         )
         assert code == 0 and plot.exists()
+
+    def test_huge_finite_time_is_indeterminate(self, tmp_path, capsys):
+        # A finite time is a valid flag; its flow is what double precision cannot take.
+        tower_file = tmp_path / "t.json"
+        write_tower(tower_file, theta_tower(3, 403))
+        argv = ["flow", str(tower_file), "--i", "2", "--j", "1", "--t-grid=1e300"]
+        assert cli.main(argv + ["-o", str(tmp_path / "f.json")]) == cli.EXIT_INDETERMINATE
+        err = capsys.readouterr().err
+        assert err.startswith("flow not computable in double precision")
+        assert "Traceback" not in err
 
     def test_overflowing_flow_is_indeterminate(self, tmp_path, capsys):
         tower_file = tmp_path / "huge.json"
@@ -683,6 +700,119 @@ class TestNonFiniteResiduals:
         assert json.loads(out.read_text())["observable_invariance_ok"] is False
 
 
+def conserve_per_generator(T, tol, seed):
+    """The conserve member as it was before levels were stacked: each
+    generator flows over all seven times of the grid, t = 0 included, as a
+    stack of its own, with its norm from its own SVD.  The oracle of the
+    level-stacked member."""
+    from gztower.action import flow_stack
+    from gztower.gz import GZIndex, power_table, stack_traces
+
+    N = T.depth
+    if N < 2:
+        return cli.CheckResult(
+            name="conserve",
+            property="flow-conservation",
+            passed="true",
+            details={"note": "no flow directions at depth 1"},
+        )
+    table = power_table(T)
+    base = table.traces()
+    if not np.all(np.isfinite(base)):
+        return cli.CheckResult(
+            name="conserve",
+            property="flow-conservation",
+            passed="indeterminate",
+            details={
+                "t_grid": list(cli.DEFAULT_T_GRID),
+                "drift_rtol": cli.DRIFT_RTOL,
+                "corner_rtol": cli.CORNER_RTOL,
+                "note": "the tower's own traces overflow double precision, so there is "
+                "nothing to conserve; regenerate the tower at a smaller scale",
+            },
+        )
+    base_scale = 1.0 + np.abs(base)
+    drifts, corners = [], []
+    worst_kappa_log = 0.0
+    flow_failed = False
+    for i, Gi in enumerate(table.gradients[:-1], 1):
+        Xi = T.level(i)
+        corner_scale = 1.0 + float(np.abs(Xi).max())
+        level_tops = []
+        for j in range(1, i + 1):
+            pnorm = float(np.linalg.norm(Gi[j - 1], 2))
+            worst_kappa_log = max(
+                worst_kappa_log, *(2.0 * abs(t) * pnorm for t in cli.DEFAULT_T_GRID)
+            )
+            tops, errors = flow_stack(table, [GZIndex(i, j)], cli.DEFAULT_T_GRID)
+            ok = np.array([e is None for e in errors])
+            flow_failed = flow_failed or not ok.all()
+            level_tops.append(tops[ok])
+        tops = np.concatenate(level_tops)
+        drifts.append(np.max(np.abs(stack_traces(tops) - base) / base_scale, initial=0.0))
+        corners.append(float(np.abs(tops[:, :i, :i] - Xi).max(initial=0.0)) / corner_scale)
+    worst_drift = float(np.max(drifts, initial=0.0))
+    worst_corner = float(np.max(corners, initial=0.0))
+    ok = not flow_failed and worst_drift <= cli.DRIFT_RTOL and worst_corner <= cli.CORNER_RTOL
+    achievable = np.finfo(float).eps * float(np.exp(min(worst_kappa_log, 700.0)))
+    details = {
+        "max_relative_drift": cli.report_number(worst_drift),
+        "max_corner_residual": cli.report_number(worst_corner),
+        "t_grid": list(cli.DEFAULT_T_GRID),
+        "drift_rtol": cli.DRIFT_RTOL,
+        "corner_rtol": cli.CORNER_RTOL,
+        "conditioning_floor": achievable,
+    }
+    if ok:
+        passed = "true"
+    elif achievable > cli.DRIFT_RTOL or flow_failed:
+        passed = "indeterminate"
+        details["note"] = (
+            "flow conjugators too ill-conditioned for the drift tolerance; "
+            "regenerate the tower at a smaller scale"
+        )
+    else:
+        passed = "false"
+    return cli.CheckResult(
+        name="conserve", property="flow-conservation", passed=passed, details=details
+    )
+
+
+class TestConserveOracle:
+    """Flowing a level as one stack, without t = 0, reports exactly what
+    flowing each generator over the whole grid reports."""
+
+    KINDS = {
+        "theta": lambda d: theta_tower(d, 300 + d, 0.4),
+        "plain": lambda d: plain_tower(d, 310 + d),
+        "jordan": jordan_tower,
+        "identity": lambda d: new_tower(np.eye(d)),
+        # The traces themselves overflow: nothing to conserve.
+        "overflowing-powers": lambda d: new_tower(1e160 * theta_tower(d, 320 + d, 0.4).top),
+        # Finite traces, but exponentials and conjugates that overflow.
+        "overflowing-flows": lambda d: plain_tower(d, 330 + d, 30.0),
+    }
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    @pytest.mark.parametrize("depth", range(2, 9))
+    def test_details_equal_the_oracle_bit_for_bit(self, kind, depth):
+        T = self.KINDS[kind](depth)
+        tol = cli.Tolerance()
+        ours = cli.CHECKS["conserve"](T, tol, 0).to_json_dict()
+        oracle = conserve_per_generator(T, tol, 0).to_json_dict()
+        # repr of a float is exact, so equal dumps are equal bits.
+        assert json.dumps(ours, sort_keys=True) == json.dumps(oracle, sort_keys=True)
+
+    def test_kinds_reach_every_verdict(self):
+        verdicts = {
+            kind: cli.CHECKS["conserve"](make(6), cli.Tolerance(), 0).passed
+            for kind, make in self.KINDS.items()
+        }
+        assert verdicts["theta"] == "true"
+        assert verdicts["overflowing-powers"] == "indeterminate"
+        assert verdicts["overflowing-flows"] == "indeterminate"
+
+
 class TestCheckCost:
     """Conserve stacks each generator's times and each level's traces; consistent
     pairs by level, not by pair; lagrangian builds one power table; the suite
@@ -728,17 +858,29 @@ class TestCheckCost:
         )
         return counts
 
-    def test_conserve(self, tower, counts):
+    def test_conserve(self, tower, counts, monkeypatch):
+        import gztower.action
+
+        slices = []
+        counted = gztower.action.mat_exp_stack
+
+        def recording(M):
+            slices.append(len(M))
+            return counted(M)
+
+        monkeypatch.setattr(gztower.action, "mat_exp_stack", recording)
         assert cli.CHECKS["conserve"](tower, cli.Tolerance(), 0).passed == "true"
-        generators = self.DEPTH * (self.DEPTH - 1) // 2
-        # One stacked expm per generator, one trace pass per flowed level.
+        # One stacked expm and one trace pass per flowed level; level i
+        # flows its i generators at the six nonzero times of the grid.
         assert counts == {
             "power_table": 1,
             "Tower": 0,
-            "expm": generators,
+            "expm": self.DEPTH - 1,
             "omega_inf": 0,
             "stack_traces": self.DEPTH - 1,
         }
+        assert slices == [6 * i for i in range(1, self.DEPTH)]
+        assert sum(slices) == 6 * self.DEPTH * (self.DEPTH - 1) // 2
 
     def test_consistent(self, tower, counts):
         assert cli.CHECKS["consistent"](tower, cli.Tolerance(), 0).passed == "true"

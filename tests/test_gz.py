@@ -348,7 +348,7 @@ class TestStackTraces:
         T = theta_tower(depth, 71, 0.3)
         grid = [-2.0, -0.5, 0.0, 1.0, 2.0]
         for idx in gz_indices(depth - 1)[:: max(1, depth - 3)]:
-            tops, errors = flow_stack(power_table(T), idx, grid)
+            tops, errors = flow_stack(power_table(T), [idx], grid)
             assert errors == [None] * len(grid)
             traces = stack_traces(tops)
             for top, row in zip(tops, traces):
@@ -360,7 +360,7 @@ class TestStackTraces:
         T = theta_tower(8, 72, 0.3)
         grid = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
         table = power_table(T)
-        parts = [flow_stack(table, GZIndex(7, j), grid)[0] for j in range(1, 8)]
+        parts = [flow_stack(table, [GZIndex(7, j)], grid)[0] for j in range(1, 8)]
         parts.append(parts[0][:1])
         whole = stack_traces(np.concatenate(parts))
         assert np.array_equal(whole, np.concatenate([stack_traces(p) for p in parts]))

@@ -279,6 +279,117 @@ class TestPowExp:
         assert np.array_equal(out[1], mat_exp(np.eye(2, dtype=complex)))
 
 
+def _expm_plans(M, monkeypatch):
+    """Run mat_exp_stack on M and return the (degree, squared) pairs its groups used."""
+    from gztower import matcore
+
+    plans = set()
+    pade, powers = matcore._pade_exp, matcore._even_powers
+
+    def recording_pade(A, P, m):
+        # Squared groups form the four even powers of their scaled slices.
+        plans.add((m, P.shape[1] == 4))
+        return pade(A, P, m)
+
+    monkeypatch.setattr(matcore, "_pade_exp", recording_pade)
+    monkeypatch.setattr(matcore, "_even_powers", powers)
+    out, errors = mat_exp_stack(M)
+    return out, errors, plans
+
+
+class TestBatchedExp:
+    """One scaling and squaring pass over a stack equals one call per slice."""
+
+    N = 6
+
+    def mixed_stack(self):
+        rng = np.random.default_rng(18)
+        slices = []
+        # 1-norms that reach every degree, with and without squarings, on
+        # dense and strongly non-normal matrices.
+        for norm1 in (4e-3, 1e-2, 0.12, 0.3, 0.8, 1.5, 2.5, 3.5, 6.0, 40.0, 700.0):
+            for kind in ("dense", "non-normal"):
+                A = rand_c(rng, self.N)
+                if kind == "non-normal":
+                    A = A + 8.0 * np.triu(rand_c(rng, self.N), 1)
+                slices.append(A * norm1 / np.abs(A).sum(axis=0).max())
+        slices.append(np.zeros((self.N, self.N), dtype=complex))
+        for bad in (np.nan, np.inf, 1e4):
+            A = np.eye(self.N, dtype=complex)
+            A[1, 1] = bad
+            slices.append(A)
+        return np.array(slices)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_every_slice_is_its_own_call(self, monkeypatch):
+        M = self.mixed_stack()
+        order = np.random.default_rng(19).permutation(len(M))
+        for stack in (M, M[order]):
+            out, errors, plans = _expm_plans(stack, monkeypatch)
+            degrees = {(3, False), (5, False), (7, False), (9, False), (13, False), (13, True)}
+            assert plans >= degrees
+            for A, E, error in zip(stack, out, errors):
+                try:
+                    single, single_error = mat_exp(A), None
+                except OverflowError as exc:
+                    single, single_error = None, exc
+                if single_error is None:
+                    assert error is None and np.array_equal(E, single)
+                else:
+                    assert isinstance(error, OverflowError) and str(error) == str(single_error)
+                    assert not np.all(np.isfinite(E))
+        # The zero slice is exact; NaN, inf and e^(1e4) are not representable.
+        _, errors = mat_exp_stack(M)
+        assert [e is None for e in errors][-4:] == [True, False, False, False]
+
+    def test_slices_do_not_depend_on_their_neighbours(self):
+        M = self.mixed_stack()
+        order = np.random.default_rng(20).permutation(len(M))
+        out, errors = mat_exp_stack(M)
+        shuffled, shuffled_errors = mat_exp_stack(M[order])
+        assert np.array_equal(shuffled, out[order], equal_nan=True)
+        assert [e is None for e in shuffled_errors] == [errors[k] is None for k in order]
+
+    def test_temporaries_stay_bounded(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(21)
+        tracemalloc.start()
+        try:
+            # 1-norms from 1e-3 to 1e3: every degree and up to a dozen squarings.
+            M = rand_c(rng, 16)[None] * np.geomspace(1e-3, 1e3, 2000)[:, None, None] / 16
+            M = np.ascontiguousarray(M)
+            start, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            out, _ = mat_exp_stack(M)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The input was traced before the start, the output after it.
+        assert peak - start < out.nbytes + 2**20
+        assert start >= M.nbytes
+
+    def test_skipped_overscaling_correction_is_zero(self):
+        # _ells forms abs(A)^(2m+1) only above ell_free; below it the
+        # correction computed in full must come out 0.  An entrywise
+        # nonnegative rank-one A has ||A^p||_1 = ||A||_1^p, the case where
+        # the bound is tight.
+        from gztower import matcore
+
+        rng = np.random.default_rng(22)
+        for m, pade in matcore._PADE.items():
+            for n in (1, 2, 5, 16):
+                ones = np.full((n, n), 1.0 / n)
+                for factor in np.linspace(0.5, 1.0, 11):
+                    for R in (ones, np.abs(rand_c(rng, n))):
+                        R = R * (factor * pade.ell_free / R.sum(axis=0).max())
+                        power = np.linalg.matrix_power(R, 2 * m + 1).sum(axis=0).max()
+                        norm = R.sum(axis=0).max()
+                        alpha = power / (norm * pade.c_inv)
+                        assert np.ceil(np.log2(alpha / 2.0**-53) / (2 * m)) <= 0, (m, n)
+                        assert matcore._ells(R[None], [norm], m) == [0]
+
+
 class TestRankNull:
     def test_rank_single(self):
         assert rank_split([np.eye(2, dtype=complex)])[0] == 1
