@@ -15,7 +15,6 @@ from .matcore import (
     corner,
     embed,
     mat_exp,
-    null_space,
     spectra_disjoint,
     trace_pair,
 )
@@ -38,9 +37,6 @@ from .gz import (
 )
 from .regularity import (
     SregReport,
-    centralizer_basis,
-    centralizer_intersection_trivial,
-    is_regular,
     is_sreg_centralizers,
     is_sreg_differentials,
     is_sreg_tangents,
@@ -48,15 +44,12 @@ from .regularity import (
 )
 from .action import (
     AParams,
-    GroupElement,
     a_act,
     a_act_stepwise,
     flow,
     flow_stack,
-    gl_adjoint,
     random_params,
     zero_params,
-    zn_element,
 )
 from .symplectic import (
     LagrangianReport,
@@ -65,7 +58,6 @@ from .symplectic import (
     kk_form,
     lagrangian_check,
     match_residual,
-    omega_inf,
 )
 
 __version__ = "0.1.0"
@@ -81,7 +73,6 @@ __all__ = [
     "trace_pair",
     "bracket_matrix",
     "mat_exp",
-    "null_space",
     "spectra_disjoint",
     "Tower",
     "TowerTangent",
@@ -97,25 +88,18 @@ __all__ = [
     "power_table",
     "stack_traces",
     "SregReport",
-    "is_regular",
-    "centralizer_basis",
-    "centralizer_intersection_trivial",
     "is_sreg_differentials",
     "is_sreg_centralizers",
     "is_sreg_tangents",
     "sreg_report",
     "AParams",
-    "GroupElement",
     "zero_params",
     "random_params",
     "a_act",
     "a_act_stepwise",
-    "gl_adjoint",
     "flow",
     "flow_stack",
-    "zn_element",
     "kk_form",
-    "omega_inf",
     "match_residual",
     "anchor",
     "isotropy_check",

@@ -1,4 +1,4 @@
-"""Group actions on towers: the abelian flow group and the adjoint action.
+"""The abelian group action on towers and the exact Hamiltonian flows.
 
 The abelian group C^(n(n-1)/2) acts by conjugating the deepest matrix
 with the ordered product of exponentials
@@ -28,20 +28,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .gz import GZIndex, PowerTable, gz_indices, power_table
-from .matcore import (
-    DEFAULT_TOL,
-    as_cmatrix,
-    embed,
-    embed_group,
-    embed_stack,
-    mat_exp,
-    mat_exp_stack,
-)
+from .matcore import embed, embed_stack, mat_exp, mat_exp_stack
 from .tower import Tower
 
 __all__ = [
     "AParams",
-    "GroupElement",
     "zero_params",
     "random_params",
     "params_to_dict",
@@ -50,10 +41,8 @@ __all__ = [
     "params_from_json",
     "a_act",
     "a_act_stepwise",
-    "gl_adjoint",
     "flow",
     "flow_stack",
-    "zn_element",
 ]
 
 
@@ -133,24 +122,6 @@ def params_from_json(text: str) -> AParams:
     return params_from_dict(data)
 
 
-@dataclass(frozen=True, eq=False)
-class GroupElement:
-    """An invertible matrix at a fixed level of the group tower."""
-
-    level: int
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = as_cmatrix(self.matrix)
-        if m.shape[0] != self.level:
-            raise ValueError("matrix dimension must equal the group level")
-        s = np.linalg.svd(m, compute_uv=False)
-        if s[-1] <= DEFAULT_TOL.threshold(s[0]):
-            raise ValueError("group element is numerically singular")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-
 def _conjugate(g: np.ndarray, X: np.ndarray) -> np.ndarray:
     out, errors = _conjugate_stack(g[None], X)
     if errors[0] is not None:
@@ -220,7 +191,9 @@ def _action_product(terms: list[tuple[int, int, complex]], T: Tower, N: int) -> 
         table = powers.setdefault(i, [np.eye(i, dtype=np.complex128)])
         while len(table) < j:
             table.append(table[-1] @ T.level(i))
-        g = g @ mat_exp(embed(j * t * table[j - 1], N))
+        # An overflowed product is left non-finite, without a warning: callers check it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = g @ mat_exp(embed(j * t * table[j - 1], N))
     return g
 
 
@@ -274,14 +247,6 @@ def a_act_stepwise(a: AParams, T: Tower, order: list[GZIndex] | None = None) -> 
     return current
 
 
-def gl_adjoint(g: GroupElement, T: Tower) -> Tower:
-    """Conjugate the tower by ``diag(g, Id)`` at the deepest level."""
-    if g.level > T.depth:
-        raise IndexError(f"group level {g.level} exceeds tower depth {T.depth}")
-    G = embed_group(g.matrix, T.depth)
-    return Tower(_conjugate(G, T.top))
-
-
 def flow(T: Tower, idx: GZIndex, t: complex) -> Tower:
     """Exact Hamiltonian flow of f_{ij} for time t.
 
@@ -326,16 +291,3 @@ def flow_stack(
     tops, errors = _conjugate_stack(g, table.top)
     # The exponential fails first, as it does in a single flow.
     return tops, [e if e is not None else c for e, c in zip(exp_errors, errors)]
-
-
-def zn_element(T: Tower, a: AParams) -> GroupElement:
-    """The centralizer-product group element realizing the abelian action.
-
-    The product of the per-level factors lies in
-    Z(X_1) Z(X_2) ... Z(X_{n-1}); each factor is an exponential of a
-    polynomial in its level's corner and therefore commutes with it.
-    Its adjoint action reproduces :func:`a_act` on the same parameters.
-    """
-    if a.n > T.depth:
-        raise IndexError(f"parameter level {a.n} exceeds tower depth {T.depth}")
-    return GroupElement(T.depth, _action_product(_nonzero_terms(a), T, T.depth))

@@ -6,16 +6,15 @@ Everything downstream works on square ``numpy.ndarray`` matrices with
 * corner extraction / zero-padded embedding between sizes,
 * commutator and trace pairing, and their stacked tangent families,
 * matrix exponentials, alone or stacked, by Pade scaling and squaring,
-* numerical rank, null spaces and Krylov bases of matrix powers,
+* numerical rank and Krylov bases of matrix powers,
 * the Sylvester-operator spectrum test: an eigenvalue separation bound,
   and complex Schur forms with triangular Sylvester solves where the
   bound does not decide,
 
 and the single tolerance rule used by all of them: a quantity of scale
 ``s`` counts as zero when it is below ``max(tol.abs, tol.rel * s)``.
-The strong-regularity and generation paths never form a Kronecker
-operator; ``ad_operator`` remains for the centralizer of a non-regular
-matrix, and the other Kronecker forms live in :mod:`gztower.oracles`.
+No kernel here forms a Kronecker operator; those dense forms live in
+:mod:`gztower.oracles`, as references for the tests.
 Everything runs on numpy alone except the Schur/``trsyl`` path of the
 Sylvester test, which imports its LAPACK routines from scipy when it runs.
 """
@@ -35,7 +34,6 @@ __all__ = [
     "as_cmatrix",
     "corner",
     "embed",
-    "embed_group",
     "commutator",
     "trace_pair",
     "tangent_values",
@@ -45,12 +43,8 @@ __all__ = [
     "mat_exp_stack",
     "spectrum_split",
     "rank_split",
-    "kernel_basis",
     "krylov_basis",
-    "ad_operator",
-    "null_space",
     "spectra_disjoint",
-    "sylvester_min_singular",
 ]
 
 # Supported working range; larger matrices are out of scope for this toolkit.
@@ -122,16 +116,6 @@ def embed(M: np.ndarray, n: int) -> np.ndarray:
     if n < m:
         raise IndexError(f"cannot embed dimension {m} into smaller dimension {n}")
     out = np.zeros((n, n), dtype=np.complex128)
-    out[:m, :m] = M
-    return out
-
-
-def embed_group(M: np.ndarray, n: int) -> np.ndarray:
-    """Block-diagonal embedding ``diag(M, Id)``: the group-style inclusion."""
-    m = M.shape[0]
-    if n < m:
-        raise IndexError(f"cannot embed dimension {m} into smaller dimension {n}")
-    out = np.eye(n, dtype=np.complex128)
     out[:m, :m] = M
     return out
 
@@ -461,9 +445,8 @@ def spectrum_split(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[int, fl
     value kept (or the largest dropped when the rank is zero) and
     ``margin >= 1`` is the factor by which the values clear the threshold
     on both sides of the cut.  A margin close to 1 means the rank decision
-    is near-threshold and should not be trusted.  :func:`rank_split`,
-    :func:`kernel_basis` and the strong-regularity criteria all decide rank
-    through this rule.
+    is near-threshold and should not be trusted.  :func:`rank_split` and
+    the strong-regularity criteria all decide rank through this rule.
     """
     thr = tol.threshold(s[0] if s.size else 0.0)
     rank = int(np.sum(s > thr))
@@ -490,20 +473,6 @@ def rank_split(family, tol: Tolerance = DEFAULT_TOL) -> tuple[int, float, float]
         return 0, math.nan, math.nan
     s = np.linalg.svd(family, compute_uv=False)
     return spectrum_split(s, tol)
-
-
-def kernel_basis(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
-    """Orthonormal basis of the numerical kernel of a (possibly rectangular) matrix.
-
-    Kernel vectors ``x`` satisfy ``A @ x ~ 0``; the rank follows
-    :func:`spectrum_split`.
-    """
-    A = np.asarray(A, dtype=np.complex128)
-    # A thin SVD still yields every right singular vector when rows >= columns;
-    # only wide matrices need the full factorization to reach their kernel.
-    _, s, vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
-    rank, _, _ = spectrum_split(s, tol)
-    return [vh[k].conj() for k in range(rank, vh.shape[0])]
 
 
 def _fro(Y: np.ndarray) -> float:
@@ -588,31 +557,6 @@ def krylov_basis(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarra
         Q[k] = w / h
         k += 1
     return Q[:k].reshape(k, n, n), np.sort(norms)[::-1]
-
-
-def ad_operator(M: np.ndarray) -> np.ndarray:
-    """Matrix of ``Z -> [Z, M]`` acting on row-major flattened matrices."""
-    n = M.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-    # vec(Z M) = (I (x) M^T) vec(Z),  vec(M Z) = (M (x) I) vec(Z)  (row-major vec).
-    return np.kron(eye, M.T) - np.kron(M, eye)
-
-
-def null_space(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
-    """Orthonormal basis of the kernel of an explicit linear map on gl(n).
-
-    ``A`` is an ``n^2 x n^2`` matrix acting on row-major flattened
-    matrices, such as ``ad_operator(M)``, whose kernel is the centralizer
-    of ``M``.  Returns kernel members reshaped to n x n.
-    """
-    A = np.asarray(A, dtype=np.complex128)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("explicit operator must be a square 2D array")
-    n2 = A.shape[0]
-    n = int(round(np.sqrt(n2)))
-    if n * n != n2:
-        raise ValueError("explicit operator size must be a perfect square")
-    return [v.reshape(n, n) for v in kernel_basis(A, tol)]
 
 
 def _bidiagonal_top(a: np.ndarray, b: np.ndarray, scale: float) -> float:
@@ -789,20 +733,31 @@ def _sylvester_smax(R: np.ndarray, S: np.ndarray) -> float:
     )
 
 
-def sylvester_min_singular(A: np.ndarray, B: np.ndarray) -> tuple[float, float]:
-    """Smallest and largest singular value of ``Z -> A Z - Z B``.
+def spectra_disjoint(A: np.ndarray, B: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """Whether the spectra of A and B are (numerically) disjoint.
 
-    Both matrices are first shifted by one common ``mu = (tr A + tr B) /
-    (na + nb)``, which leaves the operator unchanged.  With complex Schur
-    forms ``A - mu I = U R U^H`` and ``B - mu I = V S V^H`` the operator
-    becomes ``W -> R W - W S`` on ``W = U^H Z V``, an isometry, so the
-    singular values are those of the triangular operator.  The smallest is
-    the reciprocal of the largest singular value of its inverse, found by
-    Lanczos bidiagonalization whose every step is two triangular Sylvester
-    solves (LAPACK ``trsyl``, the back substitution of Bartels-Stewart),
-    O(na nb (na + nb)) each.  The largest comes from the same iteration on
-    the forward operator, stopped once a step moves it by less than 1e-4
-    relative: it only scales a threshold.
+    Tests invertibility of the Sylvester operator ``Z -> A Z - Z B``, which
+    is singular exactly when the two spectra intersect: its smallest
+    singular value must clear ``max(tol.abs, tol.rel * s_max)``.  Both
+    matrices are first shifted by one common ``mu = (tr A + tr B) / (na +
+    nb)``, which leaves the operator unchanged, and the sum of their
+    shifted Frobenius norms bounds ``s_max`` from above.
+
+    The eigenvalue bound of :func:`_eigen_separation` is tried first: when
+    it clears the threshold of that sum, the smallest singular value does
+    too, and the answer is true with no Sylvester solve.  Otherwise, as for
+    a shared or defective eigenvalue, the singular values decide.  With
+    complex Schur forms ``A - mu I = U R U^H`` and ``B - mu I = V S V^H``
+    the operator becomes ``W -> R W - W S`` on ``W = U^H Z V``, an
+    isometry, so the singular values are those of the triangular operator.
+    The smallest is the reciprocal of the largest singular value of its
+    inverse, found by Lanczos bidiagonalization whose every step is two
+    triangular Sylvester solves (LAPACK ``trsyl``, the back substitution of
+    Bartels-Stewart), O(na nb (na + nb)) each.  A smallest value that
+    clears the threshold of the Frobenius sum decides at once; otherwise
+    the largest comes from the same iteration on the forward operator,
+    stopped once a step moves it by less than 1e-4 relative: it only
+    scales the threshold.
 
     A singular operator needs no special case: ``trsyl`` reports it with
     ``info = 1`` and solves with zero divisors perturbed to ``eps`` times
@@ -810,32 +765,7 @@ def sylvester_min_singular(A: np.ndarray, B: np.ndarray) -> tuple[float, float]:
     comes out at rounding level of the spread of the two spectra rather
     than of their magnitude (unshifted, ``1e4 I`` against itself would read
     about 2e-12), or exactly 0 when the solve had to rescale to avoid
-    overflow.  Non-finite input gives ``(nan, nan)``.
-    """
-    pair = _shifted(A, B)
-    if pair is None:
-        return math.nan, math.nan
-    forms = _schur_triangles(*pair)
-    return _sylvester_smin(*forms), _sylvester_smax(*forms)
-
-
-def spectra_disjoint(A: np.ndarray, B: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Whether the spectra of A and B are (numerically) disjoint.
-
-    Tests invertibility of the Sylvester operator ``Z -> A Z - Z B``, which
-    is singular exactly when the two spectra intersect: its smallest
-    singular value must clear ``max(tol.abs, tol.rel * s_max)``, with both
-    values as in :func:`sylvester_min_singular`.  Both matrices are shifted
-    by one common mu first, and the sum of their shifted Frobenius norms
-    bounds ``s_max`` from above.
-
-    The eigenvalue bound of :func:`_eigen_separation` is tried first: when
-    it clears the threshold of that sum, the smallest singular value does
-    too, and the answer is true with no Sylvester solve.  Otherwise, as for
-    a shared or defective eigenvalue, the Schur/``trsyl`` Lanczos of
-    :func:`sylvester_min_singular` decides; a smallest value that clears
-    the threshold of the Frobenius sum decides without the forward
-    iteration.  Non-finite input is never disjoint.
+    overflow.  Non-finite input is never disjoint.
     """
     pair = _shifted(A, B)
     if pair is None:

@@ -14,8 +14,11 @@ the top level: the dense families whose ranks the Lagrangian check reads
 off the strong-regularity criteria rather than forming them.  The dense
 action product multiplies every exponential factor of the abelian
 action, zero parameters included; it shares only ``mat_exp`` and
-``embed`` with the action, so the two must agree bit for bit.  Clarity
-over speed; the root and Kronecker oracles are capped at test scale.
+``embed`` with the action, so the two must agree bit for bit.  The
+per-pair glued form evaluates the Kostant-Kirillov pairing one pair at a
+time, with no tangent stack and no GEMM: the reference for the batched
+bracket matrix and level pairings.  Clarity over speed; the root and
+Kronecker oracles are capped at test scale.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import numpy as np
 from .action import AParams
 from .gz import GZIndex, gz_indices
 from .matcore import DEFAULT_TOL, Tolerance, embed, mat_exp
+from .symplectic import kk_form
 from .tower import Tower, TowerTangent
 
 __all__ = [
@@ -47,6 +51,7 @@ __all__ = [
     "gz_hamiltonian",
     "orbit_tangents_A",
     "orbit_tangents_G",
+    "omega_inf",
 ]
 
 MAX_ORACLE_DIM = 8
@@ -337,3 +342,15 @@ def orbit_tangents_G(T: Tower) -> list[TowerTangent]:
             unit[k, l] = 1.0
             out.append(TowerTangent(tower=T, base_level=N, generator=unit))
     return out
+
+
+def omega_inf(T: Tower, V1: TowerTangent, V2: TowerTangent) -> complex:
+    """The glued orbit form of one pair, evaluated at the deeper of the two base levels.
+
+    Level consistency makes the choice of evaluation level immaterial up
+    to rounding; see :func:`~gztower.symplectic.match_residual`.
+    """
+    k = max(V1.base_level, V2.base_level)
+    if k > T.depth:
+        raise IndexError(f"tangent level {k} exceeds tower depth {T.depth}")
+    return kk_form(T.level(k), embed(V1.generator, k), embed(V2.generator, k))

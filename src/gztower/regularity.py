@@ -37,10 +37,8 @@ from .gz import power_table
 from .matcore import (
     DEFAULT_TOL,
     Tolerance,
-    ad_operator,
     embed_stack,
     krylov_basis,
-    null_space,
     rank_split,
     spectra_disjoint,
     spectrum_split,
@@ -51,9 +49,6 @@ from .tower import Tower
 __all__ = [
     "SregReport",
     "report_number",
-    "is_regular",
-    "centralizer_basis",
-    "centralizer_intersection_trivial",
     "is_sreg_differentials",
     "is_sreg_centralizers",
     "is_sreg_tangents",
@@ -87,24 +82,6 @@ def _regular_split(M: np.ndarray, tol: Tolerance) -> tuple[bool, float, float, n
     return rank == n, decisive, margin, Q
 
 
-def is_regular(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True when the centralizer of M has the minimal dimension M.dim."""
-    ok, _, _, _ = _regular_split(M, tol)
-    return ok
-
-
-def centralizer_basis(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
-    """Frobenius-orthonormal basis of ``{Z : [Z, M] = 0}``.
-
-    At a regular M the centralizer is span{Id, M, ..., M^(n-1)}, and the
-    basis is the Arnoldi basis of :func:`~gztower.matcore.krylov_basis`,
-    O(n^4).  Only a non-regular M, whose centralizer is larger than that
-    span, takes the kernel of the dense n^2 x n^2 ``ad_operator(M)``.
-    """
-    regular, _, _, Q = _regular_split(M, tol)
-    return list(Q) if regular else null_space(ad_operator(M), tol=tol)
-
-
 def _unit(v: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(v))
@@ -128,26 +105,6 @@ def _border_split(Q: np.ndarray, b: np.ndarray, c: np.ndarray, tol: Tolerance) -
     system = np.concatenate([Q @ _unit(b), _unit(c) @ Q], axis=1).T
     rank, decisive, margin = spectrum_split(np.linalg.svd(system, compute_uv=False), tol)
     return rank == Q.shape[0], decisive, margin
-
-
-def centralizer_intersection_trivial(
-    X_i: np.ndarray, X_ip1: np.ndarray, tol: Tolerance = DEFAULT_TOL
-) -> bool:
-    """Whether no nonzero Z in gl(i) commutes with both X_i and X_{i+1}.
-
-    A non-regular X_i has an eigenvalue with right and left eigenspaces of
-    dimension at least 2, so it has a right eigenvector x with ``c x = 0``
-    and a left eigenvector y with ``y^T b = 0``; then ``Z = x y^T`` commutes
-    with X_i and annihilates both borders, and the intersection is never
-    trivial.
-    """
-    i = X_i.shape[0]
-    if X_ip1.shape[0] != i + 1:
-        raise ValueError("second matrix must be one dimension deeper")
-    if not np.array_equal(X_ip1[:i, :i], X_i):
-        raise ValueError("corner compatibility violated: X_i is not the corner of X_{i+1}")
-    regular, _, _, Q = _regular_split(X_i, tol)
-    return regular and _border_split(Q, X_ip1[:i, i], X_ip1[i, :i], tol)[0]
 
 
 def _full_rank_split(family: np.ndarray, tol: Tolerance) -> _Split:
@@ -179,7 +136,10 @@ def _centralizers_split(T: Tower, tol: Tolerance) -> tuple[bool, float, float, f
         regular, sv, margin, Q = _regular_split(T.level(n), tol)
         splits.append((regular, sv, margin))
         # A non-regular level already fails, and its intersection with the
-        # next level is never trivial (see centralizer_intersection_trivial).
+        # next level is never trivial: such an X_n has an eigenvalue with
+        # right and left eigenspaces of dimension at least 2, hence a right
+        # eigenvector x with ``c x = 0`` and a left one y with ``y^T b = 0``,
+        # and ``Z = x y^T`` commutes with X_n and annihilates both borders.
         if regular and n < T.depth:
             splits.append(_border_split(Q, T.top[:n, n], T.top[n, :n], tol))
     # The last split is X_N's Arnoldi split: level N has no border below it.

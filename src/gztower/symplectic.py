@@ -39,7 +39,6 @@ from .tower import Tower, TowerTangent
 
 __all__ = [
     "kk_form",
-    "omega_inf",
     "match_residual",
     "anchor",
     "isotropy_check",
@@ -56,18 +55,6 @@ ISOTROPY_RTOL = 1e-8
 def kk_form(M: np.ndarray, Z1: np.ndarray, Z2: np.ndarray) -> complex:
     """Kostant-Kirillov pairing of the tangents [Z1, M] and [Z2, M]: tr(M [Z1, Z2])."""
     return trace_pair(M, commutator(Z1, Z2))
-
-
-def omega_inf(T: Tower, V1: TowerTangent, V2: TowerTangent) -> complex:
-    """The glued orbit form evaluated at the deeper of the two base levels.
-
-    Level consistency makes the choice of evaluation level immaterial up
-    to rounding; see :func:`match_residual`.
-    """
-    k = max(V1.base_level, V2.base_level)
-    if k > T.depth:
-        raise IndexError(f"tangent level {k} exceeds tower depth {T.depth}")
-    return kk_form(T.level(k), embed(V1.generator, k), embed(V2.generator, k))
 
 
 def match_residual(T: Tower, Z1: np.ndarray, Z2: np.ndarray, n: int) -> float:
@@ -97,12 +84,10 @@ def anchor(T: Tower, x: np.ndarray) -> TowerTangent:
     return TowerTangent(tower=T, base_level=x.shape[0], generator=x)
 
 
-def isotropy_check(
-    T: Tower, tangents: Sequence[TowerTangent], tol: Tolerance = DEFAULT_TOL
-) -> float:
+def isotropy_check(T: Tower, tangents: Sequence[TowerTangent]) -> float:
     """Maximum absolute pairing over all pairs of the given tangents.
 
-    Every ``omega_inf`` pairing comes from one GEMM at the family's
+    Every pairing of the glued form comes from one GEMM at the family's
     deepest level.  The family is isotropic when the result is below the
     caller's threshold; self-pairings vanish identically.  A non-finite
     pairing makes the result non-finite, so it passes no threshold.
@@ -199,7 +184,7 @@ def lagrangian_check(T: Tower, tol: Tolerance = DEFAULT_TOL) -> LagrangianReport
 
     # The Hamiltonian tangent of f_ij is the anchor image of its gradient.
     generators = power_table(T).generators()[:rank_A]
-    max_pairing = isotropy_check(T, [anchor(T, G) for G in generators], tol)
+    max_pairing = isotropy_check(T, [anchor(T, G) for G in generators])
     # |tr(X [Z1, Z2])| <= 2 ||X|| ||Z1|| ||Z2||: the cancellation error of
     # an exactly-zero pairing scales with the same product.
     gen_norm = max(float(np.linalg.norm(G)) for G in generators)

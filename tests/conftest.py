@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from gztower import regularity
+from gztower import matcore, regularity
 from gztower.matcore import DEFAULT_TOL, Tolerance
 from gztower.tower import Tower, random_entries, random_theta_tower
 
@@ -52,6 +53,29 @@ def probe_operator(op, n: int) -> np.ndarray:
     return np.column_stack(
         [np.asarray(op(unit(n, k, l))).reshape(-1) for k in range(n) for l in range(n)]
     )
+
+
+def regular(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """Criterion 2's regularity decision for one matrix: the Arnoldi split."""
+    return regularity._regular_split(M, tol)[0]
+
+
+def intersection_trivial(X_i: np.ndarray, X_ip1: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """Criterion 2's decision for one consecutive pair: X_i regular, and its border system
+    full rank, so no nonzero Z in gl(i) commutes with both X_i and X_(i+1)."""
+    i = X_i.shape[0]
+    ok, _, _, Q = regularity._regular_split(X_i, tol)
+    return ok and regularity._border_split(Q, X_ip1[:i, i], X_ip1[i, :i], tol)[0]
+
+
+def sylvester_singular(A: np.ndarray, B: np.ndarray) -> tuple[float, float]:
+    """Smallest and largest singular value of Z -> A Z - Z B, by the Schur/trsyl
+    Lanczos that spectra_disjoint falls back to; (nan, nan) for non-finite input."""
+    pair = matcore._shifted(A, B)
+    if pair is None:
+        return math.nan, math.nan
+    forms = matcore._schur_triangles(*pair)
+    return matcore._sylvester_smin(*forms), matcore._sylvester_smax(*forms)
 
 
 @pytest.fixture

@@ -555,6 +555,18 @@ class TestOrbit:
         assert "overflow" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_overflowing_action_factors_exit_without_warnings(self, tmp_path, capsys):
+        # At --param-scale 500 the product of the action's exponentials
+        # overflows; the configured filter turns a RuntimeWarning into an error.
+        tower_file = tmp_path / "t8.json"
+        assert cli.main(["gen", "--depth", "8", "--seed", "1", "--scale", "0.3",
+                         "-o", str(tower_file)]) == 0
+        capsys.readouterr()
+        code = cli.main(["orbit", str(tower_file), "--param-scale", "500", "--samples", "1"])
+        assert code == cli.EXIT_INDETERMINATE
+        err = capsys.readouterr().err
+        assert "action factors overflowed" in err and "Traceback" not in err
+
     def test_random_params_on_sreg_tower(self, tmp_path):
         tower_file = tmp_path / "t.json"
         write_tower(tower_file, theta_tower(4, 409))
@@ -833,7 +845,7 @@ class TestCheckCost:
         import gztower.symplectic
         from gztower.tower import Tower
 
-        counts = {"power_table": 0, "Tower": 0, "expm": 0, "omega_inf": 0, "stack_traces": 0}
+        counts = {"power_table": 0, "Tower": 0, "expm": 0, "stack_traces": 0}
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -852,9 +864,6 @@ class TestCheckCost:
         monkeypatch.setattr(Tower, "__post_init__", counting("Tower", Tower.__post_init__))
         monkeypatch.setattr(
             gztower.action, "mat_exp_stack", counting("expm", gztower.action.mat_exp_stack)
-        )
-        monkeypatch.setattr(
-            gztower.symplectic, "omega_inf", counting("omega_inf", gztower.symplectic.omega_inf)
         )
         return counts
 
@@ -876,7 +885,6 @@ class TestCheckCost:
             "power_table": 1,
             "Tower": 0,
             "expm": self.DEPTH - 1,
-            "omega_inf": 0,
             "stack_traces": self.DEPTH - 1,
         }
         assert slices == [6 * i for i in range(1, self.DEPTH)]
@@ -888,7 +896,6 @@ class TestCheckCost:
             "power_table": 1,
             "Tower": 0,
             "expm": 0,
-            "omega_inf": 0,
             "stack_traces": 0,
         }
 
@@ -900,7 +907,6 @@ class TestCheckCost:
             "power_table": 1,
             "Tower": 0,
             "expm": 0,
-            "omega_inf": 0,
             "stack_traces": 0,
         }
 

@@ -10,8 +10,9 @@ from gztower.oracles import (
     fd_poisson_bracket,
     gz_hamiltonian,
     gz_observable,
+    omega_inf,
 )
-from gztower.symplectic import anchor, omega_inf
+from gztower.symplectic import anchor
 from gztower.tower import Tower, new_tower
 
 from conftest import plain_tower, theta_tower, unit

@@ -1,23 +1,19 @@
 import numpy as np
 import pytest
 
-from gztower import matcore
-from gztower.action import AParams, a_act_stepwise, random_params, zero_params, zn_element
+from gztower import matcore, regularity
+from gztower.action import (
+    AParams,
+    _action_product,
+    _nonzero_terms,
+    a_act_stepwise,
+    random_params,
+    zero_params,
+)
 from gztower.cli import CHECKS
 from gztower.gz import gz_indices, power_table
-from gztower.matcore import (
-    DEFAULT_TOL,
-    ad_operator,
-    null_space,
-    rank_split,
-    spectra_disjoint,
-    sylvester_min_singular,
-)
-from gztower.regularity import (
-    centralizer_intersection_trivial,
-    is_regular,
-    sreg_report,
-)
+from gztower.matcore import DEFAULT_TOL, krylov_basis, rank_split, spectra_disjoint
+from gztower.regularity import sreg_report
 from gztower.symplectic import ISOTROPY_RTOL, isotropy_check, lagrangian_check
 from gztower.oracles import (
     MAX_ORACLE_DIM,
@@ -37,7 +33,15 @@ from gztower.oracles import (
 )
 from gztower.tower import Tower, new_tower
 
-from conftest import diag_tower, jordan_tower, plain_tower, probe_operator, theta_tower
+from conftest import (
+    diag_tower,
+    intersection_trivial,
+    jordan_tower,
+    plain_tower,
+    probe_operator,
+    sylvester_singular,
+    theta_tower,
+)
 
 
 def sorted_roots(roots):
@@ -143,8 +147,6 @@ class TestDenseKernel:
         assert abs(A @ basis[0]).max() <= 1e-12
 
     def test_agrees_with_svd_kernel_dimensions(self):
-        from gztower.matcore import kernel_basis
-
         rng = np.random.default_rng(5)
         for _ in range(30):
             n = int(rng.integers(2, 6))
@@ -153,14 +155,14 @@ class TestDenseKernel:
             C = rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
             A = B @ C  # rank r, kernel dimension n - r
             assert len(dense_kernel(A)) == n - r
-            assert len(kernel_basis(A)) == n - r
+            assert rank_split(A)[0] == r
 
-    def test_agrees_with_null_space_on_centralizers(self):
+    def test_agrees_with_krylov_basis_on_centralizers(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
             n = int(rng.integers(2, 5))
             M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            production = null_space(ad_operator(M))
+            production, _ = krylov_basis(M)
             oracle = dense_kernel(probe_operator(lambda Z, M=M: Z @ M - M @ Z, n))
             assert len(production) == len(oracle) == n
 
@@ -222,7 +224,7 @@ class TestCommutantStack:
             oracle = dense_kernel(self.probed_stack(T, n, n + 1))
             if kind in expected:
                 assert len(oracle) == expected[kind](n)
-            assert centralizer_intersection_trivial(T.level(n), T.level(n + 1)) == (
+            assert intersection_trivial(T.level(n), T.level(n + 1)) == (
                 len(oracle) == 0
             )
 
@@ -274,14 +276,22 @@ class TestKroneckerOracles:
 
     @pytest.mark.parametrize("kind", ["theta", "diagonal", "jordan", "scalar"])
     def test_decisions_match(self, kind):
+        # Criterion 2 decides each level by its Arnoldi split and each
+        # consecutive pair by the border system in that level's basis.
         for T in _oracle_towers(kind):
             for n in range(1, T.depth + 1):
                 X = T.level(n)
-                assert is_regular(X) == kron_is_regular(X)
+                regular, _, _, Q = regularity._regular_split(X, DEFAULT_TOL)
+                assert regular == kron_is_regular(X)
                 if n == T.depth:
                     continue
                 Y = T.level(n + 1)
-                assert centralizer_intersection_trivial(X, Y) == kron_intersection_trivial(X, Y)
+                if regular:
+                    border, _, _ = regularity._border_split(Q, Y[:n, n], Y[n, :n], DEFAULT_TOL)
+                    assert border == kron_intersection_trivial(X, Y)
+                else:
+                    # A non-regular level never has a trivial intersection.
+                    assert not kron_intersection_trivial(X, Y)
                 assert spectra_disjoint(X, Y) == kron_spectra_disjoint(X, Y)
 
     @pytest.mark.parametrize("kind", ["theta", "diagonal", "jordan", "scalar"])
@@ -301,7 +311,7 @@ class TestKroneckerOracles:
         for T in _oracle_towers(kind):
             for n in range(1, T.depth):
                 X, Y = T.level(n), T.level(n + 1)
-                smin, smax = sylvester_min_singular(X, Y)
+                smin, smax = sylvester_singular(X, Y)
                 ref_min, ref_max = kron_sylvester_singular(X, Y)
                 if ref_min > DEFAULT_TOL.threshold(ref_max):
                     assert abs(smin - ref_min) <= 1e-8 * ref_min
@@ -341,10 +351,12 @@ class TestDenseActionProduct:
 
     @pytest.mark.parametrize("kind", ACTION_KINDS)
     def test_zn_element_matches(self, kind):
+        # The element of Z(X_1) ... Z(X_(N-1)) that the action conjugates by.
         for depth in range(2, 9):
             T = theta_tower(depth, 330 + depth, 0.4)
             a = _action_params(kind, depth, depth)
-            assert np.array_equal(zn_element(T, a).matrix, dense_action_product(a, T, depth))
+            g = _action_product(_nonzero_terms(a), T, depth)
+            assert np.array_equal(g, dense_action_product(a, T, depth))
 
     @pytest.mark.parametrize("kind", ACTION_KINDS)
     def test_stepwise_matches_oracle_fold(self, kind):

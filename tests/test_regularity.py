@@ -3,14 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from gztower import matcore, regularity, tower
+from gztower import tower
 from gztower.cli import CHECKS
-from gztower.matcore import DEFAULT_TOL, rank_split, spectra_disjoint
+from gztower.matcore import DEFAULT_TOL, krylov_basis, rank_split, spectra_disjoint
 from gztower.oracles import dense_kernel, kron_intersection_trivial
 from gztower.regularity import (
-    centralizer_basis,
-    centralizer_intersection_trivial,
-    is_regular,
     is_sreg_centralizers,
     is_sreg_differentials,
     is_sreg_tangents,
@@ -18,7 +15,15 @@ from gztower.regularity import (
 )
 from gztower.tower import new_tower
 
-from conftest import diag_tower, jordan_tower, plain_tower, probe_operator, theta_tower
+from conftest import (
+    diag_tower,
+    intersection_trivial,
+    jordan_tower,
+    plain_tower,
+    probe_operator,
+    regular,
+    theta_tower,
+)
 
 
 def involution_tower():
@@ -31,35 +36,42 @@ def nilpotent_jordan(n):
 
 class TestRegular:
     def test_scalar_matrix_not_regular(self):
-        assert not is_regular(np.eye(2, dtype=complex))
+        assert not regular(np.eye(2, dtype=complex))
 
     def test_distinct_diagonal_regular(self):
         # Entrywise kernel: only diagonal matrices commute, dimension 2.
-        assert is_regular(np.diag([1.0, 2.0]).astype(complex))
+        assert regular(np.diag([1.0, 2.0]).astype(complex))
 
     def test_jordan_block_regular(self):
         # The centralizer of a nilpotent Jordan block is the polynomials in
         # it: dimension n.
         for n in (2, 3, 5):
-            assert is_regular(nilpotent_jordan(n))
+            assert regular(nilpotent_jordan(n))
 
     def test_every_1x1_regular(self):
-        assert is_regular(np.array([[0.0]], dtype=complex))
+        assert regular(np.array([[0.0]], dtype=complex))
 
 
 class TestCentralizerBasis:
+    """At a regular M the Arnoldi basis of span{I, M, ...} is the centralizer of M."""
+
     def test_scalar_matrix_full(self):
-        assert len(centralizer_basis(np.eye(2, dtype=complex))) == 4
+        # Every Z commutes with a scalar matrix, so its centralizer is all of
+        # gl(2); the Arnoldi span stops at I, and the level is not regular.
+        M = np.eye(2, dtype=complex)
+        assert len(dense_kernel(probe_operator(lambda Z: Z @ M - M @ Z, 2))) == 4
+        assert len(krylov_basis(M)[0]) == 1
+        assert not regular(M)
 
     def test_distinct_diagonal_is_diagonals(self):
-        basis = centralizer_basis(np.diag([1.0, 2.0]).astype(complex))
+        basis = list(krylov_basis(np.diag([1.0, 2.0]).astype(complex))[0])
         assert len(basis) == 2
         for B in basis:
             assert np.abs(B - np.diag(np.diag(B))).max() <= 1e-12
 
     def test_jordan_block_is_its_polynomials(self):
         J = nilpotent_jordan(2)
-        basis = centralizer_basis(J)
+        basis = list(krylov_basis(J)[0])
         assert len(basis) == 2
         # span{Id, J}: mutual rank 2 both ways
         assert rank_split(basis + [np.eye(2, dtype=complex), J])[0] == 2
@@ -67,11 +79,12 @@ class TestCentralizerBasis:
     def test_regular_centralizer_spans_powers(self):
         rng = np.random.default_rng(0)
         M = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        basis = centralizer_basis(M)
+        basis = list(krylov_basis(M)[0])
         powers = [np.linalg.matrix_power(M, k) for k in range(4)]
         assert len(basis) == 4
         assert rank_split(basis + powers)[0] == 4
         assert rank_split(powers)[0] == 4
+        assert max(np.abs(B @ M - M @ B).max() for B in basis) <= 1e-12 * np.abs(M).max()
 
 
 class TestIntersection:
@@ -80,19 +93,19 @@ class TestIntersection:
         # involution: [E_11, X_2] = [[0,1],[-1,0]].
         X1 = np.array([[0.0]], dtype=complex)
         X2 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        assert centralizer_intersection_trivial(X1, X2)
+        assert intersection_trivial(X1, X2)
 
     def test_diagonal_pair_not_trivial(self):
         X1 = np.array([[1.0]], dtype=complex)
         X2 = np.diag([1.0, 2.0]).astype(complex)
-        assert not centralizer_intersection_trivial(X1, X2)
+        assert not intersection_trivial(X1, X2)
 
     def test_block_extension_commuting_with_centralizer(self):
         # Constructed counterexample: extending diagonally keeps every
         # member of z(X_i) commuting with the deeper level.
         X1 = np.diag([1.0, 2.0]).astype(complex)
         X2 = np.diag([1.0, 2.0, 3.0]).astype(complex)
-        assert not centralizer_intersection_trivial(X1, X2)
+        assert not intersection_trivial(X1, X2)
 
     @pytest.mark.parametrize("side", ["row", "column"])
     def test_one_sided_border_trivial(self, side):
@@ -105,7 +118,7 @@ class TestIntersection:
         else:
             X[:3, 3] = 1.0
         assert kron_intersection_trivial(X[:3, :3], X)
-        assert centralizer_intersection_trivial(X[:3, :3], X)
+        assert intersection_trivial(X[:3, :3], X)
 
     @pytest.mark.parametrize("i", [2, 3])
     def test_scalar_level_with_generic_border_not_trivial(self, i):
@@ -124,14 +137,8 @@ class TestIntersection:
                                    (E @ X - X @ E).reshape(-1)])
 
         assert len(dense_kernel(probe_operator(stack, i))) == (i - 1) ** 2
-        assert not is_regular(X[:i, :i])
-        assert not centralizer_intersection_trivial(X[:i, :i], X)
-
-    def test_corner_compatibility_enforced(self):
-        with pytest.raises(ValueError):
-            centralizer_intersection_trivial(
-                np.array([[1.0]], dtype=complex), np.diag([2.0, 3.0]).astype(complex)
-            )
+        assert not regular(X[:i, :i])
+        assert not intersection_trivial(X[:i, :i], X)
 
 
 class TestSregCriteria:
@@ -170,7 +177,7 @@ class TestSregCriteria:
         T = diag_tower([1.0, 2.0])
         report = sreg_report(T)
         assert report.verdict == "false"
-        assert all(is_regular(T.level(n)) for n in (1, 2))
+        assert all(regular(T.level(n)) for n in (1, 2))
 
 
 class TestJordanFixture:
@@ -265,9 +272,11 @@ class TestMemoryWall:
     def test_is_regular_at_128(self):
         rng = np.random.default_rng(128)
         M = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
-        assert is_regular(M)
+        assert regular(M)
         # Two eigenvalues: Arnoldi breaks down after two steps.
-        assert not is_regular(np.diag(np.repeat([1.0, 2.0], 64)))
+        D = np.diag(np.repeat([1.0, 2.0], 64)).astype(complex)
+        assert len(krylov_basis(D)[0]) == 2
+        assert not regular(D)
 
     def test_spectra_disjoint_at_128(self):
         rng = np.random.default_rng(129)
@@ -281,8 +290,6 @@ class TestNoKroneckerOperators:
         def refuse(*args, **kwargs):
             raise AssertionError("dense Kronecker operator formed")
 
-        monkeypatch.setattr(matcore, "ad_operator", refuse)
-        monkeypatch.setattr(regularity, "ad_operator", refuse)
         monkeypatch.setattr(np, "kron", refuse)
 
     def test_sreg_and_generation_never_form_ad_operators(self):
