@@ -21,7 +21,6 @@ from .matcore import (
 from .tower import (
     GenerationError,
     Tower,
-    TowerTangent,
     extend,
     new_tower,
     random_theta_tower,
@@ -53,8 +52,6 @@ from .action import (
 )
 from .symplectic import (
     LagrangianReport,
-    anchor,
-    isotropy_check,
     kk_form,
     lagrangian_check,
     match_residual,
@@ -75,7 +72,6 @@ __all__ = [
     "mat_exp",
     "spectra_disjoint",
     "Tower",
-    "TowerTangent",
     "GenerationError",
     "new_tower",
     "extend",
@@ -101,8 +97,6 @@ __all__ = [
     "flow_stack",
     "kk_form",
     "match_residual",
-    "anchor",
-    "isotropy_check",
     "lagrangian_check",
     "LagrangianReport",
 ]

@@ -435,12 +435,12 @@ def _resolve_seed(flag_value: Optional[int]) -> int:
     if flag_value is not None:
         return flag_value
     env = os.environ.get("GZ_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise _UsageError(f"GZ_SEED must be an integer, got {env!r}") from exc
-    return 0
+    if env is None:
+        return 0
+    try:
+        return _NONNEGATIVE(env)
+    except argparse.ArgumentTypeError as exc:
+        raise _UsageError(f"GZ_SEED: {exc}") from exc
 
 
 def _load_tower(path: str) -> Tower:
@@ -463,6 +463,8 @@ def _parse_suite(raw: Optional[list[str]]) -> list[str]:
     names: list[str] = []
     for chunk in raw:
         names.extend(s.strip() for s in chunk.split(",") if s.strip())
+    if not names:
+        raise _UsageError(f"empty suite; available: {', '.join(CHECKS)}")
     for name in names:
         if name not in CHECKS:
             raise _UsageError(
@@ -713,18 +715,20 @@ def _checked(kind: type, ok: Callable, need: str) -> Callable[[str], object]:
     """An argparse type: a value that fails ``ok`` is a usage error before any work starts."""
 
     def parse(text: str):
-        value = kind(text)
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"{text!r} is not {need}")
-        return value
+        try:
+            value = kind(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {need}")
 
-    parse.__name__ = kind.__name__  # argparse names it when the text does not parse
     return parse
 
 
 # NaN fails every comparison, so no bound below admits it.
 _DEPTH = _checked(int, lambda d: 1 <= d <= MAX_DIM, f"an integer in 1..{MAX_DIM}")
-_SAMPLES = _checked(int, lambda n: n >= 0, "a nonnegative integer")
+_NONNEGATIVE = _checked(int, lambda n: n >= 0, "a nonnegative integer")
 _SCALE = _checked(float, lambda x: 0 < x < math.inf, "a positive finite number")
 _TOL = _checked(float, lambda x: 0 <= x < math.inf, "a nonnegative finite number")
 _FINITE = _checked(float, math.isfinite, "a finite number")
@@ -740,7 +744,9 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: _Parser) -> None:
-        p.add_argument("--seed", type=int, default=None, help="RNG seed (default: GZ_SEED or 0)")
+        p.add_argument(
+            "--seed", type=_NONNEGATIVE, default=None, help="RNG seed (default: GZ_SEED or 0)"
+        )
         p.add_argument("--tol-rel", type=_TOL, default=1e-9, help="relative rank tolerance")
         p.add_argument("--tol-abs", type=_TOL, default=1e-12, help="absolute rank tolerance")
 
@@ -784,7 +790,7 @@ def _build_parser() -> _Parser:
     common(o)
     o.add_argument("tower")
     o.add_argument("--params", default=None, help="JSON parameter file (default: random)")
-    o.add_argument("--samples", type=_SAMPLES, default=3)
+    o.add_argument("--samples", type=_NONNEGATIVE, default=3)
     o.add_argument("--param-scale", type=_FINITE, default=0.3)
     o.add_argument(
         "--permute-factors",

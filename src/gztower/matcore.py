@@ -137,9 +137,11 @@ def tangent_values(X: np.ndarray, gens: Sequence[np.ndarray]) -> np.ndarray:
     """The (m, n, n) stack of ``[X, embed(G_a, n)]`` over a family of generators.
 
     Each ``G_a`` is a square matrix no larger than ``X``.  Slice a is the
-    value at X of the :class:`~gztower.tower.TowerTangent` generated by
-    ``G_a`` at its own level: the batched form of that one tangent type.
-    Entries that overflow are left non-finite, without a warning.
+    value ``-[embed(G_a), X]`` at X of the tangent to the space of towers
+    that ``G_a`` generates at its own level.  This stack is production's
+    one tangent representation; :class:`gztower.oracles.TowerTangent`
+    evaluates one tangent at a time, as its reference.  Entries that
+    overflow are left non-finite, without a warning.
     """
     n = X.shape[0]
     out = np.zeros((len(gens), n, n), dtype=np.complex128)

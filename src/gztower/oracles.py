@@ -14,11 +14,14 @@ the top level: the dense families whose ranks the Lagrangian check reads
 off the strong-regularity criteria rather than forming them.  The dense
 action product multiplies every exponential factor of the abelian
 action, zero parameters included; it shares only ``mat_exp`` and
-``embed`` with the action, so the two must agree bit for bit.  The
-per-pair glued form evaluates the Kostant-Kirillov pairing one pair at a
-time, with no tangent stack and no GEMM: the reference for the batched
-bracket matrix and level pairings.  Clarity over speed; the root and
-Kronecker oracles are capped at test scale.
+``embed`` with the action, so the two must agree bit for bit.  A
+:class:`TowerTangent` evaluates one tangent ``-[embed(g, k), X(k)]`` at a
+time: the reference for the batched tangent stack, which is the only
+tangent representation production code forms.  The per-pair glued form
+evaluates the Kostant-Kirillov pairing one pair at a time, with no
+tangent stack and no GEMM: the reference for the batched bracket matrix,
+the level pairings and the Lagrangian isotropy.  Clarity over speed; the
+root and Kronecker oracles are capped at test scale.
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ import numpy as np
 
 from .action import AParams
 from .gz import GZIndex, gz_indices
-from .matcore import DEFAULT_TOL, Tolerance, embed, mat_exp
+from .matcore import DEFAULT_TOL, Tolerance, as_cmatrix, commutator, corner, embed, mat_exp
 from .symplectic import kk_form
-from .tower import Tower, TowerTangent
+from .tower import Tower
 
 __all__ = [
     "ConvergenceError",
@@ -48,6 +51,7 @@ __all__ = [
     "kron_sylvester_singular",
     "kron_spectra_disjoint",
     "dense_action_product",
+    "TowerTangent",
     "gz_hamiltonian",
     "orbit_tangents_A",
     "orbit_tangents_G",
@@ -306,6 +310,43 @@ def dense_action_product(a: AParams, T: Tower, N: int) -> np.ndarray:
             g = g @ factor
             powers = powers @ Xi
     return g
+
+
+@dataclass(frozen=True, eq=False)
+class TowerTangent:
+    """Tangent vector to the space of towers, generated at a base level.
+
+    The per-tangent reference for :func:`~gztower.matcore.tangent_values`:
+    slice a of that stack at X(n) is ``value(n)`` of the tangent that
+    ``G_a`` generates at its own level.
+
+    Sign convention: the value at level ``k >= base_level`` is
+    ``-[embed(generator, k), X(k)]``; values below the base level are
+    literal corners of the base-level value, so compatibility there is
+    exact by construction.  Above the base level the corner identity
+    holds structurally (the embedded generator zeroes the border terms);
+    recomputed values at different levels agree to rounding.
+    """
+
+    tower: Tower
+    base_level: int
+    generator: np.ndarray
+
+    def __post_init__(self) -> None:
+        gen = as_cmatrix(self.generator)
+        if not 1 <= self.base_level <= self.tower.depth:
+            raise IndexError("base level out of range")
+        if gen.shape[0] != self.base_level:
+            raise ValueError("generator dimension must equal the base level")
+        gen.flags.writeable = False
+        object.__setattr__(self, "generator", gen)
+
+    def value(self, k: int) -> np.ndarray:
+        if not 1 <= k <= self.tower.depth:
+            raise IndexError(f"level {k} out of range for depth {self.tower.depth}")
+        if k >= self.base_level:
+            return -commutator(embed(self.generator, k), self.tower.level(k))
+        return corner(self.value(self.base_level), k)
 
 
 def gz_hamiltonian(T: Tower, idx: GZIndex) -> TowerTangent:

@@ -7,41 +7,30 @@ because the trace of a product against an embedded matrix only sees the
 matching corner; the glued form is therefore independent of the
 evaluation level, which :func:`match_residual` measures directly.
 
-Tangents are :class:`~gztower.tower.TowerTangent` values
-``-[embed(g, k), X(k)]``, and the forms here pair their generators
-directly: the sign is common to both sides of every pairing, so it
-cancels.  The anchor map sends a level-n covector x to the tangent with
-generator x; its image spans the orbit directions.  At strongly regular
-towers the abelian orbit tangents are isotropic and of exactly half the
-orbit rank: the Lagrangian verification reads both ranks off the
-strong-regularity criteria and checks the isotropy.
+A tangent ``-[embed(g, k), X(k)]`` is paired through its generator g:
+the sign is common to both sides of every pairing, so it cancels, and
+the pairing of two generators is ``tr(X [g1, g2])``.  At strongly
+regular towers the abelian orbit tangents are isotropic and of exactly
+half the orbit rank: the Lagrangian verification reads both ranks off
+the strong-regularity criteria and the pairings off the tower's
+:meth:`~gztower.gz.PowerTable.bracket_matrix`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .gz import power_table
-from .matcore import (
-    DEFAULT_TOL,
-    Tolerance,
-    as_cmatrix,
-    bracket_matrix,
-    commutator,
-    embed,
-    trace_pair,
-)
+from .matcore import DEFAULT_TOL, Tolerance, as_cmatrix, commutator, embed, trace_pair
 from .regularity import report_number, sreg_report
-from .tower import Tower, TowerTangent
+from .tower import Tower
 
 __all__ = [
     "kk_form",
     "match_residual",
-    "anchor",
-    "isotropy_check",
     "LagrangianReport",
     "lagrangian_check",
     "ISOTROPY_RTOL",
@@ -74,45 +63,20 @@ def match_residual(T: Tower, Z1: np.ndarray, Z2: np.ndarray, n: int) -> float:
     return abs(deep - shallow)
 
 
-def anchor(T: Tower, x: np.ndarray) -> TowerTangent:
-    """Anchor-map image of the level-n covector x: the tangent -[x, X(.)].
-
-    The images over all covectors span the characteristic (orbit)
-    directions at the tower.
-    """
-    x = as_cmatrix(x)
-    return TowerTangent(tower=T, base_level=x.shape[0], generator=x)
-
-
-def isotropy_check(T: Tower, tangents: Sequence[TowerTangent]) -> float:
-    """Maximum absolute pairing over all pairs of the given tangents.
-
-    Every pairing of the glued form comes from one GEMM at the family's
-    deepest level.  The family is isotropic when the result is below the
-    caller's threshold; self-pairings vanish identically.  A non-finite
-    pairing makes the result non-finite, so it passes no threshold.
-    """
-    k = max((v.base_level for v in tangents), default=1)
-    if k > T.depth:
-        raise IndexError(f"tangent level {k} exceeds tower depth {T.depth}")
-    pairings = bracket_matrix(T.level(k), [v.generator for v in tangents])
-    upper = np.triu_indices(len(tangents), 1)
-    return float(np.abs(pairings[upper]).max(initial=0.0))
-
-
 @dataclass(frozen=True)
 class LagrangianReport:
     depth: int
-    rank_A: Optional[int]
-    rank_G: Optional[int]
-    margin_A: Optional[float]
-    margin_G: Optional[float]
-    max_pairing: Optional[float]
-    pairing_scale: Optional[float]
     verdict: str  # "true" | "false" | "not applicable"
     tol_rel: float
     tol_abs: float
     isotropy_rtol: float
+    # Ranks, margins and pairings stay None when the check is not applicable.
+    rank_A: Optional[int] = None
+    rank_G: Optional[int] = None
+    margin_A: Optional[float] = None
+    margin_G: Optional[float] = None
+    max_pairing: Optional[float] = None
+    pairing_scale: Optional[float] = None
     notes: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:
@@ -142,52 +106,36 @@ def lagrangian_check(T: Tower, tol: Tolerance = DEFAULT_TOL) -> LagrangianReport
     its margin is ``margin_A``.  The orbit dimension is N^2 minus that of
     the centralizer of X_N, which is N exactly when X_N is regular, as
     criterion 2 found it: the margin of that Arnoldi split is ``margin_G``.
-    Towers that are not strongly regular (or have depth 1) yield a "not
-    applicable" verdict rather than an error.
+    The pairings are the leading N(N-1)/2 block of the tower's
+    :meth:`~gztower.gz.PowerTable.bracket_matrix`, whose rows and columns
+    are the generators below the top level.  Towers that are not strongly
+    regular (or have depth 1) yield a "not applicable" verdict rather than
+    an error.
     """
     N = T.depth
-    base = dict(
-        depth=N,
-        tol_rel=tol.rel,
-        tol_abs=tol.abs,
-        isotropy_rtol=ISOTROPY_RTOL,
-    )
-    if N < 2:
-        return LagrangianReport(
-            rank_A=None,
-            rank_G=None,
-            margin_A=None,
-            margin_G=None,
-            max_pairing=None,
-            pairing_scale=None,
-            verdict="not applicable",
-            notes=("depth-1 towers have no abelian orbit directions",),
-            **base,
+    base = dict(depth=N, tol_rel=tol.rel, tol_abs=tol.abs, isotropy_rtol=ISOTROPY_RTOL)
+    sreg = sreg_report(T, tol) if N >= 2 else None
+    if sreg is None or sreg.verdict != "true":
+        note = (
+            "depth-1 towers have no abelian orbit directions"
+            if sreg is None
+            else f"tower is not strongly regular (verdict: {sreg.verdict})"
         )
-    sreg = sreg_report(T, tol)
-    if sreg.verdict != "true":
-        return LagrangianReport(
-            rank_A=None,
-            rank_G=None,
-            margin_A=None,
-            margin_G=None,
-            max_pairing=None,
-            pairing_scale=None,
-            verdict="not applicable",
-            notes=(f"tower is not strongly regular (verdict: {sreg.verdict})",),
-            **base,
-        )
+        return LagrangianReport(verdict="not applicable", notes=(note,), **base)
 
     # A "true" verdict means criterion 3 found the abelian family at full
     # rank and criterion 2 found X_N regular.
     rank_A = N * (N - 1) // 2
 
-    # The Hamiltonian tangent of f_ij is the anchor image of its gradient.
-    generators = power_table(T).generators()[:rank_A]
-    max_pairing = isotropy_check(T, [anchor(T, G) for G in generators])
+    # The Hamiltonian tangent of f_ij is generated by its gradient; embedding
+    # is exact, so pairing at X_N gives the glued form of every pair.  A
+    # non-finite pairing makes the maximum non-finite, so it passes no threshold.
+    table = power_table(T)
+    pairings = table.bracket_matrix()[:rank_A, :rank_A]
+    max_pairing = float(np.abs(pairings[np.triu_indices(rank_A, 1)]).max(initial=0.0))
     # |tr(X [Z1, Z2])| <= 2 ||X|| ||Z1|| ||Z2||: the cancellation error of
     # an exactly-zero pairing scales with the same product.
-    gen_norm = max(float(np.linalg.norm(G)) for G in generators)
+    gen_norm = max(float(np.linalg.norm(G)) for G in table.generators()[:rank_A])
     pairing_scale = 1.0 + 2.0 * float(np.linalg.norm(T.top)) * gen_norm**2
 
     ok = max_pairing <= ISOTROPY_RTOL * pairing_scale

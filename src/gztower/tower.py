@@ -4,12 +4,9 @@ A tower of depth N is a point of the inverse system
 ``gl(1) <- gl(2) <- ... <- gl(N)`` whose transition maps take upper-left
 corners.  Because every shallower level is forced to be a corner of the
 deepest matrix, a tower stores only its deepest level; corner
-compatibility then holds exactly, never approximately.
-
-A tangent to the space of towers is a :class:`TowerTangent`: a generator
-``g`` at a base level n, with value ``-[embed(g, k), X(k)]`` at each level
-``k >= n``.  It is the package's one tangent type: Hamiltonian fields,
-anchor images and adjoint-orbit tangents are all generated this way.
+compatibility then holds exactly, never approximately.  A tangent to
+the space of towers, ``-[embed(g, k), X(k)]`` for a generator g, is
+formed only in stacks, by :func:`~gztower.matcore.tangent_values`.
 """
 
 from __future__ import annotations
@@ -19,12 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import DEFAULT_TOL, Tolerance, as_cmatrix, commutator, corner, embed, spectra_disjoint
+from .matcore import DEFAULT_TOL, Tolerance, as_cmatrix, corner, spectra_disjoint
 
 __all__ = [
     "GenerationError",
     "Tower",
-    "TowerTangent",
     "new_tower",
     "extend",
     "random_entries",
@@ -84,39 +80,6 @@ def extend(T: Tower, border_col, border_row, corner_entry) -> Tower:
     out[n, :n] = row
     out[n, n] = complex(corner_entry)
     return Tower(out)
-
-
-@dataclass(frozen=True, eq=False)
-class TowerTangent:
-    """Tangent vector to the space of towers, generated at a base level.
-
-    Sign convention: the value at level ``k >= base_level`` is
-    ``-[embed(generator, k), X(k)]``; values below the base level are
-    literal corners of the base-level value, so compatibility there is
-    exact by construction.  Above the base level the corner identity
-    holds structurally (the embedded generator zeroes the border terms);
-    recomputed values at different levels agree to rounding.
-    """
-
-    tower: Tower
-    base_level: int
-    generator: np.ndarray
-
-    def __post_init__(self) -> None:
-        gen = as_cmatrix(self.generator)
-        if not 1 <= self.base_level <= self.tower.depth:
-            raise IndexError("base level out of range")
-        if gen.shape[0] != self.base_level:
-            raise ValueError("generator dimension must equal the base level")
-        gen.flags.writeable = False
-        object.__setattr__(self, "generator", gen)
-
-    def value(self, k: int) -> np.ndarray:
-        if not 1 <= k <= self.tower.depth:
-            raise IndexError(f"level {k} out of range for depth {self.tower.depth}")
-        if k >= self.base_level:
-            return -commutator(embed(self.generator, k), self.tower.level(k))
-        return corner(self.value(self.base_level), k)
 
 
 def random_entries(rng: np.random.Generator, shape, scale: float) -> np.ndarray:

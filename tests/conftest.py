@@ -8,7 +8,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from gztower import matcore, regularity
+from gztower import gz, matcore, regularity
 from gztower.matcore import DEFAULT_TOL, Tolerance
 from gztower.tower import Tower, random_entries, random_theta_tower
 
@@ -85,10 +85,12 @@ def tol() -> Tolerance:
 
 @pytest.fixture(autouse=True)
 def fresh_sreg_report():
-    """Each test computes its own strong-regularity reports.
+    """Each test computes its own strong-regularity reports and power tables.
 
     The cached towers above are shared across tests, and ``sreg_report``
-    keeps the report of the last tower it was asked about; a test that
-    patches a criterion must not read a report computed before the patch.
+    and ``power_table`` keep the result of the last tower they were asked
+    about; a test that patches a criterion or the bracket GEMM must not
+    read a result computed before the patch.
     """
     regularity._tower_report.cache_clear()
+    gz.power_table.cache_clear()

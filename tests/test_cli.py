@@ -154,6 +154,20 @@ class TestCheck:
         write_tower(tower_file, theta_tower(2, 401))
         assert cli.main(["check", str(tower_file), "--suite", "bogus"]) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("suite", ["", ",", " , "])
+    def test_empty_suite_is_usage_error(self, suite, tmp_path, capsys, monkeypatch):
+        # A suite that names no member would check nothing and pass.
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started on an empty suite")
+
+        monkeypatch.setattr(cli, "_load_tower", refuse)
+        out = tmp_path / "r.json"
+        argv = ["check", str(tmp_path / "t.json"), "--suite", suite, "-o", str(out)]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: empty suite") and "Traceback" not in err
+        assert not out.exists()
+
     def test_unknown_flag_is_usage_error(self):
         assert cli.main(["check", "--frobnicate"]) == cli.EXIT_USAGE
 
@@ -332,6 +346,20 @@ class TestSeedPrecedence:
         monkeypatch.setenv("GZ_SEED", "not-a-number")
         assert cli.main(["gen", "--depth", "2", "-o", str(tmp_path / "x.json")]) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["gen", "check", "orbit"])
+    def test_negative_env_seed_is_usage_error(self, command, tmp_path, capsys, monkeypatch):
+        # PCG64 takes no negative seed; the variable is refused before any work.
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started on a negative GZ_SEED")
+
+        monkeypatch.setattr(cli, "random_theta_tower", refuse)
+        monkeypatch.setattr(cli, "_load_tower", refuse)
+        monkeypatch.setenv("GZ_SEED", "-5")
+        argv = ["gen", "--depth", "3"] if command == "gen" else [command, str(tmp_path / "t.json")]
+        assert cli.main(argv + ["-o", str(tmp_path / "x.json")]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "usage error: GZ_SEED: '-5' is not a nonnegative integer\n"
+
 
 class TestOutOfRangeFlags:
     @pytest.mark.parametrize(
@@ -347,6 +375,10 @@ class TestOutOfRangeFlags:
             ["flow", "t.json", "--i", "2", "--j", "1", "--drift-tol", "-1"],
             ["orbit", "t.json", "--tol-rel", "nan"],
             ["orbit", "t.json", "--samples", "-2"],
+            ["gen", "--depth", "3", "--seed", "-1"],
+            ["check", "t.json", "--seed", "-2"],
+            ["orbit", "t.json", "--seed", "-2"],
+            ["flow", "t.json", "--i", "2", "--j", "1", "--seed", "-2"],
             ["orbit", "t.json", "--param-scale", "nan"],
             ["orbit", "t.json", "--param-scale", "inf"],
             ["orbit", "t.json", "--param-scale=-inf"],
@@ -356,7 +388,8 @@ class TestOutOfRangeFlags:
         ],
         ids=[
             "depth-0", "depth-300", "scale", "gen-tol", "check-tol", "flow-tol", "drift-tol",
-            "orbit-tol", "samples", "param-scale-nan", "param-scale-inf", "param-scale-neg-inf",
+            "orbit-tol", "samples", "gen-seed", "check-seed", "orbit-seed", "flow-seed",
+            "param-scale-nan", "param-scale-inf", "param-scale-neg-inf",
             "t-grid-nan", "t-grid-inf", "t-grid-neg-inf",
         ],
     )
@@ -372,6 +405,20 @@ class TestOutOfRangeFlags:
         err = capsys.readouterr().err
         assert err.startswith("usage error: argument --")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flag,text,need",
+        [
+            ("--t-grid", "1,x", "a comma-separated list of finite numbers"),
+            ("--seed", "x", "a nonnegative integer"),
+            ("--seed", "-1", "a nonnegative integer"),
+        ],
+        ids=["t-grid-text", "seed-text", "seed-negative"],
+    )
+    def test_unparsable_and_out_of_range_read_alike(self, flag, text, need, tmp_path, capsys):
+        argv = ["flow", str(tmp_path / "t.json"), "--i", "2", "--j", "1", f"{flag}={text}"]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: argument {flag}: {text!r} is not {need}\n"
 
 
 class TestFlow:
@@ -829,8 +876,8 @@ class TestCheckCost:
     """Conserve stacks each generator's times and each level's traces; consistent
     pairs by level, not by pair; lagrangian builds one power table; the suite
     computes one strong-regularity report, one power table and one bracket
-    matrix; orbit builds one power table; the suite and orbit each build one
-    Arnoldi basis per level above the first."""
+    matrix; orbit builds one power table and one bracket matrix; the suite and
+    orbit each build one Arnoldi basis per level above the first."""
 
     DEPTH = 6
 
@@ -927,9 +974,9 @@ class TestCheckCost:
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        # Every table is built through PowerTable.__init__ and every bracket
-        # GEMM of a table through the name gz imported.
-        import gztower.gz
+        # Every table is built through PowerTable.__init__; count every
+        # binding a member could run the bracket GEMM through.
+        from gztower import gz, matcore, symplectic
 
         builds = {"tables": 0, "brackets": 0}
 
@@ -940,15 +987,14 @@ class TestCheckCost:
 
             return wrapped
 
-        monkeypatch.setattr(
-            gztower.gz.PowerTable, "__init__", counting("tables", gztower.gz.PowerTable.__init__)
-        )
-        monkeypatch.setattr(
-            gztower.gz, "bracket_matrix", counting("brackets", gztower.gz.bracket_matrix)
-        )
+        monkeypatch.setattr(gz.PowerTable, "__init__", counting("tables", gz.PowerTable.__init__))
+        bracket = counting("brackets", matcore.bracket_matrix)
+        for module in (matcore, gz, symplectic):
+            monkeypatch.setattr(module, "bracket_matrix", bracket, raising=False)
         return builds
 
     def test_full_suite_builds_one_table_and_one_bracket(self, tower, tmp_path, builds):
+        # commute, consistent and lagrangian all read the table's one GEMM.
         tower_file = tmp_path / "t.json"
         write_tower(tower_file, tower)
         code = cli.main(["check", str(tower_file), "-o", str(tmp_path / "r.json")])
@@ -956,12 +1002,13 @@ class TestCheckCost:
         assert builds == {"tables": 1, "brackets": 1}
 
     def test_orbit_builds_one_table(self, tower, tmp_path, builds):
-        # The acted towers' traces come from one stacked pass, not a table each.
+        # The acted towers' traces come from one stacked pass, not a table
+        # each; the Lagrangian pairings are the table's bracket GEMM.
         tower_file = tmp_path / "t.json"
         write_tower(tower_file, tower)
         code = cli.main(["orbit", str(tower_file), "--samples", "6", "--seed", "0"])
         assert code == cli.EXIT_PASS
-        assert builds == {"tables": 1, "brackets": 0}
+        assert builds == {"tables": 1, "brackets": 1}
 
     @pytest.fixture
     def reports(self, monkeypatch):

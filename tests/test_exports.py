@@ -60,3 +60,12 @@ def test_production_forms_no_kronecker_operator(path):
     kron = sorted({name for node in ast.walk(tree) for name in _names(node) if "kron" in name.lower()})
     assert kron == []
     assert not any(_imports_oracles(node) for node in ast.walk(tree))
+
+
+@pytest.mark.parametrize("path", PRODUCTION, ids=lambda path: path.name)
+def test_production_has_one_tangent_representation(path):
+    # Production forms tangents only as the matcore.tangent_values stack; the
+    # one-at-a-time TowerTangent is the reference for it in oracles.py.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = {name for node in ast.walk(tree) for name in _names(node)}
+    assert names.isdisjoint({"TowerTangent", "anchor", "isotropy_check"})

@@ -10,9 +10,9 @@ from gztower.oracles import (
     fd_poisson_bracket,
     gz_hamiltonian,
     gz_observable,
+    TowerTangent,
     omega_inf,
 )
-from gztower.symplectic import anchor
 from gztower.tower import Tower, new_tower
 
 from conftest import plain_tower, theta_tower, unit
@@ -384,7 +384,7 @@ class TestLevelPairings:
         T = theta_tower(depth, seed, scale)
         table = power_table(T)
         idxs = gz_indices(depth)
-        tangents = [anchor(T, G) for G in table.generators()]
+        tangents = [TowerTangent(T, G.shape[0], G) for G in table.generators()]
         norms = [0.0] + [np.linalg.norm(T.level(n), 2) for n in range(1, depth + 1)]
         blocks = table.level_pairings()
         assert len(blocks) == depth

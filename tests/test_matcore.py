@@ -22,7 +22,8 @@ from gztower.matcore import (
     tangent_values,
     trace_pair,
 )
-from gztower.tower import TowerTangent, new_tower
+from gztower.oracles import TowerTangent
+from gztower.tower import new_tower
 
 from conftest import sylvester_singular, unit
 

@@ -1,18 +1,11 @@
 import numpy as np
 import pytest
 
-from gztower import matcore, regularity, symplectic
+from gztower import gz, matcore, regularity, symplectic
 from gztower.gz import gz_indices, power_table
 from gztower.matcore import bracket_matrix, commutator, embed, krylov_basis, rank_split, spectrum_split
-from gztower.oracles import gz_hamiltonian, omega_inf, orbit_tangents_A
-from gztower.symplectic import (
-    ISOTROPY_RTOL,
-    anchor,
-    isotropy_check,
-    kk_form,
-    lagrangian_check,
-    match_residual,
-)
+from gztower.oracles import TowerTangent, gz_hamiltonian, omega_inf, orbit_tangents_A
+from gztower.symplectic import ISOTROPY_RTOL, kk_form, lagrangian_check, match_residual
 from gztower.tower import new_tower, random_entries
 
 from conftest import diag_tower, plain_tower, theta_tower, unit
@@ -43,13 +36,13 @@ class TestKKForm:
 class TestOmegaInf:
     def test_self_zero(self):
         T = plain_tower(3, 200)
-        V = anchor(T, unit(2, 0, 1))
+        V = TowerTangent(T, 2, unit(2, 0, 1))
         assert omega_inf(T, V, V) == 0
 
     def test_antisymmetry(self):
         T = plain_tower(4, 201)
-        V1 = anchor(T, unit(2, 0, 1))
-        V2 = anchor(T, unit(3, 2, 0))
+        V1 = TowerTangent(T, 2, unit(2, 0, 1))
+        V2 = TowerTangent(T, 3, unit(3, 2, 0))
         a = omega_inf(T, V1, V2)
         b = omega_inf(T, V2, V1)
         assert abs(a + b) <= 1e-14 * (1 + abs(a))
@@ -57,8 +50,8 @@ class TestOmegaInf:
     def test_level_independence(self):
         # Evaluating at the minimal level or any deeper one agrees.
         T = plain_tower(5, 202)
-        V1 = anchor(T, unit(2, 0, 1))
-        V2 = anchor(T, unit(2, 1, 0))
+        V1 = TowerTangent(T, 2, unit(2, 0, 1))
+        V2 = TowerTangent(T, 2, unit(2, 1, 0))
         vals = []
         for k in (2, 3, 4, 5):
             vals.append(kk_form(T.level(k), embed(V1.generator, k), embed(V2.generator, k)))
@@ -67,8 +60,8 @@ class TestOmegaInf:
 
     def test_depth2_direct_trace(self):
         T = theta_tower(2, 210)
-        V1 = anchor(T, unit(2, 0, 1))
-        V2 = anchor(T, unit(2, 1, 0))
+        V1 = TowerTangent(T, 2, unit(2, 0, 1))
+        V2 = TowerTangent(T, 2, unit(2, 1, 0))
         expected = kk_form(T.level(2), unit(2, 0, 1), unit(2, 1, 0))
         assert omega_inf(T, V1, V2) == expected
 
@@ -76,14 +69,14 @@ class TestOmegaInf:
         # Adding a representative that is degenerate at the evaluation level
         # ([embed(Z0, k), X(k)] = 0) moves the pairing by rounding only.
         T = theta_tower(4, 211)
-        V1 = anchor(T, unit(4, 0, 2))
-        V2 = anchor(T, unit(4, 1, 3))
+        V1 = TowerTangent(T, 4, unit(4, 0, 2))
+        V2 = TowerTangent(T, 4, unit(4, 1, 3))
         base = omega_inf(T, V1, V2)
         # X_4 is regular, so its Arnoldi basis spans its centralizer.
         centralizer, _ = krylov_basis(T.level(4))
         assert len(centralizer) == 4
         for Z0 in centralizer:
-            shifted = anchor(T, V1.generator + Z0)
+            shifted = TowerTangent(T, 4, V1.generator + Z0)
             scale = 1.0 + abs(base) + np.abs(T.top).max()
             assert abs(omega_inf(T, shifted, V2) - base) <= 1e-10 * scale
 
@@ -91,10 +84,10 @@ class TestOmegaInf:
         # On a diagonal tower the unit E_11 commutes with every level, so it
         # is degenerate at any evaluation depth, including deeper ones.
         T = diag_tower([1.0, 2.0, 3.0, 4.0])
-        V1 = anchor(T, unit(2, 0, 1))
-        V2 = anchor(T, unit(4, 1, 3))
+        V1 = TowerTangent(T, 2, unit(2, 0, 1))
+        V2 = TowerTangent(T, 4, unit(4, 1, 3))
         base = omega_inf(T, V1, V2)
-        shifted = anchor(T, V1.generator + unit(2, 0, 0))
+        shifted = TowerTangent(T, 2, V1.generator + unit(2, 0, 0))
         assert abs(omega_inf(T, shifted, V2) - base) <= 1e-13 * (1 + abs(base))
 
 
@@ -130,21 +123,21 @@ class TestMatchResidual:
 class TestAnchor:
     def test_diagonal_tower_diagonal_covector_is_zero(self):
         T = diag_tower([1.0, 2.0, 3.0])
-        V = anchor(T, unit(1, 0, 0))
+        V = TowerTangent(T, 1, unit(1, 0, 0))
         for k in (1, 2, 3):
             assert np.abs(V.value(k)).max() == 0
 
     def test_own_level_vanishes_deeper_does_not(self):
         T = theta_tower(4, 212)
-        V = anchor(T, T.level(2))
+        V = TowerTangent(T, 2, T.level(2))
         assert np.abs(V.value(2)).max() <= 1e-14 * (1 + np.abs(T.top).max() ** 2)
         assert np.abs(V.value(4)).max() > 1e-6
 
     def test_generator_is_covector(self):
         T = plain_tower(3, 205)
         x = unit(2, 0, 1)
-        V = anchor(T, x)
-        assert V.base_level == 2 and np.array_equal(V.generator, x)
+        V = TowerTangent(T, 2, x)
+        assert np.array_equal(V.generator, x)
         expected = -commutator(embed(x, 3), T.level(3))
         assert np.array_equal(V.value(3), expected)
 
@@ -153,16 +146,18 @@ class TestAnchor:
         anchors = []
         for k in range(3):
             for l in range(3):
-                anchors.append(anchor(T, unit(3, k, l)).value(3))
+                anchors.append(TowerTangent(T, 3, unit(3, k, l)).value(3))
         g_values = [commutator(unit(3, k, l), T.top) for k in range(3) for l in range(3)]
         assert rank_split(anchors)[0] == rank_split(g_values)[0] == 6
 
 
 class TestIsotropy:
+    """The Lagrangian pairings are the leading block of the tower's bracket matrix."""
+
     def test_single_tangent(self):
-        T = plain_tower(3, 206)
-        V = anchor(T, unit(2, 0, 1))
-        assert isotropy_check(T, [V]) == 0
+        # At depth 2 the abelian family is one tangent: there is no pair.
+        report = lagrangian_check(theta_tower(2, 206))
+        assert report.verdict == "true" and report.max_pairing == 0
 
     def test_abelian_family_isotropic(self):
         for depth in (3, 4, 5):
@@ -170,25 +165,26 @@ class TestIsotropy:
             fam = orbit_tangents_A(T)
             gen_norm = max(np.linalg.norm(v.generator) for v in fam)
             scale = 1.0 + 2.0 * np.linalg.norm(T.top) * gen_norm**2
-            assert isotropy_check(T, fam) <= 1e-8 * scale
+            assert lagrangian_check(T).max_pairing <= 1e-8 * scale
 
     def test_full_orbit_family_not_isotropic(self):
         # On 2x2: tr(diag(1,-1) [E_12, E_21]) = 2, an explicitly nonzero
         # pairing of two orbit tangents.
-        T = new_tower(np.diag([1.0, -1.0]).astype(complex))
-        fam = [anchor(T, unit(2, 0, 1)), anchor(T, unit(2, 1, 0))]
-        assert isotropy_check(T, fam) == 2
+        X = np.diag([1.0, -1.0]).astype(complex)
+        assert bracket_matrix(X, [unit(2, 0, 1), unit(2, 1, 0)])[0, 1] == 2
 
     def test_batched_matches_per_pair_maximum(self):
         for depth, seed in ((3, 233), (5, 235), (8, 238)):
             T = theta_tower(depth, seed, 0.5)
             # A non-isotropic family too, so the maximum is not rounding noise.
             units = [
-                anchor(T, unit(depth, k, l))
+                TowerTangent(T, depth, unit(depth, k, l))
                 for k in range(2)
                 for l in range(depth)
             ]
             abelian = orbit_tangents_A(T)
+            # The check's block: the generators below the top level, paired at X_N.
+            block = power_table(T).bracket_matrix()[: len(abelian), : len(abelian)]
             for fam in (abelian, units, abelian[:3] + units[:4]):
                 per_pair = max(
                     abs(omega_inf(T, fam[a], fam[b]))
@@ -197,28 +193,32 @@ class TestIsotropy:
                 )
                 gen_norm = max(np.linalg.norm(v.generator) for v in fam)
                 scale = 1.0 + 2.0 * np.linalg.norm(T.top) * gen_norm**2
-                assert abs(isotropy_check(T, fam) - per_pair) <= 1e-13 * scale
-                P = bracket_matrix(T.top, [v.generator for v in fam])
+                P = block if fam is abelian else bracket_matrix(T.top, [v.generator for v in fam])
+                upper = np.triu_indices(len(fam), 1)
+                assert abs(np.abs(P[upper]).max() - per_pair) <= 1e-13 * scale
                 assert np.abs(P + P.T).max() <= 1e-13 * scale
                 for a in range(len(fam)):
                     for b in range(a + 1, len(fam)):
                         assert abs(P[a, b] - omega_inf(T, fam[a], fam[b])) <= 1e-13 * scale
+                if fam is abelian:
+                    assert lagrangian_check(T).max_pairing == np.abs(P[upper]).max()
 
     def test_non_finite_pairing_is_not_isotropic(self, monkeypatch):
-        from gztower import symplectic
-
         T = theta_tower(4, 234)
-        fam = orbit_tangents_A(T)
-        original = symplectic.bracket_matrix
+        original = gz.bracket_matrix
 
         def with_nan(X, gens):
             out = original(X, gens)
             out[1, 4] = np.nan
             return out
 
-        monkeypatch.setattr(symplectic, "bracket_matrix", with_nan)
-        assert np.isnan(isotropy_check(T, fam))
-        assert lagrangian_check(T).verdict == "false"
+        monkeypatch.setattr(gz, "bracket_matrix", with_nan)
+        # The table must be built under the patch, not read from the cache.
+        power_table.cache_clear()
+        report = lagrangian_check(T)
+        assert np.isnan(report.max_pairing)
+        assert report.verdict == "false"
+        assert report.to_json_dict()["max_pairing"] is None
 
 
 class TestBracketFormConsistency:
@@ -241,7 +241,7 @@ class TestBracketFormConsistency:
         T = plain_tower(3, 207)
         A, B = unit(3, 0, 1), unit(3, 1, 2)
         br = bracket_matrix(T.level(3), [A, B])[0, 1]
-        om = omega_inf(T, anchor(T, A), anchor(T, B))
+        om = omega_inf(T, TowerTangent(T, 3, A), TowerTangent(T, 3, B))
         assert abs(br) > 1e-8  # genuinely nonzero pairing
         assert abs(br - om) <= 1e-12 * (1 + abs(br))
 
@@ -337,8 +337,7 @@ class TestNondegeneracy:
                     basis_idx.append(idx)
             expected = depth * depth - depth
             assert len(basis_idx) == expected
-            fam = [anchor(T, units[i]) for i in basis_idx]
-            P = bracket_matrix(T.top, [v.generator for v in fam])
+            P = bracket_matrix(T.top, [units[i] for i in basis_idx])
             s = np.linalg.svd(P, compute_uv=False)
             assert int((s > 1e-9 * s[0]).sum()) == expected
 
@@ -351,7 +350,6 @@ class TestNondegeneracy:
             trial = [values[i] for i in basis_idx] + [values[idx]]
             if rank_split(trial)[0] == len(trial):
                 basis_idx.append(idx)
-        fam = [anchor(T, units[i]) for i in basis_idx]
-        P = bracket_matrix(T.top, [v.generator for v in fam])
+        P = bracket_matrix(T.top, [units[i] for i in basis_idx])
         for row in range(P.shape[0]):
             assert np.abs(P[row]).max() > 1e-9

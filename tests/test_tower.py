@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gztower.matcore import commutator, corner, embed, spectra_disjoint
+from gztower.oracles import TowerTangent
 from gztower.tower import (
     GenerationError,
     Tower,
-    TowerTangent,
     extend,
     new_tower,
     random_entries,
