@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .gz import GZIndex, PowerTable, gz_indices, power_table
+from .gz import GZIndex, PowerTable, power_table
 from .matcore import embed, embed_stack, mat_exp, mat_exp_stack
 from .tower import Tower
 
@@ -223,7 +223,7 @@ def a_act(a: AParams, T: Tower) -> Tower:
     return _act(_nonzero_terms(a), T)
 
 
-def a_act_stepwise(a: AParams, T: Tower, order: list[GZIndex] | None = None) -> Tower:
+def a_act_stepwise(a: AParams, T: Tower, order: list[GZIndex]) -> Tower:
     """Apply the action one parameter at a time, in the given order.
 
     Each step is a full single-parameter action reading its corner powers
@@ -231,9 +231,8 @@ def a_act_stepwise(a: AParams, T: Tower, order: list[GZIndex] | None = None) -> 
     order lands on the same point as :func:`a_act`; this entry point
     exists to exercise exactly that property.
     """
-    keys = order if order is not None else gz_indices(a.n - 1)
     seen = set()
-    for idx in keys:
+    for idx in order:
         if not 1 <= idx.j <= idx.i <= a.n - 1 or idx in seen:
             raise ValueError("order must enumerate each parameter index exactly once")
         seen.add(idx)
@@ -241,7 +240,7 @@ def a_act_stepwise(a: AParams, T: Tower, order: list[GZIndex] | None = None) -> 
         raise ValueError("order must cover all parameter indices")
     _require_depth(a, T)
     current = T
-    for idx in keys:
+    for idx in order:
         t = a.get(idx.i, idx.j)
         current = _act([(idx.i, idx.j, t)] if t != 0 else [], current)
     return current

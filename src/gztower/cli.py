@@ -80,33 +80,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run configuration shared by the subcommands.
-
-    Suite names are validated against the check registry when the config
-    is built, so unknown names are rejected before any work starts.
-    """
-
-    seed: int
-    tolerance: Tolerance
-    suite: tuple[str, ...]
-    out: Optional[str] = None
-    format: str = "json"
-    depth: Optional[int] = None
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        return cls(
-            seed=_resolve_seed(args.seed),
-            tolerance=Tolerance(rel=args.tol_rel, abs=args.tol_abs),
-            suite=tuple(_parse_suite(getattr(args, "suite", None))),
-            out=getattr(args, "out", None),
-            format=getattr(args, "format", "json"),
-            depth=getattr(args, "depth", None),
-        )
-
-
 @dataclass
 class CheckResult:
     name: str
@@ -121,6 +94,23 @@ class CheckResult:
             "passed": self.passed,
             "details": self.details,
         }
+
+
+# The suite's members in registration order, which is the default suite's.
+CHECKS: dict[str, Callable[[Tower, Tolerance, int], CheckResult]] = {}
+
+
+def _member(name: str, tag: str) -> Callable:
+    """Register a check member: ``name`` and property ``tag`` wrap its ``(passed, details)``."""
+
+    def register(check: Callable[[Tower, Tolerance, int], tuple[str, dict]]):
+        def run(T: Tower, tol: Tolerance, seed: int) -> CheckResult:
+            return CheckResult(name, tag, *check(T, tol, seed))
+
+        CHECKS[name] = run
+        return run
+
+    return register
 
 
 def _tri(ok: bool) -> str:
@@ -166,7 +156,8 @@ def _name(idx: GZIndex) -> str:
     return f"f[{idx.i},{idx.j}]"
 
 
-def _check_commute(T: Tower, tol: Tolerance, seed: int) -> CheckResult:
+@_member("commute", "observable-family-poisson-commutativity")
+def _check_commute(T: Tower, tol: Tolerance, seed: int) -> tuple[str, dict]:
     idxs = gz_indices(T.depth)
     upper = np.triu_indices(len(idxs), 1)
     # Overflowing entries stay non-finite; pairs whose bound overflows are
@@ -187,38 +178,24 @@ def _check_commute(T: Tower, tol: Tolerance, seed: int) -> CheckResult:
         "pairs": len(pair_ratios),
         "rtol": DRIFT_RTOL,
     }
-    return CheckResult(
-        name="commute",
-        property="observable-family-poisson-commutativity",
-        passed=_pair_verdict(worst, bounds, details),
-        details=details,
-    )
+    return _pair_verdict(worst, bounds, details), details
 
 
-def _check_conserve(T: Tower, tol: Tolerance, seed: int) -> CheckResult:
+@_member("conserve", "flow-conservation")
+def _check_conserve(T: Tower, tol: Tolerance, seed: int) -> tuple[str, dict]:
     N = T.depth
     if N < 2:
-        return CheckResult(
-            name="conserve",
-            property="flow-conservation",
-            passed="true",
-            details={"note": "no flow directions at depth 1"},
-        )
+        return "true", {"note": "no flow directions at depth 1"}
     table = power_table(T)
     base = table.traces()
     if not np.all(np.isfinite(base)):
-        return CheckResult(
-            name="conserve",
-            property="flow-conservation",
-            passed="indeterminate",
-            details={
-                "t_grid": list(DEFAULT_T_GRID),
-                "drift_rtol": DRIFT_RTOL,
-                "corner_rtol": CORNER_RTOL,
-                "note": "the tower's own traces overflow double precision, so there is "
-                "nothing to conserve; regenerate the tower at a smaller scale",
-            },
-        )
+        return "indeterminate", {
+            "t_grid": list(DEFAULT_T_GRID),
+            "drift_rtol": DRIFT_RTOL,
+            "corner_rtol": CORNER_RTOL,
+            "note": "the tower's own traces overflow double precision, so there is "
+            "nothing to conserve; regenerate the tower at a smaller scale",
+        }
     base_scale = 1.0 + np.abs(base)
     drifts = []
     corners = []
@@ -270,43 +247,26 @@ def _check_conserve(T: Tower, tol: Tolerance, seed: int) -> CheckResult:
         )
     else:
         passed = "false"
-    return CheckResult(
-        name="conserve",
-        property="flow-conservation",
-        passed=passed,
-        details=details,
-    )
+    return passed, details
 
 
-def _check_sreg(T: Tower, tol: Tolerance, seed: int) -> CheckResult:
+@_member("sreg", "strong-regularity-criteria")
+def _check_sreg(T: Tower, tol: Tolerance, seed: int) -> tuple[str, dict]:
     report = sreg_report(T, tol)
-    return CheckResult(
-        name="sreg",
-        property="strong-regularity-criteria",
-        passed=_passed(report.verdict),
-        details=report.to_json_dict(),
-    )
+    return _passed(report.verdict), report.to_json_dict()
 
 
-def _check_lagrangian(T: Tower, tol: Tolerance, seed: int) -> CheckResult:
+@_member("lagrangian", "abelian-orbit-lagrangian-structure")
+def _check_lagrangian(T: Tower, tol: Tolerance, seed: int) -> tuple[str, dict]:
     report = lagrangian_check(T, tol)
-    return CheckResult(
-        name="lagrangian",
-        property="abelian-orbit-lagrangian-structure",
-        passed=_passed(report.verdict),
-        details=report.to_json_dict(),
-    )
+    return _passed(report.verdict), report.to_json_dict()
 
 
-def _check_match(T: Tower, tol: Tolerance, seed: int) -> CheckResult:
+@_member("match", "level-gluing-consistency")
+def _check_match(T: Tower, tol: Tolerance, seed: int) -> tuple[str, dict]:
     N = T.depth
     if N < 2:
-        return CheckResult(
-            name="match",
-            property="level-gluing-consistency",
-            passed="true",
-            details={"note": "gluing needs two levels"},
-        )
+        return "true", {"note": "gluing needs two levels"}
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(1,))))
     norms = _level_norms(T)
     ratios = []
@@ -318,19 +278,15 @@ def _check_match(T: Tower, tol: Tolerance, seed: int) -> CheckResult:
         ratios.append(match_residual(T, Z1, Z2, n) / scale)
     # np.max propagates NaN, so a non-finite residual cannot pass the rtol.
     worst = float(np.max(ratios))
-    return CheckResult(
-        name="match",
-        property="level-gluing-consistency",
-        passed=_tri(worst <= MATCH_RTOL),
-        details={
-            "draws": MATCH_DRAWS,
-            "max_residual_ratio": report_number(worst),
-            "rtol": MATCH_RTOL,
-        },
-    )
+    return _tri(worst <= MATCH_RTOL), {
+        "draws": MATCH_DRAWS,
+        "max_residual_ratio": report_number(worst),
+        "rtol": MATCH_RTOL,
+    }
 
 
-def _check_consistent(T: Tower, tol: Tolerance, seed: int) -> CheckResult:
+@_member("consistent", "bracket-form-consistency")
+def _check_consistent(T: Tower, tol: Tolerance, seed: int) -> tuple[str, dict]:
     # Every pair is paired twice: by the bracket GEMM at X_N, and at the
     # deeper of its two levels k, in one GEMM per level.  The pairing is
     # still evaluated at level k and not at N, so the two sides agree only
@@ -353,48 +309,23 @@ def _check_consistent(T: Tower, tol: Tolerance, seed: int) -> CheckResult:
     worst = float(np.max(mismatch))
     # Some block compares every unordered pair, an index with itself included.
     details = {"max_mismatch_ratio": report_number(worst), "rtol": DRIFT_RTOL}
-    return CheckResult(
-        name="consistent",
-        property="bracket-form-consistency",
-        passed=_pair_verdict(worst, bounds[np.tril_indices(len(idxs))], details),
-        details=details,
-    )
+    return _pair_verdict(worst, bounds[np.tril_indices(len(idxs))], details), details
 
 
-def _check_anchor(T: Tower, tol: Tolerance, seed: int) -> CheckResult:
+@_member("anchor", "anchor-image-matches-orbit-tangents")
+def _check_anchor(T: Tower, tol: Tolerance, seed: int) -> tuple[str, dict]:
     # The anchor map is injective on level-n covectors exactly when the joint
     # commutant of levels n..N is trivial; each embeds into that of levels
     # N-1..N, which criterion 2 tests last.  Strong regularity is what makes
     # that expected for every n < N; without it there is no claim to test.
     sreg = sreg_report(T, tol)
     if sreg.verdict != "true":
-        return CheckResult(
-            name="anchor",
-            property="anchor-image-matches-orbit-tangents",
-            passed="indeterminate",
-            details={
-                "joint_kernels_trivial": None,
-                "note": f"tower is not strongly regular (sreg verdict: {sreg.verdict}); "
-                "no anchor kernel was tested",
-            },
-        )
-    return CheckResult(
-        name="anchor",
-        property="anchor-image-matches-orbit-tangents",
-        passed=_tri(sreg.by_centralizers),
-        details={"joint_kernels_trivial": sreg.by_centralizers},
-    )
-
-
-CHECKS: dict[str, Callable[[Tower, Tolerance, int], CheckResult]] = {
-    "commute": _check_commute,
-    "conserve": _check_conserve,
-    "sreg": _check_sreg,
-    "lagrangian": _check_lagrangian,
-    "match": _check_match,
-    "consistent": _check_consistent,
-    "anchor": _check_anchor,
-}
+        return "indeterminate", {
+            "joint_kernels_trivial": None,
+            "note": f"tower is not strongly regular (sreg verdict: {sreg.verdict}); "
+            "no anchor kernel was tested",
+        }
+    return _tri(sreg.by_centralizers), {"joint_kernels_trivial": sreg.by_centralizers}
 
 
 def _report_envelope(command: str, seed: int, tol: Tolerance, source: str) -> dict:
@@ -409,10 +340,20 @@ def _report_envelope(command: str, seed: int, tol: Tolerance, source: str) -> di
     }
 
 
-def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gz-tmp-")
+def _emit(path: Optional[str], text: str) -> None:
+    """Write ``text`` to ``path`` atomically, or to stdout when no path is given.
+
+    The file gets the mode ``open()`` would give it under the umask, not
+    mkstemp's owner-only 0600.
+    """
+    if path is None:
+        sys.stdout.write(text)
+        return
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".gz-tmp-")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
@@ -474,38 +415,32 @@ def _parse_suite(raw: Optional[list[str]]) -> list[str]:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    config = RunConfig.from_args(args)
     try:
-        T = random_theta_tower(config.depth, config.seed, args.scale, config.tolerance)
+        T = random_theta_tower(args.depth, args.seed, args.scale, args.tol)
     except GenerationError as exc:
         print(f"generation failed: {exc}", file=sys.stderr)
         return EXIT_GENERATION
-    _write_atomic(config.out, tower_to_json(T) + "\n")
-    report = sreg_report(T, config.tolerance)
+    _emit(args.out, tower_to_json(T) + "\n")
+    report = sreg_report(T, args.tol)
     print(
-        f"depth={T.depth} seed={config.seed} scale={args.scale} "
-        f"sreg={report.verdict} theta={'true' if report.theta else 'false'} -> {config.out}"
+        f"depth={T.depth} seed={args.seed} scale={args.scale} "
+        f"sreg={report.verdict} theta={'true' if report.theta else 'false'} -> {args.out}"
     )
     return EXIT_PASS
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    config = RunConfig.from_args(args)
-    suite = list(config.suite)
+    suite = _parse_suite(args.suite)
     T = _load_tower(args.tower)
 
     # Members run one after another on this thread: on two cores a pool was
     # slower, its workers contending with the BLAS threads for the cores.
-    results = [CHECKS[name](T, config.tolerance, config.seed) for name in suite]
+    results = [CHECKS[name](T, args.tol, args.seed) for name in suite]
 
-    report = _report_envelope("check", config.seed, config.tolerance, args.tower)
+    report = _report_envelope("check", args.seed, args.tol, args.tower)
     report["suite"] = suite
     report["checks"] = [r.to_json_dict() for r in results]
-    text = _dump_json(report)
-    if config.out:
-        _write_atomic(config.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, _dump_json(report))
     for r in results:
         print(f"[{r.passed}] {r.name}")
     if any(r.passed == "false" for r in results):
@@ -554,8 +489,6 @@ def _flow_table(
 
 
 def cmd_flow(args: argparse.Namespace) -> int:
-    config = RunConfig.from_args(args)
-    seed, tol = config.seed, config.tolerance
     T = _load_tower(args.tower)
     try:
         idx = GZIndex(args.i, args.j)
@@ -573,7 +506,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
     max_drift = float(np.max(drift))
     passed = max_drift <= args.drift_tol
 
-    if config.format == "csv":
+    if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
         writer.writerow(["t"] + names)
@@ -583,7 +516,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
         writer.writerow(["max_relative_drift"] + [f"{d:.17g}" for d in drift.tolist()])
         text = buf.getvalue()
     else:
-        report = _report_envelope("flow", seed, tol, args.tower)
+        report = _report_envelope("flow", args.seed, args.tol, args.tower)
         report.update(
             {
                 "i": idx.i,
@@ -602,10 +535,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
         # A flow report is a t-grid by observables table of numbers: indented,
         # half of its bytes would be whitespace.
         text = _dump_json(report, indent=None)
-    if config.out:
-        _write_atomic(config.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, text)
 
     if args.emit_plot_data:
         buf = io.StringIO()
@@ -613,15 +543,13 @@ def cmd_flow(args: argparse.Namespace) -> int:
         writer.writerow(["t"] + [f"abs({n})" for n in names])
         for t, values in rows:
             writer.writerow([f"{t:.17g}"] + [f"{abs(z):.17g}" for z in values.tolist()])
-        _write_atomic(args.emit_plot_data, buf.getvalue())
+        _emit(args.emit_plot_data, buf.getvalue())
 
     print(f"max relative drift {max_drift:.3e} over t grid {grid}")
     return EXIT_PASS if passed else EXIT_FAIL
 
 
 def cmd_orbit(args: argparse.Namespace) -> int:
-    config = RunConfig.from_args(args)
-    seed, tol = config.seed, config.tolerance
     T = _load_tower(args.tower)
 
     if args.params:
@@ -639,7 +567,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
                 )
     else:
         rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(2,)))
+            np.random.PCG64(np.random.SeedSequence(args.seed, spawn_key=(2,)))
         )
         samples = [
             random_params(rng, T.depth, args.param_scale) for _ in range(args.samples)
@@ -669,24 +597,25 @@ def cmd_orbit(args: argparse.Namespace) -> int:
         return EXIT_INDETERMINATE
     with np.errstate(over="ignore", invalid="ignore"):
         worst_drift = float(np.max(np.abs(acted_traces - base) / bound, initial=0.0))
-    for a, acted in acted_samples:
-        if args.permute_factors and a.n >= 3:
-            rng_perm = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(3,)))
-            )
-            order = gz_indices(a.n - 1)
-            perm = [order[int(i)] for i in rng_perm.permutation(len(order))]
+    # Every sample acts at the same level, so one shuffled order serves them all.
+    if args.permute_factors and samples and samples[0].n >= 3:
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(args.seed, spawn_key=(3,)))
+        )
+        order = gz_indices(samples[0].n - 1)
+        perm = [order[int(i)] for i in rng.permutation(len(order))]
+        for a, acted in acted_samples:
             permuted = a_act_stepwise(a, T, perm)
             scale = 1.0 + float(np.abs(acted.top).max())
             worst_perm = max(
                 worst_perm, float(np.abs(permuted.top - acted.top).max()) / scale
             )
 
-    lag = lagrangian_check(T, tol)
+    lag = lagrangian_check(T, args.tol)
     invariance_ok = worst_drift <= DRIFT_RTOL
     permute_ok = (not args.permute_factors) or worst_perm <= DRIFT_RTOL
 
-    report = _report_envelope("orbit", seed, tol, args.tower)
+    report = _report_envelope("orbit", args.seed, args.tol, args.tower)
     report.update(
         {
             "samples": len(samples),
@@ -696,11 +625,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
             "lagrangian": lag.to_json_dict(),
         }
     )
-    text = _dump_json(report)
-    if config.out:
-        _write_atomic(config.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, _dump_json(report))
     print(
         f"observable drift {worst_drift:.3e}; lagrangian verdict: {lag.verdict}"
     )
@@ -737,6 +662,13 @@ _T_GRID = _checked(
     lambda ts: all(map(math.isfinite, ts)),
     "a comma-separated list of finite numbers",
 )
+# An empty output path, one in a missing directory, or one naming a directory
+# is refused before any work.
+_OUT = _checked(
+    str,
+    lambda p: p != "" and os.path.isdir(os.path.dirname(p) or ".") and not os.path.isdir(p),
+    "a file path in an existing directory",
+)
 
 
 def _build_parser() -> _Parser:
@@ -760,7 +692,7 @@ def _build_parser() -> _Parser:
         help="entry magnitude bound; <= 0.5 keeps depth-6 flows well-conditioned, "
         "use ~0.3 beyond depth 6",
     )
-    g.add_argument("--out", "-o", required=True)
+    g.add_argument("--out", "-o", type=_OUT, required=True)
     g.set_defaults(func=cmd_gen)
 
     c = sub.add_parser("check", help="run verification suites on a tower file")
@@ -771,7 +703,7 @@ def _build_parser() -> _Parser:
         action="append",
         help=f"comma-separated check names (default: all of {', '.join(CHECKS)})",
     )
-    c.add_argument("--out", "-o", default=None)
+    c.add_argument("--out", "-o", type=_OUT, default=None)
     c.set_defaults(func=cmd_check)
 
     f = sub.add_parser("flow", help="conservation table along one exact flow")
@@ -782,8 +714,8 @@ def _build_parser() -> _Parser:
     f.add_argument("--t-grid", type=_T_GRID, default=list(DEFAULT_T_GRID))
     f.add_argument("--drift-tol", type=_TOL, default=DRIFT_RTOL)
     f.add_argument("--format", choices=("json", "csv"), default="json")
-    f.add_argument("--out", "-o", default=None)
-    f.add_argument("--emit-plot-data", default=None, help="write |f| series CSV here")
+    f.add_argument("--out", "-o", type=_OUT, default=None)
+    f.add_argument("--emit-plot-data", type=_OUT, default=None, help="write |f| series CSV here")
     f.set_defaults(func=cmd_flow)
 
     o = sub.add_parser("orbit", help="abelian-action orbit report")
@@ -795,9 +727,10 @@ def _build_parser() -> _Parser:
     o.add_argument(
         "--permute-factors",
         action="store_true",
-        help="also apply parameters one at a time in a shuffled order and report the gap",
+        help="also apply parameters one at a time, in one shuffled order shared by "
+        "every sample, and report the gap",
     )
-    o.add_argument("--out", "-o", default=None)
+    o.add_argument("--out", "-o", type=_OUT, default=None)
     o.set_defaults(func=cmd_orbit)
     return parser
 
@@ -806,6 +739,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        args.seed = _resolve_seed(args.seed)
+        args.tol = Tolerance(rel=args.tol_rel, abs=args.tol_abs)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -43,10 +43,9 @@ class GZIndex:
             raise ValueError(f"invalid index ({self.i}, {self.j}): need 1 <= j <= i")
 
 
-def gz_indices(depth: int, max_i: int | None = None) -> list[GZIndex]:
-    """All indices (i, j) with 1 <= j <= i <= min(depth, max_i)."""
-    top = depth if max_i is None else min(depth, max_i)
-    return [GZIndex(i, j) for i in range(1, top + 1) for j in range(1, i + 1)]
+def gz_indices(depth: int) -> list[GZIndex]:
+    """All indices (i, j) with 1 <= j <= i <= depth."""
+    return [GZIndex(i, j) for i in range(1, depth + 1) for j in range(1, i + 1)]
 
 
 @dataclass(frozen=True, eq=False)

@@ -366,7 +366,7 @@ def orbit_tangents_A(T: Tower) -> list[TowerTangent]:
     """The N(N-1)/2 Hamiltonian tangents spanning the abelian orbit direction."""
     if T.depth < 2:
         raise ValueError("abelian orbit tangents need depth at least 2")
-    return [gz_hamiltonian(T, idx) for idx in gz_indices(T.depth, max_i=T.depth - 1)]
+    return [gz_hamiltonian(T, idx) for idx in gz_indices(T.depth - 1)]
 
 
 def orbit_tangents_G(T: Tower) -> list[TowerTangent]:

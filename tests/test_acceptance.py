@@ -85,7 +85,7 @@ def test_criterion_03_exact_flow_conservation():
     for depth in range(2, 7):
         T = theta_tower(depth, 200 + depth, 0.4)
         base = power_table(T).traces()
-        for idx in gz_indices(depth, max_i=depth - 1):
+        for idx in gz_indices(depth - 1):
             corner_scale = 1.0 + float(np.abs(T.level(idx.i)).max())
             for t in grid:
                 flowed = flow(T, idx, t)

@@ -1,6 +1,8 @@
 import csv
 import json
+import os
 import shutil
+import stat
 import subprocess
 import sys
 
@@ -153,6 +155,12 @@ class TestCheck:
         tower_file = tmp_path / "t.json"
         write_tower(tower_file, theta_tower(2, 401))
         assert cli.main(["check", str(tower_file), "--suite", "bogus"]) == cli.EXIT_USAGE
+
+    def test_suite_is_parsed_before_the_tower_is_read(self, tmp_path, capsys):
+        # A bad suite is a usage error even when the tower file is missing too.
+        argv = ["check", str(tmp_path / "nope.json"), "--suite", "bogus"]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error: unknown check 'bogus'")
 
     @pytest.mark.parametrize("suite", ["", ",", " , "])
     def test_empty_suite_is_usage_error(self, suite, tmp_path, capsys, monkeypatch):
@@ -346,7 +354,7 @@ class TestSeedPrecedence:
         monkeypatch.setenv("GZ_SEED", "not-a-number")
         assert cli.main(["gen", "--depth", "2", "-o", str(tmp_path / "x.json")]) == cli.EXIT_USAGE
 
-    @pytest.mark.parametrize("command", ["gen", "check", "orbit"])
+    @pytest.mark.parametrize("command", ["gen", "check", "orbit", "flow"])
     def test_negative_env_seed_is_usage_error(self, command, tmp_path, capsys, monkeypatch):
         # PCG64 takes no negative seed; the variable is refused before any work.
         def refuse(*args, **kwargs):
@@ -356,6 +364,8 @@ class TestSeedPrecedence:
         monkeypatch.setattr(cli, "_load_tower", refuse)
         monkeypatch.setenv("GZ_SEED", "-5")
         argv = ["gen", "--depth", "3"] if command == "gen" else [command, str(tmp_path / "t.json")]
+        if command == "flow":
+            argv += ["--i", "1", "--j", "1"]
         assert cli.main(argv + ["-o", str(tmp_path / "x.json")]) == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert err == "usage error: GZ_SEED: '-5' is not a nonnegative integer\n"
@@ -419,6 +429,51 @@ class TestOutOfRangeFlags:
         argv = ["flow", str(tmp_path / "t.json"), "--i", "2", "--j", "1", f"{flag}={text}"]
         assert cli.main(argv) == cli.EXIT_USAGE
         assert capsys.readouterr().err == f"usage error: argument {flag}: {text!r} is not {need}\n"
+
+
+class TestOutputFiles:
+    def test_outputs_get_the_mode_open_gives(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            tower_file, report = tmp_path / "t.json", tmp_path / "r.json"
+            assert cli.main(["gen", "--depth", "2", "--seed", "1", "-o", str(tower_file)]) == 0
+            assert cli.main(["check", str(tower_file), "--suite", "sreg", "-o", str(report)]) == 0
+            with open(tmp_path / "plain.json", "w"):
+                pass
+        finally:
+            os.umask(old)
+        mode = stat.S_IMODE((tmp_path / "plain.json").stat().st_mode)
+        assert mode == 0o644
+        assert [stat.S_IMODE(p.stat().st_mode) for p in (tower_file, report)] == [mode, mode]
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["gen", "--depth", "3", "-o", "missing/x.json"], "--out/-o"),
+            (["check", "t.json", "-o", "missing/r.json"], "--out/-o"),
+            (["flow", "t.json", "--i", "1", "--j", "1", "-o", "missing/f.json"], "--out/-o"),
+            (
+                ["flow", "t.json", "--i", "1", "--j", "1", "--emit-plot-data", "missing/p.csv"],
+                "--emit-plot-data",
+            ),
+            (["orbit", "t.json", "-o", "missing/o.json"], "--out/-o"),
+            (["check", "t.json", "-o", "."], "--out/-o"),
+            (["gen", "--depth", "3", "-o", ""], "--out/-o"),
+        ],
+        ids=["gen", "check", "flow", "plot-data", "orbit", "directory", "empty"],
+    )
+    def test_unwritable_output_is_usage_error(self, argv, flag, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started on an unwritable output path")
+
+        monkeypatch.setattr(cli, "random_theta_tower", refuse)
+        monkeypatch.setattr(cli, "_load_tower", refuse)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == cli.EXIT_USAGE
+        path = argv[argv.index(flag.split("/")[-1]) + 1]
+        assert capsys.readouterr().err == (
+            f"usage error: argument {flag}: {path!r} is not a file path in an existing directory\n"
+        )
 
 
 class TestFlow:

@@ -31,7 +31,6 @@ class TestIndices:
 
     def test_enumeration(self):
         assert len(gz_indices(4)) == 10
-        assert len(gz_indices(4, max_i=3)) == 6
         assert gz_indices(2) == [GZIndex(1, 1), GZIndex(2, 1), GZIndex(2, 2)]
 
 
