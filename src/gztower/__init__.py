@@ -57,7 +57,7 @@ from .symplectic import (
     match_residual,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "__version__",

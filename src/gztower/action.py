@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .gz import GZIndex, PowerTable, power_table
+from .gz import GZIndex, power_table
 from .matcore import embed, embed_stack, mat_exp, mat_exp_stack
 from .tower import Tower
 
@@ -253,40 +253,45 @@ def flow(T: Tower, idx: GZIndex, t: complex) -> Tower:
     constant along its own flow, so no stepping is needed.  The corner
     X_i (and everything below) is fixed; all observables tr(X_k^l) are
     conserved.  Flowing a top-level index is allowed and acts trivially.
-    This is the one-flow case of :func:`flow_stack` on the tower's
-    :func:`~gztower.gz.power_table`; it raises the error that the stack
-    reports for it.
+    This is the one-flow case of :func:`flow_stack` on the gradient that
+    the tower's :func:`~gztower.gz.power_table` stores; it raises the
+    error that the stack reports for it.
     """
-    tops, errors = flow_stack(power_table(T), [idx], [t])
+    table = power_table(T)
+    tops, errors = flow_stack(table.top, [table.gradient(idx)], [t])
     if errors[0] is not None:
         raise errors[0]
     return Tower(tops[0])
 
 
 def flow_stack(
-    table: PowerTable, idxs: Sequence[GZIndex], ts: Sequence[complex]
+    top: np.ndarray, generators: Sequence[np.ndarray], ts: Sequence[complex]
 ) -> tuple[np.ndarray, list[Optional[Exception]]]:
-    """The exact flow of every f_{ij} of ``idxs`` at every time of ``ts``, evaluated together.
+    """The flow of every generator of ``generators`` at every time of ``ts``, evaluated together.
 
-    Each generator ``j X_i^(j-1)`` is the gradient stored in the tower's
-    power table, so a caller flowing many indices forms each power once.
-    One stacked ``expm`` of all the generators ``-t j X_i^(j-1)`` and one
-    stacked conjugation of the top; each slice is bit-identical to
-    :func:`flow` of its index at its time.  Returns the
-    ``(len(idxs) * len(ts), N, N)`` stack of flowed tops, index-major
-    (slice ``a * len(ts) + k`` is index a at time k), and, per slice,
-    None or the error :func:`flow` raises for it: OverflowError when the
-    exponential or the conjugate overflows, LinAlgError when the
-    conjugator is singular.  A failed slice fails only itself, and its
-    top is not meaningful.
+    Each generator P is a square matrix at its own level, no larger than
+    ``top``; its flow conjugates ``top`` by ``exp(-t embed(P))``.  For the
+    gradient ``j X_i^(j-1)`` of f_{ij} that is the exact Hamiltonian flow
+    :func:`flow` takes; for any polynomial in X_i it is a flow of the
+    abelian group.  One stacked ``expm`` of every ``-t P`` and one stacked
+    conjugation of the top; each slice is bit-identical to a stack of its
+    own.  Returns the ``(len(generators) * len(ts), N, N)`` stack of
+    flowed tops, generator-major (slice ``a * len(ts) + k`` is generator
+    a at time k), and, per slice, None or the error :func:`flow` raises
+    for it: OverflowError when the exponential or the conjugate overflows,
+    LinAlgError when the conjugator is singular.  A failed slice fails
+    only itself, and its top is not meaningful.
     """
-    N = table.top.shape[0]
-    for idx in idxs:
-        if idx.i > N:
-            raise IndexError(f"index level {idx.i} exceeds tower depth {N}")
-    P = embed_stack([table.gradients[idx.i - 1][idx.j - 1] for idx in idxs], N)
+    N = top.shape[0]
+    for P in generators:
+        if P.shape[0] > N:
+            raise IndexError(f"generator level {P.shape[0]} exceeds tower depth {N}")
+    P = embed_stack(generators, N)
     times = np.asarray(ts, dtype=np.complex128)
-    g, exp_errors = mat_exp_stack((-times[:, None, None] * P[:, None]).reshape(-1, N, N))
-    tops, errors = _conjugate_stack(g, table.top)
+    # A generator that overflowed leaves its exponentials non-finite, and they fail.
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = (-times[:, None, None] * P[:, None]).reshape(-1, N, N)
+    g, exp_errors = mat_exp_stack(scaled)
+    tops, errors = _conjugate_stack(g, top)
     # The exponential fails first, as it does in a single flow.
     return tops, [e if e is not None else c for e, c in zip(exp_errors, errors)]

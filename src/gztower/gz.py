@@ -68,6 +68,12 @@ class PowerTable:
         """Every ``tr(X_i^j)``, in :func:`gz_indices` order."""
         return stack_traces(self.top[None])[0]
 
+    def gradient(self, idx: GZIndex) -> np.ndarray:
+        """The gradient ``j X_i^(j-1)`` of f_{ij} at its own level i, a read-only view."""
+        if idx.i > len(self.gradients):
+            raise IndexError(f"index level {idx.i} exceeds tower depth {len(self.gradients)}")
+        return self.gradients[idx.i - 1][idx.j - 1]
+
     def generators(self) -> list[np.ndarray]:
         """Every gradient ``j X_i^(j-1)`` at its own level i, in :func:`gz_indices` order.
 

@@ -38,6 +38,14 @@ def diag_tower(values) -> Tower:
     return Tower(np.diag(np.asarray(values, dtype=np.complex128)))
 
 
+def index_flows(T: Tower, idx, ts):
+    """``flow_stack`` of the gradient of f_{ij} over the times ``ts``, as ``flow`` reads it."""
+    from gztower.action import flow_stack
+
+    table = gz.power_table(T)
+    return flow_stack(table.top, [table.gradient(idx)], ts)
+
+
 def unit(n: int, k: int, l: int) -> np.ndarray:
     out = np.zeros((n, n), dtype=np.complex128)
     out[k, l] = 1.0

@@ -22,7 +22,7 @@ from gztower.matcore import embed, mat_exp, rank_split
 from gztower.oracles import gz_hamiltonian, orbit_tangents_A, orbit_tangents_G
 from gztower.tower import new_tower
 
-from conftest import diag_tower, plain_tower, theta_tower
+from conftest import diag_tower, index_flows, plain_tower, theta_tower
 
 
 class TestAParams:
@@ -271,7 +271,7 @@ class TestFlowStack:
     def test_flow_equals_its_slice(self):
         T = theta_tower(6, 135, 0.4)
         for idx in gz_indices(6)[::4]:
-            tops, errors = flow_stack(power_table(T), [idx], self.GRID)
+            tops, errors = index_flows(T, idx, self.GRID)
             assert tops.shape == (len(self.GRID), 6, 6)
             assert errors == [None] * len(self.GRID)
             for t, top in zip(self.GRID, tops):
@@ -303,7 +303,7 @@ class TestFlowStack:
     )
     def test_one_failing_time_fails_only_its_flow(self, top, idx, grid, bad, error):
         T = new_tower(top)
-        tops, errors = flow_stack(power_table(T), [idx], grid)
+        tops, errors = index_flows(T, idx, grid)
         assert [e is None for e in errors] == [s != bad for s in range(len(grid))]
         assert isinstance(errors[bad], error)
         with pytest.raises(error, match=str(errors[bad])):
@@ -313,8 +313,11 @@ class TestFlowStack:
                 assert np.array_equal(flow(T, idx, t).top, tops[s])
 
     def test_index_out_of_depth(self):
+        T = plain_tower(2, 136)
         with pytest.raises(IndexError):
-            flow_stack(power_table(plain_tower(2, 136)), [GZIndex(3, 1)], [0.0])
+            flow_stack(T.top, [np.eye(3)], [0.0])
+        with pytest.raises(IndexError):
+            flow(T, GZIndex(3, 1), 0.0)
 
 
 class TestOrbitTangents:

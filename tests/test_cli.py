@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import shutil
 import stat
@@ -179,30 +180,50 @@ class TestCheck:
     def test_unknown_flag_is_usage_error(self):
         assert cli.main(["check", "--frobnicate"]) == cli.EXIT_USAGE
 
-    def test_conserve_on_ill_conditioned_tower_is_indeterminate(self, tmp_path):
-        # At this scale the deep-flow conjugators exceed double precision;
-        # the identity holds mathematically, so the verdict must be
-        # indeterminate with a conditioning note, not a failure.
+    def test_conserve_on_large_scale_tower_is_true(self, tmp_path):
+        # Raw-speed deep flows of this scale are conditioned past double
+        # precision; at unit speed every conjugator is within e^4.
         from gztower.tower import random_theta_tower
 
         tower_file = tmp_path / "big.json"
         write_tower(tower_file, random_theta_tower(6, 1, 1.2))
         out = tmp_path / "r.json"
         code = cli.main(["check", str(tower_file), "--suite", "conserve", "-o", str(out)])
-        assert code == cli.EXIT_INDETERMINATE
+        assert code == cli.EXIT_PASS
         details = json.loads(out.read_text())["checks"][0]["details"]
-        assert details["conditioning_floor"] > 1e-8
-        assert "ill-conditioned" in details["note"]
+        assert details["conditioning_floor"] < 1.3e-14
+        assert details["max_relative_drift"] <= cli.DRIFT_RTOL
+        assert "note" not in details
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_conserve_on_overflowing_tower_is_indeterminate(self, tmp_path):
-        # Flows with t < 0 push the 1e308 entry past the double range.
+        # Every unit-speed flow of level 1 scales the largest double by
+        # |exp(-t c)| > 1 at one sign of t, whatever the seed.
         tower_file = tmp_path / "huge.json"
-        write_tower(tower_file, new_tower([[0.0, 1e308], [0.0, 0.0]]))
+        write_tower(tower_file, new_tower([[0.0, np.finfo(float).max], [0.0, 0.0]]))
         out = tmp_path / "r.json"
-        code = cli.main(["check", str(tower_file), "--suite", "conserve", "-o", str(out)])
-        assert code == cli.EXIT_INDETERMINATE
-        assert json.loads(out.read_text())["checks"][0]["passed"] == "indeterminate"
+        for seed in ("0", "1", "2", "201"):
+            argv = ["check", str(tower_file), "--suite", "conserve", "--seed", seed]
+            code = cli.main([*argv, "-o", str(out)])
+            assert code == cli.EXIT_INDETERMINATE
+            check = json.loads(out.read_text())["checks"][0]
+            assert check["passed"] == "indeterminate"
+            assert "overflowed" in check["details"]["note"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_conserve_on_overflowing_flowed_traces_is_indeterminate(self, tmp_path):
+        # Every trace of the tower is finite, but X_3^2 holds 1.7e306 * 100:
+        # a level-1 flow that scales 1.7e306 up by more than 1.06 leaves a
+        # finite top whose tr(X_3^3) overflows, under an overflowing bound.
+        tower_file = tmp_path / "edge.json"
+        write_tower(tower_file, new_tower([[50, 1.7e306, 0], [1e-306, 50, 0], [0, 0, 1]]))
+        out = tmp_path / "r.json"
+        for seed in ("0", "1", "2", "201"):
+            argv = ["check", str(tower_file), "--suite", "conserve", "--seed", seed]
+            assert cli.main([*argv, "-o", str(out)]) == cli.EXIT_INDETERMINATE
+            check = json.loads(out.read_text())["checks"][0]
+            assert check["details"]["max_relative_drift"] is None
+            assert "overflowed" in check["details"]["note"]
 
     # X_3^2 holds 1e320: every power pass overflows on this tower.
     OVERFLOWING_POWERS = [[1, 0, 0], [0, 2, 1e160], [0, 1e160, 3]]
@@ -814,87 +835,122 @@ class TestNonFiniteResiduals:
         assert json.loads(out.read_text())["observable_invariance_ok"] is False
 
 
-def conserve_per_generator(T, tol, seed):
-    """The conserve member as it was before levels were stacked: each
-    generator flows over all seven times of the grid, t = 0 included, as a
-    stack of its own, with its norm from its own SVD.  The oracle of the
-    level-stacked member."""
+def conserve_per_level(T, tol, seed):
+    """The conserve member with each level's seeded unit-norm generator P_i
+    flowed in a stack of its own and its tops read by a trace pass of their
+    own.  The oracle of the one-stack member; it draws the weights itself."""
     from gztower.action import flow_stack
-    from gztower.gz import GZIndex, power_table, stack_traces
+    from gztower.gz import power_table, stack_traces
+
+    def result(passed, details):
+        return cli.CheckResult(
+            name="conserve", property="flow-conservation", passed=passed, details=details
+        )
 
     N = T.depth
     if N < 2:
-        return cli.CheckResult(
-            name="conserve",
-            property="flow-conservation",
-            passed="true",
-            details={"note": "no flow directions at depth 1"},
-        )
+        return result("true", {"note": "no flow directions at depth 1"})
     table = power_table(T)
     base = table.traces()
+    grid = {
+        "t_grid": list(cli.DEFAULT_T_GRID),
+        "time_unit": cli.CONSERVE_TIME_UNIT,
+        "drift_rtol": cli.DRIFT_RTOL,
+        "corner_rtol": cli.CORNER_RTOL,
+    }
     if not np.all(np.isfinite(base)):
-        return cli.CheckResult(
-            name="conserve",
-            property="flow-conservation",
-            passed="indeterminate",
-            details={
-                "t_grid": list(cli.DEFAULT_T_GRID),
-                "drift_rtol": cli.DRIFT_RTOL,
-                "corner_rtol": cli.CORNER_RTOL,
+        return result(
+            "indeterminate",
+            {
+                **grid,
                 "note": "the tower's own traces overflow double precision, so there is "
                 "nothing to conserve; regenerate the tower at a smaller scale",
             },
         )
-    base_scale = 1.0 + np.abs(base)
-    drifts, corners = [], []
-    worst_kappa_log = 0.0
-    flow_failed = False
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(4,))))
+    failed, drifts, corners = False, [], []
     for i, Gi in enumerate(table.gradients[:-1], 1):
+        c = rng.standard_normal(i) + 1j * rng.standard_normal(i)
+        with np.errstate(over="ignore", invalid="ignore"):
+            P = np.tensordot(c, Gi, axes=1)
+            if np.isfinite(P).all():
+                P = P / np.linalg.norm(P, 2)
+        tops, errors = flow_stack(table.top, [P], cli._FLOWED_TIMES)
+        ok = np.array([e is None for e in errors])
+        tops = tops[ok]
+        traces = stack_traces(tops)
+        failed = failed or not ok.all() or cli._traces_overflow(tops, traces)
+        with np.errstate(over="ignore", invalid="ignore"):
+            drifts.append(np.max(np.abs(traces - base) / (1.0 + np.abs(base)), initial=0.0))
         Xi = T.level(i)
-        corner_scale = 1.0 + float(np.abs(Xi).max())
-        level_tops = []
-        for j in range(1, i + 1):
-            pnorm = float(np.linalg.norm(Gi[j - 1], 2))
-            worst_kappa_log = max(
-                worst_kappa_log, *(2.0 * abs(t) * pnorm for t in cli.DEFAULT_T_GRID)
-            )
-            tops, errors = flow_stack(table, [GZIndex(i, j)], cli.DEFAULT_T_GRID)
-            ok = np.array([e is None for e in errors])
-            flow_failed = flow_failed or not ok.all()
-            level_tops.append(tops[ok])
-        tops = np.concatenate(level_tops)
-        drifts.append(np.max(np.abs(stack_traces(tops) - base) / base_scale, initial=0.0))
-        corners.append(float(np.abs(tops[:, :i, :i] - Xi).max(initial=0.0)) / corner_scale)
-    worst_drift = float(np.max(drifts, initial=0.0))
-    worst_corner = float(np.max(corners, initial=0.0))
-    ok = not flow_failed and worst_drift <= cli.DRIFT_RTOL and worst_corner <= cli.CORNER_RTOL
-    achievable = np.finfo(float).eps * float(np.exp(min(worst_kappa_log, 700.0)))
+        corners.append(
+            float(np.abs(tops[:, :i, :i] - Xi).max(initial=0.0)) / (1.0 + float(np.abs(Xi).max()))
+        )
+    worst_drift = float(np.max(drifts))
+    worst_corner = float(np.max(corners))
     details = {
         "max_relative_drift": cli.report_number(worst_drift),
         "max_corner_residual": cli.report_number(worst_corner),
-        "t_grid": list(cli.DEFAULT_T_GRID),
-        "drift_rtol": cli.DRIFT_RTOL,
-        "corner_rtol": cli.CORNER_RTOL,
-        "conditioning_floor": achievable,
+        **grid,
+        "conditioning_floor": float(np.finfo(float).eps * math.exp(4.0)),
     }
-    if ok:
-        passed = "true"
-    elif achievable > cli.DRIFT_RTOL or flow_failed:
+    if failed:
         passed = "indeterminate"
         details["note"] = (
-            "flow conjugators too ill-conditioned for the drift tolerance; "
+            "a flow overflowed double precision or its conjugator was singular; "
             "regenerate the tower at a smaller scale"
         )
     else:
-        passed = "false"
-    return cli.CheckResult(
-        name="conserve", property="flow-conservation", passed=passed, details=details
-    )
+        passed = "true" if worst_drift <= cli.DRIFT_RTOL and worst_corner <= cli.CORNER_RTOL else "false"
+    return result(passed, details)
+
+
+def conserve_every_generator(T):
+    """Conserve's verdict when every generator j X_i^(j-1) of every level
+    i < N flows on its own at unit speed, one time at a time."""
+    from gztower.action import flow_stack
+    from gztower.gz import power_table, stack_traces
+
+    table = power_table(T)
+    base = table.traces()
+    if not np.all(np.isfinite(base)):
+        return "indeterminate"
+    failed, drifts, corners = False, [0.0], [0.0]
+    for i, Gi in enumerate(table.gradients[:-1], 1):
+        Xi = T.level(i)
+        for G in Gi:
+            if not np.linalg.norm(G, 2) > 0:
+                continue
+            for t in cli._FLOWED_TIMES:
+                tops, errors = flow_stack(table.top, [G / np.linalg.norm(G, 2)], [t])
+                if errors[0] is not None:
+                    failed = True
+                    continue
+                traces = stack_traces(tops)
+                failed = failed or cli._traces_overflow(tops, traces)
+                drifts.append(np.max(np.abs(traces - base) / (1.0 + np.abs(base))))
+                corners.append(
+                    float(np.abs(tops[0, :i, :i] - Xi).max()) / (1.0 + float(np.abs(Xi).max()))
+                )
+    if failed:
+        return "indeterminate"
+    ok = np.max(drifts) <= cli.DRIFT_RTOL and np.max(corners) <= cli.CORNER_RTOL
+    return "true" if ok else "false"
+
+
+def _overflowing_flows(d):
+    """Finite traces, but an entry at the largest double: every unit-speed
+    flow of level 1 scales it by |exp(-t c)| > 1 at one sign of t, for any
+    weight c off the imaginary axis."""
+    top = plain_tower(d, 330 + d, 0.01).top.copy()
+    top[0, -1] = np.finfo(float).max
+    return new_tower(top)
 
 
 class TestConserveOracle:
-    """Flowing a level as one stack, without t = 0, reports exactly what
-    flowing each generator over the whole grid reports."""
+    """Flowing every level's seeded generator in one stack reports exactly
+    what flowing each level's generator in a stack of its own reports, and
+    reaches the verdict that flowing every generator on its own reaches."""
 
     KINDS = {
         "theta": lambda d: theta_tower(d, 300 + d, 0.4),
@@ -903,32 +959,74 @@ class TestConserveOracle:
         "identity": lambda d: new_tower(np.eye(d)),
         # The traces themselves overflow: nothing to conserve.
         "overflowing-powers": lambda d: new_tower(1e160 * theta_tower(d, 320 + d, 0.4).top),
-        # Finite traces, but exponentials and conjugates that overflow.
-        "overflowing-flows": lambda d: plain_tower(d, 330 + d, 30.0),
+        # Finite traces, but conjugates that overflow.
+        "overflowing-flows": _overflowing_flows,
     }
+    SEEDS = (0, 1, 201)
 
     @pytest.mark.parametrize("kind", list(KINDS))
     @pytest.mark.parametrize("depth", range(2, 9))
     def test_details_equal_the_oracle_bit_for_bit(self, kind, depth):
         T = self.KINDS[kind](depth)
         tol = cli.Tolerance()
-        ours = cli.CHECKS["conserve"](T, tol, 0).to_json_dict()
-        oracle = conserve_per_generator(T, tol, 0).to_json_dict()
-        # repr of a float is exact, so equal dumps are equal bits.
-        assert json.dumps(ours, sort_keys=True) == json.dumps(oracle, sort_keys=True)
+        for seed in self.SEEDS:
+            ours = cli.CHECKS["conserve"](T, tol, seed).to_json_dict()
+            oracle = conserve_per_level(T, tol, seed).to_json_dict()
+            # repr of a float is exact, so equal dumps are equal bits.
+            assert json.dumps(ours, sort_keys=True) == json.dumps(oracle, sort_keys=True)
+
+    @pytest.mark.parametrize("kind", ["theta", "plain", "jordan", "identity"])
+    @pytest.mark.parametrize("depth", range(2, 9))
+    def test_one_flow_per_level_gives_every_generators_verdict(self, kind, depth):
+        T = self.KINDS[kind](depth)
+        expected = conserve_every_generator(T)
+        for seed in self.SEEDS:
+            assert cli.CHECKS["conserve"](T, cli.Tolerance(), seed).passed == expected
 
     def test_kinds_reach_every_verdict(self):
-        verdicts = {
-            kind: cli.CHECKS["conserve"](make(6), cli.Tolerance(), 0).passed
-            for kind, make in self.KINDS.items()
-        }
-        assert verdicts["theta"] == "true"
-        assert verdicts["overflowing-powers"] == "indeterminate"
-        assert verdicts["overflowing-flows"] == "indeterminate"
+        for seed in self.SEEDS:
+            verdicts = {
+                kind: cli.CHECKS["conserve"](make(6), cli.Tolerance(), seed).passed
+                for kind, make in self.KINDS.items()
+            }
+            assert verdicts["theta"] == "true"
+            assert verdicts["overflowing-powers"] == "indeterminate"
+            assert verdicts["overflowing-flows"] == "indeterminate"
+
+    # Level 1 is left out: every 1 x 1 generator commutes with X_1.
+    @pytest.mark.parametrize("level,j", [(2, 1), (3, 2), (5, 5)])
+    def test_one_perturbed_generator_fails(self, level, j, monkeypatch):
+        from gztower.gz import PowerTable, power_table
+
+        T = theta_tower(6, 306, 0.4)
+        table = power_table(T)
+        assert cli.CHECKS["conserve"](T, cli.Tolerance(), 0).passed == "true"
+        # A generator off z(X_i) flows the corner X_i and the traces above it.
+        rng = np.random.Generator(np.random.PCG64(7))
+        gradients = [G.copy() for G in table.gradients]
+        gradients[level - 1][j - 1] += 1e-6 * (
+            rng.standard_normal((level, level)) + 1j * rng.standard_normal((level, level))
+        )
+        perturbed = PowerTable(top=table.top, gradients=tuple(gradients))
+        monkeypatch.setattr(cli, "power_table", lambda _: perturbed)
+        result = cli.CHECKS["conserve"](T, cli.Tolerance(), 0)
+        assert result.passed == "false"
+        details = result.details
+        assert details["max_relative_drift"] > details["drift_rtol"]
+        assert details["max_corner_residual"] > details["corner_rtol"]
+
+    @pytest.mark.parametrize("seed", [201, 202, 203])
+    def test_benchmark_towers_conserve(self, seed):
+        # random_theta_tower(16, s, 0.3) is the check-d16 input of seed s.
+        T = theta_tower(16, seed, 0.3)
+        first = cli.CHECKS["conserve"](T, cli.Tolerance(), 0)
+        assert first.passed == "true"
+        again = cli.CHECKS["conserve"](T, cli.Tolerance(), 0)
+        assert json.dumps(first.details) == json.dumps(again.details)
 
 
 class TestCheckCost:
-    """Conserve stacks each generator's times and each level's traces; consistent
+    """Conserve flows every level in one stack with one trace pass; consistent
     pairs by level, not by pair; lagrangian builds one power table; the suite
     computes one strong-regularity report, one power table and one bracket
     matrix; orbit builds one power table and one bracket matrix; the suite and
@@ -981,16 +1079,10 @@ class TestCheckCost:
 
         monkeypatch.setattr(gztower.action, "mat_exp_stack", recording)
         assert cli.CHECKS["conserve"](tower, cli.Tolerance(), 0).passed == "true"
-        # One stacked expm and one trace pass per flowed level; level i
-        # flows its i generators at the six nonzero times of the grid.
-        assert counts == {
-            "power_table": 1,
-            "Tower": 0,
-            "expm": self.DEPTH - 1,
-            "stack_traces": self.DEPTH - 1,
-        }
-        assert slices == [6 * i for i in range(1, self.DEPTH)]
-        assert sum(slices) == 6 * self.DEPTH * (self.DEPTH - 1) // 2
+        # One stacked expm and one trace pass for the whole member: each
+        # level i < N flows its one generator at the six nonzero times.
+        assert counts == {"power_table": 1, "Tower": 0, "expm": 1, "stack_traces": 1}
+        assert slices == [6 * (self.DEPTH - 1)]
 
     def test_consistent(self, tower, counts):
         assert cli.CHECKS["consistent"](tower, cli.Tolerance(), 0).passed == "true"

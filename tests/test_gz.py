@@ -15,7 +15,7 @@ from gztower.oracles import (
 )
 from gztower.tower import Tower, new_tower
 
-from conftest import plain_tower, theta_tower, unit
+from conftest import index_flows, plain_tower, theta_tower, unit
 
 
 def involution_tower():
@@ -348,7 +348,7 @@ class TestStackTraces:
         T = theta_tower(depth, 71, 0.3)
         grid = [-2.0, -0.5, 0.0, 1.0, 2.0]
         for idx in gz_indices(depth - 1)[:: max(1, depth - 3)]:
-            tops, errors = flow_stack(power_table(T), [idx], grid)
+            tops, errors = index_flows(T, idx, grid)
             assert errors == [None] * len(grid)
             traces = stack_traces(tops)
             for top, row in zip(tops, traces):
@@ -360,7 +360,7 @@ class TestStackTraces:
         T = theta_tower(8, 72, 0.3)
         grid = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
         table = power_table(T)
-        parts = [flow_stack(table, [GZIndex(7, j)], grid)[0] for j in range(1, 8)]
+        parts = [flow_stack(table.top, [G], grid)[0] for G in table.gradients[6]]
         parts.append(parts[0][:1])
         whole = stack_traces(np.concatenate(parts))
         assert np.array_equal(whole, np.concatenate([stack_traces(p) for p in parts]))
