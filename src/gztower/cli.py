@@ -652,7 +652,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     )
     if not invariance_ok or lag.verdict == "false" or not permute_ok:
         return EXIT_FAIL
-    if lag.verdict == "not applicable":
+    if lag.verdict != "true":
         return EXIT_INDETERMINATE
     return EXIT_PASS
 

@@ -55,6 +55,12 @@ _SQRT_HALF = math.sqrt(0.5)
 # A norm above this has a sum of squares far enough above the subnormal
 # range that the squares lost to underflow cannot move it.
 _TINY_NORM = 2.0**-480
+# rank_split's Gram matrix is formed this many rows at a time, and its
+# largest eigenvalue must lie between these bounds: inside them no square
+# that matters overflows or falls into the subnormal range.
+_GRAM_BLOCK_ROWS = 64
+_GRAM_MIN_SQUARE = 2.0**-900
+_GRAM_MAX_SQUARE = 2.0**900
 
 
 @dataclass(frozen=True)
@@ -458,12 +464,48 @@ def spectrum_split(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[int, fl
     return rank, decisive, float(min(above, below))
 
 
+def _gram_singular_values(F: np.ndarray) -> Optional[np.ndarray]:
+    """Descending singular values of the (m, k) matrix F read off its Gram matrix.
+
+    The Gram matrix is one GEMM, formed in row blocks of at most
+    ``_GRAM_BLOCK_ROWS``: block ``[a, b)`` is ``conj(F[a:b]) @ F[:b].T``, so
+    only that block is ever conjugated and only the lower triangle, the
+    one ``eigvalsh`` reads, is computed.  The result is ``conj(F F^H)``,
+    which has the eigenvalues of ``F F^H``.  Rounding in the Gram moves
+    its eigenvalues by about ``(m + k) eps s_max^2``, so a singular value
+    near ``sqrt((m + k) eps) s_max`` is not resolved.  Returns None, and
+    the caller takes the SVD, when the smallest value lies at or below
+    ten times that floor, or when the squares leave the range in which
+    the bound holds.
+    """
+    m, k = F.shape
+    G = np.zeros((m, m), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(0, m, _GRAM_BLOCK_ROWS):
+            b = min(a + _GRAM_BLOCK_ROWS, m)
+            np.matmul(F[a:b].conj(), F[:b].T, out=G[a:b, :b])
+    if not np.all(np.isfinite(G)):
+        return None
+    lam = np.linalg.eigvalsh(G)
+    if not _GRAM_MIN_SQUARE < lam[-1] < _GRAM_MAX_SQUARE:
+        return None
+    s = np.sqrt(np.maximum(lam[::-1], 0.0))
+    floor = 10.0 * math.sqrt((m + k) * _EPS) * s[0]
+    return s if s[-1] > floor else None
+
+
 def rank_split(family, tol: Tolerance = DEFAULT_TOL) -> tuple[int, float, float]:
     """Numerical rank of a family of matrices viewed as flat vectors.
 
     ``family`` is an (m, n, n) stack, or anything ``np.asarray`` makes one
     of, such as a list of equal-shape matrices.  Returns the
-    :func:`spectrum_split` of its m flattened members.  A family with a
+    :func:`spectrum_split` of the singular values of its m flattened
+    members.  They are read off the m x m Gram matrix, one GEMM and one
+    ``eigvalsh``, and taken by a dense SVD of the family only when the
+    smallest lies inside the Gram's rounding floor (see
+    :func:`_gram_singular_values`); a rank-deficient family always does.
+    Above the floor every value clears the default threshold by orders of
+    magnitude, so both routes decide the same rank.  A family with a
     non-finite entry has no numerical rank: it gives ``(0, nan, nan)``, so
     no full-rank test passes on it and no margin vouches for the result.
     """
@@ -473,7 +515,9 @@ def rank_split(family, tol: Tolerance = DEFAULT_TOL) -> tuple[int, float, float]
     family = family.reshape(family.shape[0], -1)
     if not np.all(np.isfinite(family)):
         return 0, math.nan, math.nan
-    s = np.linalg.svd(family, compute_uv=False)
+    s = _gram_singular_values(family)
+    if s is None:
+        s = np.linalg.svd(family, compute_uv=False)
     return spectrum_split(s, tol)
 
 

@@ -11,7 +11,9 @@ operator on gl(n), which production code no longer forms.  The
 Hamiltonian tangents take their generators ``j X_i^(j-1)`` with
 ``matrix_power`` too, and the orbit family is the N^2 matrix units at
 the top level: the dense families whose ranks the Lagrangian check reads
-off the strong-regularity criteria rather than forming them.  The dense
+off the strong-regularity criteria rather than forming them.  Ranked by a
+dense SVD, those monomial generators are also the reference for criteria
+1 and 3, which rank orthonormal bases of the same spans.  The dense
 action product multiplies every exponential factor of the abelian
 action, zero parameters included; it shares only ``mat_exp`` and
 ``embed`` with the action, so the two must agree bit for bit.  A

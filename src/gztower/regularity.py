@@ -13,6 +13,18 @@ formulations are implemented and cross-validated:
 3. tangents: the Hamiltonian tangent family (below the top level) has
    full rank.
 
+All three read one Frobenius-orthonormal Arnoldi basis Q_i of
+span{I, X_i, ..., X_i^(i-1)} per level, built once per report.  That span
+holds the gradients j X_i^(j-1) of f_i1, ..., f_ii, so criterion 1 ranks
+the Q_i embedded at level N, and criterion 3 the tangent values
+[X_N, Q_i] for i < N, with X_N scaled by an exact power of two.  Neither
+reads a power of the tower: the monomials span the same subspaces but are
+as ill-conditioned as a Vandermonde matrix.  Each level's block of rows
+is orthonormal, so the singular values these two criteria report depend
+only on the level subspaces, not on the basis chosen in each.  A level
+whose Arnoldi run breaks down early has dependent gradients, and
+criteria 1 and 3 read false from its split.
+
 The criteria are mathematically equivalent but numerically differently
 conditioned, so each verdict carries a margin: how cleanly its decisive
 singular values split at the threshold.  Disagreement within margin is
@@ -33,7 +45,6 @@ from typing import Optional
 
 import numpy as np
 
-from .gz import power_table
 from .matcore import (
     DEFAULT_TOL,
     Tolerance,
@@ -62,9 +73,11 @@ INDETERMINATE_MARGIN = 10.0
 
 # (verdict, decisive singular value, margin) of one rank decision.
 _Split = tuple[bool, float, float]
+# (regular, decisive value, margin, Arnoldi basis) of one level: _regular_split.
+_Level = tuple[bool, float, float, np.ndarray]
 
 
-def _regular_split(M: np.ndarray, tol: Tolerance) -> tuple[bool, float, float, np.ndarray]:
+def _regular_split(M: np.ndarray, tol: Tolerance) -> _Level:
     """Regularity of M via Arnoldi breakdown in span{I, M, ..., M^(n-1)}.
 
     Returns (regular, decisive value, split margin, Krylov basis), the
@@ -108,32 +121,66 @@ def _border_split(Q: np.ndarray, b: np.ndarray, c: np.ndarray, tol: Tolerance) -
 
 
 def _full_rank_split(family: np.ndarray, tol: Tolerance) -> _Split:
-    # A family with an overflowed generator is not finite and has no rank.
+    # A family that is not finite has no rank: rank_split gives (0, nan, nan).
     rank, decisive, margin = rank_split(family, tol)
     return rank == len(family), decisive, margin
 
 
-def _differentials_split(T: Tower, gens: list[np.ndarray], tol: Tolerance) -> _Split:
-    # Criterion 1: every generator of the power table, embedded at level N.
-    return _full_rank_split(embed_stack(gens, T.depth), tol)
+def _arnoldi_levels(T: Tower, tol: Tolerance) -> list[_Level]:
+    """:func:`_regular_split` of every level, lowest first: one Arnoldi run each."""
+    return [_regular_split(T.level(n), tol) for n in range(1, T.depth + 1)]
 
 
-def _tangents_split(T: Tower, gens: list[np.ndarray], tol: Tolerance) -> _Split:
-    # Criterion 3: the tangent values [X_N, grad f_ij] of the generators with i < N.
-    return _full_rank_split(tangent_values(T.top, gens[: T.depth * (T.depth - 1) // 2]), tol)
+def _spanning_bases(levels: list[_Level]) -> tuple[Optional[_Split], list[np.ndarray]]:
+    """The bases of span{I, X_i, ..., X_i^(i-1)} over the given levels, as generators.
+
+    That span holds the gradients of f_i1, ..., f_ii.  A level whose Arnoldi
+    run broke down spans fewer than i dimensions, so its i gradients are
+    dependent, as the monomials j X_i^(j-1) would show: the first value is
+    then the failing split of those levels (the smallest decisive value and
+    margin among them), and None otherwise.
+    """
+    broken = [(sv, margin) for ok, sv, margin, _ in levels if not ok]
+    failed = (False, min(sv for sv, _ in broken), min(m for _, m in broken)) if broken else None
+    return failed, [G for *_, Q in levels for G in Q]
+
+
+def _differentials_split(T: Tower, levels: list[_Level], tol: Tolerance) -> _Split:
+    # Criterion 1: every level's orthonormal basis, embedded at level N.
+    failed, gens = _spanning_bases(levels)
+    return failed or _full_rank_split(embed_stack(gens, T.depth), tol)
+
+
+def _scaled_top(T: Tower) -> np.ndarray:
+    """X_N scaled by the exact power of two that brings its largest modulus into [1/2, 1)."""
+    peak = float(np.abs(T.top).max())
+    if peak == 0.0:
+        return T.top
+    # In two halves: for a subnormal peak the whole factor is not representable.
+    exponent = math.frexp(peak)[1]
+    half = exponent // 2
+    return T.top * 2.0**-half * 2.0 ** (half - exponent)
+
+
+def _tangents_split(T: Tower, levels: list[_Level], tol: Tolerance) -> _Split:
+    # Criterion 3: the tangent values [X_N, Q] of the bases below the top level.
+    # Rank does not see the scale of X_N, and at unit scale no value overflows.
+    failed, gens = _spanning_bases(levels[:-1])
+    return failed or _full_rank_split(tangent_values(_scaled_top(T), gens), tol)
 
 
 def is_sreg_differentials(T: Tower, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Full rank of the N(N+1)/2 gradient family at the deepest level."""
-    ok, _, _ = _differentials_split(T, power_table(T).generators(), tol)
+    ok, _, _ = _differentials_split(T, _arnoldi_levels(T, tol), tol)
     return ok
 
 
-def _centralizers_split(T: Tower, tol: Tolerance) -> tuple[bool, float, float, float]:
+def _centralizers_split(
+    T: Tower, levels: list[_Level], tol: Tolerance
+) -> tuple[bool, float, float, float]:
     """Criterion 2: (verdict, decisive value, margin, margin of X_N's Arnoldi split)."""
     splits = []
-    for n in range(1, T.depth + 1):
-        regular, sv, margin, Q = _regular_split(T.level(n), tol)
+    for n, (regular, sv, margin, Q) in enumerate(levels, start=1):
         splits.append((regular, sv, margin))
         # A non-regular level already fails, and its intersection with the
         # next level is never trivial: such an X_n has an eigenvalue with
@@ -153,7 +200,7 @@ def _centralizers_split(T: Tower, tol: Tolerance) -> tuple[bool, float, float, f
 
 def is_sreg_centralizers(T: Tower, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Every level regular and every consecutive centralizer intersection trivial."""
-    ok, _, _, _ = _centralizers_split(T, tol)
+    ok, _, _, _ = _centralizers_split(T, _arnoldi_levels(T, tol), tol)
     return ok
 
 
@@ -165,7 +212,7 @@ def is_sreg_tangents(T: Tower, tol: Tolerance = DEFAULT_TOL) -> bool:
     """
     if T.depth < 2:
         raise ValueError("tangent criterion is vacuous for depth-1 towers")
-    ok, _, _ = _tangents_split(T, power_table(T).generators(), tol)
+    ok, _, _ = _tangents_split(T, _arnoldi_levels(T, tol), tol)
     return ok
 
 
@@ -224,13 +271,18 @@ def sreg_report(T: Tower, tol: Tolerance = DEFAULT_TOL) -> SregReport:
     The overall verdict is "true"/"false" when the criteria agree and
     "indeterminate" when they disagree; disagreement can only occur
     numerically, near the rank threshold, and the recorded margins say
-    how near.  Criterion 1 ranks every generator of one
-    :func:`~gztower.gz.power_table`, embedded at level N; criterion 3 the
-    Hamiltonian tangent values ``[X_N, grad f_ij]`` of those with i < N.
+    how near.  Criterion 2's Arnoldi basis Q_i of each level is built
+    once and shared: criterion 1 ranks every Q_i embedded at level N, and
+    criterion 3 the tangent values ``[X_N, Q_i]`` for i < N, both through
+    :func:`~gztower.matcore.rank_split`.  Their ``min_singular_values``
+    and ``margins`` are those of the families of orthonormal bases, so
+    they do not depend on the basis chosen in each level; a level whose
+    Arnoldi run broke down gives its own split instead.  The report builds
+    no power table.
 
-    Each tower has one report, as it has one power table: ``Tower``
-    compares by identity, so the report of the last tower and tolerance
-    asked for is kept and returned again.
+    Each tower has one report: ``Tower`` compares by identity, so the
+    report of the last tower and tolerance asked for is kept and returned
+    again.
     """
     return _tower_report(T, tol)
 
@@ -238,12 +290,12 @@ def sreg_report(T: Tower, tol: Tolerance = DEFAULT_TOL) -> SregReport:
 @functools.lru_cache(maxsize=1)
 def _tower_report(T: Tower, tol: Tolerance) -> SregReport:
     N = T.depth
-    gens = power_table(T).generators()
-    d_ok, d_sv, d_margin = _differentials_split(T, gens, tol)
-    c_ok, c_sv, c_margin, top_margin = _centralizers_split(T, tol)
+    levels = _arnoldi_levels(T, tol)
+    d_ok, d_sv, d_margin = _differentials_split(T, levels, tol)
+    c_ok, c_sv, c_margin, top_margin = _centralizers_split(T, levels, tol)
     notes: list[str] = []
     if N >= 2:
-        t_ok, t_sv, t_margin = _tangents_split(T, gens, tol)
+        t_ok, t_sv, t_margin = _tangents_split(T, levels, tol)
         tangents: Optional[bool] = t_ok
     else:
         tangents, t_sv, t_margin = None, None, None

@@ -66,7 +66,7 @@ def match_residual(T: Tower, Z1: np.ndarray, Z2: np.ndarray, n: int) -> float:
 @dataclass(frozen=True)
 class LagrangianReport:
     depth: int
-    verdict: str  # "true" | "false" | "not applicable"
+    verdict: str  # "true" | "false" | "indeterminate" | "not applicable"
     tol_rel: float
     tol_abs: float
     isotropy_rtol: float
@@ -110,7 +110,8 @@ def lagrangian_check(T: Tower, tol: Tolerance = DEFAULT_TOL) -> LagrangianReport
     :meth:`~gztower.gz.PowerTable.bracket_matrix`, whose rows and columns
     are the generators below the top level.  Towers that are not strongly
     regular (or have depth 1) yield a "not applicable" verdict rather than
-    an error.
+    an error, and towers whose powers overflow, so that the pairings have
+    no finite scale, an "indeterminate" one.
     """
     N = T.depth
     base = dict(depth=N, tol_rel=tol.rel, tol_abs=tol.abs, isotropy_rtol=ISOTROPY_RTOL)
@@ -135,10 +136,20 @@ def lagrangian_check(T: Tower, tol: Tolerance = DEFAULT_TOL) -> LagrangianReport
     max_pairing = float(np.abs(pairings[np.triu_indices(rank_A, 1)]).max(initial=0.0))
     # |tr(X [Z1, Z2])| <= 2 ||X|| ||Z1|| ||Z2||: the cancellation error of
     # an exactly-zero pairing scales with the same product.
-    gen_norm = max(float(np.linalg.norm(G)) for G in table.generators()[:rank_A])
-    pairing_scale = 1.0 + 2.0 * float(np.linalg.norm(T.top)) * gen_norm**2
+    with np.errstate(over="ignore", invalid="ignore"):
+        gen_norm = np.max([np.linalg.norm(G) for G in table.generators()[:rank_A]])
+        pairing_scale = float(1.0 + 2.0 * np.linalg.norm(T.top) * gen_norm**2)
 
-    ok = max_pairing <= ISOTROPY_RTOL * pairing_scale
+    notes: tuple[str, ...] = ()
+    if not np.isfinite(pairing_scale):
+        # The powers overflow: no pairing can be compared with its scale.
+        verdict = "indeterminate"
+        notes = (
+            "the generators' pairing scale overflows double precision; "
+            "regenerate the tower at a smaller scale",
+        )
+    else:
+        verdict = "true" if max_pairing <= ISOTROPY_RTOL * pairing_scale else "false"
     return LagrangianReport(
         rank_A=rank_A,
         rank_G=N * N - N,
@@ -146,6 +157,7 @@ def lagrangian_check(T: Tower, tol: Tolerance = DEFAULT_TOL) -> LagrangianReport
         margin_G=sreg.top_arnoldi_margin,
         max_pairing=max_pairing,
         pairing_scale=pairing_scale,
-        verdict="true" if ok else "false",
+        verdict=verdict,
+        notes=notes,
         **base,
     )

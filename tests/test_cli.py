@@ -261,9 +261,9 @@ class TestCheck:
         ],
     )
     def test_regularity_members_on_overflowing_powers(self, tmp_path, capsys, suite, code):
-        # The gradient family holds the overflowed X_3^2 and has no numerical
-        # rank, so criterion 1 reads false; the tower is not strongly regular
-        # by the other two criteria (X_2 = diag(1, 2) commutes with E_11).
+        # The tower is not strongly regular: E_11 commutes with X_1, with
+        # X_2 = diag(1, 2) and with X_3.  The overflowed X_3^2 enters no
+        # criterion, so criterion 1 reads false on the merits, with a margin.
         tower_file = tmp_path / "pow.json"
         write_tower(tower_file, new_tower(self.OVERFLOWING_POWERS))
         out = tmp_path / "r.json"
@@ -273,7 +273,7 @@ class TestCheck:
         if suite == "sreg":
             assert check["details"]["by_differentials"] == "false"
             assert check["details"]["verdict"] == "false"
-            assert check["details"]["margins"][0] is None
+            assert check["details"]["margins"][0] > 10
         else:
             assert check["passed"] == "indeterminate"
 
@@ -309,7 +309,10 @@ class TestCheck:
 
     def test_scaled_sreg_tower_reads_indeterminate(self, tmp_path, capsys):
         # Strongly regular, so every identity holds, but every pair bound
-        # overflows at 1e160: commute and consistent compare no pair.
+        # overflows at 1e160: commute and consistent compare no pair.  sreg
+        # reads no power and finds the tower strongly regular; the Lagrangian
+        # pairings have no finite scale, so that check does not pass either.
+        # The configured filter turns a RuntimeWarning into an error here.
         tower_file = tmp_path / "scaled.json"
         write_tower(tower_file, new_tower(1e160 * theta_tower(4, 72).top))
         out = tmp_path / "r.json"
@@ -319,6 +322,11 @@ class TestCheck:
         assert checks["commute"]["passed"] == checks["consistent"]["passed"] == "indeterminate"
         assert "45 of 45 pairs" in checks["commute"]["details"]["note"]
         assert "55 of 55 pairs" in checks["consistent"]["details"]["note"]
+        assert checks["sreg"]["passed"] == checks["anchor"]["passed"] == "true"
+        lagrangian = checks["lagrangian"]
+        assert lagrangian["passed"] == lagrangian["details"]["verdict"] == "indeterminate"
+        assert lagrangian["details"]["pairing_scale"] is None
+        assert "pairing scale overflows" in lagrangian["details"]["notes"][0]
 
     def test_members_run_serially_on_this_thread(self, tmp_path, monkeypatch):
         import concurrent.futures
@@ -689,6 +697,23 @@ class TestOrbit:
         assert code == cli.EXIT_INDETERMINATE
         err = capsys.readouterr().err
         assert "action factors overflowed" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("verdict", ["indeterminate", "not applicable"])
+    def test_lagrangian_without_a_verdict_exits_3(self, tmp_path, monkeypatch, verdict):
+        # A Lagrangian check that tested nothing, or whose pairings have no
+        # finite scale, does not let the orbit pass.
+        from gztower.symplectic import LagrangianReport
+
+        def undecided(T, tol):
+            return LagrangianReport(
+                depth=T.depth, verdict=verdict, tol_rel=tol.rel, tol_abs=tol.abs, isotropy_rtol=1e-8
+            )
+
+        monkeypatch.setattr(cli, "lagrangian_check", undecided)
+        tower_file = tmp_path / "t.json"
+        write_tower(tower_file, theta_tower(4, 409))
+        code = cli.main(["orbit", str(tower_file), "--samples", "2", "-o", str(tmp_path / "o.json")])
+        assert code == cli.EXIT_INDETERMINATE
 
     def test_random_params_on_sreg_tower(self, tmp_path):
         tower_file = tmp_path / "t.json"
@@ -1104,20 +1129,15 @@ class TestCheckCost:
             "stack_traces": 0,
         }
 
-    def test_sreg_report_builds_one_power_table(self, tower, monkeypatch):
-        # Criteria 1 and 3 read their generators off the same table.
-        import gztower.regularity
+    def test_sreg_report_builds_no_power_table(self, tower, builds):
+        # Criteria 1 and 3 rank the Arnoldi bases that criterion 2 builds; no
+        # criterion reads a power of the tower, nor do the per-criterion probes.
+        from gztower import regularity
 
-        tables = []
-        original = gztower.regularity.power_table
-
-        def counting(T):
-            tables.append(T)
-            return original(T)
-
-        monkeypatch.setattr(gztower.regularity, "power_table", counting)
-        assert gztower.regularity.sreg_report(tower, cli.Tolerance()).verdict == "true"
-        assert tables == [tower]
+        assert regularity.sreg_report(tower, cli.Tolerance()).verdict == "true"
+        assert regularity.is_sreg_differentials(tower)
+        assert regularity.is_sreg_tangents(tower)
+        assert builds == {"tables": 0, "brackets": 0}
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -1159,12 +1179,12 @@ class TestCheckCost:
 
     @pytest.fixture
     def reports(self, monkeypatch):
-        # Criterion 2 runs once per computed report and builds one Arnoldi
-        # basis per level above the first; count every binding a member
-        # could reach krylov_basis through.
+        # Each criterion runs once per computed report, and the three share
+        # one Arnoldi basis per level above the first; count every binding a
+        # member could reach krylov_basis through.
         from gztower import matcore, regularity, symplectic
 
-        reports = {"computed": 0, "krylov_basis": 0}
+        reports = {"computed": 0, "differentials": 0, "tangents": 0, "krylov_basis": 0}
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -1176,6 +1196,9 @@ class TestCheckCost:
         monkeypatch.setattr(
             regularity, "_centralizers_split", counting("computed", regularity._centralizers_split)
         )
+        for name in ("differentials", "tangents"):
+            split = f"_{name}_split"
+            monkeypatch.setattr(regularity, split, counting(name, getattr(regularity, split)))
         krylov = counting("krylov_basis", matcore.krylov_basis)
         for module in (matcore, regularity, symplectic):
             monkeypatch.setattr(module, "krylov_basis", krylov, raising=False)
@@ -1187,7 +1210,9 @@ class TestCheckCost:
         write_tower(tower_file, tower)
         code = cli.main(["check", str(tower_file), "-o", str(tmp_path / "r.json")])
         assert code == cli.EXIT_PASS
-        assert reports == {"computed": 1, "krylov_basis": self.DEPTH - 1}
+        assert reports == {
+            "computed": 1, "differentials": 1, "tangents": 1, "krylov_basis": self.DEPTH - 1
+        }
 
     @pytest.mark.parametrize("command", ["check", "orbit"])
     def test_depth_16_builds_one_arnoldi_basis_per_level(self, command, tmp_path, reports):
@@ -1196,7 +1221,7 @@ class TestCheckCost:
         argv = [command, str(tower_file), "-o", str(tmp_path / "r.json")]
         code = cli.main(argv + (["--samples", "1"] if command == "orbit" else []))
         assert code in (cli.EXIT_PASS, cli.EXIT_INDETERMINATE)
-        assert reports == {"computed": 1, "krylov_basis": 15}
+        assert reports == {"computed": 1, "differentials": 1, "tangents": 1, "krylov_basis": 15}
 
 
 class TestEntryPoint:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gztower import matcore
 from gztower.matcore import (
     MAX_DIM,
     Tolerance,
@@ -427,6 +428,41 @@ class TestRankNull:
         fam = [np.eye(2, dtype=complex), unit(2, 0, 1)]
         rank, decisive, margin = rank_split(fam)
         assert rank == 2 and decisive > 0 and margin > 1e6
+
+    def test_gram_values_match_the_svd_across_row_blocks(self):
+        # 100 members span three row blocks of the Gram, whose lower
+        # triangle is assembled block by block.
+        rng = np.random.default_rng(66)
+        F = rng.standard_normal((100, 144)) + 1j * rng.standard_normal((100, 144))
+        s = matcore._gram_singular_values(F)
+        ref = np.linalg.svd(F, compute_uv=False)
+        assert s is not None
+        np.testing.assert_allclose(s, ref, rtol=1e-12)
+        assert rank_split(F.reshape(100, 12, 12)) == matcore.spectrum_split(s)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_squares_out_of_range_take_the_svd(self, scale):
+        # The Gram of these entries underflows or overflows; the SVD does not.
+        rng = np.random.default_rng(67)
+        F = scale * (rng.standard_normal((6, 16)) + 1j * rng.standard_normal((6, 16)))
+        assert matcore._gram_singular_values(F) is None
+        s = np.linalg.svd(F, compute_uv=False)
+        assert rank_split(F.reshape(6, 4, 4)) == matcore.spectrum_split(s)
+
+    def test_overflowing_gram_keeps_the_rank(self):
+        rng = np.random.default_rng(67)
+        F = rng.standard_normal((6, 16)) + 1j * rng.standard_normal((6, 16))
+        rank, decisive, margin = rank_split(1e200 * F.reshape(6, 4, 4))
+        ref_rank, ref_decisive, ref_margin = rank_split(F.reshape(6, 4, 4))
+        assert rank == ref_rank == 6
+        assert decisive == pytest.approx(1e200 * ref_decisive, rel=1e-12)
+        assert margin == pytest.approx(ref_margin, rel=1e-12)
+
+    def test_more_members_than_coordinates_take_the_svd(self):
+        rng = np.random.default_rng(68)
+        F = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+        assert matcore._gram_singular_values(F) is None
+        assert rank_split(F.reshape(5, 2, 2))[0] == 4
 
 
 class TestSpectraDisjoint:

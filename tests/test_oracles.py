@@ -12,7 +12,7 @@ from gztower.action import (
 )
 from gztower.cli import CHECKS
 from gztower.gz import gz_indices, power_table
-from gztower.matcore import DEFAULT_TOL, krylov_basis, rank_split, spectra_disjoint
+from gztower.matcore import DEFAULT_TOL, embed, krylov_basis, rank_split, spectra_disjoint
 from gztower.regularity import sreg_report
 from gztower.symplectic import ISOTROPY_RTOL, lagrangian_check
 from gztower.oracles import (
@@ -23,6 +23,7 @@ from gztower.oracles import (
     dense_action_product,
     dense_kernel,
     fd_poisson_bracket,
+    gz_hamiltonian,
     gz_observable,
     kron_intersection_trivial,
     kron_is_regular,
@@ -269,6 +270,19 @@ def _oracle_towers(kind):
         return [diag_tower(np.arange(1.0, d + 1.0)) for d in depths]
     if kind == "jordan":
         return [jordan_tower(d) for d in depths]
+    if kind == "plain":
+        return [plain_tower(d, 420 + d) for d in depths]
+    if kind == "identity":
+        return [new_tower(np.eye(d, dtype=complex)) for d in depths]
+    if kind == "jordan-split":
+        # The shift tower with its last border cut: X_N = J_(N-1) + 0 has two
+        # Jordan blocks at 0, and z(X_(N-1)) commutes with X_N.  (At depth 2
+        # that is the zero tower.)
+        return [
+            new_tower(np.diag(np.r_[np.ones(d - 2), 0.0], 1).astype(complex))
+            for d in depths
+            if d > 2
+        ]
     return [new_tower(1.5 * np.eye(d, dtype=complex)) for d in depths]
 
 
@@ -345,6 +359,93 @@ def _action_params(kind, depth, seed):
 
 
 ACTION_KINDS = ["zero", "nonzero", "half"]
+
+
+def _criterion_families(T):
+    """The families criteria 1 and 3 rank, built as ``sreg_report`` builds them."""
+    levels = regularity._arnoldi_levels(T, DEFAULT_TOL)
+    _, bases = regularity._spanning_bases(levels)
+    _, below = regularity._spanning_bases(levels[:-1])
+    return {
+        "differentials": matcore.embed_stack(bases, T.depth),
+        "tangents": matcore.tangent_values(regularity._scaled_top(T), below),
+    }
+
+
+def _svd_split(family):
+    """The rank decision of ``rank_split``, forced through a dense SVD."""
+    s = np.linalg.svd(family.reshape(len(family), -1), compute_uv=False)
+    return matcore.spectrum_split(s, DEFAULT_TOL)
+
+
+def _full_rank_by_svd(family):
+    return _svd_split(np.asarray(family))[0] == len(family)
+
+
+class TestGramRankAgainstSvd:
+    """rank_split's Gram route against a forced SVD of the same family."""
+
+    KINDS = ["theta", "plain", "diagonal", "identity", "jordan", "jordan-split"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_gram_and_svd_agree(self, kind):
+        for T in _oracle_towers(kind):
+            for family in _criterion_families(T).values():
+                rank, decisive, _ = rank_split(family)
+                ref_rank, ref_decisive, _ = _svd_split(family)
+                assert rank == ref_rank
+                assert abs(decisive - ref_decisive) <= 1e-8 * ref_decisive
+
+    # The families that are rank deficient.  Every identity level above the
+    # first breaks its Arnoldi run down after I, so criterion 1 reads false
+    # from those splits, and the family of the shorter bases is full rank.
+    # The shift tower's families are full rank and well conditioned:
+    # smallest over largest singular value at least 0.08 at depth <= 8.
+    DEFICIENT = {
+        "diagonal": {"differentials", "tangents"},
+        "identity": {"tangents"},
+        "jordan-split": {"differentials", "tangents"},
+    }
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rank_deficient_families_take_the_svd(self, kind, monkeypatch):
+        # A family whose smallest singular value lies inside the Gram's
+        # rounding floor is ranked by the SVD; every rank-deficient one does.
+        svds = []
+        original = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            svds.append(args[0].shape)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        for T in _oracle_towers(kind):
+            for name, family in _criterion_families(T).items():
+                before = len(svds)
+                rank, _, _ = rank_split(family)
+                took_svd = len(svds) > before
+                assert took_svd == (rank < len(family))
+                assert took_svd == (name in self.DEFICIENT.get(kind, ()))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_sreg_verdicts_equal_the_monomial_and_kronecker_oracles(self, kind):
+        # Criteria 1 and 3 against the monomial families j X_i^(j-1), with
+        # numpy's matrix_power, ranked by a dense SVD; criterion 2 against the
+        # dense Kronecker SVDs of every ad operator and intersection.
+        for T in _oracle_towers(kind):
+            N = T.depth
+            gradients = [
+                embed(gz_hamiltonian(T, idx).generator, N) for idx in gz_indices(N)
+            ]
+            tangents = [v.value(N) for v in orbit_tangents_A(T)]
+            centralizers = all(kron_is_regular(T.level(n)) for n in range(1, N + 1)) and all(
+                kron_intersection_trivial(T.level(n), T.level(n + 1)) for n in range(1, N)
+            )
+            oracle = (_full_rank_by_svd(gradients), centralizers, _full_rank_by_svd(tangents))
+            report = sreg_report(T)
+            assert (report.by_differentials, report.by_centralizers, report.by_tangents) == oracle
+            assert report.verdict == ("true" if all(oracle) else "false")
+            assert report.verdict == ("true" if kind in ("theta", "plain", "jordan") else "false")
 
 
 class TestDenseActionProduct:

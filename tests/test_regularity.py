@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from gztower import tower
+from gztower import regularity, tower
 from gztower.cli import CHECKS
 from gztower.matcore import DEFAULT_TOL, krylov_basis, rank_split, spectra_disjoint
 from gztower.oracles import dense_kernel, kron_intersection_trivial
 from gztower.regularity import (
+    INDETERMINATE_MARGIN,
     is_sreg_centralizers,
     is_sreg_differentials,
     is_sreg_tangents,
@@ -226,20 +227,24 @@ class TestReport:
         assert report.verdict == "true"
         assert any("vacuous" in note for note in report.notes)
 
-    def test_overflowing_scale_is_indeterminate(self):
-        # Strong regularity does not see a scale, but at 1e160 the powers and
-        # the tangent values overflow: those two criteria cannot read true,
-        # while the centralizer criterion still can.  The configured filter
-        # turns a RuntimeWarning into an error here.
-        report = sreg_report(new_tower(1e160 * theta_tower(4, 72).top))
+    def test_overflowing_scale_is_true(self):
+        # Strong regularity does not see a scale.  At 1e160 the powers
+        # overflow, but no criterion reads them: criterion 1 ranks the
+        # orthonormal Arnoldi bases, and criterion 3 their tangent values at
+        # X_N scaled by a power of two, so all three read true with the
+        # margins of the unscaled tower.  The configured filter turns a
+        # RuntimeWarning into an error here.
+        T = theta_tower(4, 72)
+        report = sreg_report(new_tower(1e160 * T.top))
         assert (report.by_differentials, report.by_centralizers, report.by_tangents) == (
-            False,
             True,
-            False,
+            True,
+            True,
         )
-        assert report.verdict == "indeterminate"
-        assert np.isnan(report.margins[0]) and np.isnan(report.margins[2])
-        assert any("overflows double precision" in note for note in report.notes)
+        assert report.verdict == "true" and report.notes == ()
+        assert all(m is not None and m > 10 for m in report.margins)
+        unscaled = sreg_report(T)
+        np.testing.assert_allclose(report.margins, unscaled.margins, rtol=1e-9)
 
     def test_json_serialization(self):
         report = sreg_report(theta_tower(3, 71))
@@ -264,6 +269,60 @@ class TestReport:
             else:
                 margins = [m for m in report.margins if m is not None]
                 assert min(margins) < 10
+
+
+class TestSharedArnoldiBases:
+    """Criteria 1 and 3 rank the orthonormal bases that criterion 2 builds."""
+
+    def test_values_do_not_depend_on_the_orthonormal_basis(self):
+        # Each level's block of the family is orthonormal, so its singular
+        # values are principal-angle quantities of the level subspaces: a
+        # unitary change of basis inside every level leaves them unchanged.
+        T = theta_tower(6, 73)
+        levels = regularity._arnoldi_levels(T, DEFAULT_TOL)
+        rng = np.random.default_rng(73)
+        mixed = []
+        for ok, sv, margin, Q in levels:
+            k = len(Q)
+            U, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+            mixed.append((ok, sv, margin, (U @ Q.reshape(k, -1)).reshape(Q.shape)))
+        for split in (regularity._differentials_split, regularity._tangents_split):
+            ok, sv, margin = split(T, levels, DEFAULT_TOL)
+            mixed_ok, mixed_sv, mixed_margin = split(T, mixed, DEFAULT_TOL)
+            assert ok and mixed_ok
+            assert mixed_sv == pytest.approx(sv, rel=1e-12)
+            assert mixed_margin == pytest.approx(margin, rel=1e-12)
+
+    def test_breakdown_fails_criterion_1_with_its_split(self):
+        # X_3 = diag(2, 1, 1) has two eigenvalues, so its Arnoldi run stops at
+        # dimension 2 and its three gradients are dependent.
+        T = diag_tower([2.0, 1.0, 1.0])
+        regular, sv, margin, Q = regularity._regular_split(T.top, DEFAULT_TOL)
+        assert not regular and len(Q) == 2
+        report = sreg_report(T)
+        assert report.by_differentials is False
+        assert report.min_singular_values[0] == sv
+        assert report.margins[0] == margin and margin > 10
+
+    @pytest.mark.parametrize(
+        "T",
+        [theta_tower(5, 74), diag_tower([1.0, 2.0, 3.0]), jordan_tower(4),
+         new_tower(1e160 * theta_tower(4, 72).top)],
+        ids=["theta", "diagonal", "jordan", "scaled"],
+    )
+    def test_per_criterion_probes_agree_with_the_report(self, T):
+        report = sreg_report(T)
+        assert is_sreg_differentials(T) == report.by_differentials
+        assert is_sreg_centralizers(T) == report.by_centralizers
+        assert is_sreg_tangents(T) == report.by_tangents
+
+    @pytest.mark.parametrize("seed", [201, 202, 203])
+    def test_generated_depth_32_towers_read_true(self, seed):
+        # Consecutive spectra are disjoint, so the tower is strongly regular
+        # (Kostant-Wallach 2006), and every criterion says so with room.
+        report = sreg_report(tower.random_theta_tower(32, seed, 0.3))
+        assert report.verdict == "true" and report.theta
+        assert all(m >= INDETERMINATE_MARGIN for m in report.margins)
 
 
 class TestMemoryWall:
