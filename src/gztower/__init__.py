@@ -57,7 +57,7 @@ from .symplectic import (
     match_residual,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "__version__",

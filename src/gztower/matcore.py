@@ -6,7 +6,8 @@ Everything downstream works on square ``numpy.ndarray`` matrices with
 * corner extraction / zero-padded embedding between sizes,
 * commutator and trace pairing, and their stacked tangent families,
 * matrix exponentials, alone or stacked, by Pade scaling and squaring,
-* numerical rank and Krylov bases of matrix powers,
+* numerical rank of a family level by level, by one block Cholesky of its
+  Gram matrix, and Krylov bases of matrix powers,
 * the Sylvester-operator spectrum test: an eigenvalue separation bound,
   and complex Schur forms with triangular Sylvester solves where the
   bound does not decide,
@@ -42,7 +43,7 @@ __all__ = [
     "mat_exp",
     "mat_exp_stack",
     "spectrum_split",
-    "rank_split",
+    "level_splits",
     "krylov_basis",
     "spectra_disjoint",
 ]
@@ -55,12 +56,17 @@ _SQRT_HALF = math.sqrt(0.5)
 # A norm above this has a sum of squares far enough above the subnormal
 # range that the squares lost to underflow cannot move it.
 _TINY_NORM = 2.0**-480
-# rank_split's Gram matrix is formed this many rows at a time, and its
-# largest eigenvalue must lie between these bounds: inside them no square
-# that matters overflows or falls into the subnormal range.
+# level_splits forms its Gram matrix this many rows at a time where the
+# rows fill every column, and the largest eigenvalue of a level's block of
+# it must lie between these bounds: inside them no square that matters
+# overflows or falls into the subnormal range.
 _GRAM_BLOCK_ROWS = 64
 _GRAM_MIN_SQUARE = 2.0**-900
 _GRAM_MAX_SQUARE = 2.0**900
+# Above 2^_HUGE_EXPONENT the trace of a matrix, or its product with a unit
+# vector, can overflow: the Sylvester test scales such a pair down by a
+# power of two before it shifts it by its mean eigenvalue.
+_HUGE_EXPONENT = 500
 
 
 @dataclass(frozen=True)
@@ -445,18 +451,26 @@ def mat_exp_stack(M: np.ndarray) -> tuple[np.ndarray, list[Optional[OverflowErro
     return out, errors
 
 
-def spectrum_split(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[int, float, float]:
+def spectrum_split(
+    s: np.ndarray, tol: Tolerance = DEFAULT_TOL, scale: Optional[float] = None
+) -> tuple[int, float, float]:
     """Numerical rank of a descending singular-value array, with its diagnostics.
 
     Returns ``(rank, decisive_sv, margin)``: ``rank`` counts the values
-    above ``max(tol.abs, tol.rel * s[0])``, ``decisive_sv`` is the smallest
-    value kept (or the largest dropped when the rank is zero) and
-    ``margin >= 1`` is the factor by which the values clear the threshold
-    on both sides of the cut.  A margin close to 1 means the rank decision
-    is near-threshold and should not be trusted.  :func:`rank_split` and
-    the strong-regularity criteria all decide rank through this rule.
+    above ``max(tol.abs, tol.rel * scale)``, where ``scale`` defaults to
+    ``s[0]``; ``decisive_sv`` is the smallest value kept (or the largest
+    dropped when the rank is zero) and ``margin >= 1`` is the factor by
+    which the values clear the threshold on both sides of the cut.  A
+    margin close to 1 means the rank decision is near-threshold and should
+    not be trusted.  :func:`level_splits` and the strong-regularity
+    criteria all decide rank through this rule.
     """
-    thr = tol.threshold(s[0] if s.size else 0.0)
+    if scale is None:
+        scale = s[0] if s.size else 0.0
+    thr = tol.threshold(scale)
+    if not math.isfinite(thr):
+        # The scale overflowed: no value can be ranked against it.
+        return 0, math.nan, math.nan
     rank = int(np.sum(s > thr))
     above = s[rank - 1] / thr if rank > 0 and thr > 0 else np.inf
     below = thr / s[rank] if rank < s.size and s[rank] > 0 else np.inf
@@ -464,61 +478,144 @@ def spectrum_split(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[int, fl
     return rank, decisive, float(min(above, below))
 
 
-def _gram_singular_values(F: np.ndarray) -> Optional[np.ndarray]:
-    """Descending singular values of the (m, k) matrix F read off its Gram matrix.
+def level_splits(
+    family: np.ndarray,
+    bounds: Sequence[int],
+    tol: Tolerance = DEFAULT_TOL,
+    widths: Optional[Sequence[int]] = None,
+) -> list[tuple[int, float, float]]:
+    """Numerical rank of each level of a family, net of the levels below it.
 
-    The Gram matrix is one GEMM, formed in row blocks of at most
-    ``_GRAM_BLOCK_ROWS``: block ``[a, b)`` is ``conj(F[a:b]) @ F[:b].T``, so
-    only that block is ever conjugated and only the lower triangle, the
-    one ``eigvalsh`` reads, is computed.  The result is ``conj(F F^H)``,
-    which has the eigenvalues of ``F F^H``.  Rounding in the Gram moves
-    its eigenvalues by about ``(m + k) eps s_max^2``, so a singular value
-    near ``sqrt((m + k) eps) s_max`` is not resolved.  Returns None, and
-    the caller takes the SVD, when the smallest value lies at or below
-    ten times that floor, or when the squares leave the range in which
-    the bound holds.
+    ``family`` is an (m, k) array whose rows come in level blocks
+    ``[bounds[i], bounds[i + 1])``, lowest level first; level i's rows are
+    zero beyond column ``widths[i]`` (all k columns when ``widths`` is
+    None).  Level i's values are the singular values of its rows after
+    projecting out the span of the rows of the levels below, so the family
+    has full rank exactly when every level has full rank here.  Returns
+    the :func:`spectrum_split` of each level's values, all against one
+    threshold: ``tol`` at the largest singular value of any level's own,
+    unprojected rows.
+
+    The values are those of the diagonal blocks of the lower Cholesky
+    factor of the Gram matrix ``F F^H``, one block per level (Golub and
+    Van Loan, *Matrix Computations*, 4th ed., 4.2 and 5.2).  The Gram's
+    lower triangle is formed first: level by level, each block column one
+    GEMM over the level's own ``widths[i]`` columns, or without widths
+    ``_GRAM_BLOCK_ROWS`` rows at a time as ``conj(F F^H)``, whose levels
+    have the same values.  The scale is read off its diagonal blocks.  The
+    factorization is then left-looking and in place: each level subtracts
+    the factored columns to its left from its block column, factors its
+    diagonal block L and multiplies the rows below by ``L^-H``, so that
+    every temporary has at most the level's rows as columns.  Rounding
+    moves a squared value by about ``(m + k) eps scale^2``, so a value at
+    or below ten times ``sqrt((m + k) eps) scale`` is not resolved: then,
+    and when the Gram is not finite, its largest level eigenvalue leaves
+    the range in which that bound holds or a diagonal block is not
+    numerically positive definite, the values are read instead off a
+    Householder QR of ``F^H`` (:func:`_qr_levels`), which resolves them
+    down to ``eps``.  A family with a non-finite entry has no numerical
+    rank: every level gives ``(0, nan, nan)``.
     """
+    F = np.asarray(family, dtype=np.complex128)
     m, k = F.shape
+    blocks = list(zip(bounds[:-1], bounds[1:]))
+    if bounds[0] != 0 or bounds[-1] != m or any(b <= a for a, b in blocks):
+        raise ValueError(f"level bounds {list(bounds)} do not split {m} rows")
+    if not np.all(np.isfinite(F)):
+        return [(0, math.nan, math.nan)] * len(blocks)
+    levels = _cholesky_levels(F, blocks, widths)
+    if levels is None:
+        levels = _qr_levels(F, blocks)
+    values, scale = levels
+    return [spectrum_split(s, tol, scale) for s in values]
+
+
+_Levels = tuple[list[np.ndarray], float]
+
+
+def _cholesky_levels(
+    F: np.ndarray, blocks: list[tuple[int, int]], widths: Optional[Sequence[int]]
+) -> Optional[_Levels]:
+    """:func:`level_splits`' values by block Cholesky, or None where they are not resolved."""
+    m, k = F.shape
+    # Only the lower triangle of G is formed and read: eigvalsh and cholesky
+    # read no other.  Zeros keep the rest finite.
     G = np.zeros((m, m), dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for a in range(0, m, _GRAM_BLOCK_ROWS):
-            b = min(a + _GRAM_BLOCK_ROWS, m)
-            np.matmul(F[a:b].conj(), F[:b].T, out=G[a:b, :b])
-    if not np.all(np.isfinite(G)):
-        return None
-    lam = np.linalg.eigvalsh(G)
-    if not _GRAM_MIN_SQUARE < lam[-1] < _GRAM_MAX_SQUARE:
-        return None
-    s = np.sqrt(np.maximum(lam[::-1], 0.0))
-    floor = 10.0 * math.sqrt((m + k) * _EPS) * s[0]
-    return s if s[-1] > floor else None
+    with np.errstate(all="ignore"):
+        if widths is None:
+            # Row blocks [r, s) of conj(F F^H), whose per-level values are
+            # those of F F^H: only the block's own rows are conjugated.
+            for r in range(0, m, _GRAM_BLOCK_ROWS):
+                s = min(r + _GRAM_BLOCK_ROWS, m)
+                np.matmul(F[r:s].conj(), F[:s].T, out=G[r:s, :s])
+        else:
+            # Level block columns, each over the columns its own rows fill.
+            for (a, b), w in zip(blocks, widths):
+                np.matmul(F[a:, :w], F[a:b, :w].conj().T, out=G[a:, a:b])
+        if not np.all(np.isfinite(G)):
+            return None
+        square = max(float(np.linalg.eigvalsh(G[a:b, a:b])[-1]) for a, b in blocks)
+        if not _GRAM_MIN_SQUARE < square < _GRAM_MAX_SQUARE:
+            return None
+        scale = math.sqrt(square)
+        floor = 10.0 * math.sqrt((m + k) * _EPS) * scale
+        values = []
+        for a, b in blocks:
+            # Level i's block column: its top is the diagonal block.
+            column = G[a:, a:b]
+            if a:
+                column -= G[a:, :a] @ G[a:b, :a].conj().T
+            try:
+                L = np.linalg.cholesky(column[: b - a])
+            except np.linalg.LinAlgError:
+                return None
+            s = np.linalg.svd(L, compute_uv=False)
+            if not s[-1] > floor:
+                return None
+            values.append(s)
+            # The rows below become column L^-H; above the floor L is well
+            # conditioned, and one GEMM with its inverse costs less than a solve.
+            column[b - a :] = column[b - a :] @ np.linalg.inv(L).conj().T
+    return values, scale
 
 
-def rank_split(family, tol: Tolerance = DEFAULT_TOL) -> tuple[int, float, float]:
-    """Numerical rank of a family of matrices viewed as flat vectors.
+def _qr_levels(F: np.ndarray, blocks: list[tuple[int, int]]) -> _Levels:
+    """:func:`level_splits`' values off the triangle of a Householder QR of ``F^H``.
 
-    ``family`` is an (m, n, n) stack, or anything ``np.asarray`` makes one
-    of, such as a list of equal-shape matrices.  Returns the
-    :func:`spectrum_split` of the singular values of its m flattened
-    members.  They are read off the m x m Gram matrix, one GEMM and one
-    ``eigvalsh``, and taken by a dense SVD of the family only when the
-    smallest lies inside the Gram's rounding floor (see
-    :func:`_gram_singular_values`); a rank-deficient family always does.
-    Above the floor every value clears the default threshold by orders of
-    magnitude, so both routes decide the same rank.  A family with a
-    non-finite entry has no numerical rank: it gives ``(0, nan, nan)``, so
-    no full-rank test passes on it and no margin vouches for the result.
+    ``F[a:b]^H`` is ``Q R[:, a:b]``, so level i's own values are those of
+    ``R[:b, a:b]`` and its projected ones those of the diagonal block
+    ``R[a:b, a:b]``; rows of R beyond the k columns of F are zero.  The QR
+    does not pivot: above a rank-deficient level, Q holds a direction for
+    each dependent row that the rows below do not span, so a later level's
+    values may be understated.  The family is not of full rank then
+    anyway.
     """
-    family = np.asarray(family, dtype=np.complex128)
-    if family.shape[0] == 0:
-        raise ValueError("empty family")
-    family = family.reshape(family.shape[0], -1)
-    if not np.all(np.isfinite(family)):
-        return 0, math.nan, math.nan
-    s = _gram_singular_values(family)
-    if s is None:
-        s = np.linalg.svd(family, compute_uv=False)
-    return spectrum_split(s, tol)
+    R = np.linalg.qr(F.conj().T, mode="r")
+    values, scale = [], 0.0
+    for a, b in blocks:
+        s = np.zeros(b - a)
+        if a < R.shape[0]:
+            s[: min(b, R.shape[0]) - a] = np.linalg.svd(R[a:b, a:b], compute_uv=False)
+        values.append(s)
+        scale = max(scale, float(np.linalg.svd(R[:b, a:b], compute_uv=False)[0]))
+    return values, scale
+
+
+def _unit_exponent(*mats: np.ndarray) -> int:
+    """The e for which 2^-e brings the largest entry of finite matrices into [1/2, 1); 0 if all are 0.
+
+    An entry is measured by its larger part, which cannot overflow.
+    """
+    peak = max(
+        float(np.max(np.abs(part), initial=0.0)) for M in mats for part in (M.real, M.imag)
+    )
+    return math.frexp(peak)[1]
+
+
+def _pow2_scaled(Y: np.ndarray, exponent: int) -> np.ndarray:
+    """Y times 2^-exponent, exactly: in two halves, because for a large exponent the whole factor is not representable."""
+    half = exponent // 2
+    return Y * 2.0**-half * 2.0 ** (half - exponent)
 
 
 def _fro(Y: np.ndarray) -> float:
@@ -541,9 +638,7 @@ def _fro(Y: np.ndarray) -> float:
     if not 0.0 < peak < math.inf:
         return peak
     exponent = math.frexp(peak)[1]
-    half = exponent // 2
-    scaled = y * 2.0**-half
-    scaled *= 2.0 ** (half - exponent)
+    scaled = _pow2_scaled(y, exponent)
     try:
         return math.ldexp(math.sqrt(np.vdot(scaled, scaled).real), exponent)
     except OverflowError:
@@ -577,19 +672,30 @@ def krylov_basis(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarra
     rounding relative to the spread ``||M - mu I||_F``.  Each new direction
     is orthogonalized against the basis so far, and the process stops
     at the first one whose norm is at or below ``tol.threshold(spread)``:
-    the span is then invariant.  O(n^4) in all.
+    the span is then invariant.  O(n^4) in all.  M is first scaled by the
+    power of two that brings its largest entry into [1/2, 1), and the
+    shifted matrix again, and the threshold with them: powers of two scale
+    exactly, so the span and every decision are those of M, and no trace
+    overflows and no norm falls into the subnormal range.
 
     Returns ``(Q, s)``.  ``Q`` is a ``(k, n, n)`` stack of orthonormal
     matrices spanning ``span{I, ..., M^(k-1)}``; ``s`` holds the spread and
     the norms of the new directions in descending order, so that
     :func:`spectrum_split` of ``s`` counts ``k`` for any M that is not
     numerically scalar.  M is regular (its centralizer is this span) exactly
-    when ``k = n``.
+    when ``k = n``.  Values in ``s`` that exceed the double range are
+    infinite.
     """
     n = M.shape[0]
-    shifted = M - (np.trace(M) / n) * np.eye(n, dtype=np.complex128)
+    scale = _unit_exponent(M)
+    shifted = _pow2_scaled(M, scale)
+    shifted -= (np.trace(shifted) / n) * np.eye(n, dtype=np.complex128)
+    exponent = _unit_exponent(shifted)
+    shifted = _pow2_scaled(shifted, exponent)
+    exponent += scale
     spread = _fro(shifted)
-    thr = tol.threshold(spread)
+    # tol.threshold of the unscaled spread, in the scaled units.
+    thr = max(math.ldexp(tol.abs, -exponent), tol.rel * spread)
     Q = np.empty((n, n * n), dtype=np.complex128)
     Q[0] = np.eye(n, dtype=np.complex128).reshape(-1) / math.sqrt(n)
     norms = [spread]
@@ -602,7 +708,8 @@ def krylov_basis(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarra
             break
         Q[k] = w / h
         k += 1
-    return Q[:k].reshape(k, n, n), np.sort(norms)[::-1]
+    with np.errstate(over="ignore"):
+        return Q[:k].reshape(k, n, n), np.ldexp(np.sort(norms)[::-1], exponent)
 
 
 def _bidiagonal_top(a: np.ndarray, b: np.ndarray, scale: float) -> float:
@@ -693,12 +800,18 @@ def _shifted(A: np.ndarray, B: np.ndarray) -> Optional[tuple[np.ndarray, np.ndar
 
     The shift leaves ``Z -> A Z - Z B`` unchanged and keeps every test of
     it relative to the spread of the two spectra, not to their magnitude.
-    None for non-finite input.
+    Where an entry exceeds ``2^_HUGE_EXPONENT``, both matrices are first scaled by the
+    one power of two that brings the largest into [1/2, 1), which scales
+    the operator by the same factor, so that neither the trace nor any
+    product overflows.  None for non-finite input.
     """
     A = np.asarray(A, dtype=np.complex128)
     B = np.asarray(B, dtype=np.complex128)
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
         return None
+    exponent = _unit_exponent(A, B)
+    if exponent > _HUGE_EXPONENT:
+        A, B = _pow2_scaled(A, exponent), _pow2_scaled(B, exponent)
     mu = (np.trace(A) + np.trace(B)) / (A.shape[0] + B.shape[0])
     return A - mu * np.eye(A.shape[0]), B - mu * np.eye(B.shape[0])
 
@@ -811,7 +924,11 @@ def spectra_disjoint(A: np.ndarray, B: np.ndarray, tol: Tolerance = DEFAULT_TOL)
     comes out at rounding level of the spread of the two spectra rather
     than of their magnitude (unshifted, ``1e4 I`` against itself would read
     about 2e-12), or exactly 0 when the solve had to rescale to avoid
-    overflow.  Non-finite input is never disjoint.
+    overflow.  Non-finite input is never disjoint.  Input with an entry
+    above ``2^_HUGE_EXPONENT`` is scaled as :func:`_shifted` says, and ``tol`` applies
+    to the scaled pair: in the units of such entries an absolute floor of
+    ``tol.abs`` lies far below their rounding, and could not tell an
+    operator that is zero up to rounding from an invertible one.
     """
     pair = _shifted(A, B)
     if pair is None:

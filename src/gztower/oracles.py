@@ -13,7 +13,11 @@ Hamiltonian tangents take their generators ``j X_i^(j-1)`` with
 the top level: the dense families whose ranks the Lagrangian check reads
 off the strong-regularity criteria rather than forming them.  Ranked by a
 dense SVD, those monomial generators are also the reference for criteria
-1 and 3, which rank orthonormal bases of the same spans.  The dense
+1 and 3, which rank orthonormal bases of the same spans.  ``rank_split``
+ranks a whole family off its Gram eigenvalues, or a dense SVD inside
+their rounding floor, and ``projected_level_values`` projects each level
+of a family off an explicit orthonormal basis of the levels below: the
+references for the per-level block Cholesky of those criteria.  The dense
 action product multiplies every exponential factor of the abelian
 action, zero parameters included; it shares only ``mat_exp`` and
 ``embed`` with the action, so the two must agree bit for bit.  A
@@ -28,14 +32,24 @@ root and Kronecker oracles are capped at test scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
 from .action import AParams
 from .gz import GZIndex, gz_indices
-from .matcore import DEFAULT_TOL, Tolerance, as_cmatrix, commutator, corner, embed, mat_exp
+from .matcore import (
+    DEFAULT_TOL,
+    Tolerance,
+    as_cmatrix,
+    commutator,
+    corner,
+    embed,
+    mat_exp,
+    spectrum_split,
+)
 from .symplectic import kk_form
 from .tower import Tower
 
@@ -48,6 +62,8 @@ __all__ = [
     "charpoly_coefficients",
     "charpoly_roots",
     "dense_kernel",
+    "rank_split",
+    "projected_level_values",
     "kron_is_regular",
     "kron_intersection_trivial",
     "kron_sylvester_singular",
@@ -241,6 +257,94 @@ def dense_kernel(matrix, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
             v[orig] = x[pos]
         basis.append(v)
     return basis
+
+
+# rank_split's Gram matrix is formed this many rows at a time, and its
+# largest eigenvalue must lie between these bounds: inside them no square
+# that matters overflows or falls into the subnormal range.
+_GRAM_BLOCK_ROWS = 64
+_GRAM_MIN_SQUARE = 2.0**-900
+_GRAM_MAX_SQUARE = 2.0**900
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _gram_singular_values(F: np.ndarray) -> Optional[np.ndarray]:
+    """Descending singular values of the (m, k) matrix F read off its Gram matrix.
+
+    The Gram matrix is one GEMM, formed in row blocks of at most
+    ``_GRAM_BLOCK_ROWS``: block ``[a, b)`` is ``conj(F[a:b]) @ F[:b].T``, so
+    only that block is ever conjugated and only the lower triangle, the
+    one ``eigvalsh`` reads, is computed.  The result is ``conj(F F^H)``,
+    which has the eigenvalues of ``F F^H``.  Rounding in the Gram moves
+    its eigenvalues by about ``(m + k) eps s_max^2``, so a singular value
+    near ``sqrt((m + k) eps) s_max`` is not resolved.  Returns None, and
+    the caller takes the SVD, when the smallest value lies at or below
+    ten times that floor, or when the squares leave the range in which
+    the bound holds.
+    """
+    m, k = F.shape
+    G = np.zeros((m, m), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(0, m, _GRAM_BLOCK_ROWS):
+            b = min(a + _GRAM_BLOCK_ROWS, m)
+            np.matmul(F[a:b].conj(), F[:b].T, out=G[a:b, :b])
+    if not np.all(np.isfinite(G)):
+        return None
+    lam = np.linalg.eigvalsh(G)
+    if not _GRAM_MIN_SQUARE < lam[-1] < _GRAM_MAX_SQUARE:
+        return None
+    s = np.sqrt(np.maximum(lam[::-1], 0.0))
+    floor = 10.0 * math.sqrt((m + k) * _EPS) * s[0]
+    return s if s[-1] > floor else None
+
+
+def rank_split(family, tol: Tolerance = DEFAULT_TOL) -> tuple[int, float, float]:
+    """Numerical rank of a family of matrices viewed as flat vectors.
+
+    ``family`` is an (m, n, n) stack, or anything ``np.asarray`` makes one
+    of, such as a list of equal-shape matrices.  Returns the
+    :func:`spectrum_split` of the singular values of its m flattened
+    members.  They are read off the m x m Gram matrix, one GEMM and one
+    ``eigvalsh``, and taken by a dense SVD of the family only when the
+    smallest lies inside the Gram's rounding floor (see
+    :func:`_gram_singular_values`); a rank-deficient family always does.
+    Above the floor every value clears the default threshold by orders of
+    magnitude, so both routes decide the same rank.  A family with a
+    non-finite entry has no numerical rank: it gives ``(0, nan, nan)``, so
+    no full-rank test passes on it and no margin vouches for the result.
+    """
+    family = np.asarray(family, dtype=np.complex128)
+    if family.shape[0] == 0:
+        raise ValueError("empty family")
+    family = family.reshape(family.shape[0], -1)
+    if not np.all(np.isfinite(family)):
+        return 0, math.nan, math.nan
+    s = _gram_singular_values(family)
+    if s is None:
+        s = np.linalg.svd(family, compute_uv=False)
+    return spectrum_split(s, tol)
+
+
+def projected_level_values(family, bounds, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
+    """Each level's singular values after projecting out the levels below, explicitly.
+
+    The reference for :func:`gztower.matcore.level_splits`: an orthonormal
+    basis of the span of the rows of the levels below, from a dense SVD cut
+    at ``tol`` relative to its largest value, is projected out of the
+    level's rows, and the rest is ranked by a dense SVD.
+    """
+    F = np.asarray(family, dtype=np.complex128)
+    F = F.reshape(F.shape[0], -1)
+    values = []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        rows = F[a:b]
+        if a:
+            _, s, Vh = np.linalg.svd(F[:a], full_matrices=False)
+            basis = Vh[s > max(tol.abs, tol.rel * s[0])]
+            for _ in range(2):  # the second pass removes what rounding left of the first
+                rows = rows - (rows @ basis.conj().T) @ basis
+        values.append(np.linalg.svd(rows, compute_uv=False))
+    return values
 
 
 def _kron_rank(op: np.ndarray, tol: Tolerance) -> int:

@@ -19,10 +19,12 @@ holds the gradients j X_i^(j-1) of f_i1, ..., f_ii, so criterion 1 ranks
 the Q_i embedded at level N, and criterion 3 the tangent values
 [X_N, Q_i] for i < N, with X_N scaled by an exact power of two.  Neither
 reads a power of the tower: the monomials span the same subspaces but are
-as ill-conditioned as a Vandermonde matrix.  Each level's block of rows
-is orthonormal, so the singular values these two criteria report depend
-only on the level subspaces, not on the basis chosen in each.  A level
-whose Arnoldi run breaks down early has dependent gradients, and
+as ill-conditioned as a Vandermonde matrix.  Both rank level by level:
+level i's decisive value is the smallest singular value of its block of
+rows net of the levels below, so each criterion holds exactly when every
+level does, and each report carries a per-level profile.  The values
+depend only on the level subspaces, not on the basis chosen in each.  A
+level whose Arnoldi run breaks down early has dependent gradients, and
 criteria 1 and 3 read false from its split.
 
 The criteria are mathematically equivalent but numerically differently
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -48,9 +50,8 @@ import numpy as np
 from .matcore import (
     DEFAULT_TOL,
     Tolerance,
-    embed_stack,
     krylov_basis,
-    rank_split,
+    level_splits,
     spectra_disjoint,
     spectrum_split,
     tangent_values,
@@ -120,10 +121,57 @@ def _border_split(Q: np.ndarray, b: np.ndarray, c: np.ndarray, tol: Tolerance) -
     return rank == Q.shape[0], decisive, margin
 
 
-def _full_rank_split(family: np.ndarray, tol: Tolerance) -> _Split:
-    # A family that is not finite has no rank: rank_split gives (0, nan, nan).
-    rank, decisive, margin = rank_split(family, tol)
-    return rank == len(family), decisive, margin
+def _shell_positions(n: int) -> np.ndarray:
+    """Where each entry of gl(n), taken row-major, sits in corner coordinates.
+
+    Corner coordinates order the entries of gl(N) by shells: shell s holds
+    row s up to the diagonal, then column s above it, so that gl(n) is the
+    first n^2 coordinates for every n <= N.
+    """
+    r, c = np.divmod(np.arange(n * n), n)
+    s = np.maximum(r, c)
+    return s * s + np.where(r == s, c, s + 1 + r)
+
+
+def _level_profile(
+    levels: list[_Level], family: np.ndarray, widths: Optional[list[int]], tol: Tolerance
+) -> list[_Split]:
+    """Per level: its Arnoldi split where the run broke down, else the rank of its rows.
+
+    The family holds each level's basis, or its images, as one block of
+    rows, lowest level first; :func:`level_splits` ranks each block net of
+    the blocks below.  A family that is not finite has no rank: every
+    level reads (False, nan, nan).
+    """
+    bounds = np.cumsum([0] + [len(Q) for *_, Q in levels]).tolist()
+    splits = level_splits(family, bounds, tol, widths)
+    return [
+        (rank == len(Q), decisive, margin) if regular else (False, sv, sv_margin)
+        for (regular, sv, sv_margin, Q), (rank, decisive, margin) in zip(levels, splits)
+    ]
+
+
+def _criterion_split(levels: list[_Level], profile: list[_Split]) -> _Split:
+    """A criterion's verdict from its level profile, with the value and margin that decide it.
+
+    A level whose Arnoldi run broke down spans fewer than i dimensions, so
+    its i gradients are dependent, as the monomials j X_i^(j-1) would show:
+    such levels decide a false verdict alone.  Otherwise the failing
+    levels decide it, or every level when none fails.  NaN propagates.
+    """
+    broken = [split for level, split in zip(levels, profile) if not level[0]]
+    failed = broken or [split for split in profile if not split[0]]
+    _, sv, margin = _least(failed or profile)
+    return not failed, sv, margin
+
+
+def _least(splits: list[_Split]) -> _Split:
+    """Whether every split holds, with the smallest decisive value and margin; NaN propagates."""
+    return (
+        all(ok for ok, _, _ in splits),
+        float(np.min([sv for _, sv, _ in splits])),
+        float(np.min([margin for _, _, margin in splits])),
+    )
 
 
 def _arnoldi_levels(T: Tower, tol: Tolerance) -> list[_Level]:
@@ -131,24 +179,20 @@ def _arnoldi_levels(T: Tower, tol: Tolerance) -> list[_Level]:
     return [_regular_split(T.level(n), tol) for n in range(1, T.depth + 1)]
 
 
-def _spanning_bases(levels: list[_Level]) -> tuple[Optional[_Split], list[np.ndarray]]:
-    """The bases of span{I, X_i, ..., X_i^(i-1)} over the given levels, as generators.
-
-    That span holds the gradients of f_i1, ..., f_ii.  A level whose Arnoldi
-    run broke down spans fewer than i dimensions, so its i gradients are
-    dependent, as the monomials j X_i^(j-1) would show: the first value is
-    then the failing split of those levels (the smallest decisive value and
-    margin among them), and None otherwise.
-    """
-    broken = [(sv, margin) for ok, sv, margin, _ in levels if not ok]
-    failed = (False, min(sv for sv, _ in broken), min(m for _, m in broken)) if broken else None
-    return failed, [G for *_, Q in levels for G in Q]
+def _differentials_profile(T: Tower, levels: list[_Level], tol: Tolerance) -> list[_Split]:
+    # Criterion 1: every level's orthonormal basis embedded at level N, in
+    # corner coordinates, where level n's rows fill the first n^2 columns.
+    N = T.depth
+    family = np.zeros((sum(len(Q) for *_, Q in levels), N * N), dtype=np.complex128)
+    row = 0
+    for n, (*_, Q) in enumerate(levels, start=1):
+        family[row : row + len(Q), _shell_positions(n)] = Q.reshape(len(Q), -1)
+        row += len(Q)
+    return _level_profile(levels, family, [n * n for n in range(1, N + 1)], tol)
 
 
 def _differentials_split(T: Tower, levels: list[_Level], tol: Tolerance) -> _Split:
-    # Criterion 1: every level's orthonormal basis, embedded at level N.
-    failed, gens = _spanning_bases(levels)
-    return failed or _full_rank_split(embed_stack(gens, T.depth), tol)
+    return _criterion_split(levels, _differentials_profile(T, levels, tol))
 
 
 def _scaled_top(T: Tower) -> np.ndarray:
@@ -162,11 +206,17 @@ def _scaled_top(T: Tower) -> np.ndarray:
     return T.top * 2.0**-half * 2.0 ** (half - exponent)
 
 
-def _tangents_split(T: Tower, levels: list[_Level], tol: Tolerance) -> _Split:
+def _tangents_profile(T: Tower, levels: list[_Level], tol: Tolerance) -> list[_Split]:
     # Criterion 3: the tangent values [X_N, Q] of the bases below the top level.
     # Rank does not see the scale of X_N, and at unit scale no value overflows.
-    failed, gens = _spanning_bases(levels[:-1])
-    return failed or _full_rank_split(tangent_values(_scaled_top(T), gens), tol)
+    below = levels[:-1]
+    gens = [G for *_, Q in below for G in Q]
+    family = tangent_values(_scaled_top(T), gens).reshape(len(gens), -1)
+    return _level_profile(below, family, None, tol)
+
+
+def _tangents_split(T: Tower, levels: list[_Level], tol: Tolerance) -> _Split:
+    return _criterion_split(levels[:-1], _tangents_profile(T, levels, tol))
 
 
 def is_sreg_differentials(T: Tower, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -175,32 +225,30 @@ def is_sreg_differentials(T: Tower, tol: Tolerance = DEFAULT_TOL) -> bool:
     return ok
 
 
-def _centralizers_split(
-    T: Tower, levels: list[_Level], tol: Tolerance
-) -> tuple[bool, float, float, float]:
-    """Criterion 2: (verdict, decisive value, margin, margin of X_N's Arnoldi split)."""
-    splits = []
-    for n, (regular, sv, margin, Q) in enumerate(levels, start=1):
-        splits.append((regular, sv, margin))
+def _centralizers_profile(T: Tower, levels: list[_Level], tol: Tolerance) -> list[_Split]:
+    """Criterion 2 by level: level n's Arnoldi split with the border split from level n - 1.
+
+    Both depend on X_1, ..., X_n only.  Level n's entry holds when both
+    splits do, and carries the smaller decisive value and margin.
+    """
+    profile = [levels[0][:3]]
+    for n in range(1, len(levels)):
+        (below_regular, _, _, Q), (regular, sv, margin, _) = levels[n - 1], levels[n]
         # A non-regular level already fails, and its intersection with the
         # next level is never trivial: such an X_n has an eigenvalue with
         # right and left eigenspaces of dimension at least 2, hence a right
         # eigenvector x with ``c x = 0`` and a left one y with ``y^T b = 0``,
         # and ``Z = x y^T`` commutes with X_n and annihilates both borders.
-        if regular and n < T.depth:
-            splits.append(_border_split(Q, T.top[:n, n], T.top[n, :n], tol))
-    # The last split is X_N's Arnoldi split: level N has no border below it.
-    return (
-        all(ok for ok, _, _ in splits),
-        float(min(sv for _, sv, _ in splits)),
-        float(min(margin for _, _, margin in splits)),
-        splits[-1][2],
-    )
+        split = (regular, sv, margin)
+        if below_regular:
+            split = _least([split, _border_split(Q, T.top[:n, n], T.top[n, :n], tol)])
+        profile.append(split)
+    return profile
 
 
 def is_sreg_centralizers(T: Tower, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Every level regular and every consecutive centralizer intersection trivial."""
-    ok, _, _, _ = _centralizers_split(T, _arnoldi_levels(T, tol), tol)
+    ok, _, _ = _least(_centralizers_profile(T, _arnoldi_levels(T, tol), tol))
     return ok
 
 
@@ -230,6 +278,16 @@ def report_number(x: Optional[float]) -> Optional[float]:
     return None if x is None or not math.isfinite(x) else x
 
 
+def _decidable_depth(*profiles: list[_Split]) -> int:
+    """The deepest n at which every level up to n of each profile clears INDETERMINATE_MARGIN."""
+    depth = 0
+    for splits in zip(*profiles):
+        if not all(margin >= INDETERMINATE_MARGIN for _, _, margin in splits):
+            break
+        depth += 1
+    return depth
+
+
 @dataclass(frozen=True)
 class SregReport:
     """Joint result of the three strong-regularity criteria plus the
@@ -239,14 +297,31 @@ class SregReport:
     by_differentials: bool
     by_centralizers: bool
     by_tangents: Optional[bool]  # None: vacuous (depth 1)
-    theta: bool
     min_singular_values: tuple[Optional[float], Optional[float], Optional[float]]
     margins: tuple[Optional[float], Optional[float], Optional[float]]
+    # Each criterion's (verdict, decisive value, margin) at every level it
+    # ranks, lowest first: levels 1..N for criteria 1 and 2, 1..N-1 for 3.
+    profile: tuple[tuple[_Split, ...], tuple[_Split, ...], tuple[_Split, ...]]
+    # The deepest n at which every level up to n of criteria 1 and 2 clears
+    # INDETERMINATE_MARGIN; neither criterion's level-n entry reads X_(n+1).
+    decidable_depth: int
     # Margin of criterion 2's Arnoldi split of X_N, the orbit-rank margin of
     # the Lagrangian check; it is not part of the JSON report.
     top_arnoldi_margin: float
     verdict: str  # "true" | "false" | "indeterminate"
+    # The tower and tolerance the report was made for, which theta reads.
+    tower: Tower = field(repr=False, compare=False)
+    tol: Tolerance = DEFAULT_TOL
     notes: tuple[str, ...] = ()
+
+    @functools.cached_property
+    def theta(self) -> bool:
+        """Whether consecutive levels have disjoint spectra.
+
+        Not a strong-regularity criterion, and not needed for the verdict:
+        it is evaluated the first time it is read.
+        """
+        return _theta_holds(self.tower, self.tol)
 
     def to_json_dict(self) -> dict:
         def tri(v: Optional[bool]) -> str:
@@ -260,25 +335,37 @@ class SregReport:
             "theta": tri(self.theta),
             "min_singular_values": [report_number(x) for x in self.min_singular_values],
             "margins": [report_number(x) for x in self.margins],
+            "level_min_singular_values": [
+                [report_number(sv) for _, sv, _ in levels] for levels in self.profile
+            ],
+            "level_margins": [
+                [report_number(margin) for _, _, margin in levels] for levels in self.profile
+            ],
+            "decidable_depth": self.decidable_depth,
             "verdict": self.verdict,
             "notes": list(self.notes),
         }
 
 
 def sreg_report(T: Tower, tol: Tolerance = DEFAULT_TOL) -> SregReport:
-    """Run all strong-regularity criteria and the spectrum test.
+    """Run all strong-regularity criteria; the spectrum test runs when ``theta`` is read.
 
     The overall verdict is "true"/"false" when the criteria agree and
     "indeterminate" when they disagree; disagreement can only occur
     numerically, near the rank threshold, and the recorded margins say
     how near.  Criterion 2's Arnoldi basis Q_i of each level is built
     once and shared: criterion 1 ranks every Q_i embedded at level N, and
-    criterion 3 the tangent values ``[X_N, Q_i]`` for i < N, both through
-    :func:`~gztower.matcore.rank_split`.  Their ``min_singular_values``
-    and ``margins`` are those of the families of orthonormal bases, so
-    they do not depend on the basis chosen in each level; a level whose
-    Arnoldi run broke down gives its own split instead.  The report builds
-    no power table.
+    criterion 3 the tangent values ``[X_N, Q_i]`` for i < N, both level by
+    level through :func:`~gztower.matcore.level_splits`: level i's
+    decisive value is the smallest singular value of its block net of the
+    levels below, against one threshold at the largest singular value of
+    any level's own block.  Those values do not depend on the orthonormal
+    basis chosen in each level.  ``profile`` keeps every level's entry,
+    and ``min_singular_values`` and ``margins`` the minimum over the levels
+    that decide each verdict: the failing levels when it is false, every
+    level when it is true.  A level whose Arnoldi run broke down gives its
+    own split instead, and alone decides criteria 1 and 3.  The report
+    builds no power table.
 
     Each tower has one report: ``Tower`` compares by identity, so the
     report of the last tower and tolerance asked for is kept and returned
@@ -291,14 +378,17 @@ def sreg_report(T: Tower, tol: Tolerance = DEFAULT_TOL) -> SregReport:
 def _tower_report(T: Tower, tol: Tolerance) -> SregReport:
     N = T.depth
     levels = _arnoldi_levels(T, tol)
-    d_ok, d_sv, d_margin = _differentials_split(T, levels, tol)
-    c_ok, c_sv, c_margin, top_margin = _centralizers_split(T, levels, tol)
+    differentials = _differentials_profile(T, levels, tol)
+    centralizers = _centralizers_profile(T, levels, tol)
+    d_ok, d_sv, d_margin = _criterion_split(levels, differentials)
+    c_ok, c_sv, c_margin = _least(centralizers)
     notes: list[str] = []
     if N >= 2:
-        t_ok, t_sv, t_margin = _tangents_split(T, levels, tol)
+        tangent_levels = _tangents_profile(T, levels, tol)
+        t_ok, t_sv, t_margin = _criterion_split(levels[:-1], tangent_levels)
         tangents: Optional[bool] = t_ok
     else:
-        tangents, t_sv, t_margin = None, None, None
+        tangent_levels, tangents, t_sv, t_margin = [], None, None, None
         notes.append("tangent criterion vacuous at depth 1; verdict uses criteria 1-2")
 
     verdicts = [d_ok, c_ok] + ([tangents] if tangents is not None else [])
@@ -327,11 +417,15 @@ def _tower_report(T: Tower, tol: Tolerance) -> SregReport:
         by_differentials=d_ok,
         by_centralizers=c_ok,
         by_tangents=tangents,
-        theta=_theta_holds(T, tol),
         min_singular_values=(d_sv, c_sv, t_sv),
         margins=(d_margin, c_margin, t_margin),
-        top_arnoldi_margin=top_margin,
+        profile=(tuple(differentials), tuple(centralizers), tuple(tangent_levels)),
+        decidable_depth=_decidable_depth(differentials, centralizers),
+        # The margin of X_N's own Arnoldi split: level N has no border below it.
+        top_arnoldi_margin=levels[-1][2],
         verdict=verdict,
+        tower=T,
+        tol=tol,
         notes=tuple(notes),
     )
 

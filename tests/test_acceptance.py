@@ -13,7 +13,7 @@ import numpy as np
 from gztower import cli
 from gztower.action import a_act, a_act_stepwise, flow, random_params
 from gztower.gz import gz_indices, power_table
-from gztower.matcore import embed, krylov_basis, rank_split, spectra_disjoint
+from gztower.matcore import embed, krylov_basis, spectra_disjoint
 from gztower.oracles import (
     central_gradient,
     charpoly_roots,
@@ -21,6 +21,7 @@ from gztower.oracles import (
     gz_hamiltonian,
     gz_observable,
     omega_inf,
+    rank_split,
 )
 from gztower.regularity import sreg_report
 from gztower.symplectic import lagrangian_check, match_residual

@@ -18,8 +18,8 @@ from gztower.action import (
     zero_params,
 )
 from gztower.gz import GZIndex, gz_indices, power_table
-from gztower.matcore import embed, mat_exp, rank_split
-from gztower.oracles import gz_hamiltonian, orbit_tangents_A, orbit_tangents_G
+from gztower.matcore import embed, mat_exp
+from gztower.oracles import gz_hamiltonian, orbit_tangents_A, orbit_tangents_G, rank_split
 from gztower.tower import new_tower
 
 from conftest import diag_tower, index_flows, plain_tower, theta_tower

@@ -69,6 +69,23 @@ class TestGen:
         assert sreg_report(T).verdict == "true"
         assert "sreg=true" in capsys.readouterr().out
 
+    def test_gen_reuses_the_generators_theta(self, tmp_path, capsys, monkeypatch):
+        # random_theta_tower accepted every level with spectra_disjoint; the
+        # report does not run the test again, and the check's theta agrees.
+        from gztower import regularity
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("spectrum test run after generation")
+
+        monkeypatch.setattr(regularity, "spectra_disjoint", refuse)
+        out = tmp_path / "t.json"
+        assert cli.main(["gen", "--depth", "6", "--seed", "8", "-o", str(out)]) == 0
+        assert "sreg=true theta=true" in capsys.readouterr().out
+        monkeypatch.undo()
+        report = tmp_path / "r.json"
+        cli.main(["check", str(out), "--suite", "sreg", "-o", str(report)])
+        assert json.loads(report.read_text())["checks"][0]["details"]["theta"] == "true"
+
     def test_gen_depth_one(self, tmp_path):
         out = tmp_path / "t1.json"
         assert cli.main(["gen", "--depth", "1", "--seed", "1", "-o", str(out)]) == 0
@@ -276,6 +293,28 @@ class TestCheck:
             assert check["details"]["margins"][0] > 10
         else:
             assert check["passed"] == "indeterminate"
+
+    HUGE = np.finfo(float).max
+
+    @pytest.mark.parametrize(
+        "top", [np.diag([HUGE, HUGE, 1.0]), np.array([[HUGE, 1.0], [1.0, -HUGE]])],
+        ids=["diagonal", "symmetric"],
+    )
+    def test_entries_near_the_double_limit_end_in_a_verdict(self, tmp_path, capsys, top):
+        # The Arnoldi and Sylvester shifts scale each matrix by a power of two
+        # first, so no trace overflows; the configured filter turns a
+        # RuntimeWarning into an error here.  Level 2 of the diagonal tower is
+        # scalar; in the symmetric one the border is 1e-308 of the diagonal,
+        # below the tangent criterion's threshold, and X_2's spread overflows.
+        tower_file = tmp_path / "huge.json"
+        write_tower(tower_file, new_tower(top.astype(complex)))
+        out = tmp_path / "r.json"
+        assert cli.main(["check", str(tower_file), "-o", str(out)]) == cli.EXIT_FAIL
+        assert capsys.readouterr().err == ""
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        assert checks["sreg"]["passed"] == "false"
+        assert checks["sreg"]["details"]["theta"] == "false"
+        assert {c["passed"] for name, c in checks.items() if name != "sreg"} == {"indeterminate"}
 
     def test_reports_on_overflowing_powers_are_strict_json(self, tmp_path):
         # JSON has no NaN or infinity token (RFC 8259): a non-finite
@@ -1194,11 +1233,11 @@ class TestCheckCost:
             return wrapped
 
         monkeypatch.setattr(
-            regularity, "_centralizers_split", counting("computed", regularity._centralizers_split)
+            regularity, "_centralizers_profile", counting("computed", regularity._centralizers_profile)
         )
         for name in ("differentials", "tangents"):
-            split = f"_{name}_split"
-            monkeypatch.setattr(regularity, split, counting(name, getattr(regularity, split)))
+            profile = f"_{name}_profile"
+            monkeypatch.setattr(regularity, profile, counting(name, getattr(regularity, profile)))
         krylov = counting("krylov_basis", matcore.krylov_basis)
         for module in (matcore, regularity, symplectic):
             monkeypatch.setattr(module, "krylov_basis", krylov, raising=False)

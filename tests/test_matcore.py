@@ -17,13 +17,13 @@ from gztower.matcore import (
     krylov_basis,
     mat_exp,
     mat_exp_stack,
-    rank_split,
     spectra_disjoint,
     spectrum_split,
     tangent_values,
     trace_pair,
 )
-from gztower.oracles import TowerTangent
+from gztower import oracles
+from gztower.oracles import TowerTangent, rank_split
 from gztower.tower import new_tower
 
 from conftest import sylvester_singular, unit
@@ -434,7 +434,7 @@ class TestRankNull:
         # triangle is assembled block by block.
         rng = np.random.default_rng(66)
         F = rng.standard_normal((100, 144)) + 1j * rng.standard_normal((100, 144))
-        s = matcore._gram_singular_values(F)
+        s = oracles._gram_singular_values(F)
         ref = np.linalg.svd(F, compute_uv=False)
         assert s is not None
         np.testing.assert_allclose(s, ref, rtol=1e-12)
@@ -445,7 +445,7 @@ class TestRankNull:
         # The Gram of these entries underflows or overflows; the SVD does not.
         rng = np.random.default_rng(67)
         F = scale * (rng.standard_normal((6, 16)) + 1j * rng.standard_normal((6, 16)))
-        assert matcore._gram_singular_values(F) is None
+        assert oracles._gram_singular_values(F) is None
         s = np.linalg.svd(F, compute_uv=False)
         assert rank_split(F.reshape(6, 4, 4)) == matcore.spectrum_split(s)
 
@@ -461,8 +461,115 @@ class TestRankNull:
     def test_more_members_than_coordinates_take_the_svd(self):
         rng = np.random.default_rng(68)
         F = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
-        assert matcore._gram_singular_values(F) is None
+        assert oracles._gram_singular_values(F) is None
         assert rank_split(F.reshape(5, 2, 2))[0] == 4
+
+
+def count_qr_fallbacks(monkeypatch):
+    """Record each family that level_splits reads off a Householder QR."""
+    calls = []
+    original = matcore._qr_levels
+
+    def counting(F, blocks):
+        calls.append(F.shape)
+        return original(F, blocks)
+
+    monkeypatch.setattr(matcore, "_qr_levels", counting)
+    return calls
+
+
+class TestLevelSplits:
+    @staticmethod
+    def family(rng, sizes, k):
+        m = sum(sizes)
+        F = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+        return F, np.cumsum([0] + sizes).tolist()
+
+    def test_values_are_the_projected_singular_values(self, monkeypatch):
+        # Level i's values against a QR of the levels below and itself: the
+        # last block of R holds the part of level i's rows off the span below.
+        fallbacks = count_qr_fallbacks(monkeypatch)
+        rng = np.random.default_rng(70)
+        F, bounds = self.family(rng, [1, 2, 3, 4], 25)
+        splits = matcore.level_splits(F, bounds)
+        scale = max(np.linalg.svd(F[a:b], compute_uv=False)[0] for a, b in zip(bounds, bounds[1:]))
+        for (rank, decisive, margin), a, b in zip(splits, bounds, bounds[1:]):
+            R = np.linalg.qr(F[:b].conj().T, mode="r")
+            s = np.linalg.svd(R[a:b, a:b], compute_uv=False)
+            assert rank == b - a
+            assert decisive == pytest.approx(s[-1], rel=1e-12)
+            assert margin == pytest.approx(s[-1] / (1e-9 * scale), rel=1e-12)
+        assert fallbacks == []
+
+    def test_widths_read_only_the_columns_each_level_fills(self):
+        rng = np.random.default_rng(71)
+        F, bounds = self.family(rng, [1, 2, 3], 9)
+        widths = [1, 4, 9]
+        for (a, b), w in zip(zip(bounds, bounds[1:]), widths):
+            F[a:b, w:] = 0.0
+        banded = matcore.level_splits(F, bounds, widths=widths)
+        full = matcore.level_splits(F, bounds)
+        for (rank, decisive, margin), (ref_rank, ref_decisive, ref_margin) in zip(banded, full):
+            assert rank == ref_rank
+            assert decisive == pytest.approx(ref_decisive, rel=1e-12)
+            assert margin == pytest.approx(ref_margin, rel=1e-12)
+
+    def test_dependent_level_takes_the_qr_and_fails(self, monkeypatch):
+        # Level 2's rows are combinations of level 1's: the Cholesky of its
+        # projected block fails or falls inside the rounding floor.
+        fallbacks = count_qr_fallbacks(monkeypatch)
+        rng = np.random.default_rng(72)
+        F, bounds = self.family(rng, [2, 2, 3], 16)
+        F[2:4] = rng.standard_normal((2, 2)) @ F[0:2]
+        ranks = [rank for rank, _, _ in matcore.level_splits(F, bounds)]
+        assert ranks == [2, 0, 3]
+        assert len(fallbacks) == 1
+
+    def test_one_dependent_row_keeps_the_rest_of_its_level(self, monkeypatch):
+        fallbacks = count_qr_fallbacks(monkeypatch)
+        rng = np.random.default_rng(73)
+        F, bounds = self.family(rng, [2, 3], 12)
+        F[4] = F[0] - 2.0 * F[2]
+        (rank1, _, _), (rank2, decisive, margin) = matcore.level_splits(F, bounds)
+        assert (rank1, rank2) == (2, 2)
+        assert decisive > 0 and margin > 1e3
+        assert len(fallbacks) == 1
+
+    def test_more_rows_than_columns_take_the_qr(self, monkeypatch):
+        fallbacks = count_qr_fallbacks(monkeypatch)
+        rng = np.random.default_rng(74)
+        F, bounds = self.family(rng, [2, 2, 2], 4)
+        assert [rank for rank, _, _ in matcore.level_splits(F, bounds)] == [2, 2, 0]
+        assert len(fallbacks) == 1
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_squares_out_of_range_take_the_qr(self, scale, monkeypatch):
+        fallbacks = count_qr_fallbacks(monkeypatch)
+        rng = np.random.default_rng(75)
+        F, bounds = self.family(rng, [1, 2, 3], 10)
+        # No absolute floor, which would see the scale.
+        tol = Tolerance(abs=0.0)
+        scaled = matcore.level_splits(scale * F, bounds, tol)
+        assert len(fallbacks) == 1
+        for (rank, decisive, margin), (ref_rank, ref_decisive, ref_margin), size in zip(
+            scaled, matcore.level_splits(F, bounds, tol), [1, 2, 3]
+        ):
+            assert rank == ref_rank == size
+            assert decisive == pytest.approx(scale * ref_decisive, rel=1e-12)
+            assert margin == pytest.approx(ref_margin, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_family_has_no_rank(self, bad):
+        rng = np.random.default_rng(76)
+        F, bounds = self.family(rng, [1, 2], 6)
+        F[2, 3] = bad
+        splits = matcore.level_splits(F, bounds)
+        assert all(rank == 0 and np.isnan(sv) and np.isnan(m) for rank, sv, m in splits)
+
+    @pytest.mark.parametrize("bounds", [[0, 2], [1, 3], [0, 2, 2, 3], [0, 4]])
+    def test_bounds_must_split_the_rows(self, bounds):
+        with pytest.raises(ValueError):
+            matcore.level_splits(np.eye(3, dtype=complex), bounds)
 
 
 class TestSpectraDisjoint:
@@ -600,6 +707,29 @@ class TestSingularSylvester:
             assert 0.9 * ref_max <= smax <= ref_max * (1 + 1e-12)
 
 
+class TestHugeEntries:
+    def test_spectra_disjoint_near_the_double_limit(self):
+        # The configured filter turns a RuntimeWarning into an error here.
+        fm = np.finfo(float).max
+        assert not spectra_disjoint(np.array([[fm]], dtype=complex), fm * np.eye(2, dtype=complex))
+        A = np.diag([fm, -fm]).astype(complex)
+        B = np.diag([fm, -fm, 0.5 * fm]).astype(complex)
+        B[2, :2] = 1.0
+        assert not spectra_disjoint(A, B)
+        C = np.diag([0.5 * fm, -0.5 * fm, 0.25 * fm]).astype(complex)
+        assert spectra_disjoint(A, C)
+
+    def test_scaled_pair_decides_as_the_unscaled_one(self):
+        rng = np.random.default_rng(16)
+        for na in range(1, 6):
+            A, B = rand_c(rng, na), rand_c(rng, na + 1)
+            B[:na, :na] = A
+            for shared in (False, True):
+                if shared:
+                    B = embed(A, na + 1)
+                assert spectra_disjoint(2.0**700 * A, 2.0**700 * B) == spectra_disjoint(A, B)
+
+
 class TestEigenSeparation:
     def test_bound_never_exceeds_the_smallest_singular_value(self):
         # Also on non-normal and nearly defective pairs, and on pairs whose
@@ -649,6 +779,33 @@ class TestKrylovBasis:
         Q, s = krylov_basis(np.array([[2.0, 1e160], [1e160, 3.0]], dtype=complex))
         assert Q.shape[0] == 2
         assert np.all(np.isfinite(s)) and spectrum_split(s)[0] == 2
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_entries_near_the_double_limit(self, sign):
+        # Scaled by a power of two before the shift, no trace overflows; the
+        # configured filter turns a RuntimeWarning into an error here.
+        fm = np.finfo(float).max
+        Q, s = krylov_basis(np.array([[fm, 1.0], [1.0, sign * fm]], dtype=complex))
+        if sign > 0:
+            # The shifted matrix [[0, 1], [1, 0]] is at unit scale again.
+            assert Q.shape[0] == 2
+            np.testing.assert_allclose(s, [np.sqrt(2.0), 1.0], rtol=1e-15)
+        else:
+            # The span is found, but the spread exceeds the double range.
+            assert Q.shape[0] == 2 and np.isinf(s[0])
+            assert spectrum_split(s)[0] == 0 and np.isnan(spectrum_split(s)[2])
+        Q, s = krylov_basis(np.diag([fm, 0.5 * fm, 1.0]).astype(complex))
+        assert Q.shape[0] == 3 and np.all(np.isfinite(s))
+        assert spectrum_split(s)[0] == 3
+
+    def test_scaling_is_exact(self):
+        # A power of two commutes with every operation of the run.
+        rng = np.random.default_rng(15)
+        M = rand_c(rng, 5)
+        Q, s = krylov_basis(M)
+        big_Q, big_s = krylov_basis(2.0**600 * M)
+        np.testing.assert_array_equal(big_Q, Q)
+        np.testing.assert_array_equal(big_s, 2.0**600 * s)
 
     def test_shift_invariant(self):
         rng = np.random.default_rng(14)

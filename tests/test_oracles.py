@@ -12,8 +12,8 @@ from gztower.action import (
 )
 from gztower.cli import CHECKS
 from gztower.gz import gz_indices, power_table
-from gztower.matcore import DEFAULT_TOL, embed, krylov_basis, rank_split, spectra_disjoint
-from gztower.regularity import sreg_report
+from gztower.matcore import DEFAULT_TOL, embed, krylov_basis, spectra_disjoint
+from gztower.regularity import INDETERMINATE_MARGIN, sreg_report
 from gztower.symplectic import ISOTROPY_RTOL, lagrangian_check
 from gztower.oracles import (
     MAX_ORACLE_DIM,
@@ -32,6 +32,8 @@ from gztower.oracles import (
     omega_inf,
     orbit_tangents_A,
     orbit_tangents_G,
+    projected_level_values,
+    rank_split,
 )
 from gztower.tower import Tower, new_tower
 
@@ -364,8 +366,8 @@ ACTION_KINDS = ["zero", "nonzero", "half"]
 def _criterion_families(T):
     """The families criteria 1 and 3 rank, built as ``sreg_report`` builds them."""
     levels = regularity._arnoldi_levels(T, DEFAULT_TOL)
-    _, bases = regularity._spanning_bases(levels)
-    _, below = regularity._spanning_bases(levels[:-1])
+    bases = [G for *_, Q in levels for G in Q]
+    below = [G for *_, Q in levels[:-1] for G in Q]
     return {
         "differentials": matcore.embed_stack(bases, T.depth),
         "tangents": matcore.tangent_values(regularity._scaled_top(T), below),
@@ -446,6 +448,123 @@ class TestGramRankAgainstSvd:
             assert (report.by_differentials, report.by_centralizers, report.by_tangents) == oracle
             assert report.verdict == ("true" if all(oracle) else "false")
             assert report.verdict == ("true" if kind in ("theta", "plain", "jordan") else "false")
+
+
+def _criterion_bounds(T):
+    """The level row bounds of the families of :func:`_criterion_families`."""
+    sizes = [len(Q) for *_, Q in regularity._arnoldi_levels(T, DEFAULT_TOL)]
+    return {
+        "differentials": np.cumsum([0] + sizes).tolist(),
+        "tangents": np.cumsum([0] + sizes[:-1]).tolist(),
+    }
+
+
+class TestLevelSplitsAgainstProjection:
+    """Criteria 1 and 3 level by level against an explicit projection, and whole."""
+
+    KINDS = TestGramRankAgainstSvd.KINDS
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_values_match_the_projection_oracle(self, kind):
+        for T in _oracle_towers(kind):
+            bounds = _criterion_bounds(T)
+            for name, family in _criterion_families(T).items():
+                flat = family.reshape(len(family), -1)
+                blocks = list(zip(bounds[name], bounds[name][1:]))
+                scale = max(np.linalg.svd(flat[a:b], compute_uv=False)[0] for a, b in blocks)
+                oracle = projected_level_values(flat, bounds[name])
+                splits = matcore.level_splits(flat, bounds[name])
+                for (rank, decisive, margin), s, (a, b) in zip(splits, oracle, blocks):
+                    ref_rank, ref_decisive, ref_margin = matcore.spectrum_split(
+                        s, DEFAULT_TOL, scale
+                    )
+                    assert rank == ref_rank
+                    if rank:
+                        assert decisive == pytest.approx(ref_decisive, rel=1e-10)
+                    if rank == b - a:
+                        assert margin == pytest.approx(ref_margin, rel=1e-10)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_verdicts_equal_the_whole_family_rank(self, kind):
+        # Every level full rank net of the levels below exactly when the
+        # family is, by the Gram route of rank_split or its SVD.
+        for T in _oracle_towers(kind):
+            bounds = _criterion_bounds(T)
+            for name, family in _criterion_families(T).items():
+                splits = matcore.level_splits(family.reshape(len(family), -1), bounds[name])
+                by_level = all(
+                    rank == b - a for (rank, _, _), a, b in zip(splits, bounds[name], bounds[name][1:])
+                )
+                assert by_level == (rank_split(family)[0] == len(family))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rank_deficient_families_take_the_qr(self, kind, monkeypatch):
+        # The block Cholesky decides every full-rank family of the corpus; a
+        # rank-deficient one always falls back to the Householder QR.
+        calls = []
+        original = matcore._qr_levels
+
+        def counting(F, blocks):
+            calls.append(F.shape)
+            return original(F, blocks)
+
+        monkeypatch.setattr(matcore, "_qr_levels", counting)
+        for T in _oracle_towers(kind):
+            bounds = _criterion_bounds(T)
+            for name, family in _criterion_families(T).items():
+                before = len(calls)
+                splits = matcore.level_splits(family.reshape(len(family), -1), bounds[name])
+                full = all(
+                    rank == b - a for (rank, _, _), a, b in zip(splits, bounds[name], bounds[name][1:])
+                )
+                assert (len(calls) > before) == (not full)
+                assert full == (name not in TestGramRankAgainstSvd.DEFICIENT.get(kind, ()))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_profile_is_the_report(self, kind):
+        # The report keeps each criterion's level entries; its verdicts and
+        # minima are read off them, and decidable_depth off criteria 1 and 2.
+        for T in _oracle_towers(kind):
+            report = sreg_report(T)
+            differentials, centralizers, tangents = report.profile
+            assert len(differentials) == len(centralizers) == T.depth
+            assert len(tangents) == T.depth - 1
+            assert report.by_centralizers == all(ok for ok, _, _ in centralizers)
+            if report.by_differentials:
+                assert all(ok for ok, _, _ in differentials)
+                assert report.margins[0] == min(m for _, _, m in differentials)
+            clear = [
+                min(d[2], c[2]) >= INDETERMINATE_MARGIN for d, c in zip(differentials, centralizers)
+            ]
+            assert report.decidable_depth == (clear + [False]).index(False)
+
+    def test_duplicated_level_reads_false(self, monkeypatch):
+        # Level 3's basis replaced by level 2's, embedded: the family is
+        # dependent, the Cholesky cannot decide it, and criterion 1 fails there.
+        calls = []
+        original = matcore._qr_levels
+        monkeypatch.setattr(
+            matcore, "_qr_levels", lambda F, blocks: calls.append(1) or original(F, blocks)
+        )
+        T = theta_tower(5, 405, 0.5)
+        levels = regularity._arnoldi_levels(T, DEFAULT_TOL)
+        ok, sv, margin, Q2 = levels[1]
+        copy = np.zeros((2, 3, 3), dtype=complex)
+        copy[:, :2, :2] = Q2
+        levels[2] = (True, 1.0, 1.0, np.concatenate([copy, levels[2][3][2:]]))
+        profile = regularity._differentials_profile(T, levels, DEFAULT_TOL)
+        assert [ok for ok, _, _ in profile] == [True, True, False, True, True]
+        assert regularity._criterion_split(levels, profile)[0] is False
+        assert len(calls) == 1
+
+    def test_non_finite_family_cannot_pass(self):
+        T = theta_tower(4, 404, 0.5)
+        levels = regularity._arnoldi_levels(T, DEFAULT_TOL)
+        ok, sv, margin, Q = levels[2]
+        levels[2] = (ok, sv, margin, np.where(np.arange(Q.size).reshape(Q.shape) == 4, np.nan, Q))
+        for split in (regularity._differentials_split, regularity._tangents_split):
+            ok, sv, margin = split(T, levels, DEFAULT_TOL)
+            assert ok is False and np.isnan(sv) and np.isnan(margin)
 
 
 class TestDenseActionProduct:

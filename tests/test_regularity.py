@@ -5,8 +5,8 @@ import pytest
 
 from gztower import regularity, tower
 from gztower.cli import CHECKS
-from gztower.matcore import DEFAULT_TOL, krylov_basis, rank_split, spectra_disjoint
-from gztower.oracles import dense_kernel, kron_intersection_trivial
+from gztower.matcore import DEFAULT_TOL, krylov_basis, spectra_disjoint
+from gztower.oracles import dense_kernel, kron_intersection_trivial, rank_split
 from gztower.regularity import (
     INDETERMINATE_MARGIN,
     is_sreg_centralizers,
@@ -323,6 +323,67 @@ class TestSharedArnoldiBases:
         report = sreg_report(tower.random_theta_tower(32, seed, 0.3))
         assert report.verdict == "true" and report.theta
         assert all(m >= INDETERMINATE_MARGIN for m in report.margins)
+
+
+class TestProfile:
+    """Each criterion's per-level entries, and the depth to which they decide."""
+
+    def test_json_lists_every_level(self):
+        data = sreg_report(theta_tower(5, 75)).to_json_dict()
+        assert [len(v) for v in data["level_margins"]] == [5, 5, 4]
+        assert [len(v) for v in data["level_min_singular_values"]] == [5, 5, 4]
+        assert data["decidable_depth"] == 5
+        # Criterion 2 at level 1: a 1 x 1 matrix is regular with no cut.
+        assert data["level_margins"][1][0] is None
+        for values, margins, least, margin in zip(
+            data["level_min_singular_values"], data["level_margins"],
+            data["min_singular_values"], data["margins"],
+        ):
+            assert least == min(v for v in values if v is not None)
+            assert margin == min(m for m in margins if m is not None)
+
+    def test_depth_one_has_no_tangent_levels(self):
+        data = sreg_report(new_tower([[2.0]])).to_json_dict()
+        assert data["level_margins"][2] == [] and data["decidable_depth"] == 1
+
+    def test_failing_level_decides_and_the_profile_locates_it(self):
+        # diag(1, 2) extends diag(1): E_11 lies in both centralizers, so
+        # criterion 2 fails at level 2, decisively, and so does criterion 1,
+        # whose level-2 basis holds E_11 again.
+        report = sreg_report(diag_tower([1.0, 2.0, 3.0]))
+        differentials, centralizers, _ = report.profile
+        assert [ok for ok, _, _ in differentials] == [True, False, False]
+        assert [ok for ok, _, _ in centralizers] == [True, False, False]
+        assert report.margins[0] == min(m for ok, _, m in differentials if not ok)
+        assert report.decidable_depth == 3
+
+    def test_decidable_depth_stops_at_a_nan_margin(self):
+        split = (True, 1.0, 1e6)
+        assert regularity._decidable_depth([split] * 3, [split, (False, np.nan, np.nan), split]) == 1
+        assert regularity._decidable_depth([split, (True, 1.0, 5.0)], [split] * 2) == 1
+
+    @pytest.mark.parametrize("seed", [201, 202])
+    def test_generated_depth_32_towers_decide_every_level(self, seed):
+        report = sreg_report(tower.random_theta_tower(32, seed, 0.3))
+        assert report.decidable_depth == 32
+        assert all(m >= INDETERMINATE_MARGIN for levels in report.profile for _, _, m in levels)
+
+
+class TestLazyTheta:
+    def test_theta_runs_only_when_read(self, monkeypatch):
+        calls = []
+        original = regularity.spectra_disjoint
+
+        def counting(A, B, tol):
+            calls.append(A.shape[0])
+            return original(A, B, tol)
+
+        monkeypatch.setattr(regularity, "spectra_disjoint", counting)
+        report = sreg_report(theta_tower(4, 76))
+        assert calls == []
+        assert report.theta is True and report.theta is True
+        assert calls == [1, 2, 3]
+        assert report.to_json_dict()["theta"] == "true" and len(calls) == 3
 
 
 class TestMemoryWall:

@@ -3,8 +3,8 @@ import pytest
 
 from gztower import gz, matcore, regularity, symplectic
 from gztower.gz import gz_indices, power_table
-from gztower.matcore import bracket_matrix, commutator, embed, krylov_basis, rank_split, spectrum_split
-from gztower.oracles import TowerTangent, gz_hamiltonian, omega_inf, orbit_tangents_A
+from gztower.matcore import bracket_matrix, commutator, embed, krylov_basis, spectrum_split
+from gztower.oracles import TowerTangent, gz_hamiltonian, omega_inf, orbit_tangents_A, rank_split
 from gztower.symplectic import ISOTROPY_RTOL, kk_form, lagrangian_check, match_residual
 from gztower.tower import new_tower, random_entries
 
@@ -313,9 +313,9 @@ class TestNoDenseOrbitFamily:
                 raise AssertionError(f"SVD of a {np.shape(a)} family")
             return svd(a, *args, **kwargs)
 
-        monkeypatch.setattr(symplectic, "rank_split", refuse, raising=False)
+        monkeypatch.setattr(symplectic, "level_splits", refuse, raising=False)
         for module in (matcore, regularity):
-            monkeypatch.setattr(module, "rank_split", refuse)
+            monkeypatch.setattr(module, "level_splits", refuse)
         monkeypatch.setattr(np, "kron", refuse)
         monkeypatch.setattr(np.linalg, "svd", svd_below_n_squared)
         report = lagrangian_check(T)
