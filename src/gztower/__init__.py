@@ -6,6 +6,19 @@ the abelian group action they integrate to, strong-regularity tests, and
 the orbit symplectic pairing with its Lagrangian verification.
 """
 
+import os
+import sys
+
+# OpenBLAS reads its thread count once, when numpy loads it, and matcore is
+# the first submodule to import numpy.  Almost every kernel here is n x n with
+# n <= 64, where a second thread costs CPU and seldom saves time, so a process
+# that starts with this package runs on one thread.  A program that loaded
+# numpy first, or a caller who set a thread count, keeps its count.
+if "numpy" not in sys.modules and not (
+    "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ
+):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .matcore import (
     DEFAULT_TOL,
     Tolerance,
@@ -57,7 +70,7 @@ from .symplectic import (
     match_residual,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "__version__",

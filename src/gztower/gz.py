@@ -164,9 +164,7 @@ def stack_traces(tops: np.ndarray) -> np.ndarray:
             # as in power_table, so both form the same powers bit for bit.
             P = np.broadcast_to(np.eye(i, dtype=np.complex128), X.shape)
             for j in range(1, i + 1):
-                # einsum rather than a BLAS product: OpenBLAS wakes its
-                # threads even for these small products, and on two cores
-                # that made the depth-16 conserve check five times slower.
+                # tr(PX) is the sum of P_ab X_ba: no product is formed.
                 out[:, col] = np.einsum("sab,sba->s", P, X)
                 col += 1
                 if j < i:

@@ -901,8 +901,9 @@ class TestNonFiniteResiduals:
 
 def conserve_per_level(T, tol, seed):
     """The conserve member with each level's seeded unit-norm generator P_i
-    flowed in a stack of its own and its tops read by a trace pass of their
-    own.  The oracle of the one-stack member; it draws the weights itself."""
+    flowed in a stack of its own, and the level-i corners of its tops read by
+    a trace pass of their own: levels k <= i.  The oracle of the one-stack
+    member; it draws the weights itself."""
     from gztower.action import flow_stack
     from gztower.gz import power_table, stack_traces
 
@@ -941,14 +942,17 @@ def conserve_per_level(T, tol, seed):
                 P = P / np.linalg.norm(P, 2)
         tops, errors = flow_stack(table.top, [P], cli._FLOWED_TIMES)
         ok = np.array([e is None for e in errors])
-        tops = tops[ok]
-        traces = stack_traces(tops)
-        failed = failed or not ok.all() or cli._traces_overflow(tops, traces)
+        corner_tops = tops[ok, :i, :i]
+        traces = stack_traces(corner_tops)
+        failed = failed or not ok.all() or cli._traces_overflow(corner_tops, traces)
+        level_base = base[: i * (i + 1) // 2]
         with np.errstate(over="ignore", invalid="ignore"):
-            drifts.append(np.max(np.abs(traces - base) / (1.0 + np.abs(base)), initial=0.0))
+            drifts.append(
+                np.max(np.abs(traces - level_base) / (1.0 + np.abs(level_base)), initial=0.0)
+            )
         Xi = T.level(i)
         corners.append(
-            float(np.abs(tops[:, :i, :i] - Xi).max(initial=0.0)) / (1.0 + float(np.abs(Xi).max()))
+            float(np.abs(corner_tops - Xi).max(initial=0.0)) / (1.0 + float(np.abs(Xi).max()))
         )
     worst_drift = float(np.max(drifts))
     worst_corner = float(np.max(corners))
@@ -1090,11 +1094,12 @@ class TestConserveOracle:
 
 
 class TestCheckCost:
-    """Conserve flows every level in one stack with one trace pass; consistent
-    pairs by level, not by pair; lagrangian builds one power table; the suite
-    computes one strong-regularity report, one power table and one bracket
-    matrix; orbit builds one power table and one bracket matrix; the suite and
-    orbit each build one Arnoldi basis per level above the first."""
+    """Conserve flows every level in one stack and reads each level's flows
+    with one trace pass; consistent pairs by level, not by pair; lagrangian
+    builds one power table; the suite computes one strong-regularity report,
+    one power table and one bracket matrix; orbit builds one power table and
+    one bracket matrix; the suite and orbit each build one Arnoldi basis per
+    level above the first."""
 
     DEPTH = 6
 
@@ -1143,9 +1148,15 @@ class TestCheckCost:
 
         monkeypatch.setattr(gztower.action, "mat_exp_stack", recording)
         assert cli.CHECKS["conserve"](tower, cli.Tolerance(), 0).passed == "true"
-        # One stacked expm and one trace pass for the whole member: each
-        # level i < N flows its one generator at the six nonzero times.
-        assert counts == {"power_table": 1, "Tower": 0, "expm": 1, "stack_traces": 1}
+        # One stacked expm for the whole member: each level i < N flows its
+        # one generator at the six nonzero times.  One trace pass per flowed
+        # level i reads its flows at the levels k <= i.
+        assert counts == {
+            "power_table": 1,
+            "Tower": 0,
+            "expm": 1,
+            "stack_traces": self.DEPTH - 1,
+        }
         assert slices == [6 * (self.DEPTH - 1)]
 
     def test_consistent(self, tower, counts):
