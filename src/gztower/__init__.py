@@ -23,7 +23,6 @@ from .matcore import (
     DEFAULT_TOL,
     Tolerance,
     as_cmatrix,
-    bracket_matrix,
     commutator,
     corner,
     embed,
@@ -34,8 +33,6 @@ from .matcore import (
 from .tower import (
     GenerationError,
     Tower,
-    extend,
-    new_tower,
     random_theta_tower,
     tower_from_json,
     tower_to_json,
@@ -58,10 +55,8 @@ from .action import (
     AParams,
     a_act,
     a_act_stepwise,
-    flow,
     flow_stack,
     random_params,
-    zero_params,
 )
 from .symplectic import (
     LagrangianReport,
@@ -70,7 +65,7 @@ from .symplectic import (
     match_residual,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "__version__",
@@ -81,13 +76,10 @@ __all__ = [
     "embed",
     "commutator",
     "trace_pair",
-    "bracket_matrix",
     "mat_exp",
     "spectra_disjoint",
     "Tower",
     "GenerationError",
-    "new_tower",
-    "extend",
     "random_theta_tower",
     "tower_to_json",
     "tower_from_json",
@@ -102,11 +94,9 @@ __all__ = [
     "is_sreg_tangents",
     "sreg_report",
     "AParams",
-    "zero_params",
     "random_params",
     "a_act",
     "a_act_stepwise",
-    "flow",
     "flow_stack",
     "kk_form",
     "match_residual",

@@ -27,13 +27,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .gz import GZIndex, power_table
+from .gz import GZIndex
 from .matcore import embed, embed_stack, mat_exp, mat_exp_stack
 from .tower import Tower
 
 __all__ = [
     "AParams",
-    "zero_params",
     "random_params",
     "params_to_dict",
     "params_from_dict",
@@ -41,7 +40,6 @@ __all__ = [
     "params_from_json",
     "a_act",
     "a_act_stepwise",
-    "flow",
     "flow_stack",
 ]
 
@@ -77,10 +75,6 @@ class AParams:
                 tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.t, other.t)
             ),
         )
-
-
-def zero_params(n: int) -> AParams:
-    return AParams(n, tuple(tuple(0j for _ in range(i)) for i in range(1, n)))
 
 
 def random_params(rng: np.random.Generator, n: int, scale: float = 1.0) -> AParams:
@@ -246,24 +240,6 @@ def a_act_stepwise(a: AParams, T: Tower, order: list[GZIndex]) -> Tower:
     return current
 
 
-def flow(T: Tower, idx: GZIndex, t: complex) -> Tower:
-    """Exact Hamiltonian flow of f_{ij} for time t.
-
-    A single conjugation by ``exp(-t j X_i^(j-1))``: the generator is
-    constant along its own flow, so no stepping is needed.  The corner
-    X_i (and everything below) is fixed; all observables tr(X_k^l) are
-    conserved.  Flowing a top-level index is allowed and acts trivially.
-    This is the one-flow case of :func:`flow_stack` on the gradient that
-    the tower's :func:`~gztower.gz.power_table` stores; it raises the
-    error that the stack reports for it.
-    """
-    table = power_table(T)
-    tops, errors = flow_stack(table.top, [table.gradient(idx)], [t])
-    if errors[0] is not None:
-        raise errors[0]
-    return Tower(tops[0])
-
-
 def flow_stack(
     top: np.ndarray, generators: Sequence[np.ndarray], ts: Sequence[complex]
 ) -> tuple[np.ndarray, list[Optional[Exception]]]:
@@ -272,21 +248,21 @@ def flow_stack(
     Each generator P is a square matrix at its own level, no larger than
     ``top``; its flow conjugates ``top`` by ``exp(-t embed(P))``.  For the
     gradient ``j X_i^(j-1)`` of f_{ij} that is the exact Hamiltonian flow
-    :func:`flow` takes; for any polynomial in X_i it is a flow of the
-    abelian group.  One stacked ``expm`` of every ``-t P`` and one stacked
-    conjugation of the top; each slice is bit-identical to a stack of its
-    own.  Returns the ``(len(generators) * len(ts), N, N)`` stack of
-    flowed tops, generator-major (slice ``a * len(ts) + k`` is generator
-    a at time k), and, per slice, None or the error :func:`flow` raises
-    for it: OverflowError when the exponential or the conjugate overflows,
+    of f_{ij} for time t: the generator is constant along its own flow, so
+    no stepping is needed, the corner X_i and everything below it stay
+    fixed, and every observable is conserved.  For any polynomial in X_i it
+    is a flow of the abelian group.  One stacked ``expm`` of every ``-t P``
+    and one stacked conjugation of the top; each slice is bit-identical to
+    a stack of its own.  Returns the ``(len(generators) * len(ts), N, N)``
+    stack of flowed tops, generator-major (slice ``a * len(ts) + k`` is
+    generator a at time k), and, per slice, None or the error of that
+    flow: OverflowError when the exponential or the conjugate overflows,
     LinAlgError when the conjugator is singular.  A failed slice fails
     only itself, and its top is not meaningful.
     """
     N = top.shape[0]
-    for P in generators:
-        if P.shape[0] > N:
-            raise IndexError(f"generator level {P.shape[0]} exceeds tower depth {N}")
-    P = embed_stack(generators, N)
+    # Raises IndexError for a generator larger than the top.
+    P = embed_stack([G[None] for G in generators], N)
     times = np.asarray(ts, dtype=np.complex128)
     # A generator that overflowed leaves its exponentials non-finite, and they fail.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -37,8 +37,15 @@ from .action import (
     params_from_json,
     random_params,
 )
-from .gz import GZIndex, PowerTable, gz_indices, power_table, stack_traces
-from .matcore import MAX_DIM, Tolerance
+from .gz import (
+    GZIndex,
+    PowerTable,
+    _pairing_block,
+    gz_indices,
+    power_table,
+    stack_traces,
+)
+from .matcore import MAX_DIM, Tolerance, embed_stack
 from .regularity import report_number, sreg_report
 from .symplectic import lagrangian_check, match_residual
 from .tower import (
@@ -159,19 +166,20 @@ def _name(idx: GZIndex) -> str:
 @_member("commute", "observable-family-poisson-commutativity")
 def _check_commute(T: Tower, tol: Tolerance, seed: int) -> tuple[str, dict]:
     idxs = gz_indices(T.depth)
-    upper = np.triu_indices(len(idxs), 1)
+    # Each pair a < b once, at the deeper level: entry (b, a) of a lower triangle.
+    lower = np.tril_indices(len(idxs), -1)
     # Overflowing entries stay non-finite; pairs whose bound overflows are
     # not compared, and np.max propagates NaN, so a non-finite bracket of a
     # compared pair cannot pass the rtol.
     with np.errstate(over="ignore", invalid="ignore"):
-        bounds = _pair_bounds(T, idxs)[upper]
-        ratios = np.abs(power_table(T).bracket_matrix()[upper]) / bounds
+        bounds = _pair_bounds(T, idxs)[lower]
+        ratios = np.abs(power_table(T).pairs()) / bounds
     pair_ratios = np.where(np.isinf(bounds), 0.0, ratios)
     worst = float(pair_ratios.max(initial=0.0))
     worst_pair = None
     if worst != 0.0:
         k = int(np.argmax(pair_ratios))
-        worst_pair = [_name(idxs[upper[0][k]]), _name(idxs[upper[1][k]])]
+        worst_pair = [_name(idxs[lower[1][k]]), _name(idxs[lower[0][k]])]
     details = {
         "max_bracket_ratio": report_number(worst),
         "worst_pair": worst_pair,
@@ -329,24 +337,25 @@ def _check_match(T: Tower, tol: Tolerance, seed: int) -> tuple[str, dict]:
 
 @_member("consistent", "bracket-form-consistency")
 def _check_consistent(T: Tower, tol: Tolerance, seed: int) -> tuple[str, dict]:
-    # Every pair is paired twice: by the bracket GEMM at X_N, and at the
-    # deeper of its two levels k, in one GEMM per level.  The pairing is
-    # still evaluated at level k and not at N, so the two sides agree only
+    # Every pair is paired twice, both times by level k's one GEMM: at X_N
+    # and at the deeper of its two levels k.  The two sides agree only
     # through the gluing of the level forms; that level independence is
     # what the check tests.
     idxs = gz_indices(T.depth)
     table = power_table(T)
+    # Every gradient embedded into gl(N): level k pairs with the first k (k + 1) / 2.
+    embedded = embed_stack(table.gradients, T.depth)
     # Overflowing entries stay non-finite; pairs whose bound overflows are
     # not compared, and np.max propagates NaN, so a non-finite mismatch of a
     # compared pair cannot pass the rtol.
     with np.errstate(over="ignore", invalid="ignore"):
-        bracket = table.bracket_matrix()
         bounds = _pair_bounds(T, idxs)
         mismatch = []
         for k, block in enumerate(table.level_pairings(), 1):
             rows = slice(k * (k - 1) // 2, k * (k + 1) // 2)
             cols = slice(0, rows.stop)
-            ratios = np.abs(bracket[rows, cols] - block) / bounds[rows, cols]
+            at_top = _pairing_block(table.top, table.gradients[k - 1], embedded[cols])
+            ratios = np.abs(at_top - block) / bounds[rows, cols]
             mismatch.append(np.max(np.where(np.isinf(bounds[rows, cols]), 0.0, ratios)))
     worst = float(np.max(mismatch))
     # Some block compares every unordered pair, an index with itself included.

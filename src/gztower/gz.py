@@ -6,8 +6,9 @@ The observables are ``f_{ij}(X) = tr(X_i^j)`` for ``1 <= j <= i``, where
 bracket are ``-[j X_i^(j-1), X]``; the family Poisson-commutes.
 
 The batch checks read the whole family from one :class:`PowerTable`:
-every trace, every gradient, and the bracket of every pair, which is
-evaluated at the top level because embedding a gradient is exact.
+every trace, every gradient, and the bracket of every pair, evaluated at
+the deeper of its two levels: the glued form fixes it there, because the
+trace against an embedded commutator only sees the matching corner.
 :func:`stack_traces` reads the traces of a whole stack of towers, such
 as the points of one flow at several times, with the same formula.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import bracket_matrix, embed_stack, tangent_values
+from .matcore import embed_stack, tangent_values
 from .tower import Tower
 
 __all__ = [
@@ -54,9 +55,9 @@ class PowerTable:
 
     The table is ragged and read-only: slice ``j - 1`` of the ``(i, i, i)``
     stack ``gradients[i - 1]`` is the gradient ``j X_i^(j-1)``.  Every
-    generator, the whole bracket matrix of the family and its level-by-level
-    pairings read off it, so batch checks pay for the powers once per tower
-    instead of once per observable or pair.  Traces come from
+    generator and the level-by-level pairings of the family read off it,
+    so batch checks pay for the powers once per tower instead of once per
+    observable or pair.  Traces come from
     :func:`stack_traces`, the one trace formula for a single tower and a
     stack alike.  :func:`power_table` gives each tower its one table.
     """
@@ -81,39 +82,54 @@ class PowerTable:
         """
         return [G for stack in self.gradients for G in stack]
 
-    def bracket_matrix(self) -> np.ndarray:
-        """``tr(X_N [grad f_a, grad f_b])`` for every pair of :func:`gz_indices`.
-
-        Embedding both gradients into the top level is exact, so entry
-        (a, b) is the Poisson bracket ``{f_a, f_b}`` evaluated at the
-        deeper of the two levels.  It is formed once per table, read-only.
-        """
-        return self._bracket
-
-    @functools.cached_property
-    def _bracket(self) -> np.ndarray:
-        B = bracket_matrix(self.top, self.generators())
-        B.flags.writeable = False
-        return B
-
-    def level_pairings(self) -> list[np.ndarray]:
+    def level_pairings(self) -> tuple[np.ndarray, ...]:
         """Every pair of :func:`gz_indices` paired at the deeper of its two levels.
 
-        Block ``k - 1`` holds ``tr(X_k [G_b, G_a])``, with one row for each
-        generator G_b of level k and one column for each generator G_a of
-        level ``<= k``, from one GEMM of the :func:`tangent_values` of the
-        G_b at X_k against the :func:`embed_stack` of the ``G_a^T``.  These
-        are the rows of level k of :meth:`bracket_matrix` up to its diagonal
-        block, paired at X_k instead of X_N.
+        Block ``k - 1`` holds ``tr(X_k [G_b, G_a])``, the Poisson bracket
+        ``{f_b, f_a}``, with one row for each generator G_b of level k and
+        one column for each generator G_a of level ``<= k``: one GEMM per
+        level, by :func:`_pairing_block`, against the gradients of levels
+        ``<= k`` embedded into gl(k).  The blocks are formed once per table,
+        read-only.
         """
-        gens = self.generators()
+        return self._level_pairings
+
+    @functools.cached_property
+    def _level_pairings(self) -> tuple[np.ndarray, ...]:
         blocks = []
-        for k in range(1, len(self.gradients) + 1):
-            first, m = k * (k - 1) // 2, k * (k + 1) // 2
-            left = tangent_values(self.top[:k, :k], gens[first:m]).reshape(k, k * k)
-            right = embed_stack([G.T for G in gens[:m]], k).reshape(m, k * k)
-            blocks.append(left @ right.T)
-        return blocks
+        for k, G in enumerate(self.gradients, 1):
+            block = _pairing_block(self.top[:k, :k], G, embed_stack(self.gradients[:k], k))
+            block.flags.writeable = False
+            blocks.append(block)
+        return tuple(blocks)
+
+    def pairs(self) -> np.ndarray:
+        """``{f_b, f_a}`` of every pair ``a < b`` of :func:`gz_indices`, read once off the blocks.
+
+        The pairs come in the ``np.tril_indices(m, -1)`` order of the m
+        indices, b ascending, so the pairs among the first r indices are
+        the first ``r (r - 1) / 2`` entries.
+        """
+        rows = []
+        for k, block in enumerate(self.level_pairings(), 1):
+            first = k * (k - 1) // 2
+            rows += [row[: first + r] for r, row in enumerate(block)]
+        return np.concatenate(rows)
+
+
+def _pairing_block(X: np.ndarray, G: np.ndarray, embedded: np.ndarray) -> np.ndarray:
+    """``tr(X [G_b, E_a])`` for every slice G_b of G and E_a of ``embedded``.
+
+    X is n x n, G a stack of generators no larger than X, and ``embedded``
+    an (m, n, n) stack.  ``tr(X [A, B]) = tr([X, A] B)`` is the dot product
+    of ``vec([X, A]^T)`` with ``vec(B)``, so the block is one GEMM of the
+    transposed :func:`tangent_values` of G at X against ``embedded``.
+    Entries that overflow are left non-finite, without a warning.
+    """
+    n = X.shape[0]
+    left = tangent_values(X, G).transpose(0, 2, 1).reshape(len(G), n * n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return left @ embedded.reshape(len(embedded), n * n).T
 
 
 @functools.lru_cache(maxsize=1)

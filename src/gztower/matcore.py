@@ -39,7 +39,6 @@ __all__ = [
     "trace_pair",
     "tangent_values",
     "embed_stack",
-    "bracket_matrix",
     "mat_exp",
     "mat_exp_stack",
     "spectrum_split",
@@ -168,27 +167,22 @@ def tangent_values(X: np.ndarray, gens: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def embed_stack(gens: Sequence[np.ndarray], n: int) -> np.ndarray:
-    """The (m, n, n) stack of ``embed(G_a, n)`` over a family of generators."""
-    out = np.empty((len(gens), n, n), dtype=np.complex128)
-    for a, G in enumerate(gens):
-        out[a] = embed(G, n)
-    return out
+def embed_stack(stacks: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """Every generator of a sequence of ``(s, k, k)`` stacks, embedded into gl(n), as one stack.
 
-
-def bracket_matrix(X: np.ndarray, gens: Sequence[np.ndarray]) -> np.ndarray:
-    """Matrix of ``tr(X [G_a, G_b])`` over a family of generators, in one GEMM.
-
-    Because ``tr(X [A, B]) = tr([X, A] B)``, entry (a, b) is the dot product
-    of ``vec([X, G_a])`` with ``vec(G_b^T)``: the :func:`tangent_values`
-    stack against the :func:`embed_stack` of the transposes, whose views
-    are copied once, into the padded stack.
+    The stacks may differ in s and k; their generators come in order, each
+    stack placed by one slice assignment into an ``(m, n, n)`` stack of
+    zeros.
     """
-    n, m = X.shape[0], len(gens)
-    left = tangent_values(X, gens).reshape(m, n * n)
-    right = embed_stack([G.T for G in gens], n).reshape(m, n * n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return left @ right.T
+    out = np.zeros((sum(len(G) for G in stacks), n, n), dtype=np.complex128)
+    first = 0
+    for G in stacks:
+        k = G.shape[-1]
+        if k > n:
+            raise IndexError(f"cannot embed dimension {k} into smaller dimension {n}")
+        out[first : first + len(G), :k, :k] = G
+        first += len(G)
+    return out
 
 
 _UNIT_ROUNDOFF = 2.0**-53
@@ -542,6 +536,7 @@ def _cholesky_levels(
     # read no other.  Zeros keep the rest finite.
     G = np.zeros((m, m), dtype=np.complex128)
     with np.errstate(all="ignore"):
+        # Widths save criterion 1 a third of its time; criterion 3's rows fill nearly every column.
         if widths is None:
             # Row blocks [r, s) of conj(F F^H), whose per-level values are
             # those of F F^H: only the block's own rows are conjugated.
@@ -733,12 +728,15 @@ def _bidiagonal_top(a: np.ndarray, b: np.ndarray, scale: float) -> float:
     return scale * math.sqrt(max(float(w[-1]), 0.0))
 
 
+# The most Golub-Kahan-Lanczos steps _top_singular takes.
+_LANCZOS_STEPS = 64
+
+
 def _top_singular(
     apply: Callable[[np.ndarray], tuple[np.ndarray, float]],
     adjoint: Callable[[np.ndarray], tuple[np.ndarray, float]],
     start: np.ndarray,
     rtol: float,
-    max_steps: int,
 ) -> float:
     """Largest singular value of a linear map, by Golub-Kahan-Lanczos bidiagonalization.
 
@@ -747,11 +745,11 @@ def _top_singular(
     reorthogonalized in full, so the largest singular value of the
     bidiagonal is a lower bound that never decreases; the run stops once a
     step moves it by at most ``rtol``, once the Krylov space is exhausted,
-    or after ``max_steps``.  A ``scale < 1`` (the solver shrank the
+    or after ``_LANCZOS_STEPS``.  A ``scale < 1`` (the solver shrank the
     right-hand side to avoid overflow) or a non-finite image gives ``inf``.
     """
     shape, dim = start.shape, start.size
-    steps = min(max_steps, dim)
+    steps = min(_LANCZOS_STEPS, dim)
     U = np.zeros((steps, dim), dtype=np.complex128)
     V = np.zeros((steps + 1, dim), dtype=np.complex128)
     V[0] = start.reshape(-1) / _fro(start)
@@ -875,7 +873,6 @@ def _sylvester_smin(R: np.ndarray, S: np.ndarray) -> float:
         lambda W: ztrsyl(R, S, W, trana="C", tranb="C", isgn=-1)[:2],
         _sylvester_start(R.shape[0], S.shape[0]),
         1e-13,
-        64,
     )
     return 1.0 / inverse_norm if inverse_norm > 0.0 else math.nan
 
@@ -888,7 +885,6 @@ def _sylvester_smax(R: np.ndarray, S: np.ndarray) -> float:
         lambda W: (Rh @ W - W @ Sh, 1.0),
         _sylvester_start(R.shape[0], S.shape[0]),
         1e-4,
-        64,
     )
 
 

@@ -25,9 +25,12 @@ action, zero parameters included; it shares only ``mat_exp`` and
 time: the reference for the batched tangent stack, which is the only
 tangent representation production code forms.  The per-pair glued form
 evaluates the Kostant-Kirillov pairing one pair at a time, with no
-tangent stack and no GEMM: the reference for the batched bracket matrix,
-the level pairings and the Lagrangian isotropy.  Clarity over speed; the
-root and Kronecker oracles are capped at test scale.
+tangent stack and no GEMM: the reference for the level pairings and the
+Lagrangian isotropy.  The all-pairs bracket matrix pairs every generator
+at the top level in one GEMM, with its own embedding: production pairs
+each level block at its own level instead, and it is the reference for
+those blocks at depth <= 8.  Clarity over speed; the root and Kronecker
+oracles are capped at test scale.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ __all__ = [
     "gz_observable",
     "central_gradient",
     "fd_poisson_bracket",
+    "bracket_matrix",
     "charpoly_coefficients",
     "charpoly_roots",
     "dense_kernel",
@@ -135,7 +139,7 @@ def fd_poisson_bracket(
 
     Evaluated at the deeper of the two levels, independent of any
     analytic gradient code path; this is the oracle the production
-    bracket matrix is validated against.
+    level pairings are validated against.
     """
     n = max(f.level, g.level)
     if n > T.depth:
@@ -144,6 +148,23 @@ def fd_poisson_bracket(
     gf = central_gradient(f, X, h)
     gg = central_gradient(g, X, h)
     return complex(np.trace(X @ (gf @ gg - gg @ gf)))
+
+
+def bracket_matrix(X: np.ndarray, gens) -> np.ndarray:
+    """``tr(X [G_a, G_b])`` for every pair of a family of generators, in one GEMM at X.
+
+    Every generator is embedded into gl(n) of the n x n matrix X, so each
+    pair is paired at X whatever its levels: the all-pairs reference, at
+    depth <= 8, for the level-by-level pairings of the power table.
+    ``tr(X [A, B]) = tr([X, A] B)``, so entry (a, b) is the dot product of
+    ``vec([X, G_a])`` with ``vec(G_b^T)``.  Entries that overflow are left
+    non-finite, without a warning.
+    """
+    n = X.shape[0]
+    E = np.array([embed(G, n) for G in gens], dtype=np.complex128).reshape(-1, n, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        left = (X @ E - E @ X).reshape(len(E), n * n)
+        return left @ E.transpose(0, 2, 1).reshape(len(E), n * n).T
 
 
 def charpoly_coefficients(M: np.ndarray) -> np.ndarray:

@@ -50,6 +50,7 @@ import numpy as np
 from .matcore import (
     DEFAULT_TOL,
     Tolerance,
+    _pow2_scaled,
     krylov_basis,
     level_splits,
     spectra_disjoint,
@@ -200,10 +201,7 @@ def _scaled_top(T: Tower) -> np.ndarray:
     peak = float(np.abs(T.top).max())
     if peak == 0.0:
         return T.top
-    # In two halves: for a subnormal peak the whole factor is not representable.
-    exponent = math.frexp(peak)[1]
-    half = exponent // 2
-    return T.top * 2.0**-half * 2.0 ** (half - exponent)
+    return _pow2_scaled(T.top, math.frexp(peak)[1])
 
 
 def _tangents_profile(T: Tower, levels: list[_Level], tol: Tolerance) -> list[_Split]:

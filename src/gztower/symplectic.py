@@ -13,7 +13,8 @@ the pairing of two generators is ``tr(X [g1, g2])``.  At strongly
 regular towers the abelian orbit tangents are isotropic and of exactly
 half the orbit rank: the Lagrangian verification reads both ranks off
 the strong-regularity criteria and the pairings off the tower's
-:meth:`~gztower.gz.PowerTable.bracket_matrix`.
+:meth:`~gztower.gz.PowerTable.pairs`, each at the deeper of its two
+levels.
 """
 
 from __future__ import annotations
@@ -106,12 +107,12 @@ def lagrangian_check(T: Tower, tol: Tolerance = DEFAULT_TOL) -> LagrangianReport
     its margin is ``margin_A``.  The orbit dimension is N^2 minus that of
     the centralizer of X_N, which is N exactly when X_N is regular, as
     criterion 2 found it: the margin of that Arnoldi split is ``margin_G``.
-    The pairings are the leading N(N-1)/2 block of the tower's
-    :meth:`~gztower.gz.PowerTable.bracket_matrix`, whose rows and columns
-    are the generators below the top level.  Towers that are not strongly
-    regular (or have depth 1) yield a "not applicable" verdict rather than
-    an error, and towers whose powers overflow, so that the pairings have
-    no finite scale, an "indeterminate" one.
+    The pairings are those of the generators below the top level, the
+    leading entries of the tower's :meth:`~gztower.gz.PowerTable.pairs`,
+    each evaluated at the deeper of its two levels.  Towers that are not
+    strongly regular (or have depth 1) yield a "not applicable" verdict
+    rather than an error, and towers whose powers overflow, so that the
+    pairings have no finite scale, an "indeterminate" one.
     """
     N = T.depth
     base = dict(depth=N, tol_rel=tol.rel, tol_abs=tol.abs, isotropy_rtol=ISOTROPY_RTOL)
@@ -128,12 +129,12 @@ def lagrangian_check(T: Tower, tol: Tolerance = DEFAULT_TOL) -> LagrangianReport
     # rank and criterion 2 found X_N regular.
     rank_A = N * (N - 1) // 2
 
-    # The Hamiltonian tangent of f_ij is generated by its gradient; embedding
-    # is exact, so pairing at X_N gives the glued form of every pair.  A
+    # The Hamiltonian tangent of f_ij is generated by its gradient, and the
+    # glued form pairs two tangents at the deeper of their levels.  A
     # non-finite pairing makes the maximum non-finite, so it passes no threshold.
     table = power_table(T)
-    pairings = table.bracket_matrix()[:rank_A, :rank_A]
-    max_pairing = float(np.abs(pairings[np.triu_indices(rank_A, 1)]).max(initial=0.0))
+    pairings = table.pairs()[: rank_A * (rank_A - 1) // 2]
+    max_pairing = float(np.abs(pairings).max(initial=0.0))
     # |tr(X [Z1, Z2])| <= 2 ||X|| ||Z1|| ||Z2||: the cancellation error of
     # an exactly-zero pairing scales with the same product.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -21,8 +21,6 @@ from .matcore import DEFAULT_TOL, Tolerance, as_cmatrix, corner, spectra_disjoin
 __all__ = [
     "GenerationError",
     "Tower",
-    "new_tower",
-    "extend",
     "random_entries",
     "random_theta_tower",
     "tower_to_dict",
@@ -60,26 +58,6 @@ class Tower:
         if not 1 <= n <= self.depth:
             raise IndexError(f"level {n} out of range for depth {self.depth}")
         return corner(self.top, n)
-
-
-def new_tower(top) -> Tower:
-    """Build a tower of depth ``top.dim`` from its deepest matrix."""
-    return Tower(top)
-
-
-def extend(T: Tower, border_col, border_row, corner_entry) -> Tower:
-    """Deepen a tower by one level with the given border column/row/corner."""
-    n = T.depth
-    col = np.asarray(border_col, dtype=np.complex128)
-    row = np.asarray(border_row, dtype=np.complex128)
-    if col.shape != (n,) or row.shape != (n,):
-        raise ValueError(f"border vectors must have length {n}")
-    out = np.zeros((n + 1, n + 1), dtype=np.complex128)
-    out[:n, :n] = T.top
-    out[:n, n] = col
-    out[n, :n] = row
-    out[n, n] = complex(corner_entry)
-    return Tower(out)
 
 
 def random_entries(rng: np.random.Generator, shape, scale: float) -> np.ndarray:

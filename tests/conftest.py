@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from gztower import gz, matcore, regularity
+from gztower.action import AParams, flow_stack
 from gztower.matcore import DEFAULT_TOL, Tolerance
 from gztower.tower import Tower, random_entries, random_theta_tower
 
@@ -39,11 +40,41 @@ def diag_tower(values) -> Tower:
 
 
 def index_flows(T: Tower, idx, ts):
-    """``flow_stack`` of the gradient of f_{ij} over the times ``ts``, as ``flow`` reads it."""
-    from gztower.action import flow_stack
-
+    """``flow_stack`` of the table's gradient of f_{ij} over the times ``ts``."""
     table = gz.power_table(T)
     return flow_stack(table.top, [table.gradient(idx)], ts)
+
+
+def index_flow(T: Tower, idx, t) -> Tower:
+    """The exact Hamiltonian flow of f_{ij} for time t: the one-time case of :func:`index_flows`.
+
+    Raises the error that the stack reports for it.
+    """
+    tops, errors = index_flows(T, idx, [t])
+    if errors[0] is not None:
+        raise errors[0]
+    return Tower(tops[0])
+
+
+def zero_params(n: int) -> AParams:
+    """The identity of the abelian group of level n: every parameter zero."""
+    return AParams(n, [[0] * i for i in range(1, n)])
+
+
+def pairing_matrix(T: Tower) -> np.ndarray:
+    """The power table's level pairings as one m x m bracket matrix, m = N(N+1)/2.
+
+    Entry (b, a) with a <= b is read off the block of b's level, at the
+    deeper of the two levels, and entry (a, b) is its negative.
+    """
+    blocks = gz.power_table(T).level_pairings()
+    m = T.depth * (T.depth + 1) // 2
+    B = np.zeros((m, m), dtype=np.complex128)
+    for k, block in enumerate(blocks, 1):
+        B[k * (k - 1) // 2 : k * (k + 1) // 2, : k * (k + 1) // 2] = block
+    lower = np.tril_indices(m, -1)
+    B[lower[1], lower[0]] = -B[lower]
+    return B
 
 
 def unit(n: int, k: int, l: int) -> np.ndarray:
@@ -97,7 +128,7 @@ def fresh_sreg_report():
 
     The cached towers above are shared across tests, and ``sreg_report``
     and ``power_table`` keep the result of the last tower they were asked
-    about; a test that patches a criterion or the bracket GEMM must not
+    about; a test that patches a criterion or the pairing GEMM must not
     read a result computed before the patch.
     """
     regularity._tower_report.cache_clear()

@@ -11,7 +11,7 @@ import jsonschema
 import numpy as np
 
 from gztower import cli
-from gztower.action import a_act, a_act_stepwise, flow, random_params
+from gztower.action import a_act, a_act_stepwise, random_params
 from gztower.gz import gz_indices, power_table
 from gztower.matcore import embed, krylov_basis, spectra_disjoint
 from gztower.oracles import (
@@ -25,9 +25,16 @@ from gztower.oracles import (
 )
 from gztower.regularity import sreg_report
 from gztower.symplectic import lagrangian_check, match_residual
-from gztower.tower import Tower, new_tower, random_entries
+from gztower.tower import Tower, random_entries
 
-from conftest import jordan_tower, plain_tower, probe_operator, theta_tower
+from conftest import (
+    index_flow,
+    jordan_tower,
+    pairing_matrix,
+    plain_tower,
+    probe_operator,
+    theta_tower,
+)
 from test_cli import REPORT_SCHEMA
 
 
@@ -45,7 +52,7 @@ def test_criterion_01_poisson_commutativity():
         depth = 2 + seed % 5
         T = theta_tower(depth, seed, 1.0)
         idxs = gz_indices(depth)
-        B = power_table(T).bracket_matrix()
+        B = pairing_matrix(T)
         norms = {n: np.linalg.norm(T.level(n), 2) for n in range(1, depth + 1)}
         for a in range(len(idxs)):
             for b in range(a + 1, len(idxs)):
@@ -89,7 +96,7 @@ def test_criterion_03_exact_flow_conservation():
         for idx in gz_indices(depth - 1):
             corner_scale = 1.0 + float(np.abs(T.level(idx.i)).max())
             for t in grid:
-                flowed = flow(T, idx, t)
+                flowed = index_flow(T, idx, t)
                 drift = np.abs(power_table(flowed).traces() - base) / (1.0 + np.abs(base))
                 worst_drift = max(worst_drift, float(drift.max()))
                 worst_corner = max(
@@ -119,7 +126,7 @@ def _mixed_corpus():
         kinds.append("diag")
     for k in range(20):  # scalar towers: nothing regular beyond level 1
         depth = 2 + k % 3
-        towers.append(new_tower((1.0 + 0.5 * k) * np.eye(depth, dtype=complex)))
+        towers.append(Tower((1.0 + 0.5 * k) * np.eye(depth, dtype=complex)))
         kinds.append("scalar")
     for k in range(20):  # nilpotent shift towers: sreg without theta
         towers.append(jordan_tower(2 + k % 5))
@@ -201,7 +208,7 @@ def test_criterion_07_poisson_symplectic_consistency():
         T = theta_tower(depth, 600 + depth)
         assert sreg_report(T).verdict == "true"
         idxs = gz_indices(depth)
-        B = power_table(T).bracket_matrix()
+        B = pairing_matrix(T)
         for a in range(len(idxs)):
             for b in range(a, len(idxs)):
                 i1, i2 = idxs[a], idxs[b]

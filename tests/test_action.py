@@ -10,19 +10,17 @@ from gztower.action import (
     _nonzero_terms,
     a_act,
     a_act_stepwise,
-    flow,
     flow_stack,
     params_from_json,
     params_to_json,
     random_params,
-    zero_params,
 )
 from gztower.gz import GZIndex, gz_indices, power_table
 from gztower.matcore import embed, mat_exp
 from gztower.oracles import gz_hamiltonian, orbit_tangents_A, orbit_tangents_G, rank_split
-from gztower.tower import new_tower
+from gztower.tower import Tower
 
-from conftest import diag_tower, index_flows, plain_tower, theta_tower
+from conftest import diag_tower, index_flow, index_flows, plain_tower, theta_tower, zero_params
 
 
 class TestAParams:
@@ -63,7 +61,7 @@ class TestAAct:
         # [[a,b],[c,d]] to [[a, e^s b], [e^{-s} c, d]].
         a, b, c, d = 1.0, 2.0 - 1j, 0.5j, -3.0
         s = 0.37 + 0.21j
-        T = new_tower([[a, b], [c, d]])
+        T = Tower([[a, b], [c, d]])
         acted = a_act(AParams(2, ((s,),)), T)
         expected = np.array([[a, np.exp(s) * b], [np.exp(-s) * c, d]])
         assert np.abs(acted.top - expected).max() <= 1e-12 * (1 + np.abs(expected).max())
@@ -137,7 +135,7 @@ class TestActionCost:
 
     def test_zero_params_make_no_calls(self, expm_calls):
         # Powers of this corner overflow by X_3^2; zero parameters never form them.
-        T = new_tower(np.full((4, 4), 1e200, dtype=complex))
+        T = Tower(np.full((4, 4), 1e200, dtype=complex))
         acted = a_act(zero_params(4), T)
         assert expm_calls == []
         assert np.array_equal(acted.top, T.top)
@@ -161,21 +159,21 @@ class TestOverflow:
         "move",
         [
             lambda T: a_act(AParams(2, ((20.0,),)), T),
-            lambda T: flow(T, GZIndex(1, 1), -20.0),
+            lambda T: index_flow(T, GZIndex(1, 1), -20.0),
             lambda T: gl_adjoint(np.diag([1e4, 1.0]).astype(complex), T),
         ],
         ids=["a_act", "flow", "gl_adjoint"],
     )
     def test_non_finite_conjugate(self, move):
         with pytest.raises(OverflowError):
-            move(new_tower(self.TOWER))
+            move(Tower(self.TOWER))
 
 
 def gl_adjoint(g, T):
     """The adjoint action of diag(g, Id) on the top: the conjugation the abelian action makes."""
     G = np.eye(T.depth, dtype=complex)
     G[: len(g), : len(g)] = g
-    return new_tower(_conjugate(G, T.top))
+    return Tower(_conjugate(G, T.top))
 
 
 class TestGLAdjoint:
@@ -207,14 +205,14 @@ class TestGLAdjoint:
 class TestFlow:
     def test_time_zero_identity(self):
         T = plain_tower(4, 104)
-        assert np.array_equal(flow(T, GZIndex(2, 1), 0.0).top, T.top)
+        assert np.array_equal(index_flow(T, GZIndex(2, 1), 0.0).top, T.top)
 
     def test_derivative_matches_hamiltonian(self):
         T = theta_tower(4, 130)
         h = 1e-6
         for idx in gz_indices(3):
-            plus = flow(T, idx, h).top
-            minus = flow(T, idx, -h).top
+            plus = index_flow(T, idx, h).top
+            minus = index_flow(T, idx, -h).top
             numeric = (plus - minus) / (2 * h)
             analytic = gz_hamiltonian(T, idx).value(4)
             scale = 1.0 + np.abs(analytic).max()
@@ -224,8 +222,8 @@ class TestFlow:
         # Flowing the first coordinate conjugates by diag(e^{-s}, 1).
         a, b, c, d = 0.3, 1.0 + 1j, -2.0, 0.9
         s = 0.45
-        T = new_tower([[a, b], [c, d]])
-        out = flow(T, GZIndex(1, 1), s).top
+        T = Tower([[a, b], [c, d]])
+        out = index_flow(T, GZIndex(1, 1), s).top
         expected = np.array([[a, np.exp(-s) * b], [np.exp(s) * c, d]])
         assert np.abs(out - expected).max() <= 1e-13
 
@@ -234,19 +232,19 @@ class TestFlow:
         base = power_table(T).traces()
         for idx in gz_indices(4):
             for t in (-2.0, -0.5, 1.0, 2.0):
-                values = power_table(flow(T, idx, t)).traces()
+                values = power_table(index_flow(T, idx, t)).traces()
                 assert np.all(np.abs(values - base) <= 1e-8 * (1 + np.abs(base)))
 
     def test_fixes_own_corner(self):
         T = theta_tower(5, 132, 0.4)
         for idx in gz_indices(4):
-            flowed = flow(T, idx, 1.7)
+            flowed = index_flow(T, idx, 1.7)
             scale = 1.0 + np.abs(T.level(idx.i)).max()
             assert np.abs(flowed.level(idx.i) - T.level(idx.i)).max() <= 1e-12 * scale
 
     def test_top_level_flow_acts_trivially(self):
         T = theta_tower(3, 133, 0.4)
-        flowed = flow(T, GZIndex(3, 2), 0.8)
+        flowed = index_flow(T, GZIndex(3, 2), 0.8)
         scale = 1.0 + np.abs(T.top).max()
         assert np.abs(flowed.top - T.top).max() <= 1e-10 * scale
 
@@ -257,7 +255,7 @@ class TestFlow:
         rows = [list(row) for row in zero_params(4).t]
         rows[idx.i - 1][idx.j - 1] = -t
         via_action = a_act(AParams(4, tuple(tuple(r) for r in rows)), T)
-        via_flow = flow(T, idx, t)
+        via_flow = index_flow(T, idx, t)
         assert np.abs(via_action.top - via_flow.top).max() <= 1e-12 * (
             1 + np.abs(via_flow.top).max()
         )
@@ -275,7 +273,7 @@ class TestFlowStack:
             assert tops.shape == (len(self.GRID), 6, 6)
             assert errors == [None] * len(self.GRID)
             for t, top in zip(self.GRID, tops):
-                assert np.array_equal(flow(T, idx, t).top, top)
+                assert np.array_equal(index_flow(T, idx, t).top, top)
 
     @pytest.mark.parametrize(
         "top,idx,grid,bad,error",
@@ -302,22 +300,22 @@ class TestFlowStack:
         ids=["conjugate-overflow", "singular-conjugator", "expm-overflow"],
     )
     def test_one_failing_time_fails_only_its_flow(self, top, idx, grid, bad, error):
-        T = new_tower(top)
+        T = Tower(top)
         tops, errors = index_flows(T, idx, grid)
         assert [e is None for e in errors] == [s != bad for s in range(len(grid))]
         assert isinstance(errors[bad], error)
         with pytest.raises(error, match=str(errors[bad])):
-            flow(T, idx, grid[bad])
+            index_flow(T, idx, grid[bad])
         for s, t in enumerate(grid):
             if s != bad:
-                assert np.array_equal(flow(T, idx, t).top, tops[s])
+                assert np.array_equal(index_flow(T, idx, t).top, tops[s])
 
     def test_index_out_of_depth(self):
         T = plain_tower(2, 136)
         with pytest.raises(IndexError):
             flow_stack(T.top, [np.eye(3)], [0.0])
         with pytest.raises(IndexError):
-            flow(T, GZIndex(3, 1), 0.0)
+            index_flow(T, GZIndex(3, 1), 0.0)
 
 
 class TestOrbitTangents:
@@ -328,7 +326,7 @@ class TestOrbitTangents:
 
     def test_depth_one_rejected(self):
         with pytest.raises(ValueError):
-            orbit_tangents_A(new_tower([[1.0]]))
+            orbit_tangents_A(Tower([[1.0]]))
 
     def test_rank_at_sreg(self):
         for depth in (3, 4, 5):
@@ -347,7 +345,7 @@ class TestOrbitTangents:
         assert rank_split(values)[0] == 4 * 4 - 4
 
     def test_g_rank_at_identity_zero(self):
-        T = new_tower(np.eye(3, dtype=complex))
+        T = Tower(np.eye(3, dtype=complex))
         values = [v.value(3) for v in orbit_tangents_G(T)]
         assert rank_split(values)[0] == 0
 

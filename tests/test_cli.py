@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from gztower import cli
-from gztower.tower import new_tower, tower_from_json, tower_to_json
+from gztower.tower import Tower, tower_from_json, tower_to_json
 
-from conftest import jordan_tower, plain_tower, theta_tower
+from conftest import jordan_tower, plain_tower, theta_tower, zero_params
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -133,7 +133,7 @@ class TestCheck:
 
     def test_lagrangian_on_identity_tower_is_indeterminate(self, tmp_path):
         tower_file = tmp_path / "id.json"
-        write_tower(tower_file, new_tower(np.eye(3, dtype=complex)))
+        write_tower(tower_file, Tower(np.eye(3, dtype=complex)))
         out = tmp_path / "r.json"
         code = cli.main(
             ["check", str(tower_file), "--suite", "lagrangian", "-o", str(out)]
@@ -146,7 +146,7 @@ class TestCheck:
     def test_anchor_on_identity_tower_is_indeterminate(self, tmp_path):
         # Not strongly regular, so the anchor check has nothing to test.
         tower_file = tmp_path / "id.json"
-        write_tower(tower_file, new_tower(np.eye(3, dtype=complex)))
+        write_tower(tower_file, Tower(np.eye(3, dtype=complex)))
         out = tmp_path / "r.json"
         code = cli.main(["check", str(tower_file), "--suite", "anchor", "-o", str(out)])
         assert code == cli.EXIT_INDETERMINATE
@@ -157,7 +157,7 @@ class TestCheck:
 
     def test_identity_tower_sreg_check_fails(self, tmp_path):
         tower_file = tmp_path / "id.json"
-        write_tower(tower_file, new_tower(np.eye(3, dtype=complex)))
+        write_tower(tower_file, Tower(np.eye(3, dtype=complex)))
         code = cli.main(["check", str(tower_file), "--suite", "sreg"])
         assert code == cli.EXIT_FAIL
 
@@ -217,7 +217,7 @@ class TestCheck:
         # Every unit-speed flow of level 1 scales the largest double by
         # |exp(-t c)| > 1 at one sign of t, whatever the seed.
         tower_file = tmp_path / "huge.json"
-        write_tower(tower_file, new_tower([[0.0, np.finfo(float).max], [0.0, 0.0]]))
+        write_tower(tower_file, Tower([[0.0, np.finfo(float).max], [0.0, 0.0]]))
         out = tmp_path / "r.json"
         for seed in ("0", "1", "2", "201"):
             argv = ["check", str(tower_file), "--suite", "conserve", "--seed", seed]
@@ -233,7 +233,7 @@ class TestCheck:
         # a level-1 flow that scales 1.7e306 up by more than 1.06 leaves a
         # finite top whose tr(X_3^3) overflows, under an overflowing bound.
         tower_file = tmp_path / "edge.json"
-        write_tower(tower_file, new_tower([[50, 1.7e306, 0], [1e-306, 50, 0], [0, 0, 1]]))
+        write_tower(tower_file, Tower([[50, 1.7e306, 0], [1e-306, 50, 0], [0, 0, 1]]))
         out = tmp_path / "r.json"
         for seed in ("0", "1", "2", "201"):
             argv = ["check", str(tower_file), "--suite", "conserve", "--seed", seed]
@@ -248,7 +248,7 @@ class TestCheck:
     def test_conserve_on_overflowing_powers_is_indeterminate(self, tmp_path):
         # The configured filter turns any RuntimeWarning into an error here.
         tower_file = tmp_path / "pow.json"
-        write_tower(tower_file, new_tower(self.OVERFLOWING_POWERS))
+        write_tower(tower_file, Tower(self.OVERFLOWING_POWERS))
         out = tmp_path / "r.json"
         code = cli.main(["check", str(tower_file), "--suite", "conserve", "-o", str(out)])
         assert code == cli.EXIT_INDETERMINATE
@@ -260,7 +260,7 @@ class TestCheck:
         # The pairs of level 3 have bounds past the double range: they are not
         # compared, so the check does not pass and does not fail either.
         tower_file = tmp_path / "pow.json"
-        write_tower(tower_file, new_tower(self.OVERFLOWING_POWERS))
+        write_tower(tower_file, Tower(self.OVERFLOWING_POWERS))
         out = tmp_path / "r.json"
         code = cli.main(["check", str(tower_file), "--suite", "consistent", "-o", str(out)])
         assert code == cli.EXIT_INDETERMINATE
@@ -282,7 +282,7 @@ class TestCheck:
         # X_2 = diag(1, 2) and with X_3.  The overflowed X_3^2 enters no
         # criterion, so criterion 1 reads false on the merits, with a margin.
         tower_file = tmp_path / "pow.json"
-        write_tower(tower_file, new_tower(self.OVERFLOWING_POWERS))
+        write_tower(tower_file, Tower(self.OVERFLOWING_POWERS))
         out = tmp_path / "r.json"
         assert cli.main(["check", str(tower_file), "--suite", suite, "-o", str(out)]) == code
         assert capsys.readouterr().err == ""
@@ -307,7 +307,7 @@ class TestCheck:
         # scalar; in the symmetric one the border is 1e-308 of the diagonal,
         # below the tangent criterion's threshold, and X_2's spread overflows.
         tower_file = tmp_path / "huge.json"
-        write_tower(tower_file, new_tower(top.astype(complex)))
+        write_tower(tower_file, Tower(top.astype(complex)))
         out = tmp_path / "r.json"
         assert cli.main(["check", str(tower_file), "-o", str(out)]) == cli.EXIT_FAIL
         assert capsys.readouterr().err == ""
@@ -323,7 +323,7 @@ class TestCheck:
             raise ValueError(f"{token} is not JSON")
 
         tower_file = tmp_path / "pow.json"
-        write_tower(tower_file, new_tower(self.OVERFLOWING_POWERS))
+        write_tower(tower_file, Tower(self.OVERFLOWING_POWERS))
         # `gz orbit` writes no report on this tower: it exits 3 (TestOrbit).
         check_out = tmp_path / "check.json"
         assert cli.main(["check", str(tower_file), "-o", str(check_out)]) == cli.EXIT_FAIL
@@ -337,7 +337,7 @@ class TestCheck:
     def test_commute_on_overflowing_powers_fails_without_warnings(self, tmp_path, capsys):
         # The configured filter turns any RuntimeWarning into an error here.
         tower_file = tmp_path / "pow.json"
-        write_tower(tower_file, new_tower(self.OVERFLOWING_POWERS))
+        write_tower(tower_file, Tower(self.OVERFLOWING_POWERS))
         out = tmp_path / "r.json"
         code = cli.main(["check", str(tower_file), "--suite", "commute", "-o", str(out)])
         assert code == cli.EXIT_INDETERMINATE
@@ -353,7 +353,7 @@ class TestCheck:
         # pairings have no finite scale, so that check does not pass either.
         # The configured filter turns a RuntimeWarning into an error here.
         tower_file = tmp_path / "scaled.json"
-        write_tower(tower_file, new_tower(1e160 * theta_tower(4, 72).top))
+        write_tower(tower_file, Tower(1e160 * theta_tower(4, 72).top))
         out = tmp_path / "r.json"
         assert cli.main(["check", str(tower_file), "-o", str(out)]) == cli.EXIT_INDETERMINATE
         assert capsys.readouterr().err == ""
@@ -643,7 +643,7 @@ class TestFlow:
 
     def test_overflowing_flow_is_indeterminate(self, tmp_path, capsys):
         tower_file = tmp_path / "huge.json"
-        write_tower(tower_file, new_tower([[0.0, 1e300], [0.0, 0.0]]))
+        write_tower(tower_file, Tower([[0.0, 1e300], [0.0, 0.0]]))
         argv = ["flow", str(tower_file), "--i", "1", "--j", "1", "--t-grid=-20"]
         assert cli.main(argv + ["-o", str(tmp_path / "f.json")]) == cli.EXIT_INDETERMINATE
         assert "not computable" in capsys.readouterr().err
@@ -675,7 +675,7 @@ class TestFlow:
     )
     def test_first_failing_time_sets_the_message(self, tmp_path, capsys, top, index, grid, message):
         tower_file = tmp_path / "t.json"
-        write_tower(tower_file, new_tower(top))
+        write_tower(tower_file, Tower(top))
         argv = ["flow", str(tower_file), "--i", index[0], "--j", index[1], f"--t-grid={grid}"]
         assert cli.main(argv + ["-o", str(tmp_path / "f.json")]) == cli.EXIT_INDETERMINATE
         captured = capsys.readouterr()
@@ -692,7 +692,7 @@ class TestFlow:
         # range; no report with NaN or infinity tokens is written.  The
         # configured filter turns any RuntimeWarning into an error here.
         tower_file = tmp_path / "pow.json"
-        write_tower(tower_file, new_tower(TestCheck.OVERFLOWING_POWERS))
+        write_tower(tower_file, Tower(TestCheck.OVERFLOWING_POWERS))
         argv = ["flow", str(tower_file), "--i", "2", "--j", "1", "-o", str(tmp_path / "f.out")]
         options = [str(tmp_path / o) if o.endswith(".csv") else o for o in options]
         assert cli.main(argv + options) == cli.EXIT_INDETERMINATE
@@ -717,7 +717,7 @@ class TestOrbit:
         # The tower's own traces overflow under an infinite power bound: the
         # drift is not computable, as in `gz flow`, so no report is written.
         tower_file = tmp_path / "pow.json"
-        write_tower(tower_file, new_tower(TestCheck.OVERFLOWING_POWERS))
+        write_tower(tower_file, Tower(TestCheck.OVERFLOWING_POWERS))
         out = tmp_path / "orbit.json"
         code = cli.main(["orbit", str(tower_file), "--seed", "0", "-o", str(out)])
         assert code == cli.EXIT_INDETERMINATE
@@ -768,7 +768,7 @@ class TestOrbit:
         assert report["permuted_application_gap"] <= 1e-8
 
     def test_zero_params_file_identity(self, tmp_path):
-        from gztower.action import params_to_json, zero_params
+        from gztower.action import params_to_json
 
         T = theta_tower(3, 410)
         tower_file = tmp_path / "t.json"
@@ -784,7 +784,7 @@ class TestOrbit:
 
     def test_non_sreg_tower_indeterminate(self, tmp_path):
         tower_file = tmp_path / "id.json"
-        write_tower(tower_file, new_tower(np.eye(3, dtype=complex)))
+        write_tower(tower_file, Tower(np.eye(3, dtype=complex)))
         code = cli.main(["orbit", str(tower_file), "--seed", "0"])
         assert code == cli.EXIT_INDETERMINATE
 
@@ -823,15 +823,15 @@ class TestNonFiniteResiduals:
     def nan_brackets(self, monkeypatch):
         from gztower.gz import PowerTable
 
-        original = PowerTable.bracket_matrix
+        original = PowerTable.level_pairings
 
         def with_nan(table):
-            # The table's own bracket matrix is read-only.
-            out = original(table).copy()
-            out[2, 5] = out[5, 2] = np.nan
-            return out
+            # The table's own blocks are read-only.  {f[3,3], f[2,2]} is level 3's.
+            blocks = [block.copy() for block in original(table)]
+            blocks[2][2, 2] = np.nan
+            return tuple(blocks)
 
-        monkeypatch.setattr(PowerTable, "bracket_matrix", with_nan)
+        monkeypatch.setattr(PowerTable, "level_pairings", with_nan)
 
     def _check(self, tmp_path, suite):
         tower_file = tmp_path / "t.json"
@@ -846,9 +846,10 @@ class TestNonFiniteResiduals:
         assert set(verdicts.values()) == {"true"}
 
     def test_nan_bracket_fails_commute_and_consistent(self, tmp_path, nan_brackets):
-        code, verdicts = self._check(tmp_path, "commute,consistent")
+        # Lagrangian isotropy reads the same pair: both generators lie below level 4.
+        code, verdicts = self._check(tmp_path, "commute,consistent,lagrangian")
         assert code == cli.EXIT_FAIL
-        assert verdicts == {"commute": "false", "consistent": "false"}
+        assert verdicts == {"commute": "false", "consistent": "false", "lagrangian": "false"}
 
     def test_nan_residual_fails_match(self, tmp_path, monkeypatch):
         original = cli.match_residual
@@ -1012,7 +1013,7 @@ def _overflowing_flows(d):
     weight c off the imaginary axis."""
     top = plain_tower(d, 330 + d, 0.01).top.copy()
     top[0, -1] = np.finfo(float).max
-    return new_tower(top)
+    return Tower(top)
 
 
 class TestConserveOracle:
@@ -1024,9 +1025,9 @@ class TestConserveOracle:
         "theta": lambda d: theta_tower(d, 300 + d, 0.4),
         "plain": lambda d: plain_tower(d, 310 + d),
         "jordan": jordan_tower,
-        "identity": lambda d: new_tower(np.eye(d)),
+        "identity": lambda d: Tower(np.eye(d)),
         # The traces themselves overflow: nothing to conserve.
-        "overflowing-powers": lambda d: new_tower(1e160 * theta_tower(d, 320 + d, 0.4).top),
+        "overflowing-powers": lambda d: Tower(1e160 * theta_tower(d, 320 + d, 0.4).top),
         # Finite traces, but conjugates that overflow.
         "overflowing-flows": _overflowing_flows,
     }
@@ -1187,15 +1188,19 @@ class TestCheckCost:
         assert regularity.sreg_report(tower, cli.Tolerance()).verdict == "true"
         assert regularity.is_sreg_differentials(tower)
         assert regularity.is_sreg_tangents(tower)
-        assert builds == {"tables": 0, "brackets": 0}
+        assert builds == {"tables": 0, "passes": 0, "blocks": 0, "brackets": 0}
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        # Every table is built through PowerTable.__init__; count every
-        # binding a member could run the bracket GEMM through.
-        from gztower import gz, matcore, symplectic
+        # Every table is built through PowerTable.__init__, every pass of
+        # level pairings through its cached property, and every level block,
+        # at X_k or at X_N, through gz._pairing_block.  The all-pairs GEMM at
+        # X_N is an oracle: no production module can reach it.
+        import functools
 
-        builds = {"tables": 0, "brackets": 0}
+        from gztower import gz, oracles
+
+        builds = {"tables": 0, "passes": 0, "blocks": 0, "brackets": 0}
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -1205,27 +1210,33 @@ class TestCheckCost:
             return wrapped
 
         monkeypatch.setattr(gz.PowerTable, "__init__", counting("tables", gz.PowerTable.__init__))
-        bracket = counting("brackets", matcore.bracket_matrix)
-        for module in (matcore, gz, symplectic):
-            monkeypatch.setattr(module, "bracket_matrix", bracket, raising=False)
+        passes = functools.cached_property(counting("passes", gz.PowerTable._level_pairings.func))
+        passes.__set_name__(gz.PowerTable, "_level_pairings")
+        monkeypatch.setattr(gz.PowerTable, "_level_pairings", passes)
+        monkeypatch.setattr(gz, "_pairing_block", counting("blocks", gz._pairing_block))
+        monkeypatch.setattr(cli, "_pairing_block", gz._pairing_block)
+        bracket = counting("brackets", oracles.bracket_matrix)
+        monkeypatch.setattr(oracles, "bracket_matrix", bracket)
         return builds
 
     def test_full_suite_builds_one_table_and_one_bracket(self, tower, tmp_path, builds):
-        # commute, consistent and lagrangian all read the table's one GEMM.
+        # commute, consistent and lagrangian all read the table's one pass of
+        # level pairings, one GEMM per level; consistent pairs each level
+        # again at X_N.  No member forms the all-pairs bracket at X_N.
         tower_file = tmp_path / "t.json"
         write_tower(tower_file, tower)
         code = cli.main(["check", str(tower_file), "-o", str(tmp_path / "r.json")])
         assert code == cli.EXIT_PASS
-        assert builds == {"tables": 1, "brackets": 1}
+        assert builds == {"tables": 1, "passes": 1, "blocks": 2 * self.DEPTH, "brackets": 0}
 
     def test_orbit_builds_one_table(self, tower, tmp_path, builds):
         # The acted towers' traces come from one stacked pass, not a table
-        # each; the Lagrangian pairings are the table's bracket GEMM.
+        # each; the Lagrangian pairings are the table's one pass.
         tower_file = tmp_path / "t.json"
         write_tower(tower_file, tower)
         code = cli.main(["orbit", str(tower_file), "--samples", "6", "--seed", "0"])
         assert code == cli.EXIT_PASS
-        assert builds == {"tables": 1, "brackets": 1}
+        assert builds == {"tables": 1, "passes": 1, "blocks": self.DEPTH, "brackets": 0}
 
     @pytest.fixture
     def reports(self, monkeypatch):

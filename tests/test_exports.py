@@ -69,3 +69,24 @@ def test_production_has_one_tangent_representation(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     names = {name for node in ast.walk(tree) for name in _names(node)}
     assert names.isdisjoint({"TowerTangent", "anchor", "isotropy_check"})
+
+
+@pytest.mark.parametrize("path", PRODUCTION, ids=lambda path: path.name)
+def test_production_forms_no_all_pairs_bracket(path):
+    # Production pairs each level block at its own level; the all-pairs GEMM
+    # at X_N is the reference for those blocks, kept in oracles.py.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = {name for node in ast.walk(tree) for name in _names(node)}
+    assert names.isdisjoint({"bracket_matrix", "_bracket"})
+
+
+def test_version_has_one_source():
+    # pyproject.toml reads the version off the package, without importing it.
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = pathlib.Path(gztower.__file__).parents[2] / "pyproject.toml"
+    if not pyproject.exists():
+        pytest.skip("gztower is not imported from a source checkout")
+    config = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+    assert "version" not in config["project"]
+    assert config["project"]["dynamic"] == ["version"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "gztower.__version__"}

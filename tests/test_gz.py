@@ -3,9 +3,10 @@ import pytest
 
 from gztower.action import flow_stack
 from gztower.gz import GZIndex, gz_indices, power_table, stack_traces
-from gztower.matcore import bracket_matrix, embed
+from gztower.matcore import embed
 from gztower.oracles import (
     SmoothFn,
+    bracket_matrix,
     central_gradient,
     fd_poisson_bracket,
     gz_hamiltonian,
@@ -13,13 +14,13 @@ from gztower.oracles import (
     TowerTangent,
     omega_inf,
 )
-from gztower.tower import Tower, new_tower
+from gztower.tower import Tower
 
-from conftest import index_flows, plain_tower, theta_tower, unit
+from conftest import index_flows, pairing_matrix, plain_tower, theta_tower, unit
 
 
 def involution_tower():
-    return new_tower([[0.0, 1.0], [1.0, 0.0]])
+    return Tower([[0.0, 1.0], [1.0, 0.0]])
 
 
 class TestIndices:
@@ -41,7 +42,7 @@ def trace_of(T, idx):
 
 class TestEval:
     def test_identity_tower_traces(self):
-        T = new_tower(np.eye(5, dtype=complex))
+        T = Tower(np.eye(5, dtype=complex))
         for i in range(1, 6):
             assert trace_of(T, GZIndex(i, 1)) == i
 
@@ -55,7 +56,7 @@ class TestEval:
 
     def test_index_out_of_depth(self):
         with pytest.raises(IndexError):
-            gz_hamiltonian(new_tower([[1.0]]), GZIndex(2, 1))
+            gz_hamiltonian(Tower([[1.0]]), GZIndex(2, 1))
 
 
 def grad_of(T, idx):
@@ -88,7 +89,7 @@ class TestGrad:
 
     def test_fd_gradient_quadratic_diagonal(self):
         # d tr(X^2) at diag(1,2) is 2X = diag(2,4).
-        T = new_tower(np.diag([1.0, 2.0]).astype(complex))
+        T = Tower(np.diag([1.0, 2.0]).astype(complex))
         g = central_gradient(gz_observable(2, 2), T.level(2))
         assert np.abs(g - np.diag([2.0, 4.0])).max() <= 1e-8
 
@@ -104,7 +105,7 @@ class TestHamiltonian:
     def test_first_index_by_hand(self):
         # -[E_11, [[a,b],[c,d]]] = [[0, -b], [c, 0]].
         a, b, c, d = 1.5, 2.0 - 1j, -0.5 + 2j, 3.0
-        T = new_tower([[a, b], [c, d]])
+        T = Tower([[a, b], [c, d]])
         value = gz_hamiltonian(T, GZIndex(1, 1)).value(2)
         assert np.allclose(value, [[0, -b], [c, 0]], atol=0)
 
@@ -123,12 +124,12 @@ class TestHamiltonian:
 
 
 class TestBracket:
-    """The bracket matrix as the Lie-Poisson bracket of pairs of observables."""
+    """The level pairings and the all-pairs oracle as the Lie-Poisson bracket of pairs."""
 
     def test_gz_pair_commutes(self):
         T = theta_tower(4, 0)
         idxs = gz_indices(4)
-        B = power_table(T).bracket_matrix()
+        B = pairing_matrix(T)
         assert abs(B[idxs.index(GZIndex(2, 1)), idxs.index(GZIndex(2, 2))]) <= 1e-10
 
     def test_self_bracket_exactly_zero(self):
@@ -141,7 +142,8 @@ class TestBracket:
         g = embed(table.generators()[a], 3)
         assert np.trace(T.top @ (g @ g - g @ g)) == 0
         bound = 1.0 + np.linalg.norm(T.level(2), 2) ** 4
-        assert abs(table.bracket_matrix()[a, a]) <= 1e-13 * bound
+        # f[2,2] is the second generator of level 2, paired with itself at X_2.
+        assert abs(table.level_pairings()[1][1, a]) <= 1e-13 * bound
 
     def test_antisymmetry(self):
         T = plain_tower(4, 39)
@@ -167,7 +169,7 @@ class TestBracket:
         for depth, seed in ((5, 50), (5, 51), (5, 52), (8, 53)):
             T = theta_tower(depth, seed, 1.0)
             idxs = gz_indices(depth)
-            B = power_table(T).bracket_matrix()
+            B = pairing_matrix(T)
             for a, i1 in enumerate(idxs):
                 for b, i2 in enumerate(idxs):
                     n = max(i1.i, i2.i)
@@ -223,11 +225,13 @@ class TestPowerTable:
                 assert np.linalg.norm(G - expected) <= 1e-6 * (1.0 + np.linalg.norm(G))
 
     def test_bracket_matrix_matches_poisson_bracket(self):
+        # Both the level pairings and the all-pairs oracle at X_N.
         for depth, seed, scale in self.TOWERS:
             T = theta_tower(depth, seed, scale)
-            B = power_table(T).bracket_matrix()
+            paired = pairing_matrix(T)
+            at_top = bracket_matrix(T.top, power_table(T).generators())
             idxs = gz_indices(depth)
-            assert B.shape == (len(idxs), len(idxs))
+            assert at_top.shape == (len(idxs), len(idxs))
             levels = [None] + [T.level(n) for n in range(1, depth + 1)]
             grads = [k.j * np.linalg.matrix_power(levels[k.i], k.j - 1) for k in idxs]
             for a, i1 in enumerate(idxs):
@@ -237,24 +241,27 @@ class TestPowerTable:
                     ga, gb = embed(grads[a], n), embed(grads[b], n)
                     expected = np.trace(levels[n] @ (ga @ gb - gb @ ga))
                     bound = 1.0 + np.linalg.norm(T.level(n), 2) ** (i1.i + i2.i)
-                    assert abs(B[a, b] - expected) <= 1e-13 * bound
+                    assert abs(paired[a, b] - expected) <= 1e-13 * bound
+                    assert abs(at_top[a, b] - expected) <= 1e-13 * bound
 
     def test_bracket_matrix_against_fd_oracle(self):
         T = plain_tower(4, 65, 0.7)
         table = power_table(T)
         idxs = gz_indices(4)
-        B = table.bracket_matrix()
+        B = pairing_matrix(T)
+        at_top = bracket_matrix(T.top, table.generators())
         for a, b in ((0, 9), (2, 5), (4, 8), (6, 7), (3, 3)):
             f = gz_observable(idxs[a].i, idxs[a].j)
             g = gz_observable(idxs[b].i, idxs[b].j)
             expected = fd_poisson_bracket(f, g, T)
             assert abs(B[a, b] - expected) <= 1e-6 * (1.0 + abs(expected))
+            assert abs(at_top[a, b] - expected) <= 1e-6 * (1.0 + abs(expected))
 
     def test_one_table_per_tower(self):
         T = theta_tower(5, 67, 0.5)
         table = power_table(T)
         assert power_table(T) is table
-        assert table.bracket_matrix() is table.bracket_matrix()
+        assert table.level_pairings() is table.level_pairings()
         # Towers compare by identity: an equal tower is another tower.
         twin = Tower(T.top.copy())
         assert power_table(twin) is not table
@@ -263,7 +270,7 @@ class TestPowerTable:
 
     def test_table_is_read_only(self):
         table = power_table(theta_tower(4, 68, 0.5))
-        views = (table.gradients[2], table.generators()[4], table.bracket_matrix())
+        views = (table.gradients[2], table.generators()[4], table.level_pairings()[2])
         for view in views:
             with pytest.raises(ValueError):
                 view[0, 0] = 1.0
@@ -281,14 +288,14 @@ class TestPowerTable:
 
     def test_overflow_is_left_non_finite_without_warnings(self):
         # The configured filter turns a RuntimeWarning into an error here.
-        T = new_tower([[1, 0, 0], [0, 2, 1e160], [0, 1e160, 3]])
+        T = Tower([[1, 0, 0], [0, 2, 1e160], [0, 1e160, 3]])
         table = power_table(T)
         gens = table.generators()
         assert all(np.all(np.isfinite(G)) for G in gens[:3])
         assert not np.all(np.isfinite(gens[5]))
-        brackets = table.bracket_matrix()
-        assert np.all(np.isfinite(brackets[:3, :3]))
-        assert not np.all(np.isfinite(brackets))
+        blocks = table.level_pairings()
+        assert np.all(np.isfinite(blocks[0])) and np.all(np.isfinite(blocks[1]))
+        assert not np.all(np.isfinite(blocks[2]))
 
     def test_gemm_against_fd_oracle_on_noncommuting_family(self):
         # The GZ brackets all vanish; matrix units pair nontrivially, so this
@@ -396,3 +403,26 @@ class TestLevelPairings:
                     expected = omega_inf(T, tangents[b], tangents[a])
                     bound = 1.0 + norms[k] ** (idxs[a].i + idxs[b].i)
                     assert abs(block[r, a] - expected) <= 1e-13 * bound
+
+    @pytest.mark.parametrize(
+        "depth,seed,scale", [(1, 76, 0.5), (2, 77, 0.5), (5, 78, 0.5), (8, 79, 0.3), (8, 80, 1.0)]
+    )
+    def test_blocks_at_own_level_and_at_top_match_all_pairs_oracle(self, depth, seed, scale):
+        # The one GEMM per level, at X_k as the table keeps it and at X_N as
+        # consistent forms it, against the all-pairs GEMM of the oracle at X_N.
+        from gztower.cli import _pair_bounds
+        from gztower.gz import _pairing_block
+        from gztower.matcore import embed_stack
+
+        T = theta_tower(depth, seed, scale)
+        table = power_table(T)
+        oracle = bracket_matrix(T.top, table.generators())
+        bounds = _pair_bounds(T, gz_indices(depth))
+        embedded = embed_stack(table.gradients, depth)
+        for k, block in enumerate(table.level_pairings(), 1):
+            rows = slice(k * (k - 1) // 2, k * (k + 1) // 2)
+            expected, bound = oracle[rows, : rows.stop], bounds[rows, : rows.stop]
+            at_top = _pairing_block(table.top, table.gradients[k - 1], embedded[: rows.stop])
+            assert block.shape == at_top.shape == expected.shape
+            assert np.all(np.abs(block - expected) <= 1e-12 * bound)
+            assert np.all(np.abs(at_top - expected) <= 1e-12 * bound)

@@ -8,10 +8,9 @@ from gztower.action import (
     _nonzero_terms,
     a_act_stepwise,
     random_params,
-    zero_params,
 )
 from gztower.cli import CHECKS
-from gztower.gz import gz_indices, power_table
+from gztower.gz import gz_indices
 from gztower.matcore import DEFAULT_TOL, embed, krylov_basis, spectra_disjoint
 from gztower.regularity import INDETERMINATE_MARGIN, sreg_report
 from gztower.symplectic import ISOTROPY_RTOL, lagrangian_check
@@ -35,16 +34,18 @@ from gztower.oracles import (
     projected_level_values,
     rank_split,
 )
-from gztower.tower import Tower, new_tower
+from gztower.tower import Tower
 
 from conftest import (
     diag_tower,
     intersection_trivial,
     jordan_tower,
+    pairing_matrix,
     plain_tower,
     probe_operator,
     sylvester_singular,
     theta_tower,
+    zero_params,
 )
 
 
@@ -56,7 +57,7 @@ class TestFdBracket:
     def test_matches_production_bracket(self):
         for seed in range(3):
             T = theta_tower(4, 300 + seed)
-            B = power_table(T).bracket_matrix()
+            B = pairing_matrix(T)
             idxs = gz_indices(4)
             for a, i1 in enumerate(idxs):
                 for b, i2 in enumerate(idxs):
@@ -195,14 +196,14 @@ class TestCommutantStack:
         if kind == "diagonal":
             return diag_tower([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         if kind == "identity":
-            return new_tower(np.eye(6, dtype=complex))
+            return Tower(np.eye(6, dtype=complex))
         if kind == "jordan":
             return jordan_tower(6)
         # Levels 1-4 are scalar under a generic border of rank 2, so levels
         # 2-6 are not regular and the kernels are proper subspaces of gl(n).
         top = plain_tower(6, 261).top.copy()
         top[:4, :4] = 1.5 * np.eye(4)
-        return new_tower(top)
+        return Tower(top)
 
     @pytest.mark.parametrize("kind", ["identity", "jordan", "scalar-levels"])
     def test_shared_spectra_reach_the_lanczos_fallback(self, kind, monkeypatch):
@@ -275,17 +276,17 @@ def _oracle_towers(kind):
     if kind == "plain":
         return [plain_tower(d, 420 + d) for d in depths]
     if kind == "identity":
-        return [new_tower(np.eye(d, dtype=complex)) for d in depths]
+        return [Tower(np.eye(d, dtype=complex)) for d in depths]
     if kind == "jordan-split":
         # The shift tower with its last border cut: X_N = J_(N-1) + 0 has two
         # Jordan blocks at 0, and z(X_(N-1)) commutes with X_N.  (At depth 2
         # that is the zero tower.)
         return [
-            new_tower(np.diag(np.r_[np.ones(d - 2), 0.0], 1).astype(complex))
+            Tower(np.diag(np.r_[np.ones(d - 2), 0.0], 1).astype(complex))
             for d in depths
             if d > 2
         ]
-    return [new_tower(1.5 * np.eye(d, dtype=complex)) for d in depths]
+    return [Tower(1.5 * np.eye(d, dtype=complex)) for d in depths]
 
 
 class TestKroneckerOracles:
@@ -366,10 +367,9 @@ ACTION_KINDS = ["zero", "nonzero", "half"]
 def _criterion_families(T):
     """The families criteria 1 and 3 rank, built as ``sreg_report`` builds them."""
     levels = regularity._arnoldi_levels(T, DEFAULT_TOL)
-    bases = [G for *_, Q in levels for G in Q]
     below = [G for *_, Q in levels[:-1] for G in Q]
     return {
-        "differentials": matcore.embed_stack(bases, T.depth),
+        "differentials": matcore.embed_stack([Q for *_, Q in levels], T.depth),
         "tangents": matcore.tangent_values(regularity._scaled_top(T), below),
     }
 
@@ -625,7 +625,7 @@ class TestLagrangianAgainstDenseFamilies:
         assert dense_ok and report.verdict == "true"
 
     @pytest.mark.parametrize(
-        "T", [diag_tower([1.0, 2.0, 3.0]), new_tower(np.eye(3, dtype=complex))],
+        "T", [diag_tower([1.0, 2.0, 3.0]), Tower(np.eye(3, dtype=complex))],
         ids=["diagonal", "identity"],
     )
     def test_not_strongly_regular_is_not_applicable(self, T):

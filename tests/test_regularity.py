@@ -14,7 +14,7 @@ from gztower.regularity import (
     is_sreg_tangents,
     sreg_report,
 )
-from gztower.tower import new_tower
+from gztower.tower import Tower
 
 from conftest import (
     diag_tower,
@@ -28,7 +28,7 @@ from conftest import (
 
 
 def involution_tower():
-    return new_tower([[0.0, 1.0], [1.0, 0.0]])
+    return Tower([[0.0, 1.0], [1.0, 0.0]])
 
 
 def nilpotent_jordan(n):
@@ -156,7 +156,7 @@ class TestSregCriteria:
         assert not is_sreg_tangents(T)
 
     def test_depth_one_conventions(self):
-        T = new_tower([[2.0]])
+        T = Tower([[2.0]])
         assert is_sreg_differentials(T)
         assert is_sreg_centralizers(T)
         with pytest.raises(ValueError):
@@ -210,19 +210,19 @@ class TestReport:
         assert all(m is not None and m > 10 for m in report.margins)
 
     def test_identity_tower_report(self):
-        report = sreg_report(new_tower(np.eye(3, dtype=complex)))
+        report = sreg_report(Tower(np.eye(3, dtype=complex)))
         assert report.verdict == "false"
         assert report.theta is False
 
     def test_scaled_identity_tower_has_no_theta(self):
         # The Sylvester operator does not see a common shift: 1e4 I shares
         # its spectrum across levels exactly as I does.
-        report = sreg_report(new_tower(1e4 * np.eye(4, dtype=complex)))
+        report = sreg_report(Tower(1e4 * np.eye(4, dtype=complex)))
         assert report.theta is False
         assert report.verdict == "false"
 
     def test_depth_one_report_flags_tangents(self):
-        report = sreg_report(new_tower([[1.0]]))
+        report = sreg_report(Tower([[1.0]]))
         assert report.by_tangents is None
         assert report.verdict == "true"
         assert any("vacuous" in note for note in report.notes)
@@ -235,7 +235,7 @@ class TestReport:
         # margins of the unscaled tower.  The configured filter turns a
         # RuntimeWarning into an error here.
         T = theta_tower(4, 72)
-        report = sreg_report(new_tower(1e160 * T.top))
+        report = sreg_report(Tower(1e160 * T.top))
         assert (report.by_differentials, report.by_centralizers, report.by_tangents) == (
             True,
             True,
@@ -258,7 +258,7 @@ class TestReport:
             [theta_tower(d, 80 + d) for d in (2, 3, 4, 5)]
             + [plain_tower(d, 90 + d) for d in (2, 3, 4)]
             + [diag_tower(list(range(1, d + 1))) for d in (2, 3, 4)]
-            + [new_tower(np.eye(d, dtype=complex)) for d in (2, 3)]
+            + [Tower(np.eye(d, dtype=complex)) for d in (2, 3)]
             + [jordan_tower(d) for d in (2, 3, 4)]
         )
         for T in towers:
@@ -307,7 +307,7 @@ class TestSharedArnoldiBases:
     @pytest.mark.parametrize(
         "T",
         [theta_tower(5, 74), diag_tower([1.0, 2.0, 3.0]), jordan_tower(4),
-         new_tower(1e160 * theta_tower(4, 72).top)],
+         Tower(1e160 * theta_tower(4, 72).top)],
         ids=["theta", "diagonal", "jordan", "scaled"],
     )
     def test_per_criterion_probes_agree_with_the_report(self, T):
@@ -343,7 +343,7 @@ class TestProfile:
             assert margin == min(m for m in margins if m is not None)
 
     def test_depth_one_has_no_tangent_levels(self):
-        data = sreg_report(new_tower([[2.0]])).to_json_dict()
+        data = sreg_report(Tower([[2.0]])).to_json_dict()
         assert data["level_margins"][2] == [] and data["decidable_depth"] == 1
 
     def test_failing_level_decides_and_the_profile_locates_it(self):

@@ -3,12 +3,19 @@ import pytest
 
 from gztower import gz, matcore, regularity, symplectic
 from gztower.gz import gz_indices, power_table
-from gztower.matcore import bracket_matrix, commutator, embed, krylov_basis, spectrum_split
-from gztower.oracles import TowerTangent, gz_hamiltonian, omega_inf, orbit_tangents_A, rank_split
+from gztower.matcore import commutator, embed, krylov_basis, spectrum_split
+from gztower.oracles import (
+    TowerTangent,
+    bracket_matrix,
+    gz_hamiltonian,
+    omega_inf,
+    orbit_tangents_A,
+    rank_split,
+)
 from gztower.symplectic import ISOTROPY_RTOL, kk_form, lagrangian_check, match_residual
-from gztower.tower import new_tower, random_entries
+from gztower.tower import Tower, random_entries
 
-from conftest import diag_tower, plain_tower, theta_tower, unit
+from conftest import diag_tower, pairing_matrix, plain_tower, theta_tower, unit
 
 
 class TestKKForm:
@@ -152,7 +159,7 @@ class TestAnchor:
 
 
 class TestIsotropy:
-    """The Lagrangian pairings are the leading block of the tower's bracket matrix."""
+    """The Lagrangian pairings are the level pairings of the generators below the top level."""
 
     def test_single_tangent(self):
         # At depth 2 the abelian family is one tangent: there is no pair.
@@ -183,8 +190,9 @@ class TestIsotropy:
                 for l in range(depth)
             ]
             abelian = orbit_tangents_A(T)
-            # The check's block: the generators below the top level, paired at X_N.
-            block = power_table(T).bracket_matrix()[: len(abelian), : len(abelian)]
+            # The check's block: the generators below the top level, each pair
+            # paired at the deeper of its two levels.
+            block = pairing_matrix(T)[: len(abelian), : len(abelian)]
             for fam in (abelian, units, abelian[:3] + units[:4]):
                 per_pair = max(
                     abs(omega_inf(T, fam[a], fam[b]))
@@ -205,14 +213,16 @@ class TestIsotropy:
 
     def test_non_finite_pairing_is_not_isotropic(self, monkeypatch):
         T = theta_tower(4, 234)
-        original = gz.bracket_matrix
+        original = gz._pairing_block
 
-        def with_nan(X, gens):
-            out = original(X, gens)
-            out[1, 4] = np.nan
+        def with_nan(X, G, embedded):
+            out = original(X, G, embedded)
+            if len(G) == 3:
+                # {f[3,2], f[2,1]}: both generators lie below the top level.
+                out[1, 1] = np.nan
             return out
 
-        monkeypatch.setattr(gz, "bracket_matrix", with_nan)
+        monkeypatch.setattr(gz, "_pairing_block", with_nan)
         # The table must be built under the patch, not read from the cache.
         power_table.cache_clear()
         report = lagrangian_check(T)
@@ -225,7 +235,7 @@ class TestBracketFormConsistency:
     def test_gz_pairs(self):
         T = theta_tower(5, 240)
         idxs = gz_indices(5)
-        B = power_table(T).bracket_matrix()
+        B = pairing_matrix(T)
         for a in range(len(idxs)):
             for b in range(a, len(idxs)):
                 i1, i2 = idxs[a], idxs[b]
@@ -269,7 +279,7 @@ class TestLagrangian:
         assert "top_arnoldi_margin" not in regularity.sreg_report(T).to_json_dict()
 
     def test_depth1_not_applicable(self):
-        report = lagrangian_check(new_tower([[1.0]]))
+        report = lagrangian_check(Tower([[1.0]]))
         assert report.verdict == "not applicable"
 
     def test_json_shape(self):

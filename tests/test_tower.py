@@ -10,8 +10,6 @@ from gztower.oracles import TowerTangent
 from gztower.tower import (
     GenerationError,
     Tower,
-    extend,
-    new_tower,
     random_entries,
     random_theta_tower,
     tower_from_json,
@@ -23,12 +21,12 @@ from conftest import plain_tower, theta_tower
 
 class TestTowerBasics:
     def test_identity_tower_levels(self):
-        T = new_tower(np.eye(3, dtype=complex))
+        T = Tower(np.eye(3, dtype=complex))
         assert T.depth == 3
         assert np.array_equal(T.level(2), np.eye(2))
 
     def test_depth_one(self):
-        T = new_tower([[1.0]])
+        T = Tower([[1.0]])
         assert T.depth == 1 and T.level(1)[0, 0] == 1.0
 
     def test_levels_are_corners(self):
@@ -37,7 +35,7 @@ class TestTowerBasics:
             assert np.array_equal(T.level(k), corner(T.top, k))
 
     def test_level_out_of_range(self):
-        T = new_tower(np.eye(2, dtype=complex))
+        T = Tower(np.eye(2, dtype=complex))
         with pytest.raises(IndexError):
             T.level(3)
         with pytest.raises(IndexError):
@@ -53,38 +51,6 @@ class TestTowerBasics:
         T = plain_tower(3, 13)
         with pytest.raises(ValueError):
             T.top[0, 0] = 0.0
-
-
-class TestExtend:
-    def test_extend_scalar(self):
-        T = extend(new_tower([[1.0]]), [0.0], [0.0], 2.0)
-        assert np.array_equal(T.top, np.diag([1.0, 2.0]).astype(complex))
-
-    def test_extend_keeps_old_levels(self):
-        T = plain_tower(4, 14)
-        rng = np.random.default_rng(0)
-        deeper = extend(T, rng.standard_normal(4), rng.standard_normal(4), 1j)
-        assert np.array_equal(deeper.level(4), T.top)
-
-    def test_extend_roundtrips_borders(self):
-        T = plain_tower(3, 15)
-        col = np.array([1 + 1j, 2.0, -3j])
-        row = np.array([4.0, 5 - 2j, 6.0])
-        deeper = extend(T, col, row, 7 + 7j)
-        assert np.array_equal(deeper.top[:3, 3], col)
-        assert np.array_equal(deeper.top[3, :3], row)
-        assert deeper.top[3, 3] == 7 + 7j
-
-    def test_extend_never_mutates(self):
-        T = plain_tower(3, 16)
-        before = T.top.copy()
-        extend(T, np.zeros(3), np.zeros(3), 0.0)
-        assert np.array_equal(T.top, before)
-
-    def test_extend_length_mismatch(self):
-        T = plain_tower(3, 17)
-        with pytest.raises(ValueError):
-            extend(T, np.zeros(2), np.zeros(3), 0.0)
 
 
 class TestRandomThetaTower:
@@ -159,7 +125,7 @@ class TestTangent:
 
 class TestSerialization:
     def test_shape_of_payload(self):
-        T = new_tower([[1 + 2j]])
+        T = Tower([[1 + 2j]])
         data = json.loads(tower_to_json(T))
         assert data == {"depth": 1, "top": [[[1.0, 2.0]]]}
 
@@ -176,7 +142,7 @@ class TestSerialization:
             ],
             dtype=complex,
         )
-        back = tower_from_json(tower_to_json(new_tower(vals)))
+        back = tower_from_json(tower_to_json(Tower(vals)))
         assert np.array_equal(back.top, vals)
 
     @given(seed=st.integers(0, 10_000), depth=st.integers(1, 5))
