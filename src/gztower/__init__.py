@@ -65,7 +65,7 @@ from .symplectic import (
     match_residual,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
     "__version__",

@@ -262,7 +262,7 @@ def flow_stack(
     """
     N = top.shape[0]
     # Raises IndexError for a generator larger than the top.
-    P = embed_stack([G[None] for G in generators], N)
+    P = embed_stack(generators, N)
     times = np.asarray(ts, dtype=np.complex128)
     # A generator that overflowed leaves its exponentials non-finite, and they fail.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -40,12 +40,11 @@ from .action import (
 from .gz import (
     GZIndex,
     PowerTable,
-    _pairing_block,
     gz_indices,
     power_table,
     stack_traces,
 )
-from .matcore import MAX_DIM, Tolerance, embed_stack
+from .matcore import MAX_DIM, Tolerance, tangent_values
 from .regularity import report_number, sreg_report
 from .symplectic import lagrangian_check, match_residual
 from .tower import (
@@ -163,27 +162,38 @@ def _name(idx: GZIndex) -> str:
     return f"f[{idx.i},{idx.j}]"
 
 
+def _certified_ratios(T: Tower, left: np.ndarray, right: np.ndarray, k: int):
+    """``left[b] right[a] / _pair_bounds`` over the pairs (b, a) of ``np.tril_indices(m, k)``.
+
+    With ``left`` the Frobenius norms of matrices R_b and ``right`` those of
+    the gradients G_a, each ratio bounds ``|tr(R_b G_a)|`` over its pair's
+    bound, by Cauchy-Schwarz.  Returns the pairs, their bounds and the
+    ratios; pairs whose bound overflows read 0 and :func:`_pair_verdict`
+    counts them.  Overflowing norms stay non-finite and NaN propagates, so
+    a non-finite ratio of a compared pair cannot pass the rtol.
+    """
+    lower = np.tril_indices(len(left), k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bounds = _pair_bounds(T, gz_indices(T.depth))[lower]
+        ratios = left[lower[0]] * right[lower[1]] / bounds
+    return lower, bounds, np.where(np.isinf(bounds), 0.0, ratios)
+
+
 @_member("commute", "observable-family-poisson-commutativity")
 def _check_commute(T: Tower, tol: Tolerance, seed: int) -> tuple[str, dict]:
     idxs = gz_indices(T.depth)
-    # Each pair a < b once, at the deeper level: entry (b, a) of a lower triangle.
-    lower = np.tril_indices(len(idxs), -1)
-    # Overflowing entries stay non-finite; pairs whose bound overflows are
-    # not compared, and np.max propagates NaN, so a non-finite bracket of a
-    # compared pair cannot pass the rtol.
-    with np.errstate(over="ignore", invalid="ignore"):
-        bounds = _pair_bounds(T, idxs)[lower]
-        ratios = np.abs(power_table(T).pairs()) / bounds
-    pair_ratios = np.where(np.isinf(bounds), 0.0, ratios)
-    worst = float(pair_ratios.max(initial=0.0))
+    # Each pair a < b once, certified at b's level k by ||G_a|| ||[X_k, G_b]||.
+    commutators, norms = power_table(T).residuals()
+    lower, bounds, ratios = _certified_ratios(T, commutators, norms, -1)
+    worst = float(ratios.max(initial=0.0))
     worst_pair = None
     if worst != 0.0:
-        k = int(np.argmax(pair_ratios))
+        k = int(np.argmax(ratios))
         worst_pair = [_name(idxs[lower[1][k]]), _name(idxs[lower[0][k]])]
     details = {
         "max_bracket_ratio": report_number(worst),
         "worst_pair": worst_pair,
-        "pairs": len(pair_ratios),
+        "pairs": len(ratios),
         "rtol": DRIFT_RTOL,
     }
     return _pair_verdict(worst, bounds, details), details
@@ -337,30 +347,21 @@ def _check_match(T: Tower, tol: Tolerance, seed: int) -> tuple[str, dict]:
 
 @_member("consistent", "bracket-form-consistency")
 def _check_consistent(T: Tower, tol: Tolerance, seed: int) -> tuple[str, dict]:
-    # Every pair is paired twice, both times by level k's one GEMM: at X_N
-    # and at the deeper of its two levels k.  The two sides agree only
-    # through the gluing of the level forms; that level independence is
-    # what the check tests.
-    idxs = gz_indices(T.depth)
+    # The glued form pairs G_b of level k with a G_a of level <= k through
+    # the k x k corner of G_b's tangent, at X_N as at X_k; the two differ by
+    # tr(D_b G_a), D_b the corner at X_N minus [X_k, G_b].  They agree only
+    # through the gluing of the level forms; that level independence is what
+    # the check tests, by ||D_b|| ||G_a|| over every pair a <= b.
     table = power_table(T)
-    # Every gradient embedded into gl(N): level k pairs with the first k (k + 1) / 2.
-    embedded = embed_stack(table.gradients, T.depth)
-    # Overflowing entries stay non-finite; pairs whose bound overflows are
-    # not compared, and np.max propagates NaN, so a non-finite mismatch of a
-    # compared pair cannot pass the rtol.
+    gaps = []
     with np.errstate(over="ignore", invalid="ignore"):
-        bounds = _pair_bounds(T, idxs)
-        mismatch = []
-        for k, block in enumerate(table.level_pairings(), 1):
-            rows = slice(k * (k - 1) // 2, k * (k + 1) // 2)
-            cols = slice(0, rows.stop)
-            at_top = _pairing_block(table.top, table.gradients[k - 1], embedded[cols])
-            ratios = np.abs(at_top - block) / bounds[rows, cols]
-            mismatch.append(np.max(np.where(np.isinf(bounds[rows, cols]), 0.0, ratios)))
-    worst = float(np.max(mismatch))
-    # Some block compares every unordered pair, an index with itself included.
+        for k, G in enumerate(table.gradients, 1):
+            D = tangent_values(table.top, G)[:, :k, :k] - tangent_values(table.top[:k, :k], G)
+            gaps.append(np.linalg.norm(D, axis=(1, 2)))
+    _, bounds, ratios = _certified_ratios(T, np.concatenate(gaps), table.residuals()[1], 0)
+    worst = float(ratios.max(initial=0.0))
     details = {"max_mismatch_ratio": report_number(worst), "rtol": DRIFT_RTOL}
-    return _pair_verdict(worst, bounds[np.tril_indices(len(idxs))], details), details
+    return _pair_verdict(worst, bounds, details), details
 
 
 @_member("anchor", "anchor-injective-on-level-covectors")

@@ -6,9 +6,11 @@ The observables are ``f_{ij}(X) = tr(X_i^j)`` for ``1 <= j <= i``, where
 bracket are ``-[j X_i^(j-1), X]``; the family Poisson-commutes.
 
 The batch checks read the whole family from one :class:`PowerTable`:
-every trace, every gradient, and the bracket of every pair, evaluated at
-the deeper of its two levels: the glued form fixes it there, because the
-trace against an embedded commutator only sees the matching corner.
+every trace, every gradient, and a certificate for the bracket of every
+pair.  Each gradient lies in the centralizer of its own level, so the
+bracket of a pair, ``tr([X_k, G_b] G_a)`` at b's deeper level k, is
+bounded by ``||G_a||_F ||[X_k, G_b]||_F``: one commutator norm per
+generator, O(N^5) in all, stands for all O(N^4) pairs.
 :func:`stack_traces` reads the traces of a whole stack of towers, such
 as the points of one flow at several times, with the same formula.
 """
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import embed_stack, tangent_values
+from .matcore import tangent_values
 from .tower import Tower
 
 __all__ = [
@@ -55,7 +57,7 @@ class PowerTable:
 
     The table is ragged and read-only: slice ``j - 1`` of the ``(i, i, i)``
     stack ``gradients[i - 1]`` is the gradient ``j X_i^(j-1)``.  Every
-    generator and the level-by-level pairings of the family read off it,
+    generator and the centralizer certificate of the family read off it,
     so batch checks pay for the powers once per tower instead of once per
     observable or pair.  Traces come from
     :func:`stack_traces`, the one trace formula for a single tower and a
@@ -82,54 +84,32 @@ class PowerTable:
         """
         return [G for stack in self.gradients for G in stack]
 
-    def level_pairings(self) -> tuple[np.ndarray, ...]:
-        """Every pair of :func:`gz_indices` paired at the deeper of its two levels.
+    def residuals(self) -> tuple[np.ndarray, np.ndarray]:
+        """The centralizer certificate of the family, in :func:`gz_indices` order.
 
-        Block ``k - 1`` holds ``tr(X_k [G_b, G_a])``, the Poisson bracket
-        ``{f_b, f_a}``, with one row for each generator G_b of level k and
-        one column for each generator G_a of level ``<= k``: one GEMM per
-        level, by :func:`_pairing_block`, against the gradients of levels
-        ``<= k`` embedded into gl(k).  The blocks are formed once per table,
-        read-only.
+        Returns ``(commutators, norms)``: ``||[X_k, G_b]||_F`` of every
+        generator G_b of level k, the Frobenius norm of its
+        :func:`tangent_values` at its own level, and ``||G_a||_F`` of every
+        gradient.  For a pair a < b the bracket ``{f_b, f_a}`` is
+        ``tr([X_k, G_b] G_a)`` at b's level k, G_a embedded into gl(k), so
+        by Cauchy-Schwarz ``|{f_b, f_a}| <= norms[a] * commutators[b]``.
+        Every G_b lies in the centralizer of X_k, so the bound is rounding.
+        The norms are formed once per table, read-only; norms that overflow
+        are non-finite.
         """
-        return self._level_pairings
+        return self._residuals
 
     @functools.cached_property
-    def _level_pairings(self) -> tuple[np.ndarray, ...]:
-        blocks = []
-        for k, G in enumerate(self.gradients, 1):
-            block = _pairing_block(self.top[:k, :k], G, embed_stack(self.gradients[:k], k))
-            block.flags.writeable = False
-            blocks.append(block)
-        return tuple(blocks)
-
-    def pairs(self) -> np.ndarray:
-        """``{f_b, f_a}`` of every pair ``a < b`` of :func:`gz_indices`, read once off the blocks.
-
-        The pairs come in the ``np.tril_indices(m, -1)`` order of the m
-        indices, b ascending, so the pairs among the first r indices are
-        the first ``r (r - 1) / 2`` entries.
-        """
-        rows = []
-        for k, block in enumerate(self.level_pairings(), 1):
-            first = k * (k - 1) // 2
-            rows += [row[: first + r] for r, row in enumerate(block)]
-        return np.concatenate(rows)
-
-
-def _pairing_block(X: np.ndarray, G: np.ndarray, embedded: np.ndarray) -> np.ndarray:
-    """``tr(X [G_b, E_a])`` for every slice G_b of G and E_a of ``embedded``.
-
-    X is n x n, G a stack of generators no larger than X, and ``embedded``
-    an (m, n, n) stack.  ``tr(X [A, B]) = tr([X, A] B)`` is the dot product
-    of ``vec([X, A]^T)`` with ``vec(B)``, so the block is one GEMM of the
-    transposed :func:`tangent_values` of G at X against ``embedded``.
-    Entries that overflow are left non-finite, without a warning.
-    """
-    n = X.shape[0]
-    left = tangent_values(X, G).transpose(0, 2, 1).reshape(len(G), n * n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return left @ embedded.reshape(len(embedded), n * n).T
+    def _residuals(self) -> tuple[np.ndarray, np.ndarray]:
+        commutators = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, G in enumerate(self.gradients, 1):
+                commutators.append(np.linalg.norm(tangent_values(self.top[:k, :k], G), axis=(1, 2)))
+            norms = np.concatenate([np.linalg.norm(G, axis=(1, 2)) for G in self.gradients])
+        commutators = np.concatenate(commutators)
+        commutators.flags.writeable = False
+        norms.flags.writeable = False
+        return commutators, norms
 
 
 @functools.lru_cache(maxsize=1)

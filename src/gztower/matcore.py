@@ -167,21 +167,11 @@ def tangent_values(X: np.ndarray, gens: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def embed_stack(stacks: Sequence[np.ndarray], n: int) -> np.ndarray:
-    """Every generator of a sequence of ``(s, k, k)`` stacks, embedded into gl(n), as one stack.
-
-    The stacks may differ in s and k; their generators come in order, each
-    stack placed by one slice assignment into an ``(m, n, n)`` stack of
-    zeros.
-    """
-    out = np.zeros((sum(len(G) for G in stacks), n, n), dtype=np.complex128)
-    first = 0
-    for G in stacks:
-        k = G.shape[-1]
-        if k > n:
-            raise IndexError(f"cannot embed dimension {k} into smaller dimension {n}")
-        out[first : first + len(G), :k, :k] = G
-        first += len(G)
+def embed_stack(gens: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """The ``(m, n, n)`` stack of ``embed(G_a, n)`` over a family of square generators."""
+    out = np.empty((len(gens), n, n), dtype=np.complex128)
+    for a, G in enumerate(gens):
+        out[a] = embed(G, n)
     return out
 
 

@@ -25,12 +25,13 @@ action, zero parameters included; it shares only ``mat_exp`` and
 time: the reference for the batched tangent stack, which is the only
 tangent representation production code forms.  The per-pair glued form
 evaluates the Kostant-Kirillov pairing one pair at a time, with no
-tangent stack and no GEMM: the reference for the level pairings and the
+tangent stack and no GEMM: the reference for the brackets and the
 Lagrangian isotropy.  The all-pairs bracket matrix pairs every generator
-at the top level in one GEMM, with its own embedding: production pairs
-each level block at its own level instead, and it is the reference for
-those blocks at depth <= 8.  Clarity over speed; the root and Kronecker
-oracles are capped at test scale.
+at the top level in one GEMM, with its own embedding: production forms no
+bracket, only the centralizer certificate that bounds each one, and this
+matrix is what the tests hold that certificate against at depth <= 8.
+Clarity over speed; the root and Kronecker oracles are capped at test
+scale.
 """
 
 from __future__ import annotations
@@ -138,8 +139,9 @@ def fd_poisson_bracket(
     """Lie-Poisson bracket ``tr(X [grad f, grad g])`` with *both* gradients by central differences.
 
     Evaluated at the deeper of the two levels, independent of any
-    analytic gradient code path; this is the oracle the production
-    level pairings are validated against.
+    analytic gradient code path; this is the oracle the all-pairs bracket
+    matrix, and through it the production certificate, is validated
+    against.
     """
     n = max(f.level, g.level)
     if n > T.depth:
@@ -155,7 +157,7 @@ def bracket_matrix(X: np.ndarray, gens) -> np.ndarray:
 
     Every generator is embedded into gl(n) of the n x n matrix X, so each
     pair is paired at X whatever its levels: the all-pairs reference, at
-    depth <= 8, for the level-by-level pairings of the power table.
+    depth <= 8, for the centralizer certificate of the power table.
     ``tr(X [A, B]) = tr([X, A] B)``, so entry (a, b) is the dot product of
     ``vec([X, G_a])`` with ``vec(G_b^T)``.  Entries that overflow are left
     non-finite, without a warning.

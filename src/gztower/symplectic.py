@@ -12,9 +12,10 @@ the sign is common to both sides of every pairing, so it cancels, and
 the pairing of two generators is ``tr(X [g1, g2])``.  At strongly
 regular towers the abelian orbit tangents are isotropic and of exactly
 half the orbit rank: the Lagrangian verification reads both ranks off
-the strong-regularity criteria and the pairings off the tower's
-:meth:`~gztower.gz.PowerTable.pairs`, each at the deeper of its two
-levels.
+the strong-regularity criteria and bounds the pairings by the tower's
+centralizer certificate, :meth:`~gztower.gz.PowerTable.residuals`: each
+pair is ``tr([X_k, G_b] G_a)`` at the deeper of its two levels k, at most
+``||G_a||_F ||[X_k, G_b]||_F``.
 """
 
 from __future__ import annotations
@@ -107,12 +108,14 @@ def lagrangian_check(T: Tower, tol: Tolerance = DEFAULT_TOL) -> LagrangianReport
     its margin is ``margin_A``.  The orbit dimension is N^2 minus that of
     the centralizer of X_N, which is N exactly when X_N is regular, as
     criterion 2 found it: the margin of that Arnoldi split is ``margin_G``.
-    The pairings are those of the generators below the top level, the
-    leading entries of the tower's :meth:`~gztower.gz.PowerTable.pairs`,
-    each evaluated at the deeper of its two levels.  Towers that are not
-    strongly regular (or have depth 1) yield a "not applicable" verdict
-    rather than an error, and towers whose powers overflow, so that the
-    pairings have no finite scale, an "indeterminate" one.
+    The pairings are those of the generators below the top level, each
+    bounded at the deeper of its two levels by the tower's centralizer
+    certificate, :meth:`~gztower.gz.PowerTable.residuals`, so
+    ``max_pairing`` is a certified upper bound on the largest pairing.
+    Towers that are not strongly regular (or have depth 1) yield a "not
+    applicable" verdict rather than an error, and towers whose powers
+    overflow, so that the pairings have no finite scale, an
+    "indeterminate" one.
     """
     N = T.depth
     base = dict(depth=N, tol_rel=tol.rel, tol_abs=tol.abs, isotropy_rtol=ISOTROPY_RTOL)
@@ -130,16 +133,17 @@ def lagrangian_check(T: Tower, tol: Tolerance = DEFAULT_TOL) -> LagrangianReport
     rank_A = N * (N - 1) // 2
 
     # The Hamiltonian tangent of f_ij is generated by its gradient, and the
-    # glued form pairs two tangents at the deeper of their levels.  A
-    # non-finite pairing makes the maximum non-finite, so it passes no threshold.
-    table = power_table(T)
-    pairings = table.pairs()[: rank_A * (rank_A - 1) // 2]
-    max_pairing = float(np.abs(pairings).max(initial=0.0))
-    # |tr(X [Z1, Z2])| <= 2 ||X|| ||Z1|| ||Z2||: the cancellation error of
-    # an exactly-zero pairing scales with the same product.
+    # glued form pairs two tangents at the deeper of their levels k, where
+    # |{f_b, f_a}| <= ||G_a|| ||[X_k, G_b]||: the largest bound over a < b is
+    # each commutator norm times the largest gradient norm before it.  A
+    # non-finite norm makes the maximum non-finite, so it passes no threshold.
+    commutators, norms = power_table(T).residuals()
     with np.errstate(over="ignore", invalid="ignore"):
-        gen_norm = np.max([np.linalg.norm(G) for G in table.generators()[:rank_A]])
-        pairing_scale = float(1.0 + 2.0 * np.linalg.norm(T.top) * gen_norm**2)
+        pairings = commutators[1:rank_A] * np.maximum.accumulate(norms[: rank_A - 1])
+        max_pairing = float(np.max(pairings, initial=0.0))
+        # |tr(X [Z1, Z2])| <= 2 ||X|| ||Z1|| ||Z2||: the cancellation error of
+        # an exactly-zero pairing scales with the same product.
+        pairing_scale = float(1.0 + 2.0 * np.linalg.norm(T.top) * norms[:rank_A].max() ** 2)
 
     notes: tuple[str, ...] = ()
     if not np.isfinite(pairing_scale):

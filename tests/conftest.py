@@ -8,7 +8,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from gztower import gz, matcore, regularity
+from gztower import gz, matcore, oracles, regularity
 from gztower.action import AParams, flow_stack
 from gztower.matcore import DEFAULT_TOL, Tolerance
 from gztower.tower import Tower, random_entries, random_theta_tower
@@ -62,19 +62,13 @@ def zero_params(n: int) -> AParams:
 
 
 def pairing_matrix(T: Tower) -> np.ndarray:
-    """The power table's level pairings as one m x m bracket matrix, m = N(N+1)/2.
+    """Every pair's bracket as one m x m matrix, m = N(N+1)/2, by the all-pairs oracle.
 
-    Entry (b, a) with a <= b is read off the block of b's level, at the
-    deeper of the two levels, and entry (a, b) is its negative.
+    Entry (a, b) is ``tr(X_N [G_a, G_b])`` of the table's generators: the
+    glued form at the top level, which equals the pair's bracket at the
+    deeper of its two levels.
     """
-    blocks = gz.power_table(T).level_pairings()
-    m = T.depth * (T.depth + 1) // 2
-    B = np.zeros((m, m), dtype=np.complex128)
-    for k, block in enumerate(blocks, 1):
-        B[k * (k - 1) // 2 : k * (k + 1) // 2, : k * (k + 1) // 2] = block
-    lower = np.tril_indices(m, -1)
-    B[lower[1], lower[0]] = -B[lower]
-    return B
+    return oracles.bracket_matrix(T.top, gz.power_table(T).generators())
 
 
 def unit(n: int, k: int, l: int) -> np.ndarray:

@@ -823,15 +823,19 @@ class TestNonFiniteResiduals:
     def nan_brackets(self, monkeypatch):
         from gztower.gz import PowerTable
 
-        original = PowerTable.level_pairings
+        original = PowerTable.residuals
 
         def with_nan(table):
-            # The table's own blocks are read-only.  {f[3,3], f[2,2]} is level 3's.
-            blocks = [block.copy() for block in original(table)]
-            blocks[2][2, 2] = np.nan
-            return tuple(blocks)
+            # The pass's own arrays are read-only.  The commutator norm of
+            # f[3,3] certifies its pairs with every generator before it, all
+            # below level 4; the norm of f[4,1] enters every pair consistent
+            # bounds with it and commute's with f[4,2], f[4,3] and f[4,4].
+            commutators, norms = (v.copy() for v in original(table))
+            commutators[5] = np.nan
+            norms[6] = np.nan
+            return commutators, norms
 
-        monkeypatch.setattr(PowerTable, "level_pairings", with_nan)
+        monkeypatch.setattr(PowerTable, "residuals", with_nan)
 
     def _check(self, tmp_path, suite):
         tower_file = tmp_path / "t.json"
@@ -846,7 +850,7 @@ class TestNonFiniteResiduals:
         assert set(verdicts.values()) == {"true"}
 
     def test_nan_bracket_fails_commute_and_consistent(self, tmp_path, nan_brackets):
-        # Lagrangian isotropy reads the same pair: both generators lie below level 4.
+        # Lagrangian isotropy reads f[3,3]'s pairs: it lies below level 4.
         code, verdicts = self._check(tmp_path, "commute,consistent,lagrangian")
         assert code == cli.EXIT_FAIL
         assert verdicts == {"commute": "false", "consistent": "false", "lagrangian": "false"}
@@ -1016,6 +1020,28 @@ def _overflowing_flows(d):
     return Tower(top)
 
 
+class TestCentralizerCertificate:
+    """A gradient outside its level's centralizer breaks the certificate."""
+
+    def test_gradient_outside_its_centralizer_fails_commute_and_lagrangian(self, monkeypatch):
+        from gztower import gz, symplectic
+
+        T = theta_tower(4, 402)
+        table = gz.power_table(T)
+        # E_12 does not commute with X_3; it replaces the gradient of f[3,2].
+        level3 = table.gradients[2].copy()
+        level3[1] = 0.0
+        level3[1, 0, 1] = 1.0
+        broken = gz.PowerTable(table.top, table.gradients[:2] + (level3,) + table.gradients[3:])
+        for module in (cli, symplectic):
+            monkeypatch.setattr(module, "power_table", lambda _: broken)
+        tol = cli.Tolerance()
+        assert cli.CHECKS["commute"](T, tol, 0).passed == "false"
+        assert cli.CHECKS["lagrangian"](T, tol, 0).passed == "false"
+        # The embedding is intact, so the glued form is still level independent.
+        assert cli.CHECKS["consistent"](T, tol, 0).passed == "true"
+
+
 class TestConserveOracle:
     """Flowing every level's seeded generator in one stack reports exactly
     what flowing each level's generator in a stack of its own reports, and
@@ -1096,11 +1122,11 @@ class TestConserveOracle:
 
 class TestCheckCost:
     """Conserve flows every level in one stack and reads each level's flows
-    with one trace pass; consistent pairs by level, not by pair; lagrangian
+    with one trace pass; consistent bounds by level, not by pair; lagrangian
     builds one power table; the suite computes one strong-regularity report,
-    one power table and one bracket matrix; orbit builds one power table and
-    one bracket matrix; the suite and orbit each build one Arnoldi basis per
-    level above the first."""
+    one power table and one residual pass, and orbit one power table and one
+    residual pass, neither an all-pairs bracket matrix; the suite and orbit
+    each build one Arnoldi basis per level above the first."""
 
     DEPTH = 6
 
@@ -1188,19 +1214,18 @@ class TestCheckCost:
         assert regularity.sreg_report(tower, cli.Tolerance()).verdict == "true"
         assert regularity.is_sreg_differentials(tower)
         assert regularity.is_sreg_tangents(tower)
-        assert builds == {"tables": 0, "passes": 0, "blocks": 0, "brackets": 0}
+        assert builds == {"tables": 0, "passes": 0, "brackets": 0}
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        # Every table is built through PowerTable.__init__, every pass of
-        # level pairings through its cached property, and every level block,
-        # at X_k or at X_N, through gz._pairing_block.  The all-pairs GEMM at
-        # X_N is an oracle: no production module can reach it.
+        # Every table is built through PowerTable.__init__ and every residual
+        # pass through its cached property.  The all-pairs GEMM at X_N is an
+        # oracle: no production module can reach it.
         import functools
 
         from gztower import gz, oracles
 
-        builds = {"tables": 0, "passes": 0, "blocks": 0, "brackets": 0}
+        builds = {"tables": 0, "passes": 0, "brackets": 0}
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -1210,33 +1235,32 @@ class TestCheckCost:
             return wrapped
 
         monkeypatch.setattr(gz.PowerTable, "__init__", counting("tables", gz.PowerTable.__init__))
-        passes = functools.cached_property(counting("passes", gz.PowerTable._level_pairings.func))
-        passes.__set_name__(gz.PowerTable, "_level_pairings")
-        monkeypatch.setattr(gz.PowerTable, "_level_pairings", passes)
-        monkeypatch.setattr(gz, "_pairing_block", counting("blocks", gz._pairing_block))
-        monkeypatch.setattr(cli, "_pairing_block", gz._pairing_block)
+        passes = functools.cached_property(counting("passes", gz.PowerTable._residuals.func))
+        passes.__set_name__(gz.PowerTable, "_residuals")
+        monkeypatch.setattr(gz.PowerTable, "_residuals", passes)
         bracket = counting("brackets", oracles.bracket_matrix)
         monkeypatch.setattr(oracles, "bracket_matrix", bracket)
         return builds
 
     def test_full_suite_builds_one_table_and_one_bracket(self, tower, tmp_path, builds):
-        # commute, consistent and lagrangian all read the table's one pass of
-        # level pairings, one GEMM per level; consistent pairs each level
-        # again at X_N.  No member forms the all-pairs bracket at X_N.
+        # commute, consistent and lagrangian all read the table's one
+        # residual pass; consistent forms each level's tangents at X_N once
+        # more.  No member forms the all-pairs bracket at X_N.
         tower_file = tmp_path / "t.json"
         write_tower(tower_file, tower)
         code = cli.main(["check", str(tower_file), "-o", str(tmp_path / "r.json")])
         assert code == cli.EXIT_PASS
-        assert builds == {"tables": 1, "passes": 1, "blocks": 2 * self.DEPTH, "brackets": 0}
+        assert builds == {"tables": 1, "passes": 1, "brackets": 0}
 
     def test_orbit_builds_one_table(self, tower, tmp_path, builds):
         # The acted towers' traces come from one stacked pass, not a table
-        # each; the Lagrangian pairings are the table's one pass.
+        # each; the Lagrangian pairings are certified by the table's one
+        # residual pass.
         tower_file = tmp_path / "t.json"
         write_tower(tower_file, tower)
         code = cli.main(["orbit", str(tower_file), "--samples", "6", "--seed", "0"])
         assert code == cli.EXIT_PASS
-        assert builds == {"tables": 1, "passes": 1, "blocks": self.DEPTH, "brackets": 0}
+        assert builds == {"tables": 1, "passes": 1, "brackets": 0}
 
     @pytest.fixture
     def reports(self, monkeypatch):

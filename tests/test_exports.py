@@ -2,8 +2,10 @@
 
 import ast
 import importlib
+import importlib.util
 import pathlib
 import pkgutil
+import sys
 
 import pytest
 
@@ -73,11 +75,13 @@ def test_production_has_one_tangent_representation(path):
 
 @pytest.mark.parametrize("path", PRODUCTION, ids=lambda path: path.name)
 def test_production_forms_no_all_pairs_bracket(path):
-    # Production pairs each level block at its own level; the all-pairs GEMM
-    # at X_N is the reference for those blocks, kept in oracles.py.
+    # Production forms no bracket, only the centralizer certificate; the
+    # all-pairs GEMM at X_N is its reference, kept in oracles.py.
     tree = ast.parse(path.read_text(encoding="utf-8"))
     names = {name for node in ast.walk(tree) for name in _names(node)}
-    assert names.isdisjoint({"bracket_matrix", "_bracket"})
+    assert names.isdisjoint(
+        {"bracket_matrix", "_bracket", "level_pairings", "_level_pairings", "_pairing_block"}
+    )
 
 
 def test_version_has_one_source():
@@ -90,3 +94,33 @@ def test_version_has_one_source():
     assert "version" not in config["project"]
     assert config["project"]["dynamic"] == ["version"]
     assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "gztower.__version__"}
+
+
+def _bench_module(name):
+    """A module of the benchmark, loaded from its file: ``bench/`` is not a package."""
+    path = pathlib.Path(gztower.__file__).parents[2] / "bench" / f"{name}.py"
+    if not path.exists():
+        pytest.skip("gztower is not imported from a source checkout")
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    # Dataclasses look their module up while the class body runs.
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_benchmark_contract():
+    # The benchmark times every check member by name, counts the verdicts of
+    # `gz check`, and reaches into these names; none may go without it.
+    from gztower import cli, matcore, regularity
+
+    spans, gate = _bench_module("spans"), _bench_module("gate")
+    assert list(cli.CHECKS) == list(spans.CHECK_MEMBERS)
+    assert len(cli.CHECKS) == gate.VERDICT_COUNT["check"]
+    assert hasattr(cli, "ThreadPoolExecutor")
+    for name in ("is_sreg_differentials", "is_sreg_centralizers", "is_sreg_tangents"):
+        assert callable(getattr(regularity, name))
+    assert callable(matcore.spectra_disjoint)

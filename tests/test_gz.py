@@ -16,7 +16,14 @@ from gztower.oracles import (
 )
 from gztower.tower import Tower
 
-from conftest import index_flows, pairing_matrix, plain_tower, theta_tower, unit
+from conftest import (
+    diag_tower,
+    index_flows,
+    pairing_matrix,
+    plain_tower,
+    theta_tower,
+    unit,
+)
 
 
 def involution_tower():
@@ -124,7 +131,7 @@ class TestHamiltonian:
 
 
 class TestBracket:
-    """The level pairings and the all-pairs oracle as the Lie-Poisson bracket of pairs."""
+    """The all-pairs oracle as the Lie-Poisson bracket of pairs, and the certificate that bounds it."""
 
     def test_gz_pair_commutes(self):
         T = theta_tower(4, 0)
@@ -133,17 +140,16 @@ class TestBracket:
         assert abs(B[idxs.index(GZIndex(2, 1)), idxs.index(GZIndex(2, 2))]) <= 1e-10
 
     def test_self_bracket_exactly_zero(self):
-        # One pair at a time, tr(X [g, g]) is exactly zero; the batched GEMM
-        # sums the same products in another order, so its diagonal is zero
-        # to rounding only.
+        # One pair at a time, tr(X [g, g]) is exactly zero; the certificate
+        # bounds it by ||g|| ||[X_2, g]||, which is zero to rounding only.
         T = plain_tower(3, 38)
         table = power_table(T)
         a = gz_indices(3).index(GZIndex(2, 2))
         g = embed(table.generators()[a], 3)
         assert np.trace(T.top @ (g @ g - g @ g)) == 0
         bound = 1.0 + np.linalg.norm(T.level(2), 2) ** 4
-        # f[2,2] is the second generator of level 2, paired with itself at X_2.
-        assert abs(table.level_pairings()[1][1, a]) <= 1e-13 * bound
+        commutators, norms = table.residuals()
+        assert norms[a] * commutators[a] <= 1e-13 * bound
 
     def test_antisymmetry(self):
         T = plain_tower(4, 39)
@@ -225,10 +231,9 @@ class TestPowerTable:
                 assert np.linalg.norm(G - expected) <= 1e-6 * (1.0 + np.linalg.norm(G))
 
     def test_bracket_matrix_matches_poisson_bracket(self):
-        # Both the level pairings and the all-pairs oracle at X_N.
+        # The all-pairs oracle at X_N against each pair at its deeper level.
         for depth, seed, scale in self.TOWERS:
             T = theta_tower(depth, seed, scale)
-            paired = pairing_matrix(T)
             at_top = bracket_matrix(T.top, power_table(T).generators())
             idxs = gz_indices(depth)
             assert at_top.shape == (len(idxs), len(idxs))
@@ -241,27 +246,23 @@ class TestPowerTable:
                     ga, gb = embed(grads[a], n), embed(grads[b], n)
                     expected = np.trace(levels[n] @ (ga @ gb - gb @ ga))
                     bound = 1.0 + np.linalg.norm(T.level(n), 2) ** (i1.i + i2.i)
-                    assert abs(paired[a, b] - expected) <= 1e-13 * bound
                     assert abs(at_top[a, b] - expected) <= 1e-13 * bound
 
     def test_bracket_matrix_against_fd_oracle(self):
         T = plain_tower(4, 65, 0.7)
-        table = power_table(T)
         idxs = gz_indices(4)
-        B = pairing_matrix(T)
-        at_top = bracket_matrix(T.top, table.generators())
+        at_top = pairing_matrix(T)
         for a, b in ((0, 9), (2, 5), (4, 8), (6, 7), (3, 3)):
             f = gz_observable(idxs[a].i, idxs[a].j)
             g = gz_observable(idxs[b].i, idxs[b].j)
             expected = fd_poisson_bracket(f, g, T)
-            assert abs(B[a, b] - expected) <= 1e-6 * (1.0 + abs(expected))
             assert abs(at_top[a, b] - expected) <= 1e-6 * (1.0 + abs(expected))
 
     def test_one_table_per_tower(self):
         T = theta_tower(5, 67, 0.5)
         table = power_table(T)
         assert power_table(T) is table
-        assert table.level_pairings() is table.level_pairings()
+        assert table.residuals() is table.residuals()
         # Towers compare by identity: an equal tower is another tower.
         twin = Tower(T.top.copy())
         assert power_table(twin) is not table
@@ -270,10 +271,10 @@ class TestPowerTable:
 
     def test_table_is_read_only(self):
         table = power_table(theta_tower(4, 68, 0.5))
-        views = (table.gradients[2], table.generators()[4], table.level_pairings()[2])
+        views = (table.gradients[2], table.generators()[4], *table.residuals())
         for view in views:
             with pytest.raises(ValueError):
-                view[0, 0] = 1.0
+                view[..., 0] = 1.0
 
     def test_generators_are_scaled_identity_products_bit_for_bit(self):
         rng = np.random.default_rng(69)
@@ -293,9 +294,9 @@ class TestPowerTable:
         gens = table.generators()
         assert all(np.all(np.isfinite(G)) for G in gens[:3])
         assert not np.all(np.isfinite(gens[5]))
-        blocks = table.level_pairings()
-        assert np.all(np.isfinite(blocks[0])) and np.all(np.isfinite(blocks[1]))
-        assert not np.all(np.isfinite(blocks[2]))
+        for certificate in table.residuals():
+            assert np.all(np.isfinite(certificate[:3]))
+            assert not np.all(np.isfinite(certificate[3:]))
 
     def test_gemm_against_fd_oracle_on_noncommuting_family(self):
         # The GZ brackets all vanish; matrix units pair nontrivially, so this
@@ -381,7 +382,8 @@ class TestStackTraces:
 
 
 class TestLevelPairings:
-    """One GEMM per level against the per-pair glued form at that level."""
+    """The pairs grouped by their deeper level k: the all-pairs oracle against
+    the per-pair glued form at X_k, both under the centralizer certificate."""
 
     @pytest.mark.parametrize(
         "depth,seed,scale", [(1, 72, 0.5), (3, 73, 0.5), (6, 74, 0.4), (8, 75, 0.3)]
@@ -392,37 +394,47 @@ class TestLevelPairings:
         idxs = gz_indices(depth)
         tangents = [TowerTangent(T, G.shape[0], G) for G in table.generators()]
         norms = [0.0] + [np.linalg.norm(T.level(n), 2) for n in range(1, depth + 1)]
-        blocks = table.level_pairings()
-        assert len(blocks) == depth
-        for k, block in enumerate(blocks, 1):
+        oracle = pairing_matrix(T)
+        commutators, gradient_norms = table.residuals()
+        for k in range(1, depth + 1):
             first = k * (k - 1) // 2
-            assert block.shape == (k, first + k)
-            for r in range(k):
-                b = first + r
+            for b in range(first, first + k):
+                # Every generator of a level <= k pairs with G_b at X_k.
                 for a in range(first + k):
                     expected = omega_inf(T, tangents[b], tangents[a])
                     bound = 1.0 + norms[k] ** (idxs[a].i + idxs[b].i)
-                    assert abs(block[r, a] - expected) <= 1e-13 * bound
+                    assert abs(oracle[b, a] - expected) <= 1e-13 * bound
+                    certified = gradient_norms[a] * commutators[b]
+                    assert abs(expected) <= certified + 1e-13 * bound
+
+
+class TestCentralizerCertificate:
+    """``||G_a|| ||[X_k, G_b]||`` bounds every pair a < b of the all-pairs oracle."""
 
     @pytest.mark.parametrize(
-        "depth,seed,scale", [(1, 76, 0.5), (2, 77, 0.5), (5, 78, 0.5), (8, 79, 0.3), (8, 80, 1.0)]
+        "tower",
+        [
+            theta_tower(1, 76),
+            theta_tower(2, 77),
+            theta_tower(5, 78),
+            theta_tower(8, 79, 0.3),
+            theta_tower(8, 80, 1.0),
+            plain_tower(4, 81),
+            plain_tower(7, 82, 0.6),
+            diag_tower([1.0, -2.0, 0.5j, 3.0, 1.0 + 1.0j]),
+        ],
+        ids=["theta1", "theta2", "theta5", "theta8", "theta8-unit", "plain4", "plain7", "diag5"],
     )
-    def test_blocks_at_own_level_and_at_top_match_all_pairs_oracle(self, depth, seed, scale):
-        # The one GEMM per level, at X_k as the table keeps it and at X_N as
-        # consistent forms it, against the all-pairs GEMM of the oracle at X_N.
+    def test_oracle_within_certificate(self, tower):
         from gztower.cli import _pair_bounds
-        from gztower.gz import _pairing_block
-        from gztower.matcore import embed_stack
 
-        T = theta_tower(depth, seed, scale)
-        table = power_table(T)
-        oracle = bracket_matrix(T.top, table.generators())
-        bounds = _pair_bounds(T, gz_indices(depth))
-        embedded = embed_stack(table.gradients, depth)
-        for k, block in enumerate(table.level_pairings(), 1):
-            rows = slice(k * (k - 1) // 2, k * (k + 1) // 2)
-            expected, bound = oracle[rows, : rows.stop], bounds[rows, : rows.stop]
-            at_top = _pairing_block(table.top, table.gradients[k - 1], embedded[: rows.stop])
-            assert block.shape == at_top.shape == expected.shape
-            assert np.all(np.abs(block - expected) <= 1e-12 * bound)
-            assert np.all(np.abs(at_top - expected) <= 1e-12 * bound)
+        table = power_table(tower)
+        commutators, norms = table.residuals()
+        oracle = bracket_matrix(tower.top, table.generators())
+        m = len(norms)
+        a, b = np.triu_indices(m)
+        # Entry (a, b) and its mirror (b, a) are one pair, certified at b's level.
+        certified = np.zeros((m, m))
+        certified[a, b] = certified[b, a] = norms[a] * commutators[b]
+        slack = 1e-12 * _pair_bounds(tower, gz_indices(tower.depth))
+        assert np.all(np.abs(oracle) <= certified + slack)

@@ -369,7 +369,7 @@ def _criterion_families(T):
     levels = regularity._arnoldi_levels(T, DEFAULT_TOL)
     below = [G for *_, Q in levels[:-1] for G in Q]
     return {
-        "differentials": matcore.embed_stack([Q for *_, Q in levels], T.depth),
+        "differentials": matcore.embed_stack([G for *_, Q in levels for G in Q], T.depth),
         "tangents": matcore.tangent_values(regularity._scaled_top(T), below),
     }
 

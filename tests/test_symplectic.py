@@ -159,7 +159,7 @@ class TestAnchor:
 
 
 class TestIsotropy:
-    """The Lagrangian pairings are the level pairings of the generators below the top level."""
+    """The Lagrangian pairings of the generators below the top level, under their certificate."""
 
     def test_single_tangent(self):
         # At depth 2 the abelian family is one tangent: there is no pair.
@@ -190,8 +190,8 @@ class TestIsotropy:
                 for l in range(depth)
             ]
             abelian = orbit_tangents_A(T)
-            # The check's block: the generators below the top level, each pair
-            # paired at the deeper of its two levels.
+            # The oracle's block of the generators below the top level, the
+            # pairs the check certifies.
             block = pairing_matrix(T)[: len(abelian), : len(abelian)]
             for fam in (abelian, units, abelian[:3] + units[:4]):
                 per_pair = max(
@@ -209,22 +209,27 @@ class TestIsotropy:
                     for b in range(a + 1, len(fam)):
                         assert abs(P[a, b] - omega_inf(T, fam[a], fam[b])) <= 1e-13 * scale
                 if fam is abelian:
-                    assert lagrangian_check(T).max_pairing == np.abs(P[upper]).max()
+                    # The check reports the certificate's maximum, an upper bound.
+                    commutators, norms = power_table(T).residuals()
+                    certified = max(
+                        norms[a] * commutators[b] for b in range(len(fam)) for a in range(b)
+                    )
+                    max_pairing = lagrangian_check(T).max_pairing
+                    assert max_pairing == certified
+                    assert np.abs(P[upper]).max() <= max_pairing + 1e-13 * scale
 
     def test_non_finite_pairing_is_not_isotropic(self, monkeypatch):
         T = theta_tower(4, 234)
-        original = gz._pairing_block
+        original = gz.PowerTable.residuals
 
-        def with_nan(X, G, embedded):
-            out = original(X, G, embedded)
-            if len(G) == 3:
-                # {f[3,2], f[2,1]}: both generators lie below the top level.
-                out[1, 1] = np.nan
-            return out
+        def with_nan(table):
+            # The pass's own arrays are read-only.  f[3,2] lies below the top
+            # level, so its commutator norm certifies pairs the check reads.
+            commutators, norms = (v.copy() for v in original(table))
+            commutators[4] = np.nan
+            return commutators, norms
 
-        monkeypatch.setattr(gz, "_pairing_block", with_nan)
-        # The table must be built under the patch, not read from the cache.
-        power_table.cache_clear()
+        monkeypatch.setattr(gz.PowerTable, "residuals", with_nan)
         report = lagrangian_check(T)
         assert np.isnan(report.max_pairing)
         assert report.verdict == "false"
