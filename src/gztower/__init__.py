@@ -60,12 +60,11 @@ from .action import (
 )
 from .symplectic import (
     LagrangianReport,
-    kk_form,
     lagrangian_check,
     match_residual,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.7.1"
 
 __all__ = [
     "__version__",
@@ -98,7 +97,6 @@ __all__ = [
     "a_act",
     "a_act_stepwise",
     "flow_stack",
-    "kk_form",
     "match_residual",
     "lagrangian_check",
     "LagrangianReport",

@@ -41,6 +41,7 @@ from .gz import (
     GZIndex,
     PowerTable,
     gz_indices,
+    level_traces,
     power_table,
     stack_traces,
 )
@@ -51,10 +52,10 @@ from .tower import (
     RNG_ALGORITHM,
     GenerationError,
     Tower,
-    random_entries,
     random_theta_tower,
     tower_from_json,
     tower_to_json,
+    unit_disk,
 )
 
 TOOL_NAME = "gztower"
@@ -136,26 +137,27 @@ def _level_norms(T: Tower) -> np.ndarray:
     return np.array([0.0] + [_norm2(T.level(n)) for n in range(1, T.depth + 1)])
 
 
-def _pair_bounds(T: Tower, idxs: list[GZIndex]) -> np.ndarray:
-    """``1 + ||X_n||^(i_a + i_b)`` with ``n = max(i_a, i_b)``, for every pair of indices."""
-    levels = np.array([k.i for k in idxs])
-    norms = _level_norms(T)[np.maximum.outer(levels, levels)]
-    return 1.0 + norms ** np.add.outer(levels, levels)
+def _level_pair_bounds(T: Tower) -> np.ndarray:
+    """``1 + ||X_k||^(i + k)`` at ``[k - 1, i - 1]``: the bound of every pair of levels i <= k."""
+    levels = np.arange(1, T.depth + 1)
+    with np.errstate(over="ignore"):
+        return 1.0 + _level_norms(T)[levels, None] ** np.add.outer(levels, levels)
 
 
-def _pair_verdict(worst: float, bounds: np.ndarray, details: dict) -> str:
-    """Verdict from the worst ratio over the pairs whose bound is finite.
+def _verdict(worst: float, rtol: float, left_out: int, what: str, details: dict) -> str:
+    """Verdict from the worst ratio over the compared items.
 
-    Pairs whose bound overflows are left out, so the check cannot pass.
+    ``left_out`` items, whose bound or scale overflows, were not compared,
+    so the check cannot pass; ``what`` counts all of them and names that
+    number, as in "21 pairs have a bound".
     """
-    left_out = int(np.isinf(bounds).sum())
-    if worst <= DRIFT_RTOL and left_out:
+    if worst <= rtol and left_out:
         details["note"] = (
-            f"{left_out} of {bounds.size} pairs have a bound that overflows double "
-            "precision and were not compared; regenerate the tower at a smaller scale"
+            f"{left_out} of {what} that overflows double precision and were not "
+            "compared; regenerate the tower at a smaller scale"
         )
         return "indeterminate"
-    return _tri(worst <= DRIFT_RTOL)
+    return _tri(worst <= rtol)
 
 
 def _name(idx: GZIndex) -> str:
@@ -163,40 +165,69 @@ def _name(idx: GZIndex) -> str:
 
 
 def _certified_ratios(T: Tower, left: np.ndarray, right: np.ndarray, k: int):
-    """``left[b] right[a] / _pair_bounds`` over the pairs (b, a) of ``np.tril_indices(m, k)``.
+    """The worst ``left[b] right[a] / bound`` per level pair, over ``np.tril_indices(m, k)``.
 
-    With ``left`` the Frobenius norms of matrices R_b and ``right`` those of
-    the gradients G_a, each ratio bounds ``|tr(R_b G_a)|`` over its pair's
-    bound, by Cauchy-Schwarz.  Returns the pairs, their bounds and the
-    ratios; pairs whose bound overflows read 0 and :func:`_pair_verdict`
-    counts them.  Overflowing norms stay non-finite and NaN propagates, so
-    a non-finite ratio of a compared pair cannot pass the rtol.
+    ``left[b] right[a]`` (Frobenius norms) bounds ``|tr(R_b G_a)|``.  A
+    pair's bound depends only on its levels i <= n and rounding is monotone,
+    so a level pair's worst ratio is, bit for bit, the largest ``left`` of
+    level n times the largest ``right`` of level i (inside level n, a running
+    maximum) over one bound.  Returns the ratios (0 where the bound
+    overflows; NaN propagates) and bounds at ``[n - 1, i - 1]``, the number
+    of pairs left out and of all pairs.
     """
-    lower = np.tril_indices(len(left), k)
+    N = T.depth
+    bounds, levels, lower = _level_pair_bounds(T), np.arange(1, N + 1), np.tri(N, dtype=bool)
+    counts = np.tril(np.outer(levels, levels), -1) + np.diag((levels + k) * (levels + k + 1) // 2)
+
+    def by_level(v: np.ndarray, pad: float) -> np.ndarray:
+        # Row n - 1 holds level n's values, in gz_indices order, then pads.
+        out = np.full((N, N), pad)
+        out[lower] = v
+        return out
+
+    def largest(l_low, l_high, r_low, r_high):
+        # Over [l_low, l_high] x [r_low, r_high]: the NaN of inf * 0 stays.
+        return np.maximum(np.maximum(l_high * r_high, l_high * r_low), l_low * r_high)
+
     with np.errstate(over="ignore", invalid="ignore"):
-        bounds = _pair_bounds(T, gz_indices(T.depth))[lower]
-        ratios = left[lower[0]] * right[lower[1]] / bounds
-    return lower, bounds, np.where(np.isinf(bounds), 0.0, ratios)
+        r_low, r_high = by_level(right, np.inf), by_level(right, -np.inf)
+        l_low, l_high = by_level(left, np.inf).min(1), by_level(left, -np.inf).max(1)
+        cross = largest(l_low[:, None], l_high[:, None], r_low.min(1), r_high.max(1))
+        # Slice p of level n pairs with the a <= p + k of its own level.
+        l = by_level(left, 0.0)[:, -k:]
+        run_low = np.minimum.accumulate(r_low, axis=1)[:, : N + k]
+        run_high = np.maximum.accumulate(r_high, axis=1)[:, : N + k]
+        own = np.where(lower[:, -k:], largest(l, l, run_low, run_high), 0.0).max(1, initial=0.0)
+        ratios = (np.where(np.tri(N, k=-1, dtype=bool), cross, 0.0) + np.diag(own)) / bounds
+    left_out = int(counts[np.isinf(bounds)].sum())
+    return np.where(np.isinf(bounds), 0.0, ratios), bounds, left_out, int(counts.sum())
 
 
 @_member("commute", "observable-family-poisson-commutativity")
 def _check_commute(T: Tower, tol: Tolerance, seed: int) -> tuple[str, dict]:
     idxs = gz_indices(T.depth)
-    # Each pair a < b once, certified at b's level k by ||G_a|| ||[X_k, G_b]||.
+    # Each pair a < b once, certified at b's level n by ||G_a|| ||[X_n, G_b]||.
     commutators, norms = power_table(T).residuals()
-    lower, bounds, ratios = _certified_ratios(T, commutators, norms, -1)
-    worst = float(ratios.max(initial=0.0))
+    ratios, bounds, left_out, pairs = _certified_ratios(T, commutators, norms, -1)
+    worst = float(ratios.max())
     worst_pair = None
     if worst != 0.0:
-        k = int(np.argmax(ratios))
-        worst_pair = [_name(idxs[lower[1][k]]), _name(idxs[lower[0][k]])]
+        # np.argmax's pair over all a < b, from the pairs of the first b level that attains it.
+        n = int(np.argmax(((ratios == worst) | np.isnan(ratios)).any(axis=1))) + 1
+        first = n * (n - 1) // 2
+        row, a = np.nonzero(np.arange(first + n) < np.arange(first, first + n)[:, None])
+        bound = bounds[n - 1, np.array([idx.i for idx in idxs])[a] - 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            pair = np.where(np.isinf(bound), 0.0, commutators[first + row] * norms[a] / bound)
+        at = int(np.argmax((pair == worst) | np.isnan(pair)))
+        worst_pair = [_name(idxs[a[at]]), _name(idxs[first + row[at]])]
     details = {
         "max_bracket_ratio": report_number(worst),
         "worst_pair": worst_pair,
-        "pairs": len(ratios),
+        "pairs": pairs,
         "rtol": DRIFT_RTOL,
     }
-    return _pair_verdict(worst, bounds, details), details
+    return _verdict(worst, DRIFT_RTOL, left_out, f"{pairs} pairs have a bound", details), details
 
 
 # Conserve flows each level i < N by one combination P_i of its generators,
@@ -261,22 +292,26 @@ def _check_conserve(T: Tower, tol: Tolerance, seed: int) -> tuple[str, dict]:
     levels = np.repeat(np.arange(1, N), len(_FLOWED_TIMES))[ok]
     tops = tops[ok]
     flow_failed = not ok.all()
+    finite = np.ones(len(tops), dtype=bool)
     drifts, corners = [], []
-    for i in range(1, N):
+    for k in range(1, N):
         # Level i's flows conjugate by diag(exp(-t P_i), I): at a level k > i
         # the corner is a similarity of X_k whatever P_i is, so its traces
-        # measure only conditioning.  Only the levels k <= i are read.
-        flowed = tops[levels == i, :i, :i]
-        traces = stack_traces(flowed)
-        # A flowed trace past the corner's power bound overflowed; under it, it is a fault.
-        flow_failed = flow_failed or _traces_overflow(flowed, traces)
-        level_base = base[: i * (i + 1) // 2]
+        # measure only conditioning.  One pass reads level k on levels i >= k.
+        read = levels >= k
+        flowed = tops[read, :k, :k]
+        traces = level_traces(flowed)
+        finite[read] &= np.isfinite(traces).all(axis=1)
+        level_base = base[k * (k - 1) // 2 : k * (k + 1) // 2]
         with np.errstate(over="ignore", invalid="ignore"):
             drift = np.abs(traces - level_base) / (1.0 + np.abs(level_base))
         drifts.append(np.max(drift, initial=0.0))
-        Xi = T.level(i)
-        residual = float(np.abs(flowed - Xi).max(initial=0.0))
-        corners.append(residual / (1.0 + float(np.abs(Xi).max())))
+        # A trace of a level-k flow past its power bound overflowed; under it, it is a fault.
+        own = levels[read] == k
+        flow_failed = flow_failed or _bound_overflows(flowed[own & ~finite[read]])
+        Xk = T.level(k)
+        residual = float(np.abs(flowed[own] - Xk).max(initial=0.0))
+        corners.append(residual / (1.0 + float(np.abs(Xk).max())))
     # np.max propagates NaN, so a non-finite drift cannot pass the rtol.
     worst_drift = float(np.max(drifts))
     worst_corner = float(np.max(corners))
@@ -309,40 +344,46 @@ def _check_lagrangian(T: Tower, tol: Tolerance, seed: int) -> tuple[str, dict]:
     return _passed(report.verdict), report.to_json_dict()
 
 
+def _match_draws(T: Tower, seed: int) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """The gluing check's seeded draws, stacked per drawn level n: ``(n, Z1, Z2, scales)``.
+
+    A draw takes n, then Z1 and Z2 as two ``random_entries``, the stream of
+    one (4, n, n) normal draw; its scale is ``1 + ||X_(n+1)|| ||Z1|| ||Z2||``.
+    """
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(1,))))
+    drawn: dict[int, list[np.ndarray]] = {}
+    for _ in range(MATCH_DRAWS):
+        n = int(rng.integers(1, T.depth))
+        drawn.setdefault(n, []).append(rng.standard_normal((4, n, n)))
+    norms, groups = _level_norms(T), []
+    for n, draws in sorted(drawn.items()):
+        g = np.array(draws)
+        Z = unit_disk(g[:, 0::2], g[:, 1::2])
+        sigma = np.linalg.norm(Z, 2, axis=(2, 3))
+        with np.errstate(over="ignore"):
+            groups.append((n, Z[:, 0], Z[:, 1], 1.0 + norms[n + 1] * sigma[:, 0] * sigma[:, 1]))
+    return groups
+
+
 @_member("match", "level-gluing-consistency")
 def _check_match(T: Tower, tol: Tolerance, seed: int) -> tuple[str, dict]:
-    N = T.depth
-    if N < 2:
+    if T.depth < 2:
         return "true", {"note": "gluing needs two levels"}
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(1,))))
-    norms = _level_norms(T)
     ratios, left_out = [], 0
-    # Draws whose scale overflows are left out, so the check cannot pass.
+    # One residual pass per drawn level; draws whose scale overflows are left out.
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(MATCH_DRAWS):
-            n = int(rng.integers(1, N))
-            Z1 = random_entries(rng, (n, n), 1.0)
-            Z2 = random_entries(rng, (n, n), 1.0)
-            scale = 1.0 + norms[n + 1] * _norm2(Z1) * _norm2(Z2)
-            residual = match_residual(T, Z1, Z2, n)
-            if math.isinf(scale):
-                left_out += 1
-            else:
-                ratios.append(residual / scale)
+        for n, Z1, Z2, scales in _match_draws(T, seed):
+            left_out += int(np.isinf(scales).sum())
+            ratios.append(np.where(np.isinf(scales), 0.0, match_residual(T, Z1, Z2, n) / scales))
     # np.max propagates NaN, so a non-finite residual cannot pass the rtol.
-    worst = float(np.max(ratios, initial=0.0))
+    worst = float(np.max(np.concatenate(ratios), initial=0.0))
     details = {
         "draws": MATCH_DRAWS,
         "max_residual_ratio": report_number(worst),
         "rtol": MATCH_RTOL,
     }
-    if worst <= MATCH_RTOL and left_out:
-        details["note"] = (
-            f"{left_out} of {MATCH_DRAWS} draws have a scale that overflows double "
-            "precision and were not compared; regenerate the tower at a smaller scale"
-        )
-        return "indeterminate", details
-    return _tri(worst <= MATCH_RTOL), details
+    what = f"{MATCH_DRAWS} draws have a scale"
+    return _verdict(worst, MATCH_RTOL, left_out, what, details), details
 
 
 @_member("consistent", "bracket-form-consistency")
@@ -358,10 +399,10 @@ def _check_consistent(T: Tower, tol: Tolerance, seed: int) -> tuple[str, dict]:
         for k, G in enumerate(table.gradients, 1):
             D = tangent_values(table.top, G)[:, :k, :k] - tangent_values(table.top[:k, :k], G)
             gaps.append(np.linalg.norm(D, axis=(1, 2)))
-    _, bounds, ratios = _certified_ratios(T, np.concatenate(gaps), table.residuals()[1], 0)
-    worst = float(ratios.max(initial=0.0))
+    ratios, _, left_out, pairs = _certified_ratios(T, np.concatenate(gaps), table.residuals()[1], 0)
+    worst = float(ratios.max())
     details = {"max_mismatch_ratio": report_number(worst), "rtol": DRIFT_RTOL}
-    return _pair_verdict(worst, bounds, details), details
+    return _verdict(worst, DRIFT_RTOL, left_out, f"{pairs} pairs have a bound", details), details
 
 
 @_member("anchor", "anchor-injective-on-level-covectors")
@@ -504,16 +545,20 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_PASS
 
 
-def _traces_overflow(tops: np.ndarray, traces: np.ndarray) -> bool:
-    """Whether a tower of an (s, N, N) stack has a non-finite trace and an infinite bound.
+def _bound_overflows(tops: np.ndarray) -> bool:
+    """Whether a tower of an (s, N, N) stack has an infinite power bound.
 
     ``N max(1, ||X_N||_F)^N`` bounds every trace and every power entry; a
     non-finite trace under a finite bound is a fault, not an overflow.
     """
     N = tops.shape[-1]
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(tops[~np.isfinite(traces).all(axis=1)], axis=(1, 2))
-        return bool(np.isinf(N * np.maximum(1.0, norms) ** N).any())
+        return bool(np.isinf(N * np.maximum(1.0, np.linalg.norm(tops, axis=(1, 2))) ** N).any())
+
+
+def _traces_overflow(tops: np.ndarray, traces: np.ndarray) -> bool:
+    """Whether a tower of an (s, N, N) stack has a non-finite trace and an infinite bound."""
+    return _bound_overflows(tops[~np.isfinite(traces).all(axis=1)])
 
 
 def _flow_table(

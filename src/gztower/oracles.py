@@ -24,12 +24,15 @@ action, zero parameters included; it shares only ``mat_exp`` and
 :class:`TowerTangent` evaluates one tangent ``-[embed(g, k), X(k)]`` at a
 time: the reference for the batched tangent stack, which is the only
 tangent representation production code forms.  The per-pair glued form
-evaluates the Kostant-Kirillov pairing one pair at a time, with no
-tangent stack and no GEMM: the reference for the brackets and the
+evaluates the Kostant-Kirillov pairing, :func:`kk_form`, one pair at a
+time, with no tangent stack and no GEMM: the reference for the brackets and the
 Lagrangian isotropy.  The all-pairs bracket matrix pairs every generator
 at the top level in one GEMM, with its own embedding: production forms no
 bracket, only the centralizer certificate that bounds each one, and this
 matrix is what the tests hold that certificate against at depth <= 8.
+The gluing draws run the ``match`` check one draw at a time, one SVD per
+norm and two :func:`kk_form` pairings per draw: the reference for the
+member's stacked draws and residual passes.
 Clarity over speed; the root and Kronecker oracles are capped at test
 scale.
 """
@@ -53,9 +56,9 @@ from .matcore import (
     embed,
     mat_exp,
     spectrum_split,
+    trace_pair,
 )
-from .symplectic import kk_form
-from .tower import Tower
+from .tower import Tower, random_entries
 
 __all__ = [
     "ConvergenceError",
@@ -79,9 +82,16 @@ __all__ = [
     "orbit_tangents_A",
     "orbit_tangents_G",
     "omega_inf",
+    "kk_form",
+    "match_draws",
 ]
 
 MAX_ORACLE_DIM = 8
+
+
+def kk_form(M: np.ndarray, Z1: np.ndarray, Z2: np.ndarray) -> complex:
+    """Kostant-Kirillov pairing of the tangents [Z1, M] and [Z2, M]: tr(M [Z1, Z2])."""
+    return trace_pair(M, commutator(Z1, Z2))
 
 
 class ConvergenceError(RuntimeError):
@@ -524,3 +534,25 @@ def omega_inf(T: Tower, V1: TowerTangent, V2: TowerTangent) -> complex:
     if k > T.depth:
         raise IndexError(f"tangent level {k} exceeds tower depth {T.depth}")
     return kk_form(T.level(k), embed(V1.generator, k), embed(V2.generator, k))
+
+
+def match_draws(T: Tower, seed: int, draws: int) -> list[tuple]:
+    """The gluing check's seeded draws, one at a time: ``(n, Z1, Z2, scale, residual)``.
+
+    Each draw takes the level n, then Z1 and Z2 with
+    :func:`~gztower.tower.random_entries`; its scale is
+    ``1 + ||X_(n+1)||_2 ||Z1||_2 ||Z2||_2``, three SVDs, and its residual
+    ``|tr(X_(n+1) [Z1, Z2]) - tr(X_n [Z1, Z2])|``, the representatives
+    embedded into gl(n+1) on the deep side.
+    """
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(1,))))
+    out = []
+    for _ in range(draws):
+        n = int(rng.integers(1, T.depth))
+        Z1 = random_entries(rng, (n, n), 1.0)
+        Z2 = random_entries(rng, (n, n), 1.0)
+        norms = [float(np.linalg.norm(M, 2)) for M in (T.level(n + 1), Z1, Z2)]
+        scale = 1.0 + norms[0] * norms[1] * norms[2]
+        deep = kk_form(T.level(n + 1), embed(Z1, n + 1), embed(Z2, n + 1))
+        out.append((n, Z1, Z2, scale, abs(deep - kk_form(T.level(n), Z1, Z2))))
+    return out

@@ -26,12 +26,11 @@ from typing import Optional
 import numpy as np
 
 from .gz import power_table
-from .matcore import DEFAULT_TOL, Tolerance, as_cmatrix, commutator, embed, trace_pair
+from .matcore import DEFAULT_TOL, Tolerance
 from .regularity import report_number, sreg_report
 from .tower import Tower
 
 __all__ = [
-    "kk_form",
     "match_residual",
     "LagrangianReport",
     "lagrangian_check",
@@ -43,26 +42,24 @@ __all__ = [
 ISOTROPY_RTOL = 1e-8
 
 
-def kk_form(M: np.ndarray, Z1: np.ndarray, Z2: np.ndarray) -> complex:
-    """Kostant-Kirillov pairing of the tangents [Z1, M] and [Z2, M]: tr(M [Z1, Z2])."""
-    return trace_pair(M, commutator(Z1, Z2))
+def match_residual(T: Tower, Z1: np.ndarray, Z2: np.ndarray, n: int) -> np.ndarray:
+    """Gluing defect between levels n and n+1 of every pair of two (s, n, n) stacks.
 
-
-def match_residual(T: Tower, Z1: np.ndarray, Z2: np.ndarray, n: int) -> float:
-    """Gluing defect between levels n and n+1 for level-n representatives.
-
-    Mathematically zero: the deeper matrix restricts to the shallower one
-    on the corner the embedded commutator lives in.
+    Entry r is ``|tr(X_(n+1) [Z1_r, Z2_r]) - tr(X_n [Z1_r, Z2_r])|``, with
+    the representatives embedded into gl(n+1) on the deep side, so its
+    products run at the deeper dimension.  Mathematically zero: the deeper
+    matrix restricts to the shallower one on the corner the embedded
+    commutator lives in.
     """
-    Z1 = as_cmatrix(Z1)
-    Z2 = as_cmatrix(Z2)
-    if Z1.shape != Z2.shape or Z1.shape[0] != n:
-        raise ValueError("representatives must both have dimension n")
+    if Z1.shape != Z2.shape or Z1.shape[1:] != (n, n):
+        raise ValueError("representatives must be two (s, n, n) stacks")
     if n >= T.depth:
         raise IndexError(f"need n < depth, got n={n}, depth={T.depth}")
-    deep = kk_form(T.level(n + 1), embed(Z1, n + 1), embed(Z2, n + 1))
-    shallow = kk_form(T.level(n), Z1, Z2)
-    return abs(deep - shallow)
+    # tr(X [A, B]) of every slice, as oracles.kk_form pairs one.
+    E1, E2 = np.zeros((2, len(Z1), n + 1, n + 1), dtype=np.complex128)
+    E1[:, :n, :n], E2[:, :n, :n] = Z1, Z2
+    deep = np.einsum("ab,sba->s", T.level(n + 1), E1 @ E2 - E2 @ E1)
+    return np.abs(deep - np.einsum("ab,sba->s", T.level(n), Z1 @ Z2 - Z2 @ Z1))
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ __all__ = [
     "GenerationError",
     "Tower",
     "random_entries",
+    "unit_disk",
     "random_theta_tower",
     "tower_to_dict",
     "tower_from_dict",
@@ -60,6 +61,13 @@ class Tower:
         return corner(self.top, n)
 
 
+def unit_disk(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The complex Gaussians ``(re + i im) / sqrt(2)``, projected onto the closed unit disk."""
+    g = (re + 1j * im) / np.sqrt(2.0)
+    mag = np.abs(g)
+    return np.where(mag > 1.0, g / np.maximum(mag, 1e-300), g)
+
+
 def random_entries(rng: np.random.Generator, shape, scale: float) -> np.ndarray:
     """Complex-Gaussian entries with magnitude clipped to ``scale``.
 
@@ -67,10 +75,7 @@ def random_entries(rng: np.random.Generator, shape, scale: float) -> np.ndarray:
     disk of radius ``scale`` (entries beyond unit magnitude are projected
     to the circle).  Deterministic given the generator state.
     """
-    g = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-    mag = np.abs(g)
-    g = np.where(mag > 1.0, g / np.maximum(mag, 1e-300), g)
-    return scale * g
+    return scale * unit_disk(rng.standard_normal(shape), rng.standard_normal(shape))
 
 
 def random_theta_tower(

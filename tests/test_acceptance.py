@@ -185,18 +185,23 @@ def test_criterion_05_lagrangian_verification():
 
 def test_criterion_06_gluing_consistency():
     # 1000 random (tower, Z1, Z2, n) draws: gluing defect <= 1e-12 * scale.
+    # Each tower's draws are paired in one stacked pass per drawn level n.
     rng = np.random.default_rng(9)
     worst = 0.0
     for block in range(10):
         T = plain_tower(6, 500 + block)
+        drawn = {}
         for _ in range(100):
             n = int(rng.integers(1, 6))
             Z1 = random_entries(rng, (n, n), 1.0)
             Z2 = random_entries(rng, (n, n), 1.0)
+            drawn.setdefault(n, []).append((Z1, Z2))
+        for n, pairs in drawn.items():
+            Z1, Z2 = (np.array(Z) for Z in zip(*pairs))
             scale = 1.0 + np.linalg.norm(T.level(n + 1), 2) * np.linalg.norm(
-                Z1, 2
-            ) * np.linalg.norm(Z2, 2)
-            worst = max(worst, match_residual(T, Z1, Z2, n) / scale)
+                Z1, 2, axis=(1, 2)
+            ) * np.linalg.norm(Z2, 2, axis=(1, 2))
+            worst = max(worst, float(np.max(match_residual(T, Z1, Z2, n) / scale)))
     report("06-gluing-consistency", worst <= 1e-12, f"1000 draws, max ratio {worst:.3e}")
 
 

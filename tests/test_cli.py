@@ -808,16 +808,19 @@ class TestNonFiniteResiduals:
     @pytest.fixture
     def nan_flowed_trace(self, monkeypatch):
         # The base traces come from PowerTable.traces; only flowed stacks
-        # reach the name the check module imported.
-        original = cli.stack_traces
+        # reach the names the check module imported: conserve reads each
+        # level with level_traces, flow and orbit whole towers with
+        # stack_traces.
+        for name in ("level_traces", "stack_traces"):
+            original = getattr(cli, name)
 
-        def with_nan(tops):
-            out = original(tops)
-            if len(out):
-                out[0, -1] = np.nan
-            return out
+            def with_nan(tops, original=original):
+                out = original(tops)
+                if len(out):
+                    out[0, -1] = np.nan
+                return out
 
-        monkeypatch.setattr(cli, "stack_traces", with_nan)
+            monkeypatch.setattr(cli, name, with_nan)
 
     @pytest.fixture
     def nan_brackets(self, monkeypatch):
@@ -856,18 +859,22 @@ class TestNonFiniteResiduals:
         assert verdicts == {"commute": "false", "consistent": "false", "lagrangian": "false"}
 
     def test_nan_residual_fails_match(self, tmp_path, monkeypatch):
+        # A NaN in one level's residuals; the passes cover every draw.
         original = cli.match_residual
         calls = []
 
-        def nan_once(*args):
-            calls.append(args)
-            return np.nan if len(calls) == 1 else original(*args)
+        def nan_once(T, Z1, Z2, n):
+            calls.append(len(Z1))
+            out = original(T, Z1, Z2, n)
+            if len(calls) == 1:
+                out[-1] = np.nan
+            return out
 
         monkeypatch.setattr(cli, "match_residual", nan_once)
         code, verdicts = self._check(tmp_path, "match")
         assert code == cli.EXIT_FAIL
         assert verdicts == {"match": "false"}
-        assert len(calls) == cli.MATCH_DRAWS
+        assert sum(calls) == cli.MATCH_DRAWS
 
     def test_nan_trace_does_not_pass_conserve(self, tmp_path, nan_traces):
         code, verdicts = self._check(tmp_path, "conserve")
@@ -907,10 +914,10 @@ class TestNonFiniteResiduals:
 def conserve_per_level(T, tol, seed):
     """The conserve member with each level's seeded unit-norm generator P_i
     flowed in a stack of its own, and the level-i corners of its tops read by
-    a trace pass of their own: levels k <= i.  The oracle of the one-stack
-    member; it draws the weights itself."""
+    trace passes of their own, one per level k <= i.  The oracle of the
+    one-stack member; it draws the weights itself."""
     from gztower.action import flow_stack
-    from gztower.gz import power_table, stack_traces
+    from gztower.gz import level_traces, power_table
 
     def result(passed, details):
         return cli.CheckResult(
@@ -948,7 +955,9 @@ def conserve_per_level(T, tol, seed):
         tops, errors = flow_stack(table.top, [P], cli._FLOWED_TIMES)
         ok = np.array([e is None for e in errors])
         corner_tops = tops[ok, :i, :i]
-        traces = stack_traces(corner_tops)
+        traces = np.concatenate(
+            [level_traces(corner_tops[:, :k, :k]) for k in range(1, i + 1)], axis=1
+        )
         failed = failed or not ok.all() or cli._traces_overflow(corner_tops, traces)
         level_base = base[: i * (i + 1) // 2]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -1120,9 +1129,36 @@ class TestConserveOracle:
         assert json.dumps(first.details) == json.dumps(again.details)
 
 
+class TestMatchOracle:
+    """The stacked match member draws, bit for bit, what the per-draw loop
+    draws, and its residual passes agree with the per-draw pairings."""
+
+    @pytest.mark.parametrize("depth", [6, 16])
+    @pytest.mark.parametrize("seed", [0, 1, 201])
+    def test_draws_and_scales_equal_the_oracle_bit_for_bit(self, depth, seed):
+        from gztower.oracles import match_draws
+
+        T = theta_tower(depth, 340 + depth, 0.3)
+        draws = match_draws(T, seed, cli.MATCH_DRAWS)
+        groups = cli._match_draws(T, seed)
+        assert [n for n, *_ in groups] == sorted({draw[0] for draw in draws})
+        for n, Z1, Z2, scales in groups:
+            level = [draw for draw in draws if draw[0] == n]
+            assert np.array_equal(Z1, np.array([draw[1] for draw in level]))
+            assert np.array_equal(Z2, np.array([draw[2] for draw in level]))
+            assert np.array_equal(scales, np.array([draw[3] for draw in level]))
+            residuals = cli.match_residual(T, Z1, Z2, n)
+            oracle = np.array([draw[4] for draw in level])
+            assert np.all(np.abs(residuals - oracle) <= 1e-15 * scales)
+        details = cli.CHECKS["match"](T, cli.Tolerance(), seed).details
+        assert details["max_residual_ratio"] <= 1e-15
+        assert details["draws"] == cli.MATCH_DRAWS == len(draws)
+
+
 class TestCheckCost:
-    """Conserve flows every level in one stack and reads each level's flows
-    with one trace pass; consistent bounds by level, not by pair; lagrangian
+    """Conserve flows every level in one stack and reads each level k < N,
+    on every flow that reaches it, with one trace pass; match pairs each
+    drawn level's draws in one residual pass; consistent bounds by level, not by pair; lagrangian
     builds one power table; the suite computes one strong-regularity report,
     one power table and one residual pass, and orbit one power table and one
     residual pass, neither an all-pairs bracket matrix; the suite and orbit
@@ -1141,7 +1177,7 @@ class TestCheckCost:
         import gztower.symplectic
         from gztower.tower import Tower
 
-        counts = {"power_table": 0, "Tower": 0, "expm": 0, "stack_traces": 0}
+        counts = {"power_table": 0, "Tower": 0, "expm": 0, "stack_traces": 0, "level_traces": 0}
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -1157,6 +1193,7 @@ class TestCheckCost:
             counting("power_table", gztower.symplectic.power_table),
         )
         monkeypatch.setattr(cli, "stack_traces", counting("stack_traces", cli.stack_traces))
+        monkeypatch.setattr(cli, "level_traces", counting("level_traces", cli.level_traces))
         monkeypatch.setattr(Tower, "__post_init__", counting("Tower", Tower.__post_init__))
         monkeypatch.setattr(
             gztower.action, "mat_exp_stack", counting("expm", gztower.action.mat_exp_stack)
@@ -1176,15 +1213,40 @@ class TestCheckCost:
         monkeypatch.setattr(gztower.action, "mat_exp_stack", recording)
         assert cli.CHECKS["conserve"](tower, cli.Tolerance(), 0).passed == "true"
         # One stacked expm for the whole member: each level i < N flows its
-        # one generator at the six nonzero times.  One trace pass per flowed
-        # level i reads its flows at the levels k <= i.
+        # one generator at the six nonzero times.  One trace pass per level
+        # k < N reads the k x k corners of the flows of every level i >= k.
         assert counts == {
             "power_table": 1,
             "Tower": 0,
             "expm": 1,
-            "stack_traces": self.DEPTH - 1,
+            "stack_traces": 0,
+            "level_traces": self.DEPTH - 1,
         }
         assert slices == [6 * (self.DEPTH - 1)]
+
+    @pytest.mark.parametrize("seed", [0, 201])
+    def test_match(self, tower, counts, seed, monkeypatch):
+        # One residual pass per distinct drawn level, not one per draw.
+        from gztower.oracles import match_draws
+
+        passes = []
+        original = cli.match_residual
+
+        def recording(T, Z1, Z2, n):
+            passes.append(n)
+            return original(T, Z1, Z2, n)
+
+        monkeypatch.setattr(cli, "match_residual", recording)
+        assert cli.CHECKS["match"](tower, cli.Tolerance(), seed).passed == "true"
+        levels = sorted({draw[0] for draw in match_draws(tower, seed, cli.MATCH_DRAWS)})
+        assert passes == levels
+        assert counts == {
+            "power_table": 0,
+            "Tower": 0,
+            "expm": 0,
+            "stack_traces": 0,
+            "level_traces": 0,
+        }
 
     def test_consistent(self, tower, counts):
         assert cli.CHECKS["consistent"](tower, cli.Tolerance(), 0).passed == "true"
@@ -1193,6 +1255,7 @@ class TestCheckCost:
             "Tower": 0,
             "expm": 0,
             "stack_traces": 0,
+            "level_traces": 0,
         }
 
     def test_lagrangian(self, tower, counts):
@@ -1204,6 +1267,7 @@ class TestCheckCost:
             "Tower": 0,
             "expm": 0,
             "stack_traces": 0,
+            "level_traces": 0,
         }
 
     def test_sreg_report_builds_no_power_table(self, tower, builds):

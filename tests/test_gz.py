@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gztower.action import flow_stack
-from gztower.gz import GZIndex, gz_indices, power_table, stack_traces
+from gztower.gz import GZIndex, gz_indices, level_traces, power_table, stack_traces
 from gztower.matcore import embed
 from gztower.oracles import (
     SmoothFn,
@@ -381,6 +381,99 @@ class TestStackTraces:
         assert not np.all(np.isfinite(traces[:, 3:]))
 
 
+def trace_rounding_bound(X):
+    """Per entry of ``level_traces(X)``, a bound on its distance from the
+    running powers of ``stack_traces``:
+    ``2 sqrt(2) gamma((k + 2)(j + k)) max(1, ||X||_F)^j`` for tr(X^j), with
+    ``gamma(n) = n u / (1 - n u)`` and u the unit roundoff.
+
+    Both evaluations form X^j as a tree of j - 1 products of k x k complex
+    matrices (fewer for the Paterson-Stockmeyer split) and read the trace
+    as one inner product of k^2 terms.  A complex inner product of length n
+    is off by at most sqrt(2) gamma(n + 2) times the sum of the absolute
+    products (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., section 3.6), so to first order each side is off by
+    ``sqrt(2) gamma((k + 2)(j - 1) + k^2 + 2) tr(|X|^j)``, and
+    ``(k + 2)(j - 1) + k^2 + 2 <= (k + 2)(j + k)``.  Frobenius norms are
+    submultiplicative and ``||X||_F = || |X| ||_F``, so
+    ``tr(|X|^j) <= ||X||_F^j`` for j >= 2; for j = 1 only the k diagonal
+    terms are nonzero and ``sum |X_aa| <= sqrt(k) ||X||_F``, inside the
+    same bound.  The trace's k^2 terms are why the factor is j + k, not j.
+    """
+    k = X.shape[-1]
+    u = np.finfo(float).eps / 2
+    n = (k + 2) * (np.arange(1, k + 1) + k)
+    norms = np.maximum(1.0, np.linalg.norm(X, axis=(1, 2)))
+    return 2 * np.sqrt(2) * n * u / (1 - n * u) * norms[:, None] ** np.arange(1, k + 1)
+
+
+class TestLevelTraces:
+    """The Paterson-Stockmeyer traces of one level are within rounding of
+    the running powers, and each row is bit for bit that of its matrix
+    alone."""
+
+    @staticmethod
+    def assert_within_rounding(tops):
+        whole = stack_traces(tops)
+        for k in range(1, tops.shape[-1] + 1):
+            X = tops[:, :k, :k]
+            columns = slice(k * (k - 1) // 2, k * (k + 1) // 2)
+            assert np.all(np.abs(level_traces(X) - whole[:, columns]) <= trace_rounding_bound(X))
+
+    def test_random_stacks_at_depth_1_to_8(self):
+        rng = np.random.default_rng(76)
+        for depth in range(1, 9):
+            shape = (5, depth, depth)
+            tops = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            self.assert_within_rounding(tops)
+            traces = level_traces(tops)
+            assert traces.shape == (5, depth)
+            for top, row in zip(tops, traces):
+                assert np.array_equal(row, level_traces(top[None])[0])
+
+    @pytest.mark.parametrize("depth", [3, 6, 8])
+    def test_flowed_stacks(self, depth):
+        T = theta_tower(depth, 77, 0.3)
+        for idx in gz_indices(depth - 1)[:: max(1, depth - 3)]:
+            tops, errors = index_flows(T, idx, [-2.0, -0.5, 0.0, 1.0, 2.0])
+            assert errors == [None] * 5
+            self.assert_within_rounding(tops)
+
+    def test_depth_32_flowed_stack(self):
+        T = theta_tower(32, 78, 0.3)
+        table = power_table(T)
+        tops, errors = flow_stack(table.top, [table.gradients[30][3]], [-1.0, 0.5, 2.0])
+        assert errors == [None] * 3
+        self.assert_within_rounding(np.concatenate([tops, table.top[None]]))
+
+    def test_concatenated_stack_is_its_parts(self):
+        # Conserve reads a level on every flow that reaches it in one pass: no
+        # row may depend on which other matrices share its stack.
+        T = theta_tower(8, 79, 0.3)
+        table = power_table(T)
+        grid = [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]
+        parts = [flow_stack(table.top, [G], grid)[0][:, :6, :6] for G in table.gradients[5]]
+        parts.append(parts[0][:1])
+        whole = level_traces(np.concatenate(parts))
+        assert np.array_equal(whole, np.concatenate([level_traces(p) for p in parts]))
+
+    def test_chunks_are_bit_identical(self, monkeypatch):
+        # A stack longer than the power budget runs in chunks of a few rows.
+        from gztower import gz
+
+        tops = index_flows(theta_tower(8, 80, 0.3), GZIndex(6, 3), [-2.0, -1.0, 0.5, 1.0, 2.0])[0]
+        whole = level_traces(tops)
+        monkeypatch.setattr(gz, "_TRACE_CHUNK_BYTES", 2 * 6 * 8 * 8 * 16)
+        assert np.array_equal(level_traces(tops), whole)
+
+    def test_overflow_is_left_non_finite_without_warnings(self):
+        # The configured filter turns a RuntimeWarning into an error here.
+        top = np.array([[1, 0, 0], [0, 2, 1e160], [0, 1e160, 3]], dtype=complex)
+        traces = level_traces(np.stack([top, top]))
+        assert np.all(np.isfinite(traces[:, 0]))
+        assert not np.all(np.isfinite(traces[:, 1:]))
+
+
 class TestLevelPairings:
     """The pairs grouped by their deeper level k: the all-pairs oracle against
     the per-pair glued form at X_k, both under the centralizer certificate."""
@@ -426,7 +519,7 @@ class TestCentralizerCertificate:
         ids=["theta1", "theta2", "theta5", "theta8", "theta8-unit", "plain4", "plain7", "diag5"],
     )
     def test_oracle_within_certificate(self, tower):
-        from gztower.cli import _pair_bounds
+        from gztower.cli import _level_pair_bounds
 
         table = power_table(tower)
         commutators, norms = table.residuals()
@@ -436,5 +529,7 @@ class TestCentralizerCertificate:
         # Entry (a, b) and its mirror (b, a) are one pair, certified at b's level.
         certified = np.zeros((m, m))
         certified[a, b] = certified[b, a] = norms[a] * commutators[b]
-        slack = 1e-12 * _pair_bounds(tower, gz_indices(tower.depth))
+        levels = np.array([idx.i for idx in gz_indices(tower.depth)])
+        deeper = np.maximum.outer(levels, levels) - 1
+        slack = 1e-12 * _level_pair_bounds(tower)[deeper, np.minimum.outer(levels, levels) - 1]
         assert np.all(np.abs(oracle) <= certified + slack)

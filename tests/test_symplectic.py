@@ -8,11 +8,12 @@ from gztower.oracles import (
     TowerTangent,
     bracket_matrix,
     gz_hamiltonian,
+    kk_form,
     omega_inf,
     orbit_tangents_A,
     rank_split,
 )
-from gztower.symplectic import ISOTROPY_RTOL, kk_form, lagrangian_check, match_residual
+from gztower.symplectic import ISOTROPY_RTOL, lagrangian_check, match_residual
 from gztower.tower import Tower, random_entries
 
 from conftest import diag_tower, pairing_matrix, plain_tower, theta_tower, unit
@@ -99,32 +100,42 @@ class TestOmegaInf:
 
 
 class TestMatchResidual:
+    """The stacked gluing defect: one residual per pair of representatives."""
+
     def test_diagonal_tower_units(self):
         T = diag_tower([1.0, 2.0, 3.0])
-        assert match_residual(T, unit(2, 0, 1), unit(2, 1, 0), 2) <= 1e-15
+        residuals = match_residual(T, unit(2, 0, 1)[None], unit(2, 1, 0)[None], 2)
+        assert residuals.shape == (1,)
+        assert residuals[0] <= 1e-15
 
     def test_equal_reps_exact_zero(self):
         T = plain_tower(4, 203)
-        Z = unit(3, 0, 1)
-        assert match_residual(T, Z, Z, 3) == 0
+        Z = np.stack([unit(3, 0, 1), unit(3, 1, 2)])
+        assert np.array_equal(match_residual(T, Z, Z, 3), np.zeros(2))
 
     def test_random_draws_small(self):
+        # Each slice's residual is its own, whatever else shares its stack.
         rng = np.random.default_rng(2)
         for seed in range(5):
             T = plain_tower(5, 220 + seed)
-            for _ in range(20):
-                n = int(rng.integers(1, 5))
-                Z1 = random_entries(rng, (n, n), 1.0)
-                Z2 = random_entries(rng, (n, n), 1.0)
+            for n in range(1, 5):
+                Z1 = random_entries(rng, (20, n, n), 1.0)
+                Z2 = random_entries(rng, (20, n, n), 1.0)
                 scale = 1.0 + np.linalg.norm(T.level(n + 1), 2) * np.linalg.norm(
-                    Z1, 2
-                ) * np.linalg.norm(Z2, 2)
-                assert match_residual(T, Z1, Z2, n) <= 1e-12 * scale
+                    Z1, 2, axis=(1, 2)
+                ) * np.linalg.norm(Z2, 2, axis=(1, 2))
+                residuals = match_residual(T, Z1, Z2, n)
+                assert np.all(residuals <= 1e-12 * scale)
+                for r in (0, 7, 19):
+                    alone = match_residual(T, Z1[r : r + 1], Z2[r : r + 1], n)
+                    assert alone[0] == residuals[r]
 
     def test_level_bounds(self):
         T = plain_tower(3, 204)
         with pytest.raises(IndexError):
-            match_residual(T, unit(3, 0, 1), unit(3, 1, 0), 3)
+            match_residual(T, unit(3, 0, 1)[None], unit(3, 1, 0)[None], 3)
+        with pytest.raises(ValueError):
+            match_residual(T, unit(2, 0, 1)[None], unit(2, 1, 0)[None], 1)
 
 
 class TestAnchor:
