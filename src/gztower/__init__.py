@@ -64,7 +64,7 @@ from .symplectic import (
     match_residual,
 )
 
-__version__ = "0.7.1"
+__version__ = "0.7.2"
 
 __all__ = [
     "__version__",

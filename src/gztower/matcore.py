@@ -55,11 +55,9 @@ _SQRT_HALF = math.sqrt(0.5)
 # A norm above this has a sum of squares far enough above the subnormal
 # range that the squares lost to underflow cannot move it.
 _TINY_NORM = 2.0**-480
-# level_splits forms its Gram matrix this many rows at a time where the
-# rows fill every column, and the largest eigenvalue of a level's block of
-# it must lie between these bounds: inside them no square that matters
-# overflows or falls into the subnormal range.
-_GRAM_BLOCK_ROWS = 64
+# The largest eigenvalue of a level's diagonal block of the Gram that
+# level_splits factors must lie between these bounds: inside them no
+# square that matters overflows or falls into the subnormal range.
 _GRAM_MIN_SQUARE = 2.0**-900
 _GRAM_MAX_SQUARE = 2.0**900
 # Above 2^_HUGE_EXPONENT the trace of a matrix, or its product with a unit
@@ -463,52 +461,51 @@ def spectrum_split(
 
 
 def level_splits(
-    family: np.ndarray,
-    bounds: Sequence[int],
+    rows: list[np.ndarray],
+    k: int,
+    family: Callable[[], np.ndarray],
     tol: Tolerance = DEFAULT_TOL,
-    widths: Optional[Sequence[int]] = None,
 ) -> list[tuple[int, float, float]]:
-    """Numerical rank of each level of a family, net of the levels below it.
+    """Numerical rank of each level of a family, net of the levels below it, off its Gram.
 
-    ``family`` is an (m, k) array whose rows come in level blocks
-    ``[bounds[i], bounds[i + 1])``, lowest level first; level i's rows are
-    zero beyond column ``widths[i]`` (all k columns when ``widths`` is
-    None).  Level i's values are the singular values of its rows after
-    projecting out the span of the rows of the levels below, so the family
-    has full rank exactly when every level has full rank here.  Returns
-    the :func:`spectrum_split` of each level's values, all against one
-    threshold: ``tol`` at the largest singular value of any level's own,
-    unprojected rows.
+    The family F is an (m, k) array whose rows come in level blocks
+    ``[a_i, b_i)``, lowest level first.  Level i's values are the singular
+    values of its rows after projecting out the span of the rows of the
+    levels below, so the family has full rank exactly when every level has
+    full rank here.  Returns the :func:`spectrum_split` of each level's
+    values, all against one threshold: ``tol`` at the largest singular
+    value of any level's own, unprojected rows.
 
-    The values are those of the diagonal blocks of the lower Cholesky
-    factor of the Gram matrix ``F F^H``, one block per level (Golub and
-    Van Loan, *Matrix Computations*, 4th ed., 4.2 and 5.2).  The Gram's
-    lower triangle is formed first: level by level, each block column one
-    GEMM over the level's own ``widths[i]`` columns, or without widths
-    ``_GRAM_BLOCK_ROWS`` rows at a time as ``conj(F F^H)``, whose levels
-    have the same values.  The scale is read off its diagonal blocks.  The
-    factorization is then left-looking and in place: each level subtracts
-    the factored columns to its left from its block column, factors its
-    diagonal block L and multiplies the rows below by ``L^-H``, so that
-    every temporary has at most the level's rows as columns.  Rounding
-    moves a squared value by about ``(m + k) eps scale^2``, so a value at
-    or below ten times ``sqrt((m + k) eps) scale`` is not resolved: then,
-    and when the Gram is not finite, its largest level eigenvalue leaves
-    the range in which that bound holds or a diagonal block is not
-    numerically positive definite, the values are read instead off a
-    Householder QR of ``F^H`` (:func:`_qr_levels`), which resolves them
-    down to ``eps``.  A family with a non-finite entry has no numerical
-    rank: every level gives ``(0, nan, nan)``.
+    ``rows[i]`` is level i's block row of the lower triangle of the Gram
+    ``F F^H``, the ``(b_i - a_i, b_i)`` array ``F[a_i:b_i] F[:b_i]^H``, or its
+    conjugate, whose levels have the same values; callers form it without
+    F.  The list is consumed: the blocks are overwritten, and it is emptied
+    before ``family()`` builds F for the fallback below.  The values are
+    those of the diagonal blocks of the lower Cholesky factor of the Gram
+    (Golub and Van Loan, *Matrix Computations*, 4th ed., 4.2 and 5.2), and
+    the scale is read off its diagonal blocks.  The factorization is
+    left-looking and in place: each level subtracts the factored columns
+    to its left from its diagonal block, factors it as L, and turns each
+    block row below into its columns of the factor, one GEMM per row.
+    Rounding moves a squared value by about ``(m + k) eps scale^2``, so a
+    value at or below ten times ``sqrt((m + k) eps) scale`` is not
+    resolved: then, and when the Gram is not finite, its largest
+    level eigenvalue leaves the range in which that bound holds or a
+    diagonal block is not numerically positive definite, the values are
+    read instead off a Householder QR of ``F^H`` (:func:`_qr_levels`),
+    which resolves them down to ``eps``.  A family with a non-finite entry
+    has no numerical rank: every level gives ``(0, nan, nan)``.
     """
-    F = np.asarray(family, dtype=np.complex128)
-    m, k = F.shape
-    blocks = list(zip(bounds[:-1], bounds[1:]))
-    if bounds[0] != 0 or bounds[-1] != m or any(b <= a for a, b in blocks):
-        raise ValueError(f"level bounds {list(bounds)} do not split {m} rows")
-    if not np.all(np.isfinite(F)):
-        return [(0, math.nan, math.nan)] * len(blocks)
-    levels = _cholesky_levels(F, blocks, widths)
+    shapes = [R.shape for R in rows]
+    blocks = [(b - w, b) for w, b in shapes]
+    if any(w < 1 for w, _ in shapes) or [a for a, _ in blocks] != [0] + [b for _, b in blocks[:-1]]:
+        raise ValueError(f"Gram block rows {shapes} do not tile a lower triangle")
+    levels = _cholesky_levels(rows, blocks, k) if all(np.isfinite(R).all() for R in rows) else None
     if levels is None:
+        rows.clear()  # the Gram goes before the family comes
+        F = np.asarray(family(), dtype=np.complex128)
+        if not np.all(np.isfinite(F)):
+            return [(0, math.nan, math.nan)] * len(blocks)
         levels = _qr_levels(F, blocks)
     values, scale = levels
     return [spectrum_split(s, tol, scale) for s in values]
@@ -518,49 +515,41 @@ _Levels = tuple[list[np.ndarray], float]
 
 
 def _cholesky_levels(
-    F: np.ndarray, blocks: list[tuple[int, int]], widths: Optional[Sequence[int]]
+    rows: list[np.ndarray], blocks: list[tuple[int, int]], k: int
 ) -> Optional[_Levels]:
     """:func:`level_splits`' values by block Cholesky, or None where they are not resolved."""
-    m, k = F.shape
-    # Only the lower triangle of G is formed and read: eigvalsh and cholesky
-    # read no other.  Zeros keep the rest finite.
-    G = np.zeros((m, m), dtype=np.complex128)
+    m = blocks[-1][1]
     with np.errstate(all="ignore"):
-        # Widths save criterion 1 a third of its time; criterion 3's rows fill nearly every column.
-        if widths is None:
-            # Row blocks [r, s) of conj(F F^H), whose per-level values are
-            # those of F F^H: only the block's own rows are conjugated.
-            for r in range(0, m, _GRAM_BLOCK_ROWS):
-                s = min(r + _GRAM_BLOCK_ROWS, m)
-                np.matmul(F[r:s].conj(), F[:s].T, out=G[r:s, :s])
-        else:
-            # Level block columns, each over the columns its own rows fill.
-            for (a, b), w in zip(blocks, widths):
-                np.matmul(F[a:, :w], F[a:b, :w].conj().T, out=G[a:, a:b])
-        if not np.all(np.isfinite(G)):
-            return None
-        square = max(float(np.linalg.eigvalsh(G[a:b, a:b])[-1]) for a, b in blocks)
+        # eigvalsh and cholesky read only the lower triangle of a diagonal block.
+        square = max(float(np.linalg.eigvalsh(R[:, a:])[-1]) for R, (a, _) in zip(rows, blocks))
         if not _GRAM_MIN_SQUARE < square < _GRAM_MAX_SQUARE:
             return None
         scale = math.sqrt(square)
         floor = 10.0 * math.sqrt((m + k) * _EPS) * scale
         values = []
-        for a, b in blocks:
-            # Level i's block column: its top is the diagonal block.
-            column = G[a:, a:b]
+        for level, (a, b) in enumerate(blocks):
+            R = rows[level]
+            left = R[:, :a].conj().T  # the factored columns of level i's rows
             if a:
-                column -= G[a:, :a] @ G[a:b, :a].conj().T
+                R[:, a:] -= R[:, :a] @ left
             try:
-                L = np.linalg.cholesky(column[: b - a])
+                L = np.linalg.cholesky(R[:, a:])
             except np.linalg.LinAlgError:
                 return None
             s = np.linalg.svd(L, compute_uv=False)
             if not s[-1] > floor:
                 return None
             values.append(s)
-            # The rows below become column L^-H; above the floor L is well
-            # conditioned, and one GEMM with its inverse costs less than a solve.
-            column[b - a :] = column[b - a :] @ np.linalg.inv(L).conj().T
+            # Each row below becomes (G - L_left left) L^-H, one GEMM of its
+            # first b columns; above the floor L is well conditioned, and a
+            # product with its inverse costs less than a solve.
+            inverse = np.linalg.inv(L).conj().T
+            step = np.empty((b, b - a), dtype=np.complex128)
+            np.matmul(left, -inverse, out=step[:a])
+            step[a:] = inverse
+            for S in rows[level + 1 :]:
+                S[:, a:b] = S[:, :b] @ step
+            del left, step  # before the next level forms its own
     return values, scale
 
 
@@ -824,7 +813,27 @@ def _schur_triangles(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return forms[0], forms[1]
 
 
-def _eigen_separation(A: np.ndarray, B: np.ndarray) -> float:
+# Computed eigenpairs M V = V diag(lam) + R, V with unit columns, as
+# (lam, s_max(V) / s_min(V), ||R||_F / s_min(V)).
+_Eigen = tuple[np.ndarray, float, float]
+
+
+def _eigen(M: np.ndarray) -> Optional[_Eigen]:
+    """The eigenpairs of M that :func:`_eigen_separation` reads.
+
+    None where an entry is not finite or exceeds ``2^_HUGE_EXPONENT``: the
+    Schur path of :func:`spectra_disjoint` decides such pairs.
+    """
+    M = np.asarray(M, dtype=np.complex128)
+    if not np.all(np.isfinite(M)) or _unit_exponent(M) > _HUGE_EXPONENT:
+        return None
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        lam, V = np.linalg.eig(M)
+        s = np.linalg.svd(V, compute_uv=False)
+        return lam, float(s[0] / s[-1]), float(_fro(M @ V - V * lam) / s[-1])
+
+
+def _eigen_separation(A: _Eigen, B: _Eigen) -> float:
     """A lower bound on the smallest singular value of ``Z -> A Z - Z B``, from eigenpairs.
 
     For computed eigenpairs ``M V = V diag(lam) + R`` (unit columns), M is
@@ -833,18 +842,13 @@ def _eigen_separation(A: np.ndarray, B: np.ndarray) -> float:
     ``kappa(V_A) kappa(V_B)`` (Stewart and Sun, *Matrix Perturbation
     Theory*, 1990, V.3).  Each perturbation moves the smallest singular
     value by at most its norm, so the bound holds for the computed
-    eigenpairs themselves.  NaN or a value at most 0 bounds nothing.
+    eigenpairs themselves, shifted or not: a common shift leaves the
+    operator unchanged.  NaN or a value at most 0 bounds nothing.
     """
-    spectra, kappa, slack = [], 1.0, 0.0
+    (lam_a, kappa_a, slack_a), (lam_b, kappa_b, slack_b) = A, B
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for M in (A, B):
-            lam, V = np.linalg.eig(M)
-            s = np.linalg.svd(V, compute_uv=False)
-            spectra.append(lam)
-            kappa *= s[0] / s[-1]
-            slack += _fro(M @ V - V * lam) / s[-1]
-        gap = np.min(np.abs(spectra[0][:, None] - spectra[1][None, :]))
-        return float(gap / kappa - slack)
+        gap = np.min(np.abs(lam_a[:, None] - lam_b[None, :]))
+        return float(gap / (kappa_a * kappa_b) - (slack_a + slack_b))
 
 
 def _sylvester_start(na: int, nb: int) -> np.ndarray:
@@ -878,7 +882,9 @@ def _sylvester_smax(R: np.ndarray, S: np.ndarray) -> float:
     )
 
 
-def spectra_disjoint(A: np.ndarray, B: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
+def spectra_disjoint(
+    A: np.ndarray, B: np.ndarray, tol: Tolerance = DEFAULT_TOL, eigen: Optional[tuple] = None
+) -> bool:
     """Whether the spectra of A and B are (numerically) disjoint.
 
     Tests invertibility of the Sylvester operator ``Z -> A Z - Z B``, which
@@ -888,13 +894,17 @@ def spectra_disjoint(A: np.ndarray, B: np.ndarray, tol: Tolerance = DEFAULT_TOL)
     nb)``, which leaves the operator unchanged, and the sum of their
     shifted Frobenius norms bounds ``s_max`` from above.
 
-    The eigenvalue bound of :func:`_eigen_separation` is tried first: when
-    it clears the threshold of that sum, the smallest singular value does
-    too, and the answer is true with no Sylvester solve.  Otherwise, as for
-    a shared or defective eigenvalue, the singular values decide.  With
-    complex Schur forms ``A - mu I = U R U^H`` and ``B - mu I = V S V^H``
-    the operator becomes ``W -> R W - W S`` on ``W = U^H Z V``, an
-    isometry, so the singular values are those of the triangular operator.
+    The eigenvalue bound of :func:`_eigen_separation` is tried first, on
+    the eigenpairs of A and B unshifted: when it clears the threshold of
+    that sum, the smallest singular value does too, and the answer is true
+    with no Sylvester solve.  ``eigen`` passes those eigenpairs in, as
+    :func:`_eigen` gives them, for callers that test one matrix against
+    two others, such as consecutive levels.  Otherwise, as for a shared or
+    defective eigenvalue, or an entry above ``2^_HUGE_EXPONENT``, the
+    singular values decide.  With complex Schur forms ``A - mu I = U R
+    U^H`` and ``B - mu I = V S V^H`` the operator becomes ``W -> R W - W S``
+    on ``W = U^H Z V``, an isometry, so the singular values are those of the
+    triangular operator.
     The smallest is the reciprocal of the largest singular value of its
     inverse, found by Lanczos bidiagonalization whose every step is two
     triangular Sylvester solves (LAPACK ``trsyl``, the back substitution of
@@ -919,7 +929,8 @@ def spectra_disjoint(A: np.ndarray, B: np.ndarray, tol: Tolerance = DEFAULT_TOL)
     pair = _shifted(A, B)
     if pair is None:
         return False
-    if _eigen_separation(*pair) > tol.threshold(_fro(pair[0]) + _fro(pair[1])):
+    ea, eb = eigen or (_eigen(A), _eigen(B))
+    if ea and eb and _eigen_separation(ea, eb) > tol.threshold(_fro(pair[0]) + _fro(pair[1])):
         return True
     forms = _schur_triangles(*pair)
     smin = _sylvester_smin(*forms)

@@ -17,7 +17,10 @@ dense SVD, those monomial generators are also the reference for criteria
 ranks a whole family off its Gram eigenvalues, or a dense SVD inside
 their rounding floor, and ``projected_level_values`` projects each level
 of a family off an explicit orthonormal basis of the levels below: the
-references for the per-level block Cholesky of those criteria.  The dense
+references for the per-level block Cholesky of those criteria.  The
+criterion families are built whole, entry by entry from the corner
+coordinates of each basis, with a dense commutator per tangent: the
+reference for the Gram blocks production forms without them.  The dense
 action product multiplies every exponential factor of the abelian
 action, zero parameters included; it shares only ``mat_exp`` and
 ``embed`` with the action, so the two must agree bit for bit.  A
@@ -72,6 +75,7 @@ __all__ = [
     "dense_kernel",
     "rank_split",
     "projected_level_values",
+    "criterion_families",
     "kron_is_regular",
     "kron_intersection_trivial",
     "kron_sylvester_singular",
@@ -378,6 +382,43 @@ def projected_level_values(family, bounds, tol: Tolerance = DEFAULT_TOL) -> list
                 rows = rows - (rows @ basis.conj().T) @ basis
         values.append(np.linalg.svd(rows, compute_uv=False))
     return values
+
+
+def _corner_matrices(Q: np.ndarray) -> np.ndarray:
+    """The (k, n, n) matrices of a (k, n^2) level basis in corner coordinates, entry by entry.
+
+    Corner coordinates list gl(n) shell by shell: shell s holds row s from
+    column 0 to the diagonal, then column s from row 0 down to row s - 1.
+    """
+    n = math.isqrt(Q.shape[1])
+    out = np.zeros((len(Q), n, n), dtype=np.complex128)
+    position = 0
+    for s in range(n):
+        for c in range(s + 1):
+            out[:, s, c] = Q[:, position]
+            position += 1
+        for r in range(s):
+            out[:, r, s] = Q[:, position]
+            position += 1
+    return out
+
+
+def criterion_families(X: np.ndarray, bases: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The whole families that criteria 1 and 3 rank, as (m, N, N) stacks.
+
+    ``bases`` holds every level's basis in corner coordinates, lowest level
+    first, and X is the top level at the scale criterion 3 reads it.
+    Criterion 1's members are the basis matrices embedded at level N;
+    criterion 3's are the commutators ``[X, E]`` of those below the top
+    level, each a dense product at level N.  Production forms neither
+    family where its Gram decides: these are the reference for its Gram
+    blocks.
+    """
+    N = X.shape[0]
+    embedded = [embed(E, N) for Q in bases for E in _corner_matrices(Q)]
+    below = embedded[: len(embedded) - len(bases[-1])]
+    tangents = np.array([commutator(X, E) for E in below]).reshape(len(below), N, N)
+    return np.array(embedded), tangents
 
 
 def _kron_rank(op: np.ndarray, tol: Tolerance) -> int:

@@ -14,18 +14,29 @@ formulations are implemented and cross-validated:
    full rank.
 
 All three read one Frobenius-orthonormal Arnoldi basis Q_i of
-span{I, X_i, ..., X_i^(i-1)} per level, built once per report.  That span
-holds the gradients j X_i^(j-1) of f_i1, ..., f_ii, so criterion 1 ranks
-the Q_i embedded at level N, and criterion 3 the tangent values
-[X_N, Q_i] for i < N, with X_N scaled by an exact power of two.  Neither
-reads a power of the tower: the monomials span the same subspaces but are
-as ill-conditioned as a Vandermonde matrix.  Both rank level by level:
-level i's decisive value is the smallest singular value of its block of
-rows net of the levels below, so each criterion holds exactly when every
-level does, and each report carries a per-level profile.  The values
-depend only on the level subspaces, not on the basis chosen in each.  A
-level whose Arnoldi run breaks down early has dependent gradients, and
-criteria 1 and 3 read false from its split.
+span{I, X_i, ..., X_i^(i-1)} per level, built once per report and kept in
+corner coordinates, where gl(l) is the first l^2 coordinates of gl(N) for
+every l <= N.  That span holds the gradients j X_i^(j-1) of f_i1, ...,
+f_ii, so criterion 1 ranks the Q_i embedded at level N, and criterion 3
+the tangent values [X_N, Q_i] for i < N, with X_N scaled by an exact
+power of two.  Neither reads a power of the tower: the monomials span the
+same subspaces but are as ill-conditioned as a Vandermonde matrix.  Both
+rank level by level: level i's decisive value is the smallest singular
+value of its block of rows net of the levels below, so each criterion
+holds exactly when every level does, and each report carries a per-level
+profile.  The values depend only on the level subspaces, not on the basis
+chosen in each.  A level whose Arnoldi run breaks down early has
+dependent gradients, and criteria 1 and 3 read false from its split.
+
+Neither criterion forms its (m, N^2) family.  The Gram block of levels
+l <= i is one GEMM of level-i rows, cut to their first l^2 corner
+coordinates, against Q_l: Q_i for criterion 1, and for criterion 3 the
+i x i corner of [X^H, [X, Q_i]], since <[X, A], [X, B]> =
+<[X^H, [X, A]], B> and B = Q_l vanishes outside its l x l corner.  That
+is exact whether or not Q_i commutes with X_i.  About N^6/24 products per
+Gram, held as its lower triangle, a quarter of a family.  The family is
+built only where the Gram's Cholesky cannot decide, as on a tower that is
+not strongly regular, and freed with its criterion.
 
 The criteria are mathematically equivalent but numerically differently
 conditioned, so each verdict carries a margin: how cleanly its decisive
@@ -43,13 +54,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .matcore import (
     DEFAULT_TOL,
     Tolerance,
+    _eigen,
     _pow2_scaled,
     krylov_basis,
     level_splits,
@@ -83,18 +95,18 @@ def _regular_split(M: np.ndarray, tol: Tolerance) -> _Level:
     """Regularity of M via Arnoldi breakdown in span{I, M, ..., M^(n-1)}.
 
     Returns (regular, decisive value, split margin, Krylov basis), the
-    middle two from :func:`spectrum_split` of the Arnoldi norms.  M is
-    regular exactly when the span reaches dimension n, the smallest a
-    centralizer can be.
+    middle two from :func:`spectrum_split` of the Arnoldi norms and the
+    basis as a (k, n^2) array in corner coordinates.  M is regular exactly
+    when the span reaches dimension n, the smallest a centralizer can be.
     """
     n = M.shape[0]
     if n == 1:
         # Every 1 x 1 matrix is regular; infinity keeps these levels out of
         # the centralizer criterion's minimum.
-        return True, math.inf, math.inf, np.ones((1, 1, 1), dtype=np.complex128)
+        return True, math.inf, math.inf, np.ones((1, 1), dtype=np.complex128)
     Q, s = krylov_basis(M, tol)
     rank, decisive, margin = spectrum_split(s, tol)
-    return rank == n, decisive, margin, Q
+    return rank == n, decisive, margin, Q.reshape(len(Q), -1)[:, np.argsort(_shell_positions(n))]
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -117,6 +129,7 @@ def _border_split(Q: np.ndarray, b: np.ndarray, c: np.ndarray, tol: Tolerance) -
     the kernel does not see their scale, and neither sets the other's
     threshold.
     """
+    Q = _natural(Q)
     system = np.concatenate([Q @ _unit(b), _unit(c) @ Q], axis=1).T
     rank, decisive, margin = spectrum_split(np.linalg.svd(system, compute_uv=False), tol)
     return rank == Q.shape[0], decisive, margin
@@ -134,18 +147,87 @@ def _shell_positions(n: int) -> np.ndarray:
     return s * s + np.where(r == s, c, s + 1 + r)
 
 
+def _natural(Q: np.ndarray) -> np.ndarray:
+    """A level basis in corner coordinates as the (k, n, n) stack of its matrices."""
+    n = math.isqrt(Q.shape[1])
+    return Q[:, _shell_positions(n)].reshape(len(Q), n, n)
+
+
+def _gram_rows(factor: Callable, bases: list[np.ndarray]) -> list[np.ndarray]:
+    """The conjugated Gram block rows that :func:`level_splits` reads.
+
+    ``factor(Q_i)`` is the conjugate of level i's factor F_i in corner
+    coordinates; its block against l <= i is ``conj(F_i[:, :n_l^2]) Q_l^T``.
+    """
+    widths = np.cumsum([len(Q) for Q in bases]).tolist()
+    # One allocation, so that the whole Gram goes back to the system with its rows.
+    buffer = np.empty(sum(len(Q) * w for Q, w in zip(bases, widths)), dtype=np.complex128)
+    rows: list[np.ndarray] = []
+    for Q, width in zip(bases, widths):
+        F = factor(Q)
+        R = buffer[: len(Q) * width].reshape(len(Q), width)
+        buffer = buffer[R.size :]
+        for B, end in zip(bases, widths[: len(rows) + 1]):
+            np.matmul(F[:, : B.shape[1]], B.T, out=R[:, end - len(B) : end])
+        rows.append(R)
+        del F  # so that two factors are never held at once
+    return rows
+
+
+def _normal_corners(X: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """The conjugated i x i corner of ``[X^H, [X, E]]`` for each E of a level-i basis.
+
+    For E in the corner of gl(N) it is ``P E + E K - H^H E H - H E H^H``,
+    with H, P and K the i x i corners of X, ``X^H X`` and ``X X^H``.  Each
+    eighth of the basis is laid side by side, ``S = [E_1 | E_2 | ...]``, so
+    that every product is one GEMM: M S on the left, and on the right each
+    row of S, a row of one E, times the i x i factor.
+    """
+    i = math.isqrt(Q.shape[1])
+    H, Hh = X[:i, :i], X[:i, :i].conj().T
+    P = X[:, :i].conj().T @ X[:, :i]
+    K = X[:i] @ X[:i].conj().T
+    positions = _shell_positions(i)
+    order = np.argsort(positions)
+
+    def right(S: np.ndarray, M: np.ndarray) -> np.ndarray:
+        return (S.reshape(-1, i) @ M).reshape(S.shape)
+
+    out = np.empty_like(Q)
+    step = -(-len(Q) // 8)
+    for a in range(0, len(Q), step):
+        E = Q[a : a + step, positions].reshape(-1, i, i)
+        S = E.transpose(1, 0, 2).reshape(i, -1)
+        Y = P @ S + right(S, K) - right(Hh @ S, H) - right(H @ S, Hh)
+        Y = Y.reshape(i, len(E), i).transpose(1, 0, 2).reshape(len(E), -1)
+        np.conjugate(Y[:, order], out=out[a : a + step])
+    return out
+
+
 def _level_profile(
-    levels: list[_Level], family: np.ndarray, widths: Optional[list[int]], tol: Tolerance
+    T: Tower, levels: list[_Level], factor: Callable, members: Callable, tol: Tolerance
 ) -> list[_Split]:
     """Per level: its Arnoldi split where the run broke down, else the rank of its rows.
 
-    The family holds each level's basis, or its images, as one block of
-    rows, lowest level first; :func:`level_splits` ranks each block net of
-    the blocks below.  A family that is not finite has no rank: every
-    level reads (False, nan, nan).
+    The family holds ``members(Q)``, the rows of each level's basis Q or
+    its images in N^2 coordinates, lowest level first.  :func:`level_splits`
+    ranks each block net of the blocks below off the Gram rows of
+    ``factor`` (:func:`_gram_rows`), and builds the family only where its
+    Cholesky cannot decide.  A family that is not finite has no rank:
+    every level reads (False, nan, nan).
     """
-    bounds = np.cumsum([0] + [len(Q) for *_, Q in levels]).tolist()
-    splits = level_splits(family, bounds, tol, widths)
+    bases = [Q for *_, Q in levels]
+
+    def family() -> np.ndarray:
+        F = np.zeros((sum(len(Q) for Q in bases), T.depth**2), dtype=np.complex128)
+        row = 0
+        for Q in bases:
+            block = members(Q)
+            F[row : row + len(Q), : block.shape[1]] = block
+            row += len(Q)
+        return F
+
+    splits = level_splits(_gram_rows(factor, bases), T.depth**2, family, tol)
     return [
         (rank == len(Q), decisive, margin) if regular else (False, sv, sv_margin)
         for (regular, sv, sv_margin, Q), (rank, decisive, margin) in zip(levels, splits)
@@ -183,13 +265,7 @@ def _arnoldi_levels(T: Tower, tol: Tolerance) -> list[_Level]:
 def _differentials_profile(T: Tower, levels: list[_Level], tol: Tolerance) -> list[_Split]:
     # Criterion 1: every level's orthonormal basis embedded at level N, in
     # corner coordinates, where level n's rows fill the first n^2 columns.
-    N = T.depth
-    family = np.zeros((sum(len(Q) for *_, Q in levels), N * N), dtype=np.complex128)
-    row = 0
-    for n, (*_, Q) in enumerate(levels, start=1):
-        family[row : row + len(Q), _shell_positions(n)] = Q.reshape(len(Q), -1)
-        row += len(Q)
-    return _level_profile(levels, family, [n * n for n in range(1, N + 1)], tol)
+    return _level_profile(T, levels, np.conj, lambda Q: Q, tol)
 
 
 def _differentials_split(T: Tower, levels: list[_Level], tol: Tolerance) -> _Split:
@@ -207,10 +283,15 @@ def _scaled_top(T: Tower) -> np.ndarray:
 def _tangents_profile(T: Tower, levels: list[_Level], tol: Tolerance) -> list[_Split]:
     # Criterion 3: the tangent values [X_N, Q] of the bases below the top level.
     # Rank does not see the scale of X_N, and at unit scale no value overflows.
-    below = levels[:-1]
-    gens = [G for *_, Q in below for G in Q]
-    family = tangent_values(_scaled_top(T), gens).reshape(len(gens), -1)
-    return _level_profile(below, family, None, tol)
+    # Its Gram reads only the level corners of [X^H, [X, Q]].
+    X = _scaled_top(T)
+    return _level_profile(
+        T,
+        levels[:-1],
+        functools.partial(_normal_corners, X),
+        lambda Q: tangent_values(X, _natural(Q)).reshape(len(Q), -1),
+        tol,
+    )
 
 
 def _tangents_split(T: Tower, levels: list[_Level], tol: Tolerance) -> _Split:
@@ -263,9 +344,11 @@ def is_sreg_tangents(T: Tower, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def _theta_holds(T: Tower, tol: Tolerance) -> bool:
-    return all(
-        spectra_disjoint(T.level(n), T.level(n + 1), tol) for n in range(1, T.depth)
-    )
+    # Each level's eigenpairs serve both pairs it belongs to.
+    levels = [T.level(n) for n in range(1, T.depth + 1)]
+    eigen = [_eigen(X) for X in levels]
+    pairs = zip(levels, levels[1:], zip(eigen, eigen[1:]))
+    return all(spectra_disjoint(A, B, tol, both) for A, B, both in pairs)
 
 
 def report_number(x: Optional[float]) -> Optional[float]:
@@ -354,10 +437,11 @@ def sreg_report(T: Tower, tol: Tolerance = DEFAULT_TOL) -> SregReport:
     how near.  Criterion 2's Arnoldi basis Q_i of each level is built
     once and shared: criterion 1 ranks every Q_i embedded at level N, and
     criterion 3 the tangent values ``[X_N, Q_i]`` for i < N, both level by
-    level through :func:`~gztower.matcore.level_splits`: level i's
-    decisive value is the smallest singular value of its block net of the
-    levels below, against one threshold at the largest singular value of
-    any level's own block.  Those values do not depend on the orthonormal
+    level through :func:`~gztower.matcore.level_splits`, from Gram blocks
+    formed off the bases (see the module docstring): level i's decisive
+    value is the smallest singular value of its block net of the levels
+    below, against one threshold at the largest singular value of any
+    level's own block.  Those values do not depend on the orthonormal
     basis chosen in each level.  ``profile`` keeps every level's entry,
     and ``min_singular_values`` and ``margins`` the minimum over the levels
     that decide each verdict: the failing levels when it is false, every

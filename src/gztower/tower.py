@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import DEFAULT_TOL, Tolerance, as_cmatrix, corner, spectra_disjoint
+from .matcore import DEFAULT_TOL, Tolerance, _eigen, as_cmatrix, corner, spectra_disjoint
 
 __all__ = [
     "GenerationError",
@@ -89,9 +89,11 @@ def random_theta_tower(
 
     Grows level by level; each new border is rejection-sampled until the
     Sylvester-operator test confirms the new level's spectrum avoids the
-    previous one.  Failure after ``max_retries`` attempts on one level
-    raises GenerationError (probability ~0 for continuous samples; the
-    bound exists to prevent hangs).
+    previous one.  Each matrix is decomposed once: the accepted level's
+    eigenpairs serve every candidate above it.  Failure after
+    ``max_retries`` attempts on one level raises GenerationError
+    (probability ~0 for continuous samples; the bound exists to prevent
+    hangs).
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -99,6 +101,7 @@ def random_theta_tower(
         raise ValueError("scale must be positive")
     rng = np.random.Generator(np.random.PCG64(seed))
     top = random_entries(rng, (1, 1), scale)
+    top_eigen = _eigen(top)
     while top.shape[0] < depth:
         n = top.shape[0]
         for _ in range(max_retries):
@@ -107,8 +110,9 @@ def random_theta_tower(
             cand[:n, n] = random_entries(rng, (n,), scale)
             cand[n, :n] = random_entries(rng, (n,), scale)
             cand[n, n] = complex(random_entries(rng, (), scale))
-            if spectra_disjoint(top, cand, tol):
-                top = cand
+            cand_eigen = _eigen(cand)
+            if spectra_disjoint(top, cand, tol, (top_eigen, cand_eigen)):
+                top, top_eigen = cand, cand_eigen
                 break
         else:
             raise GenerationError(

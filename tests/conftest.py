@@ -101,6 +101,32 @@ def intersection_trivial(X_i: np.ndarray, X_ip1: np.ndarray, tol: Tolerance = DE
     return ok and regularity._border_split(Q, X_ip1[:i, i], X_ip1[i, :i], tol)[0]
 
 
+def projector_tower(T: Tower, k: int) -> Tower:
+    """T with the border of level k + 1 cut so that the tower is not strongly regular there.
+
+    For an eigenvalue of X_k with right eigenvector v and left eigenvector
+    w, the border gets ``w^T b = 0`` and ``c v = 0``.  Then the projector
+    ``v w^T`` commutes with X_k and, embedded, with X_(k+1): z(X_k) meets
+    z(X_(k+1)), and every criterion fails at level k + 1.
+    """
+    top = T.top.copy()
+    lam, V = np.linalg.eig(top[:k, :k])
+    mu, W = np.linalg.eig(top[:k, :k].T)
+    v, w = V[:, 0], W[:, np.argmin(np.abs(mu - lam[0]))]
+    b, c = top[:k, k], top[k, :k]
+    top[:k, k] = b - w.conj() * (w @ b) / (w @ w.conj())
+    top[k, :k] = c - v.conj() * (c @ v) / (v.conj() @ v)
+    return Tower(top)
+
+
+def family_splits(F: np.ndarray, bounds, tol: Tolerance = DEFAULT_TOL):
+    """``matcore.level_splits`` of a whole (m, k) family: its Gram block rows, one GEMM each."""
+    F = np.asarray(F, dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = [F[a:b] @ F[:b].conj().T for a, b in zip(bounds, bounds[1:])]
+    return matcore.level_splits(rows, F.shape[1], lambda: F, tol)
+
+
 def sylvester_singular(A: np.ndarray, B: np.ndarray) -> tuple[float, float]:
     """Smallest and largest singular value of Z -> A Z - Z B, by the Schur/trsyl
     Lanczos that spectra_disjoint falls back to; (nan, nan) for non-finite input."""

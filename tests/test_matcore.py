@@ -26,7 +26,7 @@ from gztower import oracles
 from gztower.oracles import TowerTangent, rank_split
 from gztower.tower import Tower
 
-from conftest import sylvester_singular, unit
+from conftest import family_splits, sylvester_singular, unit
 
 
 def rand_c(rng, n, scale=1.0):
@@ -492,7 +492,7 @@ class TestLevelSplits:
         fallbacks = count_qr_fallbacks(monkeypatch)
         rng = np.random.default_rng(70)
         F, bounds = self.family(rng, [1, 2, 3, 4], 25)
-        splits = matcore.level_splits(F, bounds)
+        splits = family_splits(F, bounds)
         scale = max(np.linalg.svd(F[a:b], compute_uv=False)[0] for a, b in zip(bounds, bounds[1:]))
         for (rank, decisive, margin), a, b in zip(splits, bounds, bounds[1:]):
             R = np.linalg.qr(F[:b].conj().T, mode="r")
@@ -503,13 +503,23 @@ class TestLevelSplits:
         assert fallbacks == []
 
     def test_widths_read_only_the_columns_each_level_fills(self):
+        # Gram blocks formed over only the columns each level's rows fill, as
+        # criterion 1 forms them, rank as the blocks of the whole rows do.
         rng = np.random.default_rng(71)
         F, bounds = self.family(rng, [1, 2, 3], 9)
+        blocks = list(zip(bounds, bounds[1:]))
         widths = [1, 4, 9]
-        for (a, b), w in zip(zip(bounds, bounds[1:]), widths):
+        for (a, b), w in zip(blocks, widths):
             F[a:b, w:] = 0.0
-        banded = matcore.level_splits(F, bounds, widths=widths)
-        full = matcore.level_splits(F, bounds)
+        rows = [
+            np.concatenate(
+                [F[a:b, :w] @ F[c:d, :w].conj().T for (c, d), w in zip(blocks[: i + 1], widths)],
+                axis=1,
+            )
+            for i, (a, b) in enumerate(blocks)
+        ]
+        banded = matcore.level_splits(rows, 9, lambda: F)
+        full = family_splits(F, bounds)
         for (rank, decisive, margin), (ref_rank, ref_decisive, ref_margin) in zip(banded, full):
             assert rank == ref_rank
             assert decisive == pytest.approx(ref_decisive, rel=1e-12)
@@ -522,7 +532,7 @@ class TestLevelSplits:
         rng = np.random.default_rng(72)
         F, bounds = self.family(rng, [2, 2, 3], 16)
         F[2:4] = rng.standard_normal((2, 2)) @ F[0:2]
-        ranks = [rank for rank, _, _ in matcore.level_splits(F, bounds)]
+        ranks = [rank for rank, _, _ in family_splits(F, bounds)]
         assert ranks == [2, 0, 3]
         assert len(fallbacks) == 1
 
@@ -531,7 +541,7 @@ class TestLevelSplits:
         rng = np.random.default_rng(73)
         F, bounds = self.family(rng, [2, 3], 12)
         F[4] = F[0] - 2.0 * F[2]
-        (rank1, _, _), (rank2, decisive, margin) = matcore.level_splits(F, bounds)
+        (rank1, _, _), (rank2, decisive, margin) = family_splits(F, bounds)
         assert (rank1, rank2) == (2, 2)
         assert decisive > 0 and margin > 1e3
         assert len(fallbacks) == 1
@@ -540,7 +550,7 @@ class TestLevelSplits:
         fallbacks = count_qr_fallbacks(monkeypatch)
         rng = np.random.default_rng(74)
         F, bounds = self.family(rng, [2, 2, 2], 4)
-        assert [rank for rank, _, _ in matcore.level_splits(F, bounds)] == [2, 2, 0]
+        assert [rank for rank, _, _ in family_splits(F, bounds)] == [2, 2, 0]
         assert len(fallbacks) == 1
 
     @pytest.mark.parametrize("scale", [1e-200, 1e200])
@@ -550,10 +560,10 @@ class TestLevelSplits:
         F, bounds = self.family(rng, [1, 2, 3], 10)
         # No absolute floor, which would see the scale.
         tol = Tolerance(abs=0.0)
-        scaled = matcore.level_splits(scale * F, bounds, tol)
+        scaled = family_splits(scale * F, bounds, tol)
         assert len(fallbacks) == 1
         for (rank, decisive, margin), (ref_rank, ref_decisive, ref_margin), size in zip(
-            scaled, matcore.level_splits(F, bounds, tol), [1, 2, 3]
+            scaled, family_splits(F, bounds, tol), [1, 2, 3]
         ):
             assert rank == ref_rank == size
             assert decisive == pytest.approx(scale * ref_decisive, rel=1e-12)
@@ -564,13 +574,18 @@ class TestLevelSplits:
         rng = np.random.default_rng(76)
         F, bounds = self.family(rng, [1, 2], 6)
         F[2, 3] = bad
-        splits = matcore.level_splits(F, bounds)
+        splits = family_splits(F, bounds)
         assert all(rank == 0 and np.isnan(sv) and np.isnan(m) for rank, sv, m in splits)
 
-    @pytest.mark.parametrize("bounds", [[0, 2], [1, 3], [0, 2, 2, 3], [0, 4]])
+    # Block row [a, b) holds the Gram's rows a..b-1, columns 0..b-1: the rows
+    # must follow one another from 0, none empty.
+    @pytest.mark.parametrize(
+        "bounds", [[(0, 2), (1, 3)], [(1, 3)], [(0, 2), (2, 2), (2, 3)], [(0, 2), (3, 4)]]
+    )
     def test_bounds_must_split_the_rows(self, bounds):
+        rows = [np.zeros((b - a, b), dtype=complex) for a, b in bounds]
         with pytest.raises(ValueError):
-            matcore.level_splits(np.eye(3, dtype=complex), bounds)
+            matcore.level_splits(rows, 4, lambda: np.eye(4, dtype=complex))
 
 
 class TestSpectraDisjoint:
@@ -748,7 +763,8 @@ class TestEigenSeparation:
             pairs.append((A, embed(A, na + 1) + 1e-7 * rand_c(rng, na + 1)))
         pairs.append((jordan + 1e-6 * rand_c(rng, 4), rand_c(rng, 5)))
         for A, B in pairs:
-            bound = matcore._eigen_separation(*matcore._shifted(A, B))
+            # Unshifted eigenpairs, as spectra_disjoint reads them.
+            bound = matcore._eigen_separation(matcore._eigen(A), matcore._eigen(B))
             ref_min, ref_max = kron_sylvester_singular(A, B)
             assert not bound > ref_min + 1e-12 * ref_max
 

@@ -19,6 +19,7 @@ from gztower.oracles import (
     SmoothFn,
     charpoly_coefficients,
     charpoly_roots,
+    criterion_families,
     dense_action_product,
     dense_kernel,
     fd_poisson_bracket,
@@ -34,15 +35,17 @@ from gztower.oracles import (
     projected_level_values,
     rank_split,
 )
-from gztower.tower import Tower
+from gztower.tower import Tower, random_theta_tower
 
 from conftest import (
     diag_tower,
+    family_splits,
     intersection_trivial,
     jordan_tower,
     pairing_matrix,
     plain_tower,
     probe_operator,
+    projector_tower,
     sylvester_singular,
     theta_tower,
     zero_params,
@@ -365,13 +368,12 @@ ACTION_KINDS = ["zero", "nonzero", "half"]
 
 
 def _criterion_families(T):
-    """The families criteria 1 and 3 rank, built as ``sreg_report`` builds them."""
+    """The families criteria 1 and 3 rank, from the bases ``sreg_report`` builds."""
     levels = regularity._arnoldi_levels(T, DEFAULT_TOL)
-    below = [G for *_, Q in levels[:-1] for G in Q]
-    return {
-        "differentials": matcore.embed_stack([G for *_, Q in levels for G in Q], T.depth),
-        "tangents": matcore.tangent_values(regularity._scaled_top(T), below),
-    }
+    differentials, tangents = criterion_families(
+        regularity._scaled_top(T), [Q for *_, Q in levels]
+    )
+    return {"differentials": differentials, "tangents": tangents}
 
 
 def _svd_split(family):
@@ -473,7 +475,7 @@ class TestLevelSplitsAgainstProjection:
                 blocks = list(zip(bounds[name], bounds[name][1:]))
                 scale = max(np.linalg.svd(flat[a:b], compute_uv=False)[0] for a, b in blocks)
                 oracle = projected_level_values(flat, bounds[name])
-                splits = matcore.level_splits(flat, bounds[name])
+                splits = family_splits(flat, bounds[name])
                 for (rank, decisive, margin), s, (a, b) in zip(splits, oracle, blocks):
                     ref_rank, ref_decisive, ref_margin = matcore.spectrum_split(
                         s, DEFAULT_TOL, scale
@@ -491,7 +493,7 @@ class TestLevelSplitsAgainstProjection:
         for T in _oracle_towers(kind):
             bounds = _criterion_bounds(T)
             for name, family in _criterion_families(T).items():
-                splits = matcore.level_splits(family.reshape(len(family), -1), bounds[name])
+                splits = family_splits(family.reshape(len(family), -1), bounds[name])
                 by_level = all(
                     rank == b - a for (rank, _, _), a, b in zip(splits, bounds[name], bounds[name][1:])
                 )
@@ -513,7 +515,7 @@ class TestLevelSplitsAgainstProjection:
             bounds = _criterion_bounds(T)
             for name, family in _criterion_families(T).items():
                 before = len(calls)
-                splits = matcore.level_splits(family.reshape(len(family), -1), bounds[name])
+                splits = family_splits(family.reshape(len(family), -1), bounds[name])
                 full = all(
                     rank == b - a for (rank, _, _), a, b in zip(splits, bounds[name], bounds[name][1:])
                 )
@@ -549,15 +551,24 @@ class TestLevelSplitsAgainstProjection:
         T = theta_tower(5, 405, 0.5)
         levels = regularity._arnoldi_levels(T, DEFAULT_TOL)
         ok, sv, margin, Q2 = levels[1]
-        copy = np.zeros((2, 3, 3), dtype=complex)
-        copy[:, :2, :2] = Q2
+        # In corner coordinates gl(2) is the first 4 of gl(3)'s 9.
+        copy = np.zeros((2, 9), dtype=complex)
+        copy[:, :4] = Q2
         levels[2] = (True, 1.0, 1.0, np.concatenate([copy, levels[2][3][2:]]))
         profile = regularity._differentials_profile(T, levels, DEFAULT_TOL)
         assert [ok for ok, _, _ in profile] == [True, True, False, True, True]
         assert regularity._criterion_split(levels, profile)[0] is False
         assert len(calls) == 1
 
-    def test_non_finite_family_cannot_pass(self):
+    def test_non_finite_family_cannot_pass(self, monkeypatch):
+        # A NaN in one level's basis reaches every level's Gram block row
+        # through its diagonal, and the family built for the fallback has no
+        # rank: every level of both criteria reads (0, nan, nan).
+        splits = []
+        original = regularity.level_splits
+        monkeypatch.setattr(
+            regularity, "level_splits", lambda *args: splits.append(original(*args)) or splits[-1]
+        )
         T = theta_tower(4, 404, 0.5)
         levels = regularity._arnoldi_levels(T, DEFAULT_TOL)
         ok, sv, margin, Q = levels[2]
@@ -565,6 +576,114 @@ class TestLevelSplitsAgainstProjection:
         for split in (regularity._differentials_split, regularity._tangents_split):
             ok, sv, margin = split(T, levels, DEFAULT_TOL)
             assert ok is False and np.isnan(sv) and np.isnan(margin)
+        assert [len(levels) for levels in splits] == [4, 3]
+        for rank, sv, margin in (split for levels in splits for split in levels):
+            assert rank == 0 and np.isnan(sv) and np.isnan(margin)
+
+
+def _captured_rows(monkeypatch):
+    """Record a copy of the Gram block rows each criterion hands to level_splits."""
+    seen = []
+    original = regularity.level_splits
+
+    def capture(rows, k, family, tol):
+        seen.append([R.copy() for R in rows])
+        return original(rows, k, family, tol)
+
+    monkeypatch.setattr(regularity, "level_splits", capture)
+    return seen
+
+
+def _gram_bound(family, sigma):
+    """How far two roundings of one Gram entry of a criterion family may lie apart.
+
+    With n = 2(m + N^2) and gamma_n = n eps / (1 - n eps), each inner product
+    of length at most N^2 is within gamma_n ||x|| ||y|| of its exact value
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 3.1
+    and 3.6).  Criterion 1's rows are unit basis matrices, copied exactly
+    on both sides: 2 gamma_n apart.  Criterion 3's are [X, E], with
+    ||ad_X||_2 <= sigma = 2 ||X||_F.  The family's commutators are formed
+    within gamma_n sigma of [X, E] and their inner products within
+    gamma_n sigma^2 of each other's, so its Gram is within
+    3.1 gamma_n sigma^2 of the exact one.  The block's corner of
+    P E + E K - H^H E H - H E H^H is within 2.5 gamma_n sigma^2 of
+    ad_X^H ad_X E, whose norm is at most sigma^2, and its inner product
+    with a unit basis matrix adds 1.1 gamma_n sigma^2: together less than
+    8 gamma_n sigma^2, with sigma = 1 for criterion 1.
+    """
+    m, N2 = len(family), family[0].size
+    n = 2 * (m + N2)
+    eps = np.finfo(float).eps
+    return 8.0 * n * eps / (1.0 - n * eps) * sigma**2
+
+
+class TestBlockGrams:
+    """Each criterion's Gram, formed block by block, against the Gram of its whole family."""
+
+    @pytest.mark.parametrize("kind", TestGramRankAgainstSvd.KINDS + ["generated-24"])
+    def test_blocks_are_the_family_gram(self, kind, monkeypatch):
+        seen = _captured_rows(monkeypatch)
+        towers = [random_theta_tower(24, 201, 0.3)] if kind == "generated-24" else _oracle_towers(kind)
+        for T in towers:
+            levels = regularity._arnoldi_levels(T, DEFAULT_TOL)
+            X = regularity._scaled_top(T)
+            families = criterion_families(X, [Q for *_, Q in levels])
+            seen.clear()
+            regularity._differentials_profile(T, levels, DEFAULT_TOL)
+            regularity._tangents_profile(T, levels, DEFAULT_TOL)
+            for rows, family, sigma in zip(seen, families, (1.0, 2.0 * np.linalg.norm(X))):
+                F = family.reshape(len(family), -1)
+                G = F @ F.conj().T
+                bound = _gram_bound(family, sigma)
+                a = 0
+                for R in rows:
+                    # Each row holds the conjugate of the Gram's rows of its
+                    # level, up to the diagonal block's last column.
+                    k, b = R.shape
+                    assert b == a + k
+                    assert np.abs(R.conj() - G[a:b, :b]).max() <= bound
+                    a = b
+                assert a == len(F)
+
+    def test_tower_that_is_not_strongly_regular_reads_its_families(self, monkeypatch):
+        # The block Cholesky cannot decide level 13, so each criterion hands
+        # its whole family to the Householder QR, which fails it there.
+        T = projector_tower(random_theta_tower(16, 201, 0.3), 12)
+        families = []
+        original = matcore._qr_levels
+
+        def recording(F, blocks):
+            families.append(F.copy())
+            return original(F, blocks)
+
+        monkeypatch.setattr(matcore, "_qr_levels", recording)
+        report = sreg_report(T)
+        assert report.verdict == "false"
+        for profile in report.profile:
+            assert [n for n, (ok, _, _) in enumerate(profile, 1) if not ok] == [13]
+        levels = regularity._arnoldi_levels(T, DEFAULT_TOL)
+        X = regularity._scaled_top(T)
+        references = criterion_families(X, [Q for *_, Q in levels])
+        bounds = _criterion_bounds(T)
+        assert len(families) == 2
+        for F, family, profile, sigma, name in zip(
+            families, references, report.profile[::2], (1.0, 2.0 * np.linalg.norm(X)),
+            ("differentials", "tangents"),
+        ):
+            # The family the fallback ranks is the oracle's, up to the order of
+            # its columns, and so are its values up to the failing level.  Above
+            # it they depend on which direction the unpivoted QR kept for the
+            # dependent row, which the column order decides.
+            ref = family.reshape(len(family), -1)
+            gap = np.abs(F @ F.conj().T - ref @ ref.conj().T).max()
+            assert gap <= _gram_bound(family, sigma)
+            blocks = list(zip(bounds[name], bounds[name][1:]))
+            values, scale = matcore._qr_levels(ref, blocks)
+            for n, ((ok, decisive, _), s, (a, b)) in enumerate(zip(profile, values, blocks), 1):
+                rank, ref_decisive, _ = matcore.spectrum_split(s, DEFAULT_TOL, scale)
+                assert ok == (rank == b - a)
+                if n <= 13:
+                    assert decisive == pytest.approx(ref_decisive, rel=1e-9)
 
 
 class TestDenseActionProduct:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from gztower.regularity import (
     is_sreg_tangents,
     sreg_report,
 )
-from gztower.tower import Tower
+from gztower.tower import Tower, random_theta_tower
 
 from conftest import (
     diag_tower,
@@ -374,9 +375,9 @@ class TestLazyTheta:
         calls = []
         original = regularity.spectra_disjoint
 
-        def counting(A, B, tol):
+        def counting(A, B, tol, eigen):
             calls.append(A.shape[0])
-            return original(A, B, tol)
+            return original(A, B, tol, eigen)
 
         monkeypatch.setattr(regularity, "spectra_disjoint", counting)
         report = sreg_report(theta_tower(4, 76))
@@ -384,6 +385,14 @@ class TestLazyTheta:
         assert report.theta is True and report.theta is True
         assert calls == [1, 2, 3]
         assert report.to_json_dict()["theta"] == "true" and len(calls) == 3
+
+    def test_theta_decomposes_each_level_once(self, monkeypatch):
+        T = theta_tower(6, 76)
+        eigs = []
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda M: eigs.append(len(M)) or eig(M))
+        assert sreg_report(T).theta is True
+        assert eigs == [1, 2, 3, 4, 5, 6]
 
 
 class TestMemoryWall:
@@ -402,6 +411,32 @@ class TestMemoryWall:
         rng = np.random.default_rng(129)
         top = 0.3 * (rng.standard_normal((129, 129)) + 1j * rng.standard_normal((129, 129)))
         assert spectra_disjoint(top[:128, :128], top)
+
+
+class TestNoFamilies:
+    """Criteria 1 and 3 rank their Gram blocks; an (m, N^2) family is built only to fall back on."""
+
+    def test_peak_memory_stays_below_one_family(self):
+        # The bases and the Gram's lower triangle each hold about a quarter of
+        # criterion 1's family, m = N(N+1)/2 rows of N^2 complex entries.
+        T = random_theta_tower(24, 201, 0.3)
+        N = T.depth
+        family_bytes = N * (N + 1) // 2 * N * N * np.dtype(np.complex128).itemsize
+        tracemalloc.start()
+        try:
+            report = sreg_report(T)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.verdict == "true"
+        assert peak < family_bytes
+
+    def test_strongly_regular_tower_forms_no_tangent_family(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a tangent family was formed")
+
+        monkeypatch.setattr(regularity, "tangent_values", refuse)
+        assert sreg_report(theta_tower(12, 75)).verdict == "true"
 
 
 class TestNoKroneckerOperators:

@@ -69,6 +69,21 @@ class TestRandomThetaTower:
         assert np.array_equal(A.top, B.top)
         assert tower_to_json(A) == tower_to_json(B)
 
+    def test_each_matrix_is_decomposed_once(self, monkeypatch):
+        # One eigendecomposition per candidate and one for level 1: the
+        # accepted level's eigenpairs serve every candidate above it, and
+        # give the tower that each test computing its own gives.
+        from gztower import tower
+
+        eigs, tests = [], []
+        eig, test = np.linalg.eig, tower.spectra_disjoint
+        monkeypatch.setattr(np.linalg, "eig", lambda M: eigs.append(len(M)) or eig(M))
+        monkeypatch.setattr(tower, "spectra_disjoint", lambda *a: tests.append(a) or test(*a))
+        T = random_theta_tower(12, 21, 0.5)
+        assert len(eigs) == len(tests) + 1 and len(tests) >= 11
+        monkeypatch.setattr(tower, "spectra_disjoint", lambda A, B, tol, eigen: test(A, B, tol))
+        assert np.array_equal(random_theta_tower(12, 21, 0.5).top, T.top)
+
     def test_scale_bounds_entries(self):
         T = random_theta_tower(6, 3, 0.25)
         assert np.abs(T.top).max() <= 0.25 + 1e-15
