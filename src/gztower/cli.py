@@ -45,7 +45,7 @@ from .gz import (
     power_table,
     stack_traces,
 )
-from .matcore import MAX_DIM, Tolerance, tangent_values
+from .matcore import MAX_DIM, Tolerance, _pow2_scaled, _unit_exponent, tangent_values
 from .regularity import report_number, sreg_report
 from .symplectic import lagrangian_check, match_residual
 from .tower import (
@@ -132,9 +132,25 @@ def _norm2(M: np.ndarray) -> float:
     return float(np.linalg.norm(M, 2))
 
 
+def _stream(seed: int, key: int) -> np.random.Generator:
+    """The PCG64 stream of ``seed`` at spawn key ``key``: each use of the seed draws from its own."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(key,))))
+
+
 def _level_norms(T: Tower) -> np.ndarray:
-    """Spectral norm of every level, indexed by level (entry 0 unused)."""
-    return np.array([0.0] + [_norm2(T.level(n)) for n in range(1, T.depth + 1)])
+    """Spectral norm of every level, indexed by level (entry 0 unused); past the double range, inf.
+
+    Where the plain norm is not finite, an entry's modulus overflowed: the
+    level is scaled by a power of two first, exactly, and the norm back.
+    """
+    norms = np.zeros(T.depth + 1)
+    for n in range(1, T.depth + 1):
+        norms[n] = _norm2(T.level(n))
+        if not np.isfinite(norms[n]):
+            e = _unit_exponent(T.level(n))
+            with np.errstate(over="ignore"):
+                norms[n] = np.ldexp(_norm2(_pow2_scaled(T.level(n), e)), e)
+    return norms
 
 
 def _level_pair_bounds(T: Tower) -> np.ndarray:
@@ -142,6 +158,16 @@ def _level_pair_bounds(T: Tower) -> np.ndarray:
     levels = np.arange(1, T.depth + 1)
     with np.errstate(over="ignore"):
         return 1.0 + _level_norms(T)[levels, None] ** np.add.outer(levels, levels)
+
+
+def _ratios(values: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, int]:
+    """``values / scales``, and the number of scales that overflow: those ratios are 0, not compared.
+
+    NaN propagates, so a non-finite value under a finite scale cannot pass.
+    """
+    out = np.isinf(scales)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(out, 0.0, values / scales), int(out.sum())
 
 
 def _verdict(worst: float, rtol: float, left_out: int, what: str, details: dict) -> str:
@@ -164,43 +190,34 @@ def _name(idx: GZIndex) -> str:
     return f"f[{idx.i},{idx.j}]"
 
 
-def _certified_ratios(T: Tower, left: np.ndarray, right: np.ndarray, k: int):
-    """The worst ``left[b] right[a] / bound`` per level pair, over ``np.tril_indices(m, k)``.
+def _certified(T: Tower, left: np.ndarray, right: np.ndarray, k: int):
+    """The worst certified ratio ``left[b] right[a] / (1 + ||X_n||^(i + n))`` over the pairs a <= b + k.
 
-    ``left[b] right[a]`` (Frobenius norms) bounds ``|tr(R_b G_a)|``.  A
-    pair's bound depends only on its levels i <= n and rounding is monotone,
-    so a level pair's worst ratio is, bit for bit, the largest ``left`` of
-    level n times the largest ``right`` of level i (inside level n, a running
-    maximum) over one bound.  Returns the ratios (0 where the bound
-    overflows; NaN propagates) and bounds at ``[n - 1, i - 1]``, the number
-    of pairs left out and of all pairs.
+    ``left[b] right[a]`` (Frobenius norms) bounds ``|tr(R_b G_a)|``; n and i
+    are the levels of b and a in :func:`gz_indices` order.  Level n's block
+    pairs its n rows b with every a up to ``first_n + n + k``, one outer
+    product.  Returns the worst ratio (NaN propagates), as ``np.argmax``
+    over every pair finds it, with its pair ``(a, b)`` (None when it is 0),
+    the number of pairs left out and of all pairs.
     """
-    N = T.depth
-    bounds, levels, lower = _level_pair_bounds(T), np.arange(1, N + 1), np.tri(N, dtype=bool)
-    counts = np.tril(np.outer(levels, levels), -1) + np.diag((levels + k) * (levels + k + 1) // 2)
-
-    def by_level(v: np.ndarray, pad: float) -> np.ndarray:
-        # Row n - 1 holds level n's values, in gz_indices order, then pads.
-        out = np.full((N, N), pad)
-        out[lower] = v
-        return out
-
-    def largest(l_low, l_high, r_low, r_high):
-        # Over [l_low, l_high] x [r_low, r_high]: the NaN of inf * 0 stays.
-        return np.maximum(np.maximum(l_high * r_high, l_high * r_low), l_low * r_high)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        r_low, r_high = by_level(right, np.inf), by_level(right, -np.inf)
-        l_low, l_high = by_level(left, np.inf).min(1), by_level(left, -np.inf).max(1)
-        cross = largest(l_low[:, None], l_high[:, None], r_low.min(1), r_high.max(1))
-        # Slice p of level n pairs with the a <= p + k of its own level.
-        l = by_level(left, 0.0)[:, -k:]
-        run_low = np.minimum.accumulate(r_low, axis=1)[:, : N + k]
-        run_high = np.maximum.accumulate(r_high, axis=1)[:, : N + k]
-        own = np.where(lower[:, -k:], largest(l, l, run_low, run_high), 0.0).max(1, initial=0.0)
-        ratios = (np.where(np.tri(N, k=-1, dtype=bool), cross, 0.0) + np.diag(own)) / bounds
-    left_out = int(counts[np.isinf(bounds)].sum())
-    return np.where(np.isinf(bounds), 0.0, ratios), bounds, left_out, int(counts.sum())
+    bounds, m = _level_pair_bounds(T), len(left)
+    level_of = np.repeat(np.arange(T.depth), np.arange(1, T.depth + 1))
+    worst, pair, left_out = 0.0, None, 0
+    for n in range(1, T.depth + 1):
+        first = n * (n - 1) // 2
+        end = first + n + k
+        if end == 0:
+            continue
+        below = np.tri(n, end, first + k, dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.where(below, np.outer(left[first : first + n], right[:end]), 0.0)
+        ratios, out = _ratios(values, np.where(below, bounds[n - 1, level_of[:end]], 1.0))
+        left_out += out
+        at = int(np.argmax(ratios))
+        # The first block to reach the worst ratio holds np.argmax's pair; NaN beats every number.
+        if ratios.flat[at] > worst or (np.isnan(ratios.flat[at]) and not np.isnan(worst)):
+            worst, pair = float(ratios.flat[at]), (at % end, first + at // end)
+    return worst, pair, left_out, (m + k) * (m + k + 1) // 2
 
 
 @_member("commute", "observable-family-poisson-commutativity")
@@ -208,22 +225,10 @@ def _check_commute(T: Tower, tol: Tolerance, seed: int) -> tuple[str, dict]:
     idxs = gz_indices(T.depth)
     # Each pair a < b once, certified at b's level n by ||G_a|| ||[X_n, G_b]||.
     commutators, norms = power_table(T).residuals()
-    ratios, bounds, left_out, pairs = _certified_ratios(T, commutators, norms, -1)
-    worst = float(ratios.max())
-    worst_pair = None
-    if worst != 0.0:
-        # np.argmax's pair over all a < b, from the pairs of the first b level that attains it.
-        n = int(np.argmax(((ratios == worst) | np.isnan(ratios)).any(axis=1))) + 1
-        first = n * (n - 1) // 2
-        row, a = np.nonzero(np.arange(first + n) < np.arange(first, first + n)[:, None])
-        bound = bounds[n - 1, np.array([idx.i for idx in idxs])[a] - 1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            pair = np.where(np.isinf(bound), 0.0, commutators[first + row] * norms[a] / bound)
-        at = int(np.argmax((pair == worst) | np.isnan(pair)))
-        worst_pair = [_name(idxs[a[at]]), _name(idxs[first + row[at]])]
+    worst, pair, left_out, pairs = _certified(T, commutators, norms, -1)
     details = {
         "max_bracket_ratio": report_number(worst),
-        "worst_pair": worst_pair,
+        "worst_pair": None if pair is None else [_name(idxs[a]) for a in pair],
         "pairs": pairs,
         "rtol": DRIFT_RTOL,
     }
@@ -251,7 +256,7 @@ def _conserve_generators(table: PowerTable, seed: int) -> list[np.ndarray]:
     one flow of the abelian group; if any generator's flow broke
     conservation, a generic combination's would too, with probability one.
     """
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(4,))))
+    rng = _stream(seed, 4)
     gens = []
     # Top-level flows act trivially, so the top level's generators are never read.
     for Gi in table.gradients[:-1]:
@@ -289,8 +294,7 @@ def _check_conserve(T: Tower, tol: Tolerance, seed: int) -> tuple[str, dict]:
     # [6 (i - 1), 6 i) are level i's.
     tops, errors = flow_stack(table.top, _conserve_generators(table, seed), _FLOWED_TIMES)
     ok = np.array([e is None for e in errors])
-    levels = np.repeat(np.arange(1, N), len(_FLOWED_TIMES))[ok]
-    tops = tops[ok]
+    levels = np.repeat(np.arange(1, N), len(_FLOWED_TIMES))
     flow_failed = not ok.all()
     finite = np.ones(len(tops), dtype=bool)
     drifts, corners = [], []
@@ -298,7 +302,7 @@ def _check_conserve(T: Tower, tol: Tolerance, seed: int) -> tuple[str, dict]:
         # Level i's flows conjugate by diag(exp(-t P_i), I): at a level k > i
         # the corner is a similarity of X_k whatever P_i is, so its traces
         # measure only conditioning.  One pass reads level k on levels i >= k.
-        read = levels >= k
+        read = ok & (levels >= k)
         flowed = tops[read, :k, :k]
         traces = level_traces(flowed)
         finite[read] &= np.isfinite(traces).all(axis=1)
@@ -350,7 +354,7 @@ def _match_draws(T: Tower, seed: int) -> list[tuple[int, np.ndarray, np.ndarray,
     A draw takes n, then Z1 and Z2 as two ``random_entries``, the stream of
     one (4, n, n) normal draw; its scale is ``1 + ||X_(n+1)|| ||Z1|| ||Z2||``.
     """
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(1,))))
+    rng = _stream(seed, 1)
     drawn: dict[int, list[np.ndarray]] = {}
     for _ in range(MATCH_DRAWS):
         n = int(rng.integers(1, T.depth))
@@ -369,14 +373,15 @@ def _match_draws(T: Tower, seed: int) -> list[tuple[int, np.ndarray, np.ndarray,
 def _check_match(T: Tower, tol: Tolerance, seed: int) -> tuple[str, dict]:
     if T.depth < 2:
         return "true", {"note": "gluing needs two levels"}
-    ratios, left_out = [], 0
     # One residual pass per drawn level; draws whose scale overflows are left out.
     with np.errstate(over="ignore", invalid="ignore"):
-        for n, Z1, Z2, scales in _match_draws(T, seed):
-            left_out += int(np.isinf(scales).sum())
-            ratios.append(np.where(np.isinf(scales), 0.0, match_residual(T, Z1, Z2, n) / scales))
+        folds = [
+            _ratios(match_residual(T, Z1, Z2, n), scales)
+            for n, Z1, Z2, scales in _match_draws(T, seed)
+        ]
     # np.max propagates NaN, so a non-finite residual cannot pass the rtol.
-    worst = float(np.max(np.concatenate(ratios), initial=0.0))
+    worst = float(np.max(np.concatenate([ratios for ratios, _ in folds]), initial=0.0))
+    left_out = sum(out for _, out in folds)
     details = {
         "draws": MATCH_DRAWS,
         "max_residual_ratio": report_number(worst),
@@ -399,8 +404,7 @@ def _check_consistent(T: Tower, tol: Tolerance, seed: int) -> tuple[str, dict]:
         for k, G in enumerate(table.gradients, 1):
             D = tangent_values(table.top, G)[:, :k, :k] - tangent_values(table.top[:k, :k], G)
             gaps.append(np.linalg.norm(D, axis=(1, 2)))
-    ratios, _, left_out, pairs = _certified_ratios(T, np.concatenate(gaps), table.residuals()[1], 0)
-    worst = float(ratios.max())
+    worst, _, left_out, pairs = _certified(T, np.concatenate(gaps), table.residuals()[1], 0)
     details = {"max_mismatch_ratio": report_number(worst), "rtol": DRIFT_RTOL}
     return _verdict(worst, DRIFT_RTOL, left_out, f"{pairs} pairs have a bound", details), details
 
@@ -669,9 +673,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
                     f"params level {a.n} too deep for tower depth {T.depth}"
                 )
     else:
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(args.seed, spawn_key=(2,)))
-        )
+        rng = _stream(args.seed, 2)
         samples = [
             random_params(rng, T.depth, args.param_scale) for _ in range(args.samples)
         ]
@@ -702,9 +704,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
         worst_drift = float(np.max(np.abs(acted_traces - base) / bound, initial=0.0))
     # Every sample acts at the same level, so one shuffled order serves them all.
     if args.permute_factors and samples and samples[0].n >= 3:
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(args.seed, spawn_key=(3,)))
-        )
+        rng = _stream(args.seed, 3)
         order = gz_indices(samples[0].n - 1)
         perm = [order[int(i)] for i in rng.permutation(len(order))]
         for a, acted in acted_samples:

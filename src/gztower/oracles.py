@@ -33,6 +33,9 @@ Lagrangian isotropy.  The all-pairs bracket matrix pairs every generator
 at the top level in one GEMM, with its own embedding: production forms no
 bracket, only the centralizer certificate that bounds each one, and this
 matrix is what the tests hold that certificate against at depth <= 8.
+The pair certificate forms the whole m x m array of certified ratios, one
+entry per pair with its own bound: the reference for the level blocks
+``commute`` and ``consistent`` fold it in.
 The gluing draws run the ``match`` check one draw at a time, one SVD per
 norm and two :func:`kk_form` pairings per draw: the reference for the
 member's stacked draws and residual passes.
@@ -70,6 +73,7 @@ __all__ = [
     "central_gradient",
     "fd_poisson_bracket",
     "bracket_matrix",
+    "pair_certificate",
     "charpoly_coefficients",
     "charpoly_roots",
     "dense_kernel",
@@ -181,6 +185,28 @@ def bracket_matrix(X: np.ndarray, gens) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         left = (X @ E - E @ X).reshape(len(E), n * n)
         return left @ E.transpose(0, 2, 1).reshape(len(E), n * n).T
+
+
+def pair_certificate(
+    T: Tower, left: np.ndarray, right: np.ndarray, k: int
+) -> tuple[float, Optional[tuple[int, int]], int]:
+    """The worst certified ratio over the pairs a <= b + k of :func:`gz_indices`, by definition.
+
+    Entry (b, a) of the m x m array is ``left[b] right[a] / (1 + ||X_n||_2^(i + n))``,
+    with n and i the levels of b and a; it is 0 off the pairs and where the
+    bound overflows.  Returns its largest entry (NaN propagates), the pair
+    ``(a, b)`` that ``np.argmax`` finds (None when the largest is 0) and the
+    number of pairs whose bound overflows.
+    """
+    levels = np.array([idx.i for idx in gz_indices(T.depth)])
+    norm = np.array([np.linalg.norm(T.level(n), 2) for n in levels])
+    pairs = np.tri(len(levels), k=k, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = 1.0 + norm[:, None] ** (levels[:, None] + levels[None, :])
+        ratios = np.where(pairs & ~np.isinf(bound), np.outer(left, right) / bound, 0.0)
+    b, a = np.unravel_index(np.argmax(ratios), ratios.shape)
+    worst = float(ratios[b, a])
+    return worst, None if worst == 0.0 else (int(a), int(b)), int((pairs & np.isinf(bound)).sum())
 
 
 def charpoly_coefficients(M: np.ndarray) -> np.ndarray:

@@ -63,6 +63,7 @@ from .matcore import (
     Tolerance,
     _eigen,
     _pow2_scaled,
+    _unit_exponent,
     krylov_basis,
     level_splits,
     spectra_disjoint,
@@ -110,12 +111,9 @@ def _regular_split(M: np.ndarray, tol: Tolerance) -> _Level:
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(v))
-    if math.isinf(norm):
-        # The squares overflowed; entries scaled by the largest one cannot.
-        v = v / np.abs(v).max()
-        norm = float(np.linalg.norm(v))
+    # Scaled by a power of two first, exactly, so that no square overflows.
+    v = _pow2_scaled(v, _unit_exponent(v))
+    norm = float(np.linalg.norm(v))
     return v / norm if norm > 0 else v
 
 
@@ -273,11 +271,12 @@ def _differentials_split(T: Tower, levels: list[_Level], tol: Tolerance) -> _Spl
 
 
 def _scaled_top(T: Tower) -> np.ndarray:
-    """X_N scaled by the exact power of two that brings its largest modulus into [1/2, 1)."""
-    peak = float(np.abs(T.top).max())
-    if peak == 0.0:
-        return T.top
-    return _pow2_scaled(T.top, math.frexp(peak)[1])
+    """X_N scaled by the exact power of two that brings its largest modulus into [1/2, 1).
+
+    Its largest part comes into [1/2, 1) first, so that no modulus overflows.
+    """
+    X = _pow2_scaled(T.top, _unit_exponent(T.top))
+    return _pow2_scaled(X, math.frexp(float(np.abs(X).max()))[1])
 
 
 def _tangents_profile(T: Tower, levels: list[_Level], tol: Tolerance) -> list[_Split]:

@@ -6,6 +6,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import tracemalloc
 
 import jsonschema
 import numpy as np
@@ -315,6 +316,21 @@ class TestCheck:
         assert checks["sreg"]["passed"] == "false"
         assert checks["sreg"]["details"]["theta"] == "false"
         assert {c["passed"] for name, c in checks.items() if name != "sreg"} == {"indeterminate"}
+
+    def test_entries_whose_modulus_overflows_end_indeterminate(self, tmp_path, capsys):
+        # Both parts of X_2's corner entry are finite, its modulus is not:
+        # ||X_2||_2 and every bound above level 1 overflow, so no pair or
+        # draw is compared, and every scaling is by an exact power of two.
+        top = np.array([[0.0, 1.0], [0.9 * self.HUGE * (1 + 1j), 0.0]])
+        tower_file = tmp_path / "huge.json"
+        write_tower(tower_file, Tower(top))
+        out = tmp_path / "r.json"
+        assert cli.main(["check", str(tower_file), "-o", str(out)]) == cli.EXIT_INDETERMINATE
+        assert capsys.readouterr().err == ""
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        assert {c["passed"] for c in checks.values()} == {"indeterminate"}
+        assert "3 of 3 pairs" in checks["commute"]["details"]["note"]
+        assert "200 of 200 draws" in checks["match"]["details"]["note"]
 
     def test_reports_on_overflowing_powers_are_strict_json(self, tmp_path):
         # JSON has no NaN or infinity token (RFC 8259): a non-finite
@@ -1049,6 +1065,88 @@ class TestCentralizerCertificate:
         assert cli.CHECKS["lagrangian"](T, tol, 0).passed == "false"
         # The embedding is intact, so the glued form is still level independent.
         assert cli.CHECKS["consistent"](T, tol, 0).passed == "true"
+
+
+class TestPairCertificateOracle:
+    """commute and consistent fold level blocks to exactly what the m x m
+    pair array of :func:`oracles.pair_certificate` gives: the worst ratio,
+    the ``np.argmax`` pair and the pairs left out, with NaN, infinity or 0
+    in one entry of either residual array, or ties."""
+
+    SCALES = (1.0, 1e40, 1e160, 0.0)
+
+    @staticmethod
+    def _injections(m: int) -> list:
+        spots = sorted({0, m // 2, m - 1})
+        values = (np.nan, np.inf, 0.0)
+        return [None, "tie"] + [(w, p, v) for w in (0, 1) for p in spots for v in values]
+
+    @pytest.mark.parametrize("depth", range(1, 9))
+    @pytest.mark.parametrize("kind", ["plain", "identity", "jordan"])
+    def test_details_equal_the_oracle(self, kind, depth, monkeypatch):
+        from gztower.gz import PowerTable
+        from gztower.oracles import pair_certificate
+        from gztower.regularity import report_number
+
+        if kind == "plain":
+            towers = [Tower(plain_tower(depth, depth).top * s) for s in self.SCALES]
+        else:
+            towers = [Tower(np.eye(depth, dtype=complex)) if kind == "identity" else jordan_tower(depth)]
+        original, folded = PowerTable.residuals, cli._certified
+        seen = []
+
+        def spy(T, left, right, k):
+            seen.append((left, right, k))
+            return folded(T, left, right, k)
+
+        monkeypatch.setattr(cli, "_certified", spy)
+        m = depth * (depth + 1) // 2
+        for T in towers:
+            for injection in self._injections(m):
+
+                def residuals(table, injection=injection):
+                    arrays = [a.copy() for a in original(table)]
+                    if injection == "tie":
+                        return tuple(np.ones_like(a) for a in arrays)
+                    if injection is not None:
+                        which, at, value = injection
+                        arrays[which][at] = value
+                    return tuple(arrays)
+
+                monkeypatch.setattr(PowerTable, "residuals", residuals)
+                for name, key in (("commute", "max_bracket_ratio"), ("consistent", "max_mismatch_ratio")):
+                    seen.clear()
+                    result = cli.CHECKS[name](T, cli.Tolerance(), 0)
+                    ((left, right, k),) = seen
+                    worst, pair, left_out = pair_certificate(T, left, right, k)
+                    pairs = (m + k) * (m + k + 1) // 2
+                    details = result.details
+                    assert details[key] == report_number(worst), (injection, name)
+                    if not worst <= cli.DRIFT_RTOL:
+                        assert result.passed == "false"
+                    elif left_out:
+                        assert result.passed == "indeterminate"
+                        assert details["note"].startswith(f"{left_out} of {pairs} pairs")
+                    else:
+                        assert result.passed == "true"
+                    if name == "commute":
+                        names = [cli._name(i) for i in cli.gz_indices(depth)]
+                        assert details["worst_pair"] == (pair and [names[a] for a in pair])
+                        assert details["pairs"] == pairs
+
+    def test_commute_holds_no_pair_array(self):
+        # The largest level block is N rows by fewer than m columns.
+        T = theta_tower(24, 201, 0.3)
+        m = T.depth * (T.depth + 1) // 2
+        cli.power_table(T).residuals()
+        tracemalloc.start()
+        try:
+            result = cli.CHECKS["commute"](T, cli.Tolerance(), 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.passed == "true"
+        assert peak < m * m * np.dtype(np.float64).itemsize
 
 
 class TestConserveOracle:

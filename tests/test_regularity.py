@@ -143,6 +143,22 @@ class TestIntersection:
         assert not intersection_trivial(X[:i, :i], X)
 
 
+class TestModulusOverflow:
+    """Both parts finite, the modulus not: the scalings that keep criteria 2
+    and 3 finite are exact powers of two taken from the larger part."""
+
+    HUGE = 0.9 * np.finfo(float).max * (1 + 1j)
+
+    def test_unit_border_has_unit_norm(self):
+        u = regularity._unit(np.array([self.HUGE, 1.0]))
+        assert np.linalg.norm(u) == pytest.approx(1.0)
+        assert u[0] == pytest.approx((1 + 1j) / np.sqrt(2))
+
+    def test_scaled_top_brings_the_largest_modulus_into_half_to_one(self):
+        X = regularity._scaled_top(Tower(np.array([[0.0, 1.0], [self.HUGE, 0.0]])))
+        assert 0.5 <= np.abs(X).max() < 1.0
+        assert X[1, 0].real == X[1, 0].imag
+
 class TestSregCriteria:
     def test_involution_tower_all_true(self):
         T = involution_tower()
