@@ -64,7 +64,7 @@ from .symplectic import (
     match_residual,
 )
 
-__version__ = "0.7.3"
+__version__ = "0.7.4"
 
 __all__ = [
     "__version__",

@@ -24,7 +24,7 @@ import tempfile
 # cmd_check runs no pool.  The name stays bound only because the tracer in
 # bench/spans.py rebinds it; drop it together with that rebinding.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -46,7 +46,7 @@ from .gz import (
     stack_traces,
 )
 from .matcore import MAX_DIM, Tolerance, _pow2_scaled, _unit_exponent, tangent_values
-from .regularity import report_number, sreg_report
+from .regularity import report_number, residual_ratios, residual_verdict, sreg_report
 from .symplectic import lagrangian_check, match_residual
 from .tower import (
     RNG_ALGORITHM,
@@ -95,12 +95,7 @@ class CheckResult:
     details: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "property": self.property,
-            "passed": self.passed,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 # The suite's members in registration order, which is the default suite's.
@@ -160,30 +155,22 @@ def _level_pair_bounds(T: Tower) -> np.ndarray:
         return 1.0 + _level_norms(T)[levels, None] ** np.add.outer(levels, levels)
 
 
-def _ratios(values: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, int]:
-    """``values / scales``, and the number of scales that overflow: those ratios are 0, not compared.
-
-    NaN propagates, so a non-finite value under a finite scale cannot pass.
-    """
-    out = np.isinf(scales)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.where(out, 0.0, values / scales), int(out.sum())
-
-
 def _verdict(worst: float, rtol: float, left_out: int, what: str, details: dict) -> str:
-    """Verdict from the worst ratio over the compared items.
-
-    ``left_out`` items, whose bound or scale overflows, were not compared,
-    so the check cannot pass; ``what`` counts all of them and names that
-    number, as in "21 pairs have a bound".
-    """
-    if worst <= rtol and left_out:
+    """:func:`residual_verdict`, with a note in ``details`` of how many of ``what`` are left out."""
+    verdict = residual_verdict(worst, rtol, left_out)
+    if verdict == "indeterminate":
         details["note"] = (
             f"{left_out} of {what} that overflows double precision and were not "
             "compared; regenerate the tower at a smaller scale"
         )
-        return "indeterminate"
-    return _tri(worst <= rtol)
+    return verdict
+
+
+def _exit_code(*verdicts: str) -> int:
+    """A command's exit code: 1 if a verdict is false, else 3 if one is not true, else 0."""
+    if "false" in verdicts:
+        return EXIT_FAIL
+    return EXIT_INDETERMINATE if set(verdicts) - {"true"} else EXIT_PASS
 
 
 def _name(idx: GZIndex) -> str:
@@ -211,7 +198,7 @@ def _certified(T: Tower, left: np.ndarray, right: np.ndarray, k: int):
         below = np.tri(n, end, first + k, dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):
             values = np.where(below, np.outer(left[first : first + n], right[:end]), 0.0)
-        ratios, out = _ratios(values, np.where(below, bounds[n - 1, level_of[:end]], 1.0))
+        ratios, out = residual_ratios(values, np.where(below, bounds[n - 1, level_of[:end]], 1.0))
         left_out += out
         at = int(np.argmax(ratios))
         # The first block to reach the worst ratio holds np.argmax's pair; NaN beats every number.
@@ -332,7 +319,8 @@ def _check_conserve(T: Tower, tol: Tolerance, seed: int) -> tuple[str, dict]:
             "regenerate the tower at a smaller scale"
         )
     else:
-        passed = _tri(worst_drift <= DRIFT_RTOL and worst_corner <= CORNER_RTOL)
+        drift = residual_verdict(worst_drift, DRIFT_RTOL)
+        passed = _tri(drift == residual_verdict(worst_corner, CORNER_RTOL) == "true")
     return passed, details
 
 
@@ -376,7 +364,7 @@ def _check_match(T: Tower, tol: Tolerance, seed: int) -> tuple[str, dict]:
     # One residual pass per drawn level; draws whose scale overflows are left out.
     with np.errstate(over="ignore", invalid="ignore"):
         folds = [
-            _ratios(match_residual(T, Z1, Z2, n), scales)
+            residual_ratios(match_residual(T, Z1, Z2, n), scales)
             for n, Z1, Z2, scales in _match_draws(T, seed)
         ]
     # np.max propagates NaN, so a non-finite residual cannot pass the rtol.
@@ -546,11 +534,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     _emit(args.out, _dump_json(report))
     for r in results:
         print(f"[{r.passed}] {r.name}")
-    if any(r.passed == "false" for r in results):
-        return EXIT_FAIL
-    if any(r.passed == "indeterminate" for r in results):
-        return EXIT_INDETERMINATE
-    return EXIT_PASS
+    return _exit_code(*(r.passed for r in results))
 
 
 def _bound_overflows(tops: np.ndarray) -> bool:
@@ -564,9 +548,17 @@ def _bound_overflows(tops: np.ndarray) -> bool:
         return bool(np.isinf(N * np.maximum(1.0, np.linalg.norm(tops, axis=(1, 2))) ** N).any())
 
 
-def _traces_overflow(tops: np.ndarray, traces: np.ndarray) -> bool:
-    """Whether a tower of an (s, N, N) stack has a non-finite trace and an infinite bound."""
-    return _bound_overflows(tops[~np.isfinite(traces).all(axis=1)])
+def _traces(table: PowerTable, tops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The traces of the table's tower and of an (s, N, N) stack of tops, in gz_indices order.
+
+    Raises OverflowError where a non-finite trace sits under an infinite
+    power bound; under a finite one, the trace fails the drift.
+    """
+    base, values = table.traces(), stack_traces(tops)
+    for stack, traces in ((table.top[None], base[None]), (tops, values)):
+        if _bound_overflows(stack[~np.isfinite(traces).all(axis=1)]):
+            raise OverflowError("the observables overflow the representable range")
+    return base, values
 
 
 def _flow_table(
@@ -580,15 +572,12 @@ def _flow_table(
     leaves the double range.
     """
     table = power_table(T)
-    base = table.traces()
     tops, errors = flow_stack(table.top, [table.gradient(idx)], grid)
     # The first failure in grid order is the one a flow-by-flow loop meets.
     for exc in errors:
         if exc is not None:
             raise exc
-    values = stack_traces(tops)
-    if _traces_overflow(table.top[None], base[None]) or _traces_overflow(tops, values):
-        raise OverflowError("the observables overflow the representable range")
+    base, values = _traces(table, tops)
     # np.max propagates NaN, so a non-finite value cannot pass.
     with np.errstate(over="ignore", invalid="ignore"):
         drift = np.max(np.abs(values - base) / (1.0 + np.abs(base)), axis=0, initial=0.0)
@@ -608,10 +597,10 @@ def cmd_flow(args: argparse.Namespace) -> int:
         rows, drift = _flow_table(T, idx, grid)
     except (OverflowError, np.linalg.LinAlgError) as exc:
         print(f"flow not computable in double precision: {exc}", file=sys.stderr)
-        return EXIT_INDETERMINATE
+        return _exit_code("indeterminate")
     names = [_name(k) for k in gz_indices(T.depth)]
     max_drift = float(np.max(drift))
-    passed = max_drift <= args.drift_tol
+    passed = residual_verdict(max_drift, args.drift_tol)
 
     if args.format == "csv":
         buf = io.StringIO()
@@ -636,7 +625,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
                 ],
                 "max_relative_drift": dict(zip(names, drift.tolist())),
                 "drift_tol": args.drift_tol,
-                "passed": passed,
+                "passed": passed == "true",
             }
         )
         # A flow report is a t-grid by observables table of numbers: indented,
@@ -653,7 +642,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
         _emit(args.emit_plot_data, buf.getvalue())
 
     print(f"max relative drift {max_drift:.3e} over t grid {grid}")
-    return EXIT_PASS if passed else EXIT_FAIL
+    return _exit_code(passed)
 
 
 def cmd_orbit(args: argparse.Namespace) -> int:
@@ -667,76 +656,62 @@ def cmd_orbit(args: argparse.Namespace) -> int:
             raise _DataError(f"cannot read params file {args.params}: {exc}") from exc
         except ValueError as exc:
             raise _DataError(f"malformed params file {args.params}: {exc}") from exc
-        for a in samples:
-            if a.n > T.depth + 1:
-                raise _DataError(
-                    f"params level {a.n} too deep for tower depth {T.depth}"
-                )
+        if samples[0].n > T.depth + 1:
+            raise _DataError(f"params level {samples[0].n} too deep for tower depth {T.depth}")
     else:
         rng = _stream(args.seed, 2)
-        samples = [
-            random_params(rng, T.depth, args.param_scale) for _ in range(args.samples)
-        ]
+        samples = [random_params(rng, T.depth, args.param_scale) for _ in range(args.samples)]
 
-    levels = np.array([k.i for k in gz_indices(T.depth)])
-    # Overflowing bounds and traces stay non-finite without warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound = 1.0 + _level_norms(T)[levels] ** levels
-    base = power_table(T).traces()
-    worst_perm = 0.0
     try:
         acted_samples = [(a, a_act(a, T)) for a in samples]
     except (OverflowError, np.linalg.LinAlgError) as exc:
         print(f"action not computable in double precision: {exc}", file=sys.stderr)
-        return EXIT_INDETERMINATE
-    # --samples 0 leaves the stack empty; np.max propagates NaN, so a
-    # non-finite drift cannot pass the rtol.
+        return _exit_code("indeterminate")
+    # --samples 0 leaves the stack empty.
     acted_tops = np.array([acted.top for _, acted in acted_samples]).reshape(-1, T.depth, T.depth)
-    acted_traces = stack_traces(acted_tops)
-    if _traces_overflow(T.top[None], base[None]) or _traces_overflow(acted_tops, acted_traces):
-        print(
-            "orbit not computable in double precision: "
-            "the observables overflow the representable range",
-            file=sys.stderr,
-        )
-        return EXIT_INDETERMINATE
+    try:
+        base, acted_traces = _traces(power_table(T), acted_tops)
+    except OverflowError as exc:
+        print(f"orbit not computable in double precision: {exc}", file=sys.stderr)
+        return _exit_code("indeterminate")
+    levels = np.array([k.i for k in gz_indices(T.depth)])
+    # The observables of a level whose bound overflows are left out.
     with np.errstate(over="ignore", invalid="ignore"):
-        worst_drift = float(np.max(np.abs(acted_traces - base) / bound, initial=0.0))
+        bound = 1.0 + _level_norms(T)[levels] ** levels
+        drifts, left_out = residual_ratios(np.abs(acted_traces - base), bound)
+    worst_drift = float(np.max(drifts, initial=0.0))
+    report = _report_envelope("orbit", args.seed, args.tol, args.tower)
+    what = f"{len(levels)} observables have a bound"
+    invariance = _verdict(worst_drift, DRIFT_RTOL, left_out, what, report)
+    if left_out:
+        report["observables_left_out"] = left_out
+    gaps, scales = [], []
     # Every sample acts at the same level, so one shuffled order serves them all.
     if args.permute_factors and samples and samples[0].n >= 3:
         rng = _stream(args.seed, 3)
         order = gz_indices(samples[0].n - 1)
         perm = [order[int(i)] for i in rng.permutation(len(order))]
         for a, acted in acted_samples:
-            permuted = a_act_stepwise(a, T, perm)
-            scale = 1.0 + float(np.abs(acted.top).max())
-            worst_perm = max(
-                worst_perm, float(np.abs(permuted.top - acted.top).max()) / scale
-            )
+            gaps.append(np.abs(a_act_stepwise(a, T, perm).top - acted.top).max())
+            scales.append(1.0 + np.abs(acted.top).max())
+    # Without --permute-factors nothing is compared, and the gap reads true.
+    ratios, gaps_left_out = residual_ratios(np.array(gaps), np.array(scales))
+    worst_perm = float(np.max(ratios, initial=0.0))
+    permute = residual_verdict(worst_perm, DRIFT_RTOL, gaps_left_out)
 
     lag = lagrangian_check(T, args.tol)
-    invariance_ok = worst_drift <= DRIFT_RTOL
-    permute_ok = (not args.permute_factors) or worst_perm <= DRIFT_RTOL
-
-    report = _report_envelope("orbit", args.seed, args.tol, args.tower)
     report.update(
         {
             "samples": len(samples),
             "max_observable_drift": report_number(worst_drift),
-            "observable_invariance_ok": invariance_ok,
+            "observable_invariance_ok": invariance != "false",
             "permuted_application_gap": worst_perm if args.permute_factors else None,
             "lagrangian": lag.to_json_dict(),
         }
     )
     _emit(args.out, _dump_json(report))
-    print(
-        f"observable drift {worst_drift:.3e}; lagrangian verdict: {lag.verdict}"
-    )
-    if not invariance_ok or lag.verdict == "false" or not permute_ok:
-        return EXIT_FAIL
-    if lag.verdict != "true":
-        return EXIT_INDETERMINATE
-    return EXIT_PASS
+    print(f"observable drift {worst_drift:.3e}; lagrangian verdict: {lag.verdict}")
+    return _exit_code(invariance, permute, lag.verdict)
 
 
 def _checked(kind: type, ok: Callable, need: str) -> Callable[[str], object]:

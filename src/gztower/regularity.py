@@ -47,6 +47,9 @@ Criterion 2 also decides the ``anchor`` and ``lagrangian`` checks: every
 joint commutant of levels n..N (n < N) embeds into that of levels N-1..N,
 whose border system is its last, and the orbit through X_N has dimension
 N^2 - N exactly when it finds X_N regular.
+
+The report helpers every check shares live here too: :func:`report_number`
+and the residual fold, :func:`residual_ratios` and :func:`residual_verdict`.
 """
 
 from __future__ import annotations
@@ -75,6 +78,8 @@ from .tower import Tower
 __all__ = [
     "SregReport",
     "report_number",
+    "residual_ratios",
+    "residual_verdict",
     "is_sreg_differentials",
     "is_sreg_centralizers",
     "is_sreg_tangents",
@@ -356,6 +361,27 @@ def report_number(x: Optional[float]) -> Optional[float]:
     JSON has no token for NaN or the infinities (RFC 8259).
     """
     return None if x is None or not math.isfinite(x) else x
+
+
+def residual_ratios(values, scales) -> tuple[np.ndarray, int]:
+    """``values / scales`` and the count of scales that overflow: those ratios are 0, not compared.
+
+    A scale overflowed when it is inf, or NaN where overflows met.  NaN
+    values propagate, so a non-finite value under a finite scale fails.
+    """
+    out = ~np.isfinite(scales)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(out, 0.0, np.divide(values, scales)), int(out.sum())
+
+
+def residual_verdict(worst: float, rtol: float, left_out: int = 0) -> str:
+    """The verdict of the worst compared ratio: above ``rtol``, or NaN, it fails.
+
+    A pass with items left out of the comparison reads "indeterminate".
+    """
+    if not worst <= rtol:
+        return "false"
+    return "indeterminate" if left_out else "true"
 
 
 def _decidable_depth(*profiles: list[_Split]) -> int:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .gz import power_table
 from .matcore import DEFAULT_TOL, Tolerance
-from .regularity import report_number, sreg_report
+from .regularity import report_number, residual_ratios, residual_verdict, sreg_report
 from .tower import Tower
 
 __all__ = [
@@ -141,17 +141,12 @@ def lagrangian_check(T: Tower, tol: Tolerance = DEFAULT_TOL) -> LagrangianReport
         # |tr(X [Z1, Z2])| <= 2 ||X|| ||Z1|| ||Z2||: the cancellation error of
         # an exactly-zero pairing scales with the same product.
         pairing_scale = float(1.0 + 2.0 * np.linalg.norm(T.top) * norms[:rank_A].max() ** 2)
-
-    notes: tuple[str, ...] = ()
-    if not np.isfinite(pairing_scale):
-        # The powers overflow: no pairing can be compared with its scale.
-        verdict = "indeterminate"
-        notes = (
-            "the generators' pairing scale overflows double precision; "
-            "regenerate the tower at a smaller scale",
-        )
-    else:
-        verdict = "true" if max_pairing <= ISOTROPY_RTOL * pairing_scale else "false"
+    # Where the powers overflow, so does the scale: no pairing is compared with it.
+    ratio, left_out = residual_ratios(max_pairing, pairing_scale)
+    notes = (
+        "the generators' pairing scale overflows double precision; "
+        "regenerate the tower at a smaller scale",
+    ) if left_out else ()
     return LagrangianReport(
         rank_A=rank_A,
         rank_G=N * N - N,
@@ -159,7 +154,7 @@ def lagrangian_check(T: Tower, tol: Tolerance = DEFAULT_TOL) -> LagrangianReport
         margin_G=sreg.top_arnoldi_margin,
         max_pairing=max_pairing,
         pairing_scale=pairing_scale,
-        verdict=verdict,
+        verdict=residual_verdict(float(ratio), ISOTROPY_RTOL, left_out),
         notes=notes,
         **base,
     )

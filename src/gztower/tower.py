@@ -33,6 +33,8 @@ __all__ = [
 
 # Recorded in reports so runs are reproducible across machines.
 RNG_ALGORITHM = "numpy.random.PCG64"
+# Candidate borders random_theta_tower draws for one level before it gives up.
+MAX_RETRIES = 100
 
 
 class GenerationError(RuntimeError):
@@ -83,7 +85,6 @@ def random_theta_tower(
     seed: int,
     scale: float = 1.0,
     tol: Tolerance = DEFAULT_TOL,
-    max_retries: int = 100,
 ) -> Tower:
     """Random tower whose consecutive-level spectra are disjoint.
 
@@ -91,7 +92,7 @@ def random_theta_tower(
     Sylvester-operator test confirms the new level's spectrum avoids the
     previous one.  Each matrix is decomposed once: the accepted level's
     eigenpairs serve every candidate above it.  Failure after
-    ``max_retries`` attempts on one level raises GenerationError
+    ``MAX_RETRIES`` attempts on one level raises GenerationError
     (probability ~0 for continuous samples; the bound exists to prevent
     hangs).
     """
@@ -104,7 +105,7 @@ def random_theta_tower(
     top_eigen = _eigen(top)
     while top.shape[0] < depth:
         n = top.shape[0]
-        for _ in range(max_retries):
+        for _ in range(MAX_RETRIES):
             cand = np.zeros((n + 1, n + 1), dtype=np.complex128)
             cand[:n, :n] = top
             cand[:n, n] = random_entries(rng, (n,), scale)
@@ -117,7 +118,7 @@ def random_theta_tower(
         else:
             raise GenerationError(
                 f"no spectrum-disjoint extension found at level {n} "
-                f"after {max_retries} attempts"
+                f"after {MAX_RETRIES} attempts"
             )
     return Tower(top)
 

@@ -753,18 +753,23 @@ class TestOrbit:
         err = capsys.readouterr().err
         assert "action factors overflowed" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("verdict", ["indeterminate", "not applicable"])
-    def test_lagrangian_without_a_verdict_exits_3(self, tmp_path, monkeypatch, verdict):
-        # A Lagrangian check that tested nothing, or whose pairings have no
-        # finite scale, does not let the orbit pass.
+    @staticmethod
+    def lagrangian_reads(verdict, monkeypatch):
+        """Replace the orbit's Lagrangian check by one that reads ``verdict``."""
         from gztower.symplectic import LagrangianReport
 
-        def undecided(T, tol):
+        def reads(T, tol):
             return LagrangianReport(
                 depth=T.depth, verdict=verdict, tol_rel=tol.rel, tol_abs=tol.abs, isotropy_rtol=1e-8
             )
 
-        monkeypatch.setattr(cli, "lagrangian_check", undecided)
+        monkeypatch.setattr(cli, "lagrangian_check", reads)
+
+    @pytest.mark.parametrize("verdict", ["indeterminate", "not applicable"])
+    def test_lagrangian_without_a_verdict_exits_3(self, tmp_path, monkeypatch, verdict):
+        # A Lagrangian check that tested nothing, or whose pairings have no
+        # finite scale, does not let the orbit pass.
+        self.lagrangian_reads(verdict, monkeypatch)
         tower_file = tmp_path / "t.json"
         write_tower(tower_file, theta_tower(4, 409))
         code = cli.main(["orbit", str(tower_file), "--samples", "2", "-o", str(tmp_path / "o.json")])
@@ -782,6 +787,58 @@ class TestOrbit:
         assert report["observable_invariance_ok"] is True
         assert report["lagrangian"]["verdict"] == "true"
         assert report["permuted_application_gap"] <= 1e-8
+        # Every bound is finite, so no observable was left out.
+        assert "note" not in report and "observables_left_out" not in report
+
+    def test_observables_whose_bound_overflows_are_left_out(self, tmp_path, monkeypatch):
+        # At X[0, 3] = 1e100 the bound 1 + ||X_4||_2^4 of level 4's four
+        # observables overflows, so their drifts are not compared; the six
+        # below pass.  A Lagrangian verdict of true leaves the exit code to
+        # the invariance verdict, which cannot pass on what it did not compare.
+        self.lagrangian_reads("true", monkeypatch)
+        top = theta_tower(4, 409).top.copy()
+        top[0, 3] = 1e100
+        tower_file = tmp_path / "t.json"
+        write_tower(tower_file, Tower(top))
+        out = tmp_path / "orbit.json"
+        code = cli.main(["orbit", str(tower_file), "--seed", "3", "-o", str(out)])
+        assert code == cli.EXIT_INDETERMINATE
+        report = json.loads(out.read_text())
+        assert report["observable_invariance_ok"] is True
+        assert report["max_observable_drift"] <= cli.DRIFT_RTOL
+        assert report["observables_left_out"] == 4
+        assert "4 of 10 observables" in report["note"]
+
+    def test_nan_permuted_gap_fails(self, tmp_path, monkeypatch):
+        # The gap folds like every residual: a NaN fails, it is not skipped.
+        from types import SimpleNamespace
+
+        self.lagrangian_reads("true", monkeypatch)
+        monkeypatch.setattr(
+            cli, "a_act_stepwise", lambda a, T, order: SimpleNamespace(top=np.full(T.top.shape, np.nan))
+        )
+        tower_file = tmp_path / "t.json"
+        write_tower(tower_file, theta_tower(4, 409))
+        out = tmp_path / "orbit.json"
+        argv = ["orbit", str(tower_file), "--seed", "3", "--permute-factors", "-o", str(out)]
+        assert cli.main(argv) == cli.EXIT_FAIL
+        report = json.loads(out.read_text())
+        assert report["observable_invariance_ok"] is True
+        assert math.isnan(report["permuted_application_gap"])
+
+    @pytest.mark.parametrize(
+        "verdicts,code",
+        [
+            ((), 0),
+            (("true", "true"), 0),
+            (("true", "indeterminate"), 3),
+            (("not applicable", "true"), 3),
+            (("indeterminate", "false", "not applicable"), 1),
+        ],
+    )
+    def test_one_exit_code_rule(self, verdicts, code):
+        # Any false gives 1; else any verdict but true gives 3; else 0.
+        assert cli._exit_code(*verdicts) == code
 
     def test_zero_params_file_identity(self, tmp_path):
         from gztower.action import params_to_json
@@ -974,7 +1031,8 @@ def conserve_per_level(T, tol, seed):
         traces = np.concatenate(
             [level_traces(corner_tops[:, :k, :k]) for k in range(1, i + 1)], axis=1
         )
-        failed = failed or not ok.all() or cli._traces_overflow(corner_tops, traces)
+        overflowed = cli._bound_overflows(corner_tops[~np.isfinite(traces).all(axis=1)])
+        failed = failed or not ok.all() or overflowed
         level_base = base[: i * (i + 1) // 2]
         with np.errstate(over="ignore", invalid="ignore"):
             drifts.append(
@@ -1025,7 +1083,7 @@ def conserve_every_generator(T):
                     failed = True
                     continue
                 traces = stack_traces(tops)
-                failed = failed or cli._traces_overflow(tops, traces)
+                failed = failed or cli._bound_overflows(tops[~np.isfinite(traces).all(axis=1)])
                 drifts.append(np.max(np.abs(traces - base) / (1.0 + np.abs(base))))
                 corners.append(
                     float(np.abs(tops[0, :i, :i] - Xi).max()) / (1.0 + float(np.abs(Xi).max()))

@@ -84,6 +84,72 @@ def test_production_forms_no_all_pairs_bracket(path):
     )
 
 
+def _operands(node):
+    """The names a comparison operand reads, outside calls: a call's arguments are its own."""
+    if isinstance(node, ast.Call):
+        return
+    yield from _names(node)
+    for child in ast.iter_child_nodes(node):
+        yield from _operands(child)
+
+
+@pytest.mark.parametrize("path", PRODUCTION, ids=lambda path: path.name)
+def test_residual_tolerances_are_compared_only_in_the_fold(path):
+    # Every identity check decides through regularity.residual_verdict: no
+    # other code compares an rtol constant or `gz flow`'s --drift-tol.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    fold = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "residual_verdict"
+        for inner in ast.walk(node)
+    }
+    read = {
+        name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare) and id(node) not in fold
+        for operand in [node.left, *node.comparators]
+        for name in _operands(operand)
+    }
+    assert sorted(name for name in read if name.endswith("_RTOL") or name == "drift_tol") == []
+
+
+def test_one_residual_fold():
+    # The fold is defined once; cli._verdict only adds the note of a left-out count.
+    defined = sorted(
+        (path.name, node.name)
+        for path in PRODUCTION
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and ("ratios" in node.name or "verdict" in node.name)
+    )
+    assert defined == [
+        ("cli.py", "_verdict"),
+        ("regularity.py", "residual_ratios"),
+        ("regularity.py", "residual_verdict"),
+    ]
+
+
+def test_commands_exit_through_one_rule():
+    # `gz check`, `gz orbit` and `gz flow` map verdicts to exit codes only
+    # through cli._exit_code; an exit-code constant named in them is a second rule.
+    from gztower import cli
+
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    commands = {
+        node.name: node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in ("cmd_check", "cmd_orbit", "cmd_flow")
+    }
+    assert sorted(commands) == ["cmd_check", "cmd_flow", "cmd_orbit"]
+    for name, command in commands.items():
+        returns = [node.value for node in ast.walk(command) if isinstance(node, ast.Return)]
+        assert returns, name
+        for value in returns:
+            assert isinstance(value, ast.Call) and getattr(value.func, "id", None) == "_exit_code", name
+        constants = {n for node in ast.walk(command) for n in _names(node) if n.startswith("EXIT_")}
+        assert constants == set(), name
+
+
 def test_version_has_one_source():
     # pyproject.toml reads the version off the package, without importing it.
     tomllib = pytest.importorskip("tomllib")

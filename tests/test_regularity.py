@@ -159,6 +159,27 @@ class TestModulusOverflow:
         assert 0.5 <= np.abs(X).max() < 1.0
         assert X[1, 0].real == X[1, 0].imag
 
+
+class TestResidualFold:
+    def test_ratios_leave_out_the_scales_that_overflow(self):
+        # An infinite scale, or a NaN one where overflows met, is not compared.
+        scales = np.array([2.0, np.inf, np.nan])
+        ratios, left_out = regularity.residual_ratios(np.array([1.0, 2.0, 3.0]), scales)
+        assert ratios.tolist() == [0.5, 0.0, 0.0] and left_out == 2
+
+    def test_nan_fails_even_with_items_left_out(self):
+        ratios, left_out = regularity.residual_ratios(np.array([np.nan, 1.0]), np.array([2.0, np.inf]))
+        assert np.isnan(ratios[0]) and left_out == 1
+        assert regularity.residual_verdict(float(np.max(ratios)), 1e-8, left_out) == "false"
+
+    @pytest.mark.parametrize(
+        "worst,left_out,verdict",
+        [(1e-9, 0, "true"), (1e-8, 0, "true"), (1e-9, 3, "indeterminate"), (2e-8, 3, "false")],
+    )
+    def test_verdict(self, worst, left_out, verdict):
+        assert regularity.residual_verdict(worst, 1e-8, left_out) == verdict
+
+
 class TestSregCriteria:
     def test_involution_tower_all_true(self):
         T = involution_tower()

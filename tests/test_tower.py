@@ -88,13 +88,15 @@ class TestRandomThetaTower:
         T = random_theta_tower(6, 3, 0.25)
         assert np.abs(T.top).max() <= 0.25 + 1e-15
 
-    def test_retry_exhaustion(self):
+    def test_retry_exhaustion(self, monkeypatch):
         # An impossible tolerance forces every candidate to be rejected.
+        from gztower import tower
         from gztower.matcore import Tolerance
 
+        monkeypatch.setattr(tower, "MAX_RETRIES", 5)
         hopeless = Tolerance(rel=0.0, abs=1e9)
-        with pytest.raises(GenerationError):
-            random_theta_tower(3, 0, 1.0, hopeless, max_retries=5)
+        with pytest.raises(GenerationError, match="after 5 attempts"):
+            random_theta_tower(3, 0, 1.0, hopeless)
 
     def test_strongly_regular(self):
         # Spectrum-disjoint towers are strongly regular.
